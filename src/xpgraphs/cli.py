@@ -128,6 +128,19 @@ def _validate_config(config: JobConfig) -> None:
             raise ValidationError(f"task {config.task!r} needs numeric.k_min and numeric.k_max")
 
 
+def _numeric(config: JobConfig, key: str, default=None, kind=float):
+    """numeric.<key> (or ``default`` when absent) converted by ``kind``.
+
+    Raises:
+        ValidationError: the value does not convert.
+    """
+    value = config.numeric.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"numeric.{key} must be a number, got {value!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Model construction from config
 # ---------------------------------------------------------------------------
@@ -236,11 +249,11 @@ def _task_validate(config, out_dir, workers):
 
 def _spectrum_from_config(config, graph, sys_, workers):
     num = config.numeric
-    tol = float(num.get("tol", 1e-10))
-    spectrum = spectra.find_spectrum(sys_, (num["k_min"], num["k_max"]),
-                                     tol=tol, workers=workers)
+    k_range = (_numeric(config, "k_min"), _numeric(config, "k_max"))
+    spectrum = spectra.find_spectrum(sys_, k_range, tol=_numeric(config, "tol", 1e-10),
+                                     workers=workers)
     if num.get("kappa_max") and sys_.kind == extensions.BK2:
-        negative = spectra.find_negative_eigenvalues(sys_, float(num["kappa_max"]))
+        negative = spectra.find_negative_eigenvalues(sys_, _numeric(config, "kappa_max"))
         spectrum = dataclasses.replace(spectrum, negative=tuple(negative))
     return spectrum
 
@@ -330,9 +343,8 @@ def _task_heat_trace(config, out_dir, workers):
 
 
 def _task_halfline_demo(config, out_dir, workers):
-    num = config.numeric
-    k_max = float(num.get("k_grid_max", 30.0))
-    n_k = int(num.get("n_k", 1201))
+    k_max = _numeric(config, "k_grid_max", 30.0)
+    n_k = _numeric(config, "n_k", 1201, kind=int)
     ks = np.linspace(-k_max, k_max, n_k)
     rows = []
     for k in ks:
@@ -357,7 +369,7 @@ def _task_counting_compare(config, out_dir, workers):
     spectrum = _spectrum_from_config(config, graph, sys_, workers)
     side = config.numeric.get("side",
                               "two_sided" if spec.kind == extensions.BK else "positive")
-    k_start = float(config.numeric.get("k_start", 50.0))
+    k_start = _numeric(config, "k_start", 50.0)
     rows, monotone = traces.counting_comparison(spectrum, graph,
                                                 k_start=k_start, side=side)
     _write_csv(out_dir / "counting.csv",
@@ -394,6 +406,12 @@ def run(config: JobConfig, out_dir, workers: int = 1, seed: int = 0) -> int:
         return EXIT_VALIDATION
     except XpGraphsError as exc:
         _write_error(out_dir, exc)
+        return EXIT_COMPUTE
+    except Exception as exc:  # keep the exit-code contract for unforeseen failures
+        import traceback  # imported here: only this rare path needs it
+
+        traceback.print_exc(file=sys.stderr)
+        _write_error(out_dir, ComputeError(f"{type(exc).__name__}: {exc}"))
         return EXIT_COMPUTE
 
 

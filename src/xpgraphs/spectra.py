@@ -8,18 +8,25 @@ crossings with an integer-valued winding function
 
 where Theta is a continuous lift of arg det U and theta_j are principal
 eigenphases in [0, 2 pi).  M(k2) - M(k1) equals the net number of
-eigenphase crossings through 1 on (k1, k2]; with a k-independent S-part
-every eigenphase is strictly increasing (rate between the smallest and
-largest bond length), so the count is exact and bisection is rigorous.
+eigenphase crossings through 1 on (k1, k2].
+
+With a k-independent S-part, Theta(k) = arg det S + k sum(w) in closed
+form and every eigenphase is strictly increasing (rate between the
+smallest and largest bond length), so the count is exact.  The scan grid
+is evaluated in stacked blocks; a bracket holding one crossing is refined
+by Newton steps on the crossing eigenphase, with its velocity from
+Hellmann-Feynman, inside a bracket that M certifies at every step.
+Brackets holding several crossings (degenerate levels) are bisected.
+
 For k-dependent S-parts the lift is carried numerically along the scan
-with steps bounded by the phase-velocity of the S-matrix family.
+with steps bounded by the phase-velocity of the S-matrix family, and
+brackets are bisected.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +48,12 @@ MULT_TOL = 1e-8
 
 #: eigenvalues of L'' below this magnitude are treated as exact zeros
 LAMBDA_FLOOR = 1e-11
+
+#: grid points whose U(k) go into one stacked eigvals call (constant S-part)
+SCAN_BLOCK = 64
+
+#: Newton steps one bracket may take before refinement gives up
+NEWTON_BUDGET = 100
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +104,10 @@ class SecularSystem:
         """Step amplitudes: U(k) = bond_matrix(k) @ diag(exp(i k w))."""
         if self.kind == BK:
             return self.s_bk
-        e = len(self.lengths)
-        j0 = np.zeros((2 * e, 2 * e))
-        j0[:e, e:] = np.eye(e)
-        j0[e:, :e] = np.eye(e)
-        return self.s_part(k) @ j0
+        return self.s_part(k) @ swap_matrix(len(self.lengths))
 
     def u_matrix(self, k: complex) -> np.ndarray:
-        return self.bond_matrix(k) @ np.diag(np.exp(1j * k * self.weights))
+        return self.bond_matrix(k) * np.exp(1j * k * self.weights)
 
     def _pole_magnitudes(self) -> np.ndarray:
         """Nonzero |sigma(L'')| entries driving the S-matrix phase velocity."""
@@ -115,18 +124,20 @@ class SecularSystem:
         return float(np.sum(2.0 * lam / (lam ** 2 + kappa ** 2)))
 
 
+def swap_matrix(n_edges: int) -> np.ndarray:
+    """J0, which exchanges the two ends (b and b + E) of every edge."""
+    j0 = np.zeros((2 * n_edges, 2 * n_edges))
+    j0[:n_edges, n_edges:] = j0[n_edges:, :n_edges] = np.eye(n_edges)
+    return j0
+
+
 def t_matrix(kind: str, lengths, k: complex) -> np.ndarray:
     """Diagonal phase matrix exp(ik l) (first order) or its antidiagonal
-    two-block arrangement (second order)."""
+    two-block arrangement J0 diag(exp(ik l), exp(ik l)) (second order)."""
     lengths = np.asarray(lengths, dtype=float)
-    phase = np.diag(np.exp(1j * k * lengths))
     if kind == BK:
-        return phase
-    e = len(lengths)
-    t = np.zeros((2 * e, 2 * e), dtype=complex)
-    t[:e, e:] = phase
-    t[e:, :e] = phase
-    return t
+        return np.diag(np.exp(1j * k * lengths))
+    return swap_matrix(len(lengths)) * np.exp(1j * k * np.concatenate([lengths, lengths]))
 
 
 def secular(sys: SecularSystem, k: complex) -> complex:
@@ -151,26 +162,28 @@ def secular_bk2(sys: SecularSystem, k: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _principal_angles(u: np.ndarray) -> np.ndarray:
-    """Eigenphases of a unitary matrix mapped to [0, 2 pi)."""
+    """Eigenphases of a unitary matrix (or a stack of them) mapped to [0, 2 pi)."""
     ang = np.angle(np.linalg.eigvals(u))
     return np.mod(ang, TWO_PI)
 
 
+def _unit_count(m: np.ndarray, tol: float) -> int:
+    """Eigenvalues of a unitary matrix within eigenphase distance tol of 1."""
+    ang = _principal_angles(m)
+    dist = np.minimum(ang, TWO_PI - ang)
+    return int(np.sum(dist <= tol))
+
+
 class _WindingCounter:
-    """Evaluates M(k) for one secular system, lifting arg det U as needed."""
+    """Evaluates M(k) for a k-dependent secular system, lifting arg det U."""
 
     def __init__(self, sys: SecularSystem, k_anchor: float):
         self.sys = sys
         self.rate = float(np.sum(sys.weights))
-        self.evals = 0
-        if sys.k_independent:
-            det0 = np.linalg.det(sys.bond_matrix(0.0))
-            self.theta0 = float(np.angle(det0))
-        else:
-            u = sys.u_matrix(k_anchor)
-            self.evals += 1
-            self._ks = [k_anchor]
-            self._thetas = [float(np.angle(np.linalg.det(u)))]
+        u = sys.u_matrix(k_anchor)
+        self.evals = 1
+        self._ks = [k_anchor]
+        self._thetas = [float(np.angle(np.linalg.det(u)))]
 
     # -- lifted total phase ------------------------------------------------
 
@@ -212,17 +225,83 @@ class _WindingCounter:
         u = self.sys.u_matrix(k)
         self.evals += 1
         ang_sum = float(np.sum(_principal_angles(u)))
-        if self.sys.k_independent:
-            theta = self.theta0 + k * self.rate
-        else:
-            theta = self._lift_theta(k)
-        return int(round((theta - ang_sum) / TWO_PI))
+        return int(round((self._lift_theta(k) - ang_sum) / TWO_PI))
 
     def unit_eigenvalue_count(self, k: float, tol: float = MULT_TOL) -> int:
-        ang = _principal_angles(self.sys.u_matrix(k))
         self.evals += 1
-        dist = np.minimum(ang, TWO_PI - ang)
-        return int(np.sum(dist <= tol))
+        return _unit_count(self.sys.u_matrix(k), tol)
+
+
+class _ConstantScan:
+    """M(k) and root refinement for a k-independent S-part.
+
+    U(k) = B exp(ikw) with the bond matrix B built once, and
+    arg det U(k) = arg det B + k sum(w) exactly, so M needs no lift.
+    ``evals`` counts every U(k) whose eigenvalues are computed.
+    """
+
+    def __init__(self, sys: SecularSystem):
+        self.bond = sys.bond_matrix(0.0)
+        self.weights = sys.weights
+        self.rate = float(np.sum(self.weights))
+        self.theta0 = float(np.angle(np.linalg.det(self.bond)))
+        self.evals = 0
+
+    def _m(self, k, angles):
+        """M from principal eigenphases; vectorised over leading axes."""
+        return np.rint((self.theta0 + k * self.rate - np.sum(angles, axis=-1))
+                       / TWO_PI).astype(int)
+
+    def m_many(self, ks: np.ndarray):
+        """(M(k), principal eigenphases) over ks, from one stacked eigvals call."""
+        ks = np.asarray(ks, dtype=float)
+        stack = self.bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
+        angles = _principal_angles(stack)
+        self.evals += len(ks)
+        return self._m(ks, angles), angles
+
+    def m(self, k: float) -> int:
+        return int(self.m_many([k])[0][0])
+
+    def newton_root(self, lo: float, hi: float, mlo: int, guess: float | None,
+                    tol: float) -> float:
+        """The single crossing in (lo, hi], where M(hi) = M(lo) + 1 = mlo + 1.
+
+        Each step diagonalises U(k) once: its eigenvalues give M(k), which
+        shrinks the bracket, and the eigenphase theta nearest 0 gives the
+        Newton step -theta / (v+ diag(w) v).  A step that leaves the bracket
+        is replaced by bisection.  Once the step is below tol/4, M at
+        k* -+ tol/2 must bracket the count; the root then lies within tol/2
+        of k*, and k* is returned clamped into the certified bracket.
+        """
+        half = 0.5 * tol
+        k = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+        for _ in range(NEWTON_BUDGET):
+            vals, vecs = np.linalg.eig(self.bond * np.exp(1j * k * self.weights))
+            self.evals += 1
+            phase = np.angle(vals)
+            if self._m(k, np.mod(phase, TWO_PI)) <= mlo:
+                lo = k
+            else:
+                hi = k
+            j = int(np.argmin(np.abs(phase)))
+            step = -float(phase[j]) / float(self.weights @ np.abs(vecs[:, j]) ** 2)
+            k += step
+            if abs(step) <= 0.25 * tol:
+                k = min(max(k, lo), hi)
+                probes = [x for x in (k - half, k + half) if lo < x < hi]
+                if probes:
+                    for x, mx in zip(probes, self.m_many(probes)[0]):
+                        if lo < x < hi:
+                            lo, hi = (x, hi) if mx <= mlo else (lo, x)
+                if lo >= k - half and hi <= k + half:
+                    return min(max(k, lo), hi)
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= tol or not lo < mid < hi:
+                return mid
+            if not lo < k < hi:
+                k = mid
+        raise ToleranceTooCoarse("Newton refinement budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +347,23 @@ def counting_function(spectrum: Spectrum, k: float) -> int:
 # Root search
 # ---------------------------------------------------------------------------
 
-def _refine_brackets(counter: _WindingCounter, brackets, tol: float,
+def _refine_brackets(m_at, brackets, tol: float, newton=None,
                      max_splits: int = 200000):
-    """Bisect count-carrying brackets down to width tol; returns (k, g) roots."""
+    """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
+
+    With ``newton``, a bracket holding one crossing goes to
+    ``newton(lo, hi, M(lo), guess, tol)``; every other bracket is bisected
+    (M evaluated by ``m_at``) down to width tol.  Returns sorted (k, g).
+    """
     roots = []
     work = list(brackets)
     splits = 0
     while work:
-        lo, hi, mlo, mhi = work.pop()
+        lo, hi, mlo, mhi, guess = work.pop()
         if mhi == mlo:
+            continue
+        if newton is not None and abs(mhi - mlo) == 1:
+            roots.append((newton(lo, hi, mlo, guess, tol), 1))
             continue
         if hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
@@ -285,14 +372,46 @@ def _refine_brackets(counter: _WindingCounter, brackets, tol: float,
         if splits > max_splits:
             raise ToleranceTooCoarse("bisection budget exhausted")
         mid = 0.5 * (lo + hi)
-        mm = counter.m(mid)
-        work.append((lo, mid, mlo, mm))
-        work.append((mid, hi, mm, mhi))
+        mm = m_at(mid)
+        work.append((lo, mid, mlo, mm, None))
+        work.append((mid, hi, mm, mhi, None))
     return sorted(roots)
 
 
-def _scan_chunk(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
-    """Locate all crossings in (k_lo, k_hi].
+def _scan_constant(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
+    """Locate all crossings in (k_lo, k_hi] for a k-independent S-part.
+
+    The grid gives four samples per mean level spacing (step pi / (4 rate)),
+    evaluated SCAN_BLOCK points per stacked eigvals call.  A step with one
+    crossing is refined by Newton steps from the secant estimate of where
+    the crossing eigenphase reaches 2 pi; steps with more are bisected.
+    """
+    scan = _ConstantScan(sys)
+    step = 0.25 * math.pi / scan.rate
+    n = max(1, math.ceil((k_hi - k_lo) / step))
+    grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
+    grid[-1] = k_hi
+    m_vals = np.empty(len(grid), dtype=int)
+    top = np.empty(len(grid))       # largest principal eigenphase
+    bottom = np.empty(len(grid))    # smallest principal eigenphase
+    for start in range(0, len(grid), SCAN_BLOCK):
+        block = slice(start, start + SCAN_BLOCK)
+        m_vals[block], angles = scan.m_many(grid[block])
+        top[block] = np.max(angles, axis=-1)
+        bottom[block] = np.min(angles, axis=-1)
+
+    brackets = []
+    for i in np.flatnonzero(np.diff(m_vals)):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        gap_lo, gap_hi = TWO_PI - top[i], bottom[i + 1]
+        guess = lo + (hi - lo) * float(gap_lo / (gap_lo + gap_hi))
+        brackets.append((lo, hi, int(m_vals[i]), int(m_vals[i + 1]), guess))
+    roots = _refine_brackets(scan.m, brackets, tol, newton=scan.newton_root)
+    return roots, scan.evals
+
+
+def _scan_lifted(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
+    """Locate all crossings in (k_lo, k_hi] for a k-dependent S-part.
 
     The grid gives four samples per mean level spacing (step pi / (4 rate)
     with rate the total phase velocity bound), then count-carrying steps
@@ -312,29 +431,27 @@ def _scan_chunk(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
     suspects = []
     for i in range(len(grid) - 1):
         if m_vals[i + 1] != m_vals[i]:
-            brackets.append((grid[i], grid[i + 1], m_vals[i], m_vals[i + 1]))
-        elif not sys.k_independent:
+            brackets.append((grid[i], grid[i + 1], m_vals[i], m_vals[i + 1], None))
+        else:
             suspects.append((grid[i], grid[i + 1]))
 
     # net-count scanning can miss an eigenphase that dips through one full
     # turn and back inside a single step; only possible with a k-dependent
     # S-part, so re-check those steps on a finer grid when a phase was close
     # to a crossing at either end
-    if suspects:
-        for lo, hi in suspects:
-            motion = (counter.rate + sys.s_phase_rate_bound(min(abs(lo), abs(hi)))) \
-                * (hi - lo)
-            near = min(counter.unit_eigenvalue_count(x, tol=motion)
-                       for x in (lo, hi))
-            if near == 0:
-                continue
-            sub = np.linspace(lo, hi, 9)
-            sub_m = [counter.m(x) for x in sub]
-            for j in range(8):
-                if sub_m[j + 1] != sub_m[j]:
-                    brackets.append((sub[j], sub[j + 1], sub_m[j], sub_m[j + 1]))
+    for lo, hi in suspects:
+        motion = (counter.rate + sys.s_phase_rate_bound(min(abs(lo), abs(hi)))) \
+            * (hi - lo)
+        near = min(counter.unit_eigenvalue_count(x, tol=motion) for x in (lo, hi))
+        if near == 0:
+            continue
+        sub = np.linspace(lo, hi, 9)
+        sub_m = [counter.m(x) for x in sub]
+        for j in range(8):
+            if sub_m[j + 1] != sub_m[j]:
+                brackets.append((sub[j], sub[j + 1], sub_m[j], sub_m[j + 1], None))
 
-    roots = _refine_brackets(counter, brackets, tol)
+    roots = _refine_brackets(counter.m, brackets, tol)
     return roots, counter.evals
 
 
@@ -346,13 +463,22 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     (lambda = k^2); the zero eigenvalue is characterized separately by
     :func:`zero_mode_test` and attached as ``zero_mode``.
 
+    With a k-independent S-part the scan grid is evaluated in stacked
+    blocks, and each grid step holding one crossing is refined by Newton
+    steps inside a bracket certified by M(k); steps holding several
+    crossings (degenerate levels) are bisected.  A k-dependent S-part uses
+    the lifted scan and bisection throughout.
+
     Args:
         sys: secular system.
         k_range: (k_min, k_max) search window.
-        tol: final bracket width; located roots are accurate to tol/2.
+        tol: certified bracket width; located roots are accurate to tol/2.
         workers: number of threads; the window is split into independent
             chunks whose results are merged in sorted order.
         k_probe: probe wave number for the zero-mode test (squared case).
+
+    ``diagnostics["matrix_evals"]`` counts the U(k) whose eigenvalues were
+    computed: grid points, Newton and bisection steps, and certificates.
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):
@@ -368,15 +494,17 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             return Spectrum(kind=sys.kind, eigenvalues=(), k_window=(k_lo, k_hi),
                             zero_mode=zero_mode)
 
+    scan = _scan_constant if sys.k_independent else _scan_lifted
     workers = max(1, int(workers))
     edges = np.linspace(k_lo, k_hi, workers + 1)
     chunks = list(zip(edges[:-1], edges[1:]))
     if workers == 1:
-        results = [_scan_chunk(sys, lo, hi, tol) for lo, hi in chunks]
+        results = [scan(sys, lo, hi, tol) for lo, hi in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda c: _scan_chunk(sys, c[0], c[1], tol), chunks))
+            results = list(pool.map(lambda c: scan(sys, c[0], c[1], tol), chunks))
 
     roots: list = []
     evals = 0
@@ -421,12 +549,6 @@ def _zero_mode_c_matrix(lengths: np.ndarray, k_probe: float) -> np.ndarray:
     c[:e, e:] = np.diag(off)
     c[e:, :e] = np.diag(off)
     return c
-
-
-def _unit_count(m: np.ndarray, tol: float) -> int:
-    ang = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
-    dist = np.minimum(ang, TWO_PI - ang)
-    return int(np.sum(dist <= tol))
 
 
 def zero_mode_test(sys: SecularSystem, k_probe: float = 1.0,

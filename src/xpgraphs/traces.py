@@ -23,7 +23,7 @@ from .errors import (
 )
 from .extensions import BK2, Decomposition
 from .graph import MetricGraph, enumerate_orbits, orbit_amplitude
-from .spectra import SecularSystem, Spectrum, zero_mode_test
+from .spectra import SecularSystem, Spectrum, swap_matrix, zero_mode_test
 
 # ---------------------------------------------------------------------------
 # Test functions
@@ -365,10 +365,7 @@ def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
     else:
         big_k = 30.0
 
-    e = len(sys.lengths)
-    j0 = np.zeros((2 * e, 2 * e))
-    j0[:e, e:] = np.eye(e)
-    j0[e:, :e] = np.eye(e)
+    j0 = swap_matrix(len(sys.lengths))
     weights = sys.weights
     cutoff = cutoff_start
     shells: dict = {}

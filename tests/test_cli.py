@@ -237,6 +237,41 @@ class TestMalformedCorpus:
         assert len(MALFORMED) == 20
 
 
+class TestErrorContract:
+    def run_main(self, tmp_path, payload):
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(config_path), "--out", str(out)])
+        err = json.loads((out / "error.json").read_text())["error"]
+        return code, err
+
+    @pytest.mark.parametrize("numeric", [
+        {"k_grid_max": 10.0, "n_k": "abc"},
+        {"k_grid_max": "wide", "n_k": 11},
+    ])
+    def test_non_numeric_halfline_field(self, tmp_path, numeric):
+        code, err = self.run_main(tmp_path, {"task": "halfline-demo", "numeric": numeric})
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
+    def test_non_numeric_k_start(self, tmp_path):
+        payload = {"task": "counting-compare", "operator": "bk", "graph": RING,
+                   "boundary": {"kind": "ring_phase", "c": 0.0},
+                   "numeric": {"k_min": -20.0, "k_max": 20.0, "k_start": "abc"}}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION
+        assert err["code"] == "VALIDATION_ERROR"
+
+    def test_foreign_exception_is_compute_error(self, tmp_path):
+        # numpy rejects a negative sample count with a plain ValueError
+        code, err = self.run_main(tmp_path, {"task": "halfline-demo",
+                                             "numeric": {"k_grid_max": 10.0, "n_k": -1}})
+        assert code == cli.EXIT_COMPUTE == 4
+        assert err["code"] == "COMPUTE_ERROR"
+        assert err["message"].startswith("ValueError: ")
+
+
 class TestMainEntry:
     def test_full_cli_invocation(self, tmp_path):
         payload = {"task": "spectrum", "operator": "bk2", "graph": EDGE,
