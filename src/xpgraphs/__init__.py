@@ -40,9 +40,7 @@ from .graph import (
     MetricGraph,
     PeriodicOrbit,
     enumerate_orbits,
-    log_length,
     orbit_amplitude,
-    total_length,
 )
 from .halfline import (
     HalflineState,
@@ -61,12 +59,9 @@ from .spectra import (
     SecularSystem,
     Spectrum,
     WeylFit,
-    counting_function,
     find_negative_eigenvalues,
     find_spectrum,
     secular,
-    secular_bk,
-    secular_bk2,
     t_matrix,
     weyl_fit,
     zero_mode_test,
@@ -77,7 +72,6 @@ from .traces import (
     TraceReport,
     counting_comparison,
     ebk_levels,
-    fourier_hat,
     gaussian,
     gaussian_shifted,
     heat_trace_pair,

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -394,7 +395,7 @@ _RUNNERS = {
 }
 
 
-def run(config: JobConfig, out_dir, workers: int = 1, seed: int = 0) -> int:
+def run(config: JobConfig, out_dir, workers: int = 1) -> int:
     """Execute one job; writes artifacts into out_dir and returns exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,9 +430,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON job document")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for spectral scans")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized task (currently none)")
+                        help="worker threads for spectral scans, at most the CPU count")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
@@ -452,7 +451,8 @@ def main(argv=None) -> int:
         _write_error(out_dir, exc)
         return EXIT_VALIDATION
 
-    return run(config, out_dir, workers=max(1, args.threads), seed=args.seed)
+    workers = min(max(1, args.threads), os.cpu_count() or 1)
+    return run(config, out_dir, workers=workers)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,9 @@ RANK_TOL = 1e-10
 #: width (in decades, each side) of the ambiguity band around the threshold
 _RANK_BAND = 1e2
 
+#: eigenvalues of L'' at or below this magnitude are exact zeros, not poles
+LAMBDA_FLOOR = 1e-11
+
 BK = "bk"
 BK2 = "bk2"
 
@@ -177,11 +180,14 @@ class Decomposition:
         return self.ran_vectors.shape[1]
 
     @property
+    def poles(self) -> np.ndarray:
+        """Nonzero eigenvalues of L'': S''(k) has poles at k = +- i poles."""
+        return self.sigma_l[np.abs(self.sigma_l) > LAMBDA_FLOOR]
+
+    @property
     def k_independent(self) -> bool:
         """The S-matrix family is constant exactly when L'' vanishes."""
-        if self.rank == 0:
-            return True
-        return bool(np.max(np.abs(self.sigma_l)) < 1e-11)
+        return self.poles.size == 0
 
 
 def decompose(spec: ExtensionSpec, dil: DilationMatrices,
@@ -275,7 +281,7 @@ def s_matrix_bk2(dec: Decomposition, k: complex) -> np.ndarray:
     k = complex(k)
     if k == 0:
         # limit along real k: ratio -> 1 off the kernel of L'', -1 on it
-        ratios = np.where(np.abs(lam) > 1e-11, 1.0 + 0j, -1.0 + 0j)
+        ratios = np.where(np.abs(lam) > LAMBDA_FLOOR, 1.0 + 0j, -1.0 + 0j)
     else:
         denom = lam + 1j * k
         bad = np.abs(denom) <= 1e-12 * (np.abs(lam) + abs(k))

@@ -44,11 +44,6 @@ class MetricEdge:
         return math.log(self.b / self.a)
 
 
-def log_length(edge: MetricEdge) -> float:
-    """Metric length ln(b/a) of an edge."""
-    return edge.log_length
-
-
 @dataclass(frozen=True)
 class MetricGraph:
     """A finite collection of metric edges; vertices are derived."""
@@ -145,11 +140,6 @@ class MetricGraph:
         if not reachable(fwd):
             return False
         return reachable(bwd) if directed else True
-
-
-def total_length(graph: MetricGraph) -> float:
-    """Sum of logarithmic edge lengths."""
-    return graph.total_length
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,29 @@ where Theta is a continuous lift of arg det U and theta_j are principal
 eigenphases in [0, 2 pi).  M(k2) - M(k1) equals the net number of
 eigenphase crossings through 1 on (k1, k2].
 
-With a k-independent S-part, Theta(k) = arg det S + k sum(w) in closed
-form and every eigenphase is strictly increasing (rate between the
-smallest and largest bond length), so the count is exact.  The scan grid
-is evaluated in stacked blocks; a bracket holding one crossing is refined
-by Newton steps on the crossing eigenphase, with its velocity from
-Hellmann-Feynman, inside a bracket that M certifies at every step.
-Brackets holding several crossings (degenerate levels) are bisected.
+The lift is known in closed form.  S''(k) has eigenvalue -1 on ker B' and
+-(lam - ik)/(lam + ik) for each nonzero eigenvalue lam of L'' (a pole of
+the family), so
 
-For k-dependent S-parts the lift is carried numerically along the scan
-with steps bounded by the phase-velocity of the S-matrix family, and
-brackets are bisected.
+    Theta(k) = arg det U(0) + k sum(w) - 2 sum_lam arctan(k / lam),
+
+and a constant S-part (no poles) keeps only the first two terms.  One
+scan serves both cases: the grid is evaluated in stacked blocks of U(k).
+
+With a constant S-part every eigenphase is strictly increasing (rate
+between the smallest and largest bond length), so the count is exact.  A
+bracket holding one crossing is refined by Newton steps on the crossing
+eigenphase, with its velocity from Hellmann-Feynman, inside a bracket
+that M certifies at every step.  Brackets holding several crossings
+(degenerate levels) are bisected.
+
+With a k-dependent S-part the grid step shrinks with the phase-velocity
+bound of the S-matrix family, grid steps where an eigenphase sat near 1 at
+both ends are re-checked on a finer grid, and every bracket is bisected.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -46,10 +53,7 @@ TWO_PI = 2.0 * math.pi
 #: eigenphase distance (mod 2 pi) that counts as a unit eigenvalue
 MULT_TOL = 1e-8
 
-#: eigenvalues of L'' below this magnitude are treated as exact zeros
-LAMBDA_FLOOR = 1e-11
-
-#: grid points whose U(k) go into one stacked eigvals call (constant S-part)
+#: grid points whose U(k) go into one stacked eigvals call
 SCAN_BLOCK = 64
 
 #: Newton steps one bracket may take before refinement gives up
@@ -109,16 +113,14 @@ class SecularSystem:
     def u_matrix(self, k: complex) -> np.ndarray:
         return self.bond_matrix(k) * np.exp(1j * k * self.weights)
 
-    def _pole_magnitudes(self) -> np.ndarray:
-        """Nonzero |sigma(L'')| entries driving the S-matrix phase velocity."""
-        if self.kind == BK or self.dec.rank == 0:
-            return np.zeros(0)
-        lam = np.abs(self.dec.sigma_l)
-        return lam[lam > LAMBDA_FLOOR]
+    @property
+    def poles(self) -> np.ndarray:
+        """Nonzero eigenvalues of L'': S(k) has poles at k = +- i poles."""
+        return np.zeros(0) if self.kind == BK else self.dec.poles
 
     def s_phase_rate_bound(self, kappa: float) -> float:
         """Upper bound on |d/dk arg det S(k)| near |k| = kappa."""
-        lam = self._pole_magnitudes()
+        lam = np.abs(self.poles)
         if lam.size == 0:
             return 0.0
         return float(np.sum(2.0 * lam / (lam ** 2 + kappa ** 2)))
@@ -145,18 +147,6 @@ def secular(sys: SecularSystem, k: complex) -> complex:
     return complex(np.linalg.det(np.eye(sys.dim) - sys.u_matrix(k)))
 
 
-def secular_bk(sys: SecularSystem, k: complex) -> complex:
-    if sys.kind != BK:
-        raise ValidationError("secular_bk needs a first-order system")
-    return secular(sys, k)
-
-
-def secular_bk2(sys: SecularSystem, k: complex) -> complex:
-    if sys.kind != BK2:
-        raise ValidationError("secular_bk2 needs a second-order system")
-    return secular(sys, k)
-
-
 # ---------------------------------------------------------------------------
 # Winding-number machinery
 # ---------------------------------------------------------------------------
@@ -174,88 +164,41 @@ def _unit_count(m: np.ndarray, tol: float) -> int:
     return int(np.sum(dist <= tol))
 
 
-class _WindingCounter:
-    """Evaluates M(k) for a k-dependent secular system, lifting arg det U."""
+class _Scan:
+    """M(k) for one secular system, and Newton refinement for a constant S-part.
 
-    def __init__(self, sys: SecularSystem, k_anchor: float):
-        self.sys = sys
-        self.rate = float(np.sum(sys.weights))
-        u = sys.u_matrix(k_anchor)
-        self.evals = 1
-        self._ks = [k_anchor]
-        self._thetas = [float(np.angle(np.linalg.det(u)))]
-
-    # -- lifted total phase ------------------------------------------------
-
-    def _step_bound(self, kappa: float) -> float:
-        rate = self.rate + self.sys.s_phase_rate_bound(kappa)
-        return 0.5 * math.pi / rate
-
-    def _lift_theta(self, k: float) -> float:
-        idx = bisect.bisect_left(self._ks, k)
-        best = None
-        for j in (idx - 1, idx):
-            if 0 <= j < len(self._ks):
-                if best is None or abs(self._ks[j] - k) < abs(self._ks[best] - k):
-                    best = j
-        k_cur, theta = self._ks[best], self._thetas[best]
-        det_cur = None
-        while k_cur != k:
-            kappa = min(abs(k_cur), abs(k)) if (k_cur * k > 0) else 0.0
-            h = self._step_bound(kappa)
-            remaining = k - k_cur
-            # land exactly on k for the final step so the loop terminates
-            k_next = k if abs(remaining) <= h else k_cur + math.copysign(h, remaining)
-            if det_cur is None:
-                det_cur = np.linalg.det(self.sys.u_matrix(k_cur))
-                self.evals += 1
-            det_next = np.linalg.det(self.sys.u_matrix(k_next))
-            self.evals += 1
-            theta += float(np.angle(det_next / det_cur))
-            det_cur, k_cur = det_next, k_next
-        pos = bisect.bisect_left(self._ks, k)
-        if pos == len(self._ks) or self._ks[pos] != k:
-            self._ks.insert(pos, k)
-            self._thetas.insert(pos, theta)
-        return theta
-
-    # -- integer winding ----------------------------------------------------
-
-    def m(self, k: float) -> int:
-        u = self.sys.u_matrix(k)
-        self.evals += 1
-        ang_sum = float(np.sum(_principal_angles(u)))
-        return int(round((self._lift_theta(k) - ang_sum) / TWO_PI))
-
-    def unit_eigenvalue_count(self, k: float, tol: float = MULT_TOL) -> int:
-        self.evals += 1
-        return _unit_count(self.sys.u_matrix(k), tol)
-
-
-class _ConstantScan:
-    """M(k) and root refinement for a k-independent S-part.
-
-    U(k) = B exp(ikw) with the bond matrix B built once, and
-    arg det U(k) = arg det B + k sum(w) exactly, so M needs no lift.
-    ``evals`` counts every U(k) whose eigenvalues are computed.
+    U(k) = B(k) exp(ikw) with bond matrix B(k); a constant S-part builds B
+    once.  ``_theta`` is the closed-form lift of arg det U(k), anchored at
+    arg det B(0), so M needs no lift along the scan.  ``evals`` counts
+    every U(k) whose eigenvalues are computed.
     """
 
     def __init__(self, sys: SecularSystem):
-        self.bond = sys.bond_matrix(0.0)
+        self.sys = sys
         self.weights = sys.weights
         self.rate = float(np.sum(self.weights))
-        self.theta0 = float(np.angle(np.linalg.det(self.bond)))
+        self.poles = sys.poles
+        bond = sys.bond_matrix(0.0)
+        self.theta0 = float(np.angle(np.linalg.det(bond)))
+        self.bond = bond if self.poles.size == 0 else None
         self.evals = 0
+
+    def _theta(self, k):
+        """Continuous arg det U(k); vectorised over k."""
+        return (self.theta0 + k * self.rate
+                - 2.0 * np.sum(np.arctan(np.divide.outer(k, self.poles)), axis=-1))
 
     def _m(self, k, angles):
         """M from principal eigenphases; vectorised over leading axes."""
-        return np.rint((self.theta0 + k * self.rate - np.sum(angles, axis=-1))
-                       / TWO_PI).astype(int)
+        return np.rint((self._theta(k) - np.sum(angles, axis=-1)) / TWO_PI).astype(int)
 
-    def m_many(self, ks: np.ndarray):
+    def m_many(self, ks):
         """(M(k), principal eigenphases) over ks, from one stacked eigvals call."""
         ks = np.asarray(ks, dtype=float)
-        stack = self.bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
+        bond = self.bond
+        if bond is None:
+            bond = np.stack([self.sys.bond_matrix(k) for k in ks])
+        stack = bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
         angles = _principal_angles(stack)
         self.evals += len(ks)
         return self._m(ks, angles), angles
@@ -338,11 +281,6 @@ class Spectrum:
         return int(sum(g for kn, g in self.eigenvalues if kn <= k))
 
 
-def counting_function(spectrum: Spectrum, k: float) -> int:
-    """Number of eigenvalues (with multiplicity) at or below k."""
-    return spectrum.counting(k)
-
-
 # ---------------------------------------------------------------------------
 # Root search
 # ---------------------------------------------------------------------------
@@ -378,19 +316,36 @@ def _refine_brackets(m_at, brackets, tol: float, newton=None,
     return sorted(roots)
 
 
-def _scan_constant(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
-    """Locate all crossings in (k_lo, k_hi] for a k-independent S-part.
+def _scan_step(rate: float) -> float:
+    """Grid step for phase velocity ``rate``: four samples per mean level spacing."""
+    return 0.25 * math.pi / rate
 
-    The grid gives four samples per mean level spacing (step pi / (4 rate)),
-    evaluated SCAN_BLOCK points per stacked eigvals call.  A step with one
-    crossing is refined by Newton steps from the secant estimate of where
-    the crossing eigenphase reaches 2 pi; steps with more are bisected.
+
+def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
+    """Locate all crossings in (k_lo, k_hi].
+
+    The grid step is ``_scan_step`` of sum(w), plus the S-matrix phase
+    velocity bound when S depends on k; M and the eigenphases are computed
+    SCAN_BLOCK grid points per stacked eigvals call.  With a constant
+    S-part a step with one crossing is refined by Newton steps from the
+    secant estimate of where the crossing eigenphase reaches 2 pi; every
+    other count-carrying step is bisected.
     """
-    scan = _ConstantScan(sys)
-    step = 0.25 * math.pi / scan.rate
-    n = max(1, math.ceil((k_hi - k_lo) / step))
-    grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
-    grid[-1] = k_hi
+    scan = _Scan(sys)
+    constant = scan.bond is not None
+    if constant:
+        step = _scan_step(scan.rate)
+        n = max(1, math.ceil((k_hi - k_lo) / step))
+        grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
+        grid[-1] = k_hi
+    else:
+        points = [k_lo]
+        while points[-1] < k_hi:
+            k = points[-1]
+            kappa = min(abs(k), abs(k_hi)) if k * k_hi > 0 else 0.0
+            rate = scan.rate + sys.s_phase_rate_bound(kappa)
+            points.append(min(k + _scan_step(rate), k_hi))
+        grid = np.array(points)
     m_vals = np.empty(len(grid), dtype=int)
     top = np.empty(len(grid))       # largest principal eigenphase
     bottom = np.empty(len(grid))    # smallest principal eigenphase
@@ -406,53 +361,29 @@ def _scan_constant(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
         gap_lo, gap_hi = TWO_PI - top[i], bottom[i + 1]
         guess = lo + (hi - lo) * float(gap_lo / (gap_lo + gap_hi))
         brackets.append((lo, hi, int(m_vals[i]), int(m_vals[i + 1]), guess))
-    roots = _refine_brackets(scan.m, brackets, tol, newton=scan.newton_root)
+
+    if not constant:
+        # net-count scanning can miss an eigenphase that dips through one
+        # full turn and back inside a single step; only possible with a
+        # k-dependent S-part, so re-check those steps on a finer grid when
+        # an eigenphase was within the step's phase motion of 0 at both ends
+        near = np.minimum(bottom, TWO_PI - top)
+        for i in np.flatnonzero(np.diff(m_vals) == 0):
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            motion = (scan.rate + sys.s_phase_rate_bound(min(abs(lo), abs(hi)))) \
+                * (hi - lo)
+            if max(near[i], near[i + 1]) > motion:
+                continue
+            sub = np.linspace(lo, hi, 9)
+            sub_m = np.concatenate([m_vals[i:i + 1], scan.m_many(sub[1:-1])[0],
+                                    m_vals[i + 1:i + 2]])
+            for j in np.flatnonzero(np.diff(sub_m)):
+                brackets.append((float(sub[j]), float(sub[j + 1]),
+                                 int(sub_m[j]), int(sub_m[j + 1]), None))
+
+    roots = _refine_brackets(scan.m, brackets, tol,
+                             newton=scan.newton_root if constant else None)
     return roots, scan.evals
-
-
-def _scan_lifted(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
-    """Locate all crossings in (k_lo, k_hi] for a k-dependent S-part.
-
-    The grid gives four samples per mean level spacing (step pi / (4 rate)
-    with rate the total phase velocity bound), then count-carrying steps
-    are bisected.
-    """
-    counter = _WindingCounter(sys, k_lo)
-    grid = [k_lo]
-    k = k_lo
-    while k < k_hi:
-        kappa = min(abs(k), abs(k_hi)) if k * k_hi > 0 else 0.0
-        rate = counter.rate + sys.s_phase_rate_bound(kappa)
-        k = min(k + 0.25 * math.pi / rate, k_hi)
-        grid.append(k)
-    m_vals = [counter.m(g) for g in grid]
-
-    brackets = []
-    suspects = []
-    for i in range(len(grid) - 1):
-        if m_vals[i + 1] != m_vals[i]:
-            brackets.append((grid[i], grid[i + 1], m_vals[i], m_vals[i + 1], None))
-        else:
-            suspects.append((grid[i], grid[i + 1]))
-
-    # net-count scanning can miss an eigenphase that dips through one full
-    # turn and back inside a single step; only possible with a k-dependent
-    # S-part, so re-check those steps on a finer grid when a phase was close
-    # to a crossing at either end
-    for lo, hi in suspects:
-        motion = (counter.rate + sys.s_phase_rate_bound(min(abs(lo), abs(hi)))) \
-            * (hi - lo)
-        near = min(counter.unit_eigenvalue_count(x, tol=motion) for x in (lo, hi))
-        if near == 0:
-            continue
-        sub = np.linspace(lo, hi, 9)
-        sub_m = [counter.m(x) for x in sub]
-        for j in range(8):
-            if sub_m[j + 1] != sub_m[j]:
-                brackets.append((sub[j], sub[j + 1], sub_m[j], sub_m[j + 1], None))
-
-    roots = _refine_brackets(counter.m, brackets, tol)
-    return roots, counter.evals
 
 
 def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
@@ -463,11 +394,12 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     (lambda = k^2); the zero eigenvalue is characterized separately by
     :func:`zero_mode_test` and attached as ``zero_mode``.
 
-    With a k-independent S-part the scan grid is evaluated in stacked
-    blocks, and each grid step holding one crossing is refined by Newton
-    steps inside a bracket certified by M(k); steps holding several
-    crossings (degenerate levels) are bisected.  A k-dependent S-part uses
-    the lifted scan and bisection throughout.
+    The scan grid is evaluated in stacked blocks, and M(k) uses the
+    closed-form lift theta0 + k sum(w) - 2 sum arctan(k / lam) over the
+    nonzero eigenvalues lam of L''.  With a k-independent S-part each grid
+    step holding one crossing is refined by Newton steps inside a bracket
+    certified by M(k); steps holding several crossings (degenerate levels)
+    are bisected.  With a k-dependent S-part every bracket is bisected.
 
     Args:
         sys: secular system.
@@ -494,17 +426,16 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             return Spectrum(kind=sys.kind, eigenvalues=(), k_window=(k_lo, k_hi),
                             zero_mode=zero_mode)
 
-    scan = _scan_constant if sys.k_independent else _scan_lifted
     workers = max(1, int(workers))
     edges = np.linspace(k_lo, k_hi, workers + 1)
     chunks = list(zip(edges[:-1], edges[1:]))
     if workers == 1:
-        results = [scan(sys, lo, hi, tol) for lo, hi in chunks]
+        results = [_scan(sys, lo, hi, tol) for lo, hi in chunks]
     else:
         from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: scan(sys, c[0], c[1], tol), chunks))
+            results = list(pool.map(lambda c: _scan(sys, c[0], c[1], tol), chunks))
 
     roots: list = []
     evals = 0
@@ -522,7 +453,7 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     rate = float(np.sum(sys.weights))
     diag = {
-        "scan_step": 0.25 * math.pi / rate,
+        "scan_step": _scan_step(rate),
         "matrix_evals": evals,
         "n_roots": len(merged),
         "bracket_tol": tol,
@@ -598,8 +529,7 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float,
             raise ComputeError(f"secular function not real on imaginary axis: {val}")
         return val.real
 
-    poles = sorted(lam for lam in np.real(sys.dec.sigma_l)
-                   if lam > LAMBDA_FLOOR and lam < kappa_max)
+    poles = sorted(lam for lam in sys.dec.poles if 0.0 < lam < kappa_max)
     cuts = [1e-9 * max(1.0, kappa_max)]
     for p in poles:
         pad = 1e-7 * max(1.0, p)

@@ -113,11 +113,6 @@ def tabulated(h_callable, k_max: float = 60.0, n: int = 6001,
     return TestFunction(h=h, hat=hat, tail=tail, label=label)
 
 
-def fourier_hat(h: TestFunction, y: float) -> float:
-    """Fourier transform hhat(y) = (1/2pi) int h(k) exp(iky) dk."""
-    return float(h.hat(y))
-
-
 # ---------------------------------------------------------------------------
 # Report container
 # ---------------------------------------------------------------------------
@@ -265,10 +260,10 @@ def length_condition(dec: Decomposition, graph: MetricGraph):
     Returns (sigma, l_sigma); when L'' has no positive eigenvalue the
     condition is vacuous and (inf, 0.0) is returned.
     """
-    positives = [lam for lam in np.real(dec.sigma_l) if lam > 1e-11]
-    if not positives:
+    positives = dec.poles[dec.poles > 0.0]
+    if positives.size == 0:
         return math.inf, 0.0
-    lam_plus = min(positives)
+    lam_plus = float(np.min(positives))
     dim = dec.dim
     log_dim = math.log(dim)
 
@@ -305,8 +300,7 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     """
     from scipy.integrate import quad
 
-    lam = np.real(dec.sigma_l)
-    lam = lam[np.abs(lam) > 1e-11]
+    lam = dec.poles
     if lam.size == 0:
         return 0.0
 

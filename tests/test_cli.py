@@ -281,7 +281,7 @@ class TestMainEntry:
         config_path.write_text(json.dumps(payload))
         out = tmp_path / "artifacts"
         code = cli.main(["--config", str(config_path), "--out", str(out),
-                         "--threads", "2", "--seed", "1"])
+                         "--threads", "2"])
         assert code == 0
         assert (out / "spectrum.csv").exists()
 
@@ -289,3 +289,22 @@ class TestMainEntry:
         out = tmp_path / "nope"
         code = cli.main(["--config", str(tmp_path / "absent.json"), "--out", str(out)])
         assert code == cli.EXIT_PARSE == 2
+
+    @pytest.mark.parametrize("threads, expected", [(1000000, 2), (2, 2), (1, 1), (0, 1)])
+    def test_threads_clamped_to_cpu_count(self, tmp_path, monkeypatch, threads, expected):
+        # cli.run is replaced, so no thread pool is ever started
+        seen = []
+
+        def fake_run(config, out_dir, workers=1):
+            seen.append(workers)
+            return 0
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps({"task": "validate", "operator": "bk2", "graph": EDGE,
+                                           "boundary": {"kind": "dirichlet"}}))
+        code = cli.main(["--config", str(config_path), "--out", str(tmp_path / "out"),
+                         "--threads", str(threads)])
+        assert code == 0
+        assert seen == [expected]

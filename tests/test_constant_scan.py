@@ -139,7 +139,7 @@ def test_newton_root_stays_in_certified_bracket(guess):
     # zero-phase ring of log length 1: levels at 2 pi n; the bracket holds 4 pi only
     g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
     sys_ = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.0)), g)
-    scan = spectra._ConstantScan(sys_)
+    scan = spectra._Scan(sys_)
     lo, hi, tol = 2 * math.pi + 1e-13, 2 * math.pi + 6.5, 1e-12
     mlo = scan.m(lo)
     assert scan.m(hi) == mlo + 1

@@ -16,27 +16,27 @@ def edge(a, b, eid="e0"):
 
 class TestLengths:
     def test_log_length_unit(self):
-        assert xg.log_length(edge(1.0, math.e)) == pytest.approx(1.0, abs=1e-15)
+        assert edge(1.0, math.e).log_length == pytest.approx(1.0, abs=1e-15)
 
     def test_log_length_pi(self):
-        assert xg.log_length(edge(1.0, math.exp(math.pi))) == pytest.approx(math.pi, abs=1e-12)
+        assert edge(1.0, math.exp(math.pi)).log_length == pytest.approx(math.pi, abs=1e-12)
 
     def test_log_length_ln2(self):
         # ln(4/2) from the math.log oracle
-        assert xg.log_length(edge(2.0, 4.0)) == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert edge(2.0, 4.0).log_length == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_total_length_single(self):
         g = xg.MetricGraph.from_intervals([(1.0, math.e)])
-        assert xg.total_length(g) == pytest.approx(1.0, abs=1e-15)
+        assert g.total_length == pytest.approx(1.0, abs=1e-15)
 
     def test_total_length_two(self):
         g = xg.MetricGraph.from_intervals([(1.0, math.e), (1.0, math.e ** 2)])
-        assert xg.total_length(g) == pytest.approx(3.0, abs=1e-12)
+        assert g.total_length == pytest.approx(3.0, abs=1e-12)
 
     def test_total_length_star(self):
         g = xg.MetricGraph.from_intervals([(1.0, 2.0), (1.0, 3.0), (1.0, 5.0)])
         # ln 2 + ln 3 + ln 5 = ln 30; frozen from math.log(30)
-        assert xg.total_length(g) == pytest.approx(3.4011973816621555, abs=1e-12)
+        assert g.total_length == pytest.approx(3.4011973816621555, abs=1e-12)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):

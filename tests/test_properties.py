@@ -103,8 +103,8 @@ def test_secular_k_reflection_symmetry(case):
     dec = xg.decompose(random_bk2_spec(rng, g), xg.DilationMatrices.from_graph(g))
     sys_ = xg.SecularSystem.bk2(dec, g)
     k = float(rng.uniform(0.1, 30.0))
-    f_plus = xg.secular_bk2(sys_, k)
-    f_minus = xg.secular_bk2(sys_, -k)
+    f_plus = xg.secular(sys_, k)
+    f_minus = xg.secular(sys_, -k)
     assert f_minus == pytest.approx(np.conj(f_plus), rel=1e-9, abs=1e-11)
 
 

@@ -53,20 +53,20 @@ class TestSecularValues:
             sys_, _ = ring_system(c)
             for k in (-2.3, 0.0, 1.7, 9.1):
                 expected = 1.0 - np.exp(-2j * PI * c) * np.exp(1j * k)
-                assert xg.secular_bk(sys_, k) == pytest.approx(expected, abs=1e-12)
+                assert xg.secular(sys_, k) == pytest.approx(expected, abs=1e-12)
 
     def test_ring_zero_at_origin(self):
         sys_, _ = ring_system(0.0)
-        assert abs(xg.secular_bk(sys_, 0.0)) <= 1e-14
+        assert abs(xg.secular(sys_, 0.0)) <= 1e-14
 
     def test_ring_half_phase_at_origin(self):
         sys_, _ = ring_system(0.5)
-        assert xg.secular_bk(sys_, 0.0) == pytest.approx(2.0, abs=1e-13)
+        assert xg.secular(sys_, 0.0) == pytest.approx(2.0, abs=1e-13)
 
     def test_dirichlet_closed_form(self):
         sys_, _ = bk2_system("dirichlet")
         for k in (0.7, 3.0, 11.0):
-            assert xg.secular_bk2(sys_, k) == pytest.approx(
+            assert xg.secular(sys_, k) == pytest.approx(
                 1.0 - np.exp(2j * k), abs=1e-12)
 
     def test_robin_closed_form(self):
@@ -78,7 +78,7 @@ class TestSecularValues:
         for k in (0.5, 2.0, 17.0):
             expected = 1.0 - ((rho1 - 1j * k) * (rho2 - 1j * k)
                               / ((rho1 + 1j * k) * (rho2 + 1j * k))) * np.exp(2j * k)
-            assert xg.secular_bk2(sys_, k) == pytest.approx(expected, abs=1e-12)
+            assert xg.secular(sys_, k) == pytest.approx(expected, abs=1e-12)
 
     def test_ring_squared_product_form(self):
         c = 0.3
@@ -89,7 +89,7 @@ class TestSecularValues:
         for k in (0.9, 4.2):
             expected = (np.exp(1j * (k + 2 * PI * c)) - 1.0) \
                 * (np.exp(1j * (k - 2 * PI * c)) - 1.0)
-            assert xg.secular_bk2(sys_, k) == pytest.approx(expected, abs=1e-12)
+            assert xg.secular(sys_, k) == pytest.approx(expected, abs=1e-12)
 
 
 class TestFindSpectrum:
@@ -259,24 +259,24 @@ class TestCounting:
     def test_dirichlet_count_at_ten(self):
         sys_, _ = bk2_system("dirichlet")
         sp = xg.find_spectrum(sys_, (0.0, 10.5), tol=1e-12)
-        assert xg.counting_function(sp, 10.0) == 3
+        assert sp.counting(10.0) == 3
 
     def test_ring_positive_count(self):
         sys_, _ = ring_system(0.0)
         sp = xg.find_spectrum(sys_, (0.5, 10.0), tol=1e-12)
-        assert xg.counting_function(sp, 2 * PI) == 1
+        assert sp.counting(2 * PI) == 1
 
     def test_empty_spectrum(self):
         sys_, _ = bk2_system("dirichlet")
         sp = xg.find_spectrum(sys_, (0.0, 2.0), tol=1e-12)
         assert sp.eigenvalues == ()
-        assert xg.counting_function(sp, 1.5) == 0
+        assert sp.counting(1.5) == 0
 
     def test_range_exceeded(self):
         sys_, _ = bk2_system("dirichlet")
         sp = xg.find_spectrum(sys_, (0.0, 10.0), tol=1e-12)
         with pytest.raises(RangeExceeded):
-            xg.counting_function(sp, 11.0)
+            sp.counting(11.0)
 
 
 class TestWeylFit:
