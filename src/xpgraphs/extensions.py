@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    GraphError,
     HermiticityViolation,
     RankAmbiguous,
     RankDeficient,
@@ -263,36 +262,62 @@ def decompose(spec: ExtensionSpec, dil: DilationMatrices,
                          sigma_l=lam, ran_vectors=vecs)
 
 
-def s_matrix_bk2(dec: Decomposition, k: complex) -> np.ndarray:
-    """Unitary family S''(k) = -(A'' - ikB'')(A'' + ikB'')^-1.
-
-    Evaluated through the eigendecomposition of L'' on ran B'+, so the
-    removable singularity of the raw formula at k = 0 is filled with the
-    continuous limit.  Poles sit at k = +- i sigma(L'') on the imaginary
-    axis; real k is always regular.
+def _denominators(dec: Decomposition, k):
+    """k as a complex array with a trailing axis, and lam + ik for the
+    eigenvalues lam of L'' on ran B'+.
 
     Raises:
-        SingularAtK: k within ~1e-12 (relative) of a pole.
+        SingularAtK: some nonzero k within ~1e-12 (relative) of a pole;
+            k = 0 is exempt, its value is a continuous limit.
     """
-    s = -np.array(dec.p_ker, dtype=complex)
+    kk = np.asarray(k, dtype=complex)[..., None]
     lam = dec.sigma_l
-    if dec.rank == 0:
-        return s
-    k = complex(k)
-    if k == 0:
-        # limit along real k: ratio -> 1 off the kernel of L'', -1 on it
-        ratios = np.where(np.abs(lam) > LAMBDA_FLOOR, 1.0 + 0j, -1.0 + 0j)
-    else:
-        denom = lam + 1j * k
-        bad = np.abs(denom) <= 1e-12 * (np.abs(lam) + abs(k))
-        if np.any(bad):
-            raise SingularAtK(
-                f"k={k} hits a pole of S''(k): sigma(L'') contains {lam[bad]}"
-            )
-        ratios = (lam - 1j * k) / denom
+    denom = lam + 1j * kk
+    bad = (np.abs(denom) <= 1e-12 * (np.abs(lam) + np.abs(kk))) & (kk != 0)
+    if np.any(bad):
+        *at, j = np.argwhere(bad)[0]
+        raise SingularAtK(
+            f"k={complex(kk[tuple(at)][0])} hits a pole of S''(k): "
+            f"sigma(L'') contains {lam[j]}"
+        )
+    return kk, denom
+
+
+def _eigen_sum(dec: Decomposition, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V+ on ran B'+, one matrix per leading index of values."""
     v = dec.ran_vectors
-    s -= (v * ratios) @ v.conj().T
-    return s
+    scaled = v * values[..., None, :]
+    # one 2-D product over the rows of the whole stack: a stacked matmul
+    # of many small matrices is several times slower
+    rows = scaled.reshape(-1, dec.rank) @ v.conj().T
+    return rows.reshape(scaled.shape[:-1] + (dec.dim,))
+
+
+def s_matrix_bk2(dec: Decomposition, k) -> np.ndarray:
+    """Unitary family S''(k) = -(A'' - ikB'')(A'' + ikB'')^-1.
+
+    Evaluated through the eigendecomposition of L'' on ran B'+,
+
+        S''(k) = -P_ker - V diag((lam - ik)/(lam + ik)) V+,
+
+    so the removable singularity of the raw formula at k = 0 is filled
+    with the continuous limit.  k is a scalar or an array of any shape;
+    an array gives the stack of shape k.shape + (d, d) from one
+    broadcast, and a scalar is a stack of one.  Poles sit at
+    k = +- i sigma(L'') on the imaginary axis; real k is always regular.
+
+    Raises:
+        SingularAtK: some k within ~1e-12 (relative) of a pole.
+    """
+    if dec.rank == 0:
+        return np.broadcast_to(-dec.p_ker, np.shape(k) + dec.p_ker.shape).astype(complex)
+    kk, denom = _denominators(dec, k)
+    lam = dec.sigma_l
+    # limit along real k at k = 0: ratio -> 1 off the kernel of L'', -1 on it
+    limit = np.where(np.abs(lam) > LAMBDA_FLOOR, 1.0, -1.0)
+    at_zero = kk == 0
+    ratios = np.where(at_zero, limit, (lam - 1j * kk) / np.where(at_zero, 1.0, denom))
+    return -dec.p_ker - _eigen_sum(dec, ratios)
 
 
 def s_matrix_bk2_direct(dec: Decomposition, k: complex) -> np.ndarray:
@@ -301,15 +326,20 @@ def s_matrix_bk2_direct(dec: Decomposition, k: complex) -> np.ndarray:
     return -(a - 1j * k * b) @ np.linalg.inv(a + 1j * k * b)
 
 
-def s_matrix_bk2_derivative(dec: Decomposition, k: complex) -> np.ndarray:
+def s_matrix_bk2_derivative(dec: Decomposition, k) -> np.ndarray:
     """dS''/dk, from the eigenmode form: each eigenvalue ratio
-    (lam - ik)/(lam + ik) differentiates to -2i lam / (lam + ik)^2."""
-    v = dec.ran_vectors
+    (lam - ik)/(lam + ik) differentiates to -2i lam / (lam + ik)^2.
+
+    Scalar or array k and the pole guard as in :func:`s_matrix_bk2`; at
+    k = 0 a zero eigenvalue of L'' contributes its limit 0.
+    """
     if dec.rank == 0:
-        return np.zeros_like(dec.p_ker, dtype=complex)
+        return np.zeros(np.shape(k) + dec.p_ker.shape, dtype=complex)
+    kk, denom = _denominators(dec, k)
     lam = dec.sigma_l
-    dr = -2j * lam / (lam + 1j * complex(k)) ** 2
-    return -(v * dr) @ v.conj().T
+    flat = (kk == 0) & (np.abs(lam) <= LAMBDA_FLOOR)
+    rates = np.where(flat, 0.0, -2j * lam / np.where(flat, 1.0, denom) ** 2)
+    return -_eigen_sum(dec, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -101,17 +101,25 @@ class SecularSystem:
     def k_independent(self) -> bool:
         return True if self.kind == BK else self.dec.k_independent
 
-    def s_part(self, k: complex) -> np.ndarray:
+    def s_part(self, k) -> np.ndarray:
+        """S(k); an array of k gives a stack when S depends on k."""
         return self.s_bk if self.kind == BK else s_matrix_bk2(self.dec, k)
 
-    def bond_matrix(self, k: complex) -> np.ndarray:
-        """Step amplitudes: U(k) = bond_matrix(k) @ diag(exp(i k w))."""
+    def bond_matrix(self, k) -> np.ndarray:
+        """Step amplitudes: U(k) = bond_matrix(k) @ diag(exp(i k w)).
+
+        In the squared case this is S''(k) J0, with J0 applied as a swap of
+        the two column halves; an array of k gives the stack of shape
+        k.shape + (d, d).  A constant first-order S is returned as is.
+        """
         if self.kind == BK:
             return self.s_bk
-        return self.s_part(k) @ swap_matrix(len(self.lengths))
+        return _swap_halves(self.s_part(k))
 
-    def u_matrix(self, k: complex) -> np.ndarray:
-        return self.bond_matrix(k) * np.exp(1j * k * self.weights)
+    def u_matrix(self, k) -> np.ndarray:
+        """U(k), or the stack of U(k) over an array of k."""
+        phases = np.exp(1j * np.multiply.outer(k, self.weights))
+        return self.bond_matrix(k) * phases[..., None, :]
 
     @property
     def poles(self) -> np.ndarray:
@@ -124,6 +132,12 @@ class SecularSystem:
         if lam.size == 0:
             return 0.0
         return float(np.sum(2.0 * lam / (lam ** 2 + kappa ** 2)))
+
+
+def _swap_halves(m: np.ndarray) -> np.ndarray:
+    """m J0 for a matrix or a stack: the two column halves exchanged."""
+    e = m.shape[-1] // 2
+    return np.concatenate([m[..., e:], m[..., :e]], axis=-1)
 
 
 def swap_matrix(n_edges: int) -> np.ndarray:
@@ -142,9 +156,13 @@ def t_matrix(kind: str, lengths, k: complex) -> np.ndarray:
     return swap_matrix(len(lengths)) * np.exp(1j * k * np.concatenate([lengths, lengths]))
 
 
-def secular(sys: SecularSystem, k: complex) -> complex:
-    """det(I - S(k) T(k)); real zeros are the spectrum."""
-    return complex(np.linalg.det(np.eye(sys.dim) - sys.u_matrix(k)))
+def secular(sys: SecularSystem, k):
+    """det(I - S(k) T(k)); real zeros are the spectrum.
+
+    A scalar k gives a complex number, an array of k the array of values
+    from one stacked det.
+    """
+    return np.linalg.det(np.eye(sys.dim) - sys.u_matrix(k))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +186,10 @@ class _Scan:
     """M(k) for one secular system, and Newton refinement for a constant S-part.
 
     U(k) = B(k) exp(ikw) with bond matrix B(k); a constant S-part builds B
-    once.  ``_theta`` is the closed-form lift of arg det U(k), anchored at
-    arg det B(0), so M needs no lift along the scan.  ``evals`` counts
-    every U(k) whose eigenvalues are computed.
+    once, and a k-dependent one builds the stack of B(k) over each block of
+    k in one broadcast.  ``_theta`` is the closed-form lift of arg det U(k),
+    anchored at arg det B(0), so M needs no lift along the scan.  ``evals``
+    counts every U(k) whose eigenvalues are computed.
     """
 
     def __init__(self, sys: SecularSystem):
@@ -195,9 +214,7 @@ class _Scan:
     def m_many(self, ks):
         """(M(k), principal eigenphases) over ks, from one stacked eigvals call."""
         ks = np.asarray(ks, dtype=float)
-        bond = self.bond
-        if bond is None:
-            bond = np.stack([self.sys.bond_matrix(k) for k in ks])
+        bond = self.sys.bond_matrix(ks) if self.bond is None else self.bond
         stack = bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
         angles = _principal_angles(stack)
         self.evals += len(ks)
@@ -516,18 +533,27 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float,
     """Zeros of the secular function on the positive imaginary axis.
 
     Returns a list of (kappa, multiplicity) with eigenvalue lambda = -kappa^2,
-    excluding the poles at kappa in sigma(L'').
+    excluding the poles at kappa in sigma(L'').  The sign-change grid of
+    each segment between poles is evaluated by :func:`secular` on stacks of
+    SCAN_BLOCK points, one det each; the bisection inside a sign change is
+    scalar.
+
+    Raises:
+        ComputeError: the secular function is not real at some kappa.
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
 
-    def f(kappa: float) -> float:
-        val = secular(sys, 1j * kappa)
-        if abs(val.imag) > 1e-6 * max(1.0, abs(val.real)):
-            raise ComputeError(f"secular function not real on imaginary axis: {val}")
-        return val.real
+    def f(kappa):
+        """Secular values at i kappa (scalar or array), real on the axis."""
+        vals = secular(sys, 1j * np.asarray(kappa))
+        off = np.abs(vals.imag) > 1e-6 * np.maximum(1.0, np.abs(vals.real))
+        if np.any(off):
+            raise ComputeError("secular function not real on imaginary axis: "
+                               f"{np.ravel(vals)[np.argmax(np.ravel(off))]}")
+        return vals.real
 
     poles = sorted(lam for lam in sys.dec.poles if 0.0 < lam < kappa_max)
     cuts = [1e-9 * max(1.0, kappa_max)]
@@ -541,7 +567,8 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float,
         if seg_hi <= seg_lo:
             continue
         grid = np.linspace(seg_lo, seg_hi, max(16, n_grid // max(1, len(cuts) // 2)))
-        vals = [f(g) for g in grid]
+        vals = np.concatenate([f(grid[i:i + SCAN_BLOCK])
+                               for i in range(0, len(grid), SCAN_BLOCK)])
         for i in range(len(grid) - 1):
             if vals[i] == 0.0:
                 roots.append(grid[i])

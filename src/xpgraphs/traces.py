@@ -21,9 +21,9 @@ from .errors import (
     TailBoundExceeded,
     ValidationError,
 )
-from .extensions import BK2, Decomposition
+from .extensions import BK2, Decomposition, s_matrix_bk2_derivative
 from .graph import MetricGraph, enumerate_orbits, orbit_amplitude
-from .spectra import SecularSystem, Spectrum, swap_matrix, zero_mode_test
+from .spectra import SecularSystem, Spectrum, _swap_halves, zero_mode_test
 
 # ---------------------------------------------------------------------------
 # Test functions
@@ -343,11 +343,12 @@ def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
     two fall below ``eps``; the tail is bounded by the measured shell
     ratio.
 
+    The bond matrices S''(k) J0 and their k-derivatives at all quadrature
+    nodes are built as two stacks, one broadcast each per shell pass.
+
     Returns:
         (orbit_sum, tail_bound, n_orbits, cutoff_used)
     """
-    from .extensions import s_matrix_bk2_derivative
-
     pattern0 = np.abs(sys.bond_matrix(k_probe)) > 0
     pattern1 = np.abs(sys.bond_matrix(2.0 * k_probe)) > 0
     if not np.array_equal(pattern0, pattern1):
@@ -359,7 +360,6 @@ def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
     else:
         big_k = 30.0
 
-    j0 = swap_matrix(len(sys.lengths))
     weights = sys.weights
     cutoff = cutoff_start
     shells: dict = {}
@@ -369,8 +369,8 @@ def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
             return 0.0, 0.0, 0, cutoff
         l_max = max(o.length for o in orbits)
         xs, ws = _gl_grid(-big_k, big_k, panel=min(0.5, math.pi / (2.0 * l_max)))
-        sig = np.array([sys.s_part(k) @ j0 for k in xs])
-        dsig = np.array([s_matrix_bk2_derivative(sys.dec, k) @ j0 for k in xs])
+        sig = sys.bond_matrix(xs)
+        dsig = _swap_halves(s_matrix_bk2_derivative(sys.dec, xs))
         h_vals = np.real(h(xs))
 
         shells = {}

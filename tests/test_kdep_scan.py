@@ -15,28 +15,10 @@ import pytest
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import random_graph, random_unitary
+from util import KDEP_FAMILIES, random_graph, random_kdep_spec
 
 BASE_SEED = 20261018
-FAMILIES = ("robin", "robin_with_neumann_end", "hermitian_full", "hermitian_partial")
 N_PER_FAMILY = 6
-
-
-def random_spec(rng, g, family):
-    """Boundary pair with mixed-sign L'' eigenvalues of magnitude >= 0.3."""
-    dim = 2 * g.n_edges
-    if family.startswith("robin"):
-        rho = rng.choice([-1.0, 1.0], size=dim) * rng.uniform(0.3, 2.0, size=dim)
-        if family == "robin_with_neumann_end":
-            rho[0] = 0.0    # a zero eigenvalue of L'': no pole there
-        return xg.standard_bc("robin", g, rho=rho)
-    q = random_unitary(rng, dim)
-    rank = dim if family == "hermitian_full" else int(rng.integers(1, dim))
-    qr = q[:, :rank]
-    lam = rng.choice([-1.0, 1.0], size=rank) * rng.uniform(0.3, 3.0, size=rank)
-    p_perp = qr @ qr.conj().T
-    a_t = np.eye(dim) - p_perp + (qr * lam) @ qr.conj().T
-    return xg.from_interval_conditions(a_t, p_perp, g)
 
 
 def continuous_phase(sys_, ks):
@@ -46,12 +28,12 @@ def continuous_phase(sys_, ks):
         [[0.0], np.cumsum(np.angle(dets[1:] / dets[:-1]))])
 
 
-@pytest.mark.parametrize("case", range(len(FAMILIES) * N_PER_FAMILY))
+@pytest.mark.parametrize("case", range(len(KDEP_FAMILIES) * N_PER_FAMILY))
 def test_closed_form_phase_is_continuous_phase(case):
-    family = FAMILIES[case % len(FAMILIES)]
+    family = KDEP_FAMILIES[case % len(KDEP_FAMILIES)]
     rng = np.random.default_rng(BASE_SEED + case)
     g = random_graph(rng, int(rng.integers(1, 3)))
-    dec = xg.decompose(random_spec(rng, g, family), xg.DilationMatrices.from_graph(g))
+    dec = xg.decompose(random_kdep_spec(rng, g, family), xg.DilationMatrices.from_graph(g))
     sys_ = xg.SecularSystem.bk2(dec, g)
     assert not sys_.k_independent
     if family == "robin_with_neumann_end":

@@ -1,0 +1,52 @@
+"""Every name a package module imports is used in that module.
+
+A static scan with the stdlib ``ast`` module: an imported name counts as
+used when it appears as a bare name anywhere in the module, including the
+root of an attribute chain such as ``np.linalg``.  ``__init__.py`` is
+skipped, because its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import xpgraphs
+
+MODULES = sorted(p for p in Path(xpgraphs.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Name bound by each import in the module -> line of the import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported_names(tree).items()
+                  if name not in used)
+
+
+def test_scan_covers_the_package():
+    assert {p.stem for p in MODULES} >= {"extensions", "graph", "spectra", "traces"}
+
+
+def test_scan_flags_unused_names():
+    source = ("from __future__ import annotations\nimport math\n"
+              "import numpy as np\nfrom os import path, sep\nprint(np.pi, sep)\n")
+    assert unused_imports(source) == [(2, "math"), (4, "path")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -39,3 +39,25 @@ def random_bk2_spec(rng, graph: xg.MetricGraph):
     a_t = (eye - 1j * v) / 2.0
     b_t = (v - 1j * eye) / 2.0
     return xg.from_interval_conditions(a_t, b_t, graph)
+
+
+#: k-dependent boundary families: mixed-sign Robin, Robin with one Neumann
+#: end (a zero eigenvalue of L''), random Hermitian L'' at full and partial rank
+KDEP_FAMILIES = ("robin", "robin_with_neumann_end", "hermitian_full", "hermitian_partial")
+
+
+def random_kdep_spec(rng, g, family):
+    """Boundary pair with mixed-sign L'' eigenvalues of magnitude >= 0.3."""
+    dim = 2 * g.n_edges
+    if family.startswith("robin"):
+        rho = rng.choice([-1.0, 1.0], size=dim) * rng.uniform(0.3, 2.0, size=dim)
+        if family == "robin_with_neumann_end":
+            rho[0] = 0.0    # a zero eigenvalue of L'': no pole there
+        return xg.standard_bc("robin", g, rho=rho)
+    q = random_unitary(rng, dim)
+    rank = dim if family == "hermitian_full" else int(rng.integers(1, dim))
+    qr = q[:, :rank]
+    lam = rng.choice([-1.0, 1.0], size=rank) * rng.uniform(0.3, 3.0, size=rank)
+    p_perp = qr @ qr.conj().T
+    a_t = np.eye(dim) - p_perp + (qr * lam) @ qr.conj().T
+    return xg.from_interval_conditions(a_t, p_perp, g)
