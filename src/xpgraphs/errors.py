@@ -51,7 +51,8 @@ class ToleranceTooCoarse(XpGraphsError):
 
 
 class RangeExceeded(XpGraphsError):
-    """Counting function queried outside the computed spectral window."""
+    """Counting function outside the computed spectral window, or the
+    half-line amplitude beyond ``halfline.AMPLITUDE_K_MAX``."""
 
     code = "RANGE_EXCEEDED"
 

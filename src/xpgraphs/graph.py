@@ -4,7 +4,7 @@ Each edge carries an interval [a, b] with 0 < a < b; its metric length is
 ln(b/a), so the graph is "hyperbolic" in one dimension.  Periodic orbits
 are equivalence classes (up to cyclic rotation) of closed bond sequences
 whose consecutive transitions are allowed by the nonzero pattern of a
-scattering matrix.
+scattering matrix; a necklace recursion generates each class once.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class MetricGraph:
 # Periodic orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicOrbit:
     """Equivalence class of closed bond sequences.
 
@@ -164,43 +164,23 @@ class PeriodicOrbit:
         return len(self.bonds)
 
 
-def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically smallest cyclic rotation (canonical representative)."""
-    n = len(seq)
-    doubled = seq + seq
-    return min(tuple(doubled[i:i + n]) for i in range(n))
-
-
-def _primitive_period(seq: tuple[int, ...]) -> int:
-    """Smallest p dividing len(seq) with seq equal to its own p-rotation."""
-    n = len(seq)
-    for p in range(1, n + 1):
-        if n % p:
-            continue
-        if all(seq[i] == seq[i % p] for i in range(n)):
-            return p
-    return n
-
-
-def _make_orbit(seq: tuple[int, ...], weights: np.ndarray) -> PeriodicOrbit:
-    canon = _min_rotation(seq)
-    p = _primitive_period(canon)
-    prim = float(sum(weights[b] for b in canon[:p]))
-    total = float(sum(weights[b] for b in canon))
-    return PeriodicOrbit(bonds=canon, length=total, primitive_length=prim,
-                         repetition=len(canon) // p)
-
-
 def enumerate_orbits(pattern: np.ndarray, weights, max_length: float,
                      pattern_tol: float = PATTERN_TOL) -> list[PeriodicOrbit]:
     """Enumerate periodic orbits of length <= max_length (inclusive).
+
+    Each cyclic class comes out once, as its minimal rotation (a necklace),
+    from the Fredricksen-Kessler-Maiorana prenecklace recursion (Ruskey,
+    Savage & Wang, J. Algorithms 13, 1992).  A prefix a[0..t-1] of period
+    p grows by an allowed step to a bond b >= a[t-p] within the cutoff; b
+    equal to a[t-p] keeps p, a larger b makes it t + 1.  A prefix of size
+    n = r p with an allowed closing step a[n-1] -> a[0] is an orbit.
 
     Args:
         pattern: square matrix; a step from bond j to bond i is allowed
             when ``abs(pattern[i, j])`` exceeds ``pattern_tol`` times the
             largest entry.  Only the nonzero pattern matters.
         weights: per-bond lengths in log units; an orbit's length is the
-            sum of the weights of the bonds it visits.
+            sum of the weights of the bonds it visits, from its first bond.
         max_length: inclusive cutoff on orbit length.
 
     Returns:
@@ -223,35 +203,39 @@ def enumerate_orbits(pattern: np.ndarray, weights, max_length: float,
     scale = float(np.max(np.abs(pattern))) if pattern.size else 0.0
     if scale == 0.0:
         return []
-    allowed = [
-        [i for i in range(d) if abs(pattern[i, j]) > pattern_tol * scale]
-        for j in range(d)
-    ]
-
-    found: dict[tuple[int, ...], PeriodicOrbit] = {}
+    allowed = (np.abs(pattern) > pattern_tol * scale).tolist()
+    successors = [[i for i in range(d) if allowed[i][j]] for j in range(d)]
+    w = weights.tolist()
     budget = max_length + LENGTH_TOL
 
-    def grow(start: int, seq: list[int], acc: float):
-        cur = seq[-1]
-        if start in allowed[cur]:
-            orbit = _make_orbit(tuple(seq), weights)
-            found.setdefault(orbit.bonds, orbit)
-        for nxt in allowed[cur]:
-            # restrict to bonds >= start so each class is rooted at its
-            # minimal bond exactly once
-            if nxt < start:
+    orbits: list[PeriodicOrbit] = []
+    seq: list[int] = []
+    sums = [0.0]        # sums[t]: length of the prefix seq[:t]
+
+    def grow(p: int):
+        t = len(seq)
+        if t % p == 0 and allowed[seq[0]][seq[-1]]:
+            orbits.append(PeriodicOrbit(bonds=tuple(seq), length=sums[t],
+                                        primitive_length=sums[p],
+                                        repetition=t // p))
+        floor = seq[t - p]
+        for b in successors[seq[-1]]:
+            if b < floor:
                 continue
-            w = weights[nxt]
-            if acc + w <= budget:
-                seq.append(nxt)
-                grow(start, seq, acc + w)
+            acc = sums[t] + w[b]
+            if acc <= budget:
+                seq.append(b)
+                sums.append(acc)
+                grow(p if b == floor else t + 1)
                 seq.pop()
+                sums.pop()
 
-    for s in range(d):
-        if weights[s] <= budget:
-            grow(s, [s], float(weights[s]))
+    for s in range(d):      # each bond roots the prefixes that start with it
+        if w[s] <= budget:
+            seq[:], sums[1:] = [s], [w[s]]
+            grow(1)
 
-    return sorted(found.values(), key=lambda o: (o.length, o.bonds))
+    return sorted(orbits, key=lambda o: (o.length, o.bonds))
 
 
 def orbit_amplitude(orbit: PeriodicOrbit, s_matrix: np.ndarray) -> complex:

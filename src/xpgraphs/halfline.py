@@ -6,7 +6,7 @@ amplitude vanishes at the ordinates of the zeta zeros on the critical
 line.  Amplitudes are entire objects here: the zeta factor is evaluated
 through the accelerated alternating (eta) series and the gamma factor
 through a Lanczos approximation, both adequate to ~1e-11 relative for
-|k| <= 50.
+|k| <= AMPLITUDE_K_MAX.
 """
 
 from __future__ import annotations
@@ -16,12 +16,16 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ValidationError
+from .errors import ConvergenceFailure, RangeExceeded, ValidationError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: normalization of the reference packet 1/(e^x + 1)
 ALPHA = 1.0 / math.sqrt(math.log(2.0) - 0.5)
+
+#: largest |k| of the closed-form amplitude, checked against mpmath up to
+#: here; the eta series overflows a double near |k| = 400
+AMPLITUDE_K_MAX = 200.0
 
 
 from dataclasses import dataclass
@@ -206,7 +210,7 @@ def zeta_critical(s: complex) -> complex:
     """zeta(s) = eta(s) / (1 - 2^(1-s)), accurate near the critical line.
 
     Term count grows with |Im s| to offset the exp(pi |Im s| / 2) loss of
-    the acceleration; adequate to ~1e-11 relative for |Im s| <= 50.
+    the acceleration; adequate to ~1e-11 relative for |Im s| <= 200.
     """
     s = complex(s)
     n_terms = 25 + int(math.ceil(0.95 * abs(s.imag)))
@@ -250,7 +254,10 @@ def fermi_amplitude_closed(k: float) -> complex:
                Gamma(1/2 - ik) zeta(1/2 - ik).
 
     Vanishes exactly at the ordinates of the critical-line zeta zeros.
+    Raises RangeExceeded for |k| > AMPLITUDE_K_MAX (or k not a number).
     """
+    if not abs(k) <= AMPLITUDE_K_MAX:
+        raise RangeExceeded(f"amplitude needs |k| <= {AMPLITUDE_K_MAX}, got k = {k}")
     s = 0.5 - 1j * k
     pref = ALPHA / SQRT_2PI * (1.0 - math.sqrt(2.0) * cmath.exp(1j * k * math.log(2.0)))
     return pref * gamma_complex(s) * zeta_critical(s)

@@ -225,6 +225,15 @@ def _orbit_tail_bound(h: TestFunction, pattern: np.ndarray, weights: np.ndarray,
     return 2.0 * bound
 
 
+def _orbit_sum(orbits, s_matrix: np.ndarray, h: TestFunction) -> float:
+    """Sum of Re(A) hhat(l) over orbits of a constant S-matrix (doubled,
+    exactly, for the first-order operator)."""
+    total = 0.0
+    for orb in orbits:
+        total += float(np.real(orbit_amplitude(orb, s_matrix))) * float(h.hat(orb.length))
+    return total
+
+
 def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
                  orbit_cutoff: float | None = None) -> TraceReport:
     """Geometric side for the first-order operator:
@@ -236,10 +245,7 @@ def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
         orbit_cutoff = _default_cutoff(h)
     weights = graph.log_lengths
     orbits = enumerate_orbits(s_matrix, weights, orbit_cutoff)
-    orbit_sum = 0.0
-    for orb in orbits:
-        orbit_sum += 2.0 * float(np.real(orbit_amplitude(orb, s_matrix))) \
-            * float(h.hat(orb.length))
+    orbit_sum = 2.0 * _orbit_sum(orbits, s_matrix, h)
     weyl = graph.total_length * float(h.hat(0.0))
     tail = _orbit_tail_bound(h, s_matrix, weights, orbit_cutoff)
     rhs = weyl + orbit_sum
@@ -388,7 +394,8 @@ def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
             amp = orb.primitive_length * a_p ** r \
                 - 1j * a_p ** (r - 1) * (a_p * log_deriv)
             integrand = h_vals * amp * np.exp(1j * xs * orb.length)
-            value = float(np.real(np.dot(ws, integrand))) / (2.0 * math.pi)
+            # np.sum, not a BLAS dot, whose bits depend on the thread count
+            value = float(np.sum(ws * integrand.real)) / (2.0 * math.pi)
             key = round(orb.length, 9)
             shells[key] = shells.get(key, 0.0) + value
 
@@ -400,14 +407,6 @@ def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
             return float(sum(shells.values())), tail, len(orbits), cutoff
         cutoff *= 1.5
     return float(sum(shells.values())), mags[-1], len(orbits), cutoff
-
-
-def _orbit_terms_bk2(sys: SecularSystem, orbits, h: TestFunction,
-                     k_probe: float) -> float:
-    """Orbit sum with a constant S-matrix: Re(A) hhat(l) per orbit."""
-    sigma = sys.bond_matrix(k_probe)
-    return sum(float(np.real(orbit_amplitude(orb, sigma))) * float(h.hat(orb.length))
-               for orb in orbits)
 
 
 def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
@@ -445,7 +444,7 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
     if sys.k_independent:
         sigma_probe = sys.bond_matrix(k_probe)
         orbits = enumerate_orbits(sigma_probe, weights, orbit_cutoff)
-        orbit_sum = _orbit_terms_bk2(sys, orbits, h, k_probe)
+        orbit_sum = _orbit_sum(orbits, sigma_probe, h)
         tail = _orbit_tail_bound(h, sigma_probe, weights, orbit_cutoff)
         n_orbits = len(orbits)
     else:

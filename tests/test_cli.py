@@ -263,6 +263,12 @@ class TestErrorContract:
         assert code == cli.EXIT_VALIDATION
         assert err["code"] == "VALIDATION_ERROR"
 
+    def test_halfline_beyond_amplitude_range(self, tmp_path):
+        code, err = self.run_main(tmp_path, {"task": "halfline-demo",
+                                             "numeric": {"k_grid_max": 500.0, "n_k": 11}})
+        assert code == cli.EXIT_COMPUTE == 4
+        assert err["code"] == "RANGE_EXCEEDED"
+
     def test_foreign_exception_is_compute_error(self, tmp_path):
         # numpy rejects a negative sample count with a plain ValueError
         code, err = self.run_main(tmp_path, {"task": "halfline-demo",

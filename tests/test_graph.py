@@ -8,6 +8,7 @@ import pytest
 
 import xpgraphs as xg
 from xpgraphs.errors import GraphError
+from util import random_unitary, reference_orbits
 
 
 def edge(a, b, eid="e0"):
@@ -142,20 +143,115 @@ def brute_force_orbits(pattern, weights, max_length):
     return found
 
 
+def brute_force_case(seed):
+    rng = np.random.default_rng(100 + seed)
+    d = int(rng.integers(1, 4))
+    pattern = (rng.random((d, d)) < 0.55).astype(float)
+    weights = 0.4 + rng.random(d)
+    return pattern, weights, 5.0 * float(np.min(weights))
+
+
 class TestExhaustiveness:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        d = int(rng.integers(1, 4))
-        pattern = (rng.random((d, d)) < 0.55).astype(float)
-        weights = 0.4 + rng.random(d)
-        max_length = 5.0 * float(np.min(weights))
+        pattern, weights, max_length = brute_force_case(seed)
         fast = {o.bonds: o.length
                 for o in xg.enumerate_orbits(pattern, weights, max_length)}
         slow = brute_force_orbits(pattern, weights, max_length)
         assert fast.keys() == slow.keys()
         for bonds, length in fast.items():
             assert length == pytest.approx(slow[bonds], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_periods_match_brute_force(self, seed):
+        # the period of a brute-force string is its smallest rotation onto
+        # itself; the primitive length sums the bonds of one period
+        pattern, weights, max_length = brute_force_case(seed)
+        orbits = {o.bonds: o for o in xg.enumerate_orbits(pattern, weights, max_length)}
+        for bonds in brute_force_orbits(pattern, weights, max_length):
+            n = len(bonds)
+            p = next(p for p in range(1, n + 1) if bonds[p:] + bonds[:p] == bonds)
+            orb = orbits[bonds]
+            assert orb.repetition == n // p
+            assert orb.primitive_length == pytest.approx(
+                float(sum(weights[b] for b in bonds[:p])), abs=1e-12)
+
+
+#: weight families for the oracle comparison: generic, integer multiples of
+#: one base length (many equal orbit lengths, cutoff hit exactly), all equal
+WEIGHT_KINDS = ("random", "commensurate", "tied")
+
+
+def random_case(seed):
+    """d = 1..5, sparse or dense complex pattern, one of WEIGHT_KINDS."""
+    rng = np.random.default_rng(300 + seed)
+    d = 1 + seed % 5
+    density = (0.4, 1.0)[seed // 5 % 2]
+    kind = WEIGHT_KINDS[seed // 10 % 3]
+    pattern = (rng.random((d, d)) < density) \
+        * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    if kind == "random":
+        weights = 0.4 + rng.random(d)
+        max_length = (4.0 + 2.0 * rng.random()) * float(np.min(weights))
+    elif kind == "commensurate":
+        weights = 0.5 * rng.integers(1, 4, size=d).astype(float)
+        max_length = 0.5 * int(rng.integers(5, 9))
+    else:
+        weights = np.full(d, 0.7)
+        max_length = 0.7 * int(rng.integers(4, 7))
+    return pattern, weights, max_length
+
+
+def star4_kirchhoff():
+    """Kirchhoff star with four edges: eight bonds, reflection at the tips."""
+    rng = np.random.default_rng(4)
+    lengths = 1.05 + 0.3 * rng.random(4)
+    g = xg.MetricGraph.from_intervals([(1.0, math.exp(l)) for l in lengths],
+                                      vertices=[("c", f"t{i}") for i in range(4)])
+    dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
+    system = xg.SecularSystem.bk2(dec, g)
+    return system.bond_matrix(1.0), system.weights, 16.0
+
+
+def first_order_e3():
+    """Random unitary S on three edges: every step allowed."""
+    rng = np.random.default_rng(3)
+    return random_unitary(rng, 3), 1.3 + 0.4 * rng.random(3), 12.0
+
+
+def directed_ring2():
+    """Two directed edges in a ring with a random 2x2 unitary S."""
+    rng = np.random.default_rng(2)
+    return random_unitary(rng, 2), 1.65 + 0.2 * rng.random(2), 20.0
+
+
+BENCH_SHAPED = {"star4-kirchhoff": star4_kirchhoff, "first-order-e3": first_order_e3,
+                "directed-ring2": directed_ring2}
+
+
+class TestAgainstReference:
+    """The necklace recursion against the walk-then-canonicalise oracle:
+    dataclass equality, so lengths must agree bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_patterns(self, seed):
+        pattern, weights, max_length = random_case(seed)
+        assert xg.enumerate_orbits(pattern, weights, max_length) \
+            == reference_orbits(pattern, weights, max_length)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SHAPED))
+    def test_bench_shaped_graphs(self, name):
+        pattern, weights, max_length = BENCH_SHAPED[name]()
+        orbits = xg.enumerate_orbits(pattern, weights, max_length)
+        assert len(orbits) > 100
+        assert orbits == reference_orbits(pattern, weights, max_length)
+
+    def test_each_class_once(self):
+        cases = [make() for make in BENCH_SHAPED.values()] \
+            + [random_case(seed) for seed in range(30)]
+        for case in cases:
+            orbits = xg.enumerate_orbits(*case)
+            assert len({o.bonds for o in orbits}) == len(orbits)
 
 
 class TestAmplitudes:

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import xpgraphs.halfline as hl
-from xpgraphs.errors import ValidationError
+from xpgraphs.errors import RangeExceeded, ValidationError
 
 # first two critical-line zero ordinates of the zeta function
 RIEMANN_ZERO_1 = 14.134725141734693
@@ -121,7 +121,7 @@ class TestGreen:
 class TestCriticalLineSpecialFunctions:
     def test_zeta_against_mpmath(self):
         mp.mp.dps = 30
-        for k in np.linspace(0.0, 50.0, 41):
+        for k in np.linspace(0.0, hl.AMPLITUDE_K_MAX, 161):
             ref = complex(mp.zeta(mp.mpc(0.5, -k)))
             val = hl.zeta_critical(0.5 - 1j * k)
             assert abs(val - ref) <= 1e-10 * abs(ref)
@@ -146,6 +146,20 @@ class TestAmplitude:
             aq = hl.mellin_amplitude(hl.fermi_packet, k)
             ac = hl.fermi_amplitude_closed(k)
             assert abs(aq - ac) <= 1e-8
+
+    def test_closed_form_against_mpmath_to_k_max(self):
+        mp.mp.dps = 30
+        for k in (60.0, 120.0, hl.AMPLITUDE_K_MAX, -hl.AMPLITUDE_K_MAX):
+            s = mp.mpc(0.5, -k)
+            ref = complex(hl.ALPHA / mp.sqrt(2 * mp.pi)
+                          * (1 - mp.sqrt(2) * mp.exp(1j * k * mp.log(2)))
+                          * mp.gamma(s) * mp.zeta(s))
+            assert abs(hl.fermi_amplitude_closed(k) - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("k", [200.5, -400.0, 1e6, math.inf, math.nan])
+    def test_closed_form_range(self, k):
+        with pytest.raises(RangeExceeded):
+            hl.fermi_amplitude_closed(k)
 
     def test_dips_at_riemann_zeros(self):
         a0 = abs(hl.fermi_amplitude_closed(0.0))

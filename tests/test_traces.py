@@ -1,7 +1,12 @@
 """Trace formulas, heat traces, counting comparisons, EBK levels."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,17 @@ PI = math.pi
 SUM_EXP_MINUS_N_SQ = 0.38631860241332787
 # and the two-sided version 1 + 2 * the above
 SUM_EXP_TWO_SIDED = 1.7726372048266557
+
+
+# one Robin (rho = 1, length-4 edge) report, every float field as float.hex
+ROBIN_REPORT_SCRIPT = """
+import json, math
+import xpgraphs as xg
+g = xg.MetricGraph.from_intervals([(1.0, math.exp(4.0))])
+dec = xg.decompose(xg.standard_bc("robin", g, rho=1.0), xg.DilationMatrices.from_graph(g))
+report = xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0)).to_dict()
+print(json.dumps({k: v.hex() if isinstance(v, float) else v for k, v in report.items()}))
+"""
 
 
 def ring_setup(c, a=1.0, b=math.e):
@@ -191,6 +207,21 @@ class TestSecondOrderTrace:
             report = xg.trace_rhs_bk2(g, dec, xg.gaussian(t))
             closed = -math.exp(t) * math.erfc(math.sqrt(t))
             assert report.s_matrix_integral == pytest.approx(closed, abs=1e-11)
+
+    def test_robin_report_independent_of_blas_threads(self):
+        # two processes, one and two BLAS threads: every field bit for bit
+        src = str(Path(xg.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", ROBIN_REPORT_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            reports.append(json.loads(out.stdout))
+        assert reports[0]["n_orbits"] > 0
+        assert reports[0] == reports[1]
 
     def test_condition_violated_for_short_edge(self):
         g, dec, sys_ = bk2_setup("robin", rho=1.0)  # ell = 1 < l(sigma) ~ 3.45

@@ -1,9 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
 A static scan with the stdlib ``ast`` module: an imported name counts as
 used when it appears as a bare name anywhere in the module, including the
-root of an attribute chain such as ``np.linalg``.  ``__init__.py`` is
-skipped, because its imports are the package's re-exports.
+root of an attribute chain such as ``np.linalg``.  The package's
+``__init__.py`` is skipped, because its imports are the re-exports.
 """
 
 import ast
@@ -13,8 +13,10 @@ import pytest
 
 import xpgraphs
 
-MODULES = sorted(p for p in Path(xpgraphs.__file__).parent.glob("*.py")
+PACKAGE = sorted(p for p in Path(xpgraphs.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+MODULES = PACKAGE + TESTS
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -38,7 +40,11 @@ def unused_imports(source: str) -> list:
 
 
 def test_scan_covers_the_package():
-    assert {p.stem for p in MODULES} >= {"extensions", "graph", "spectra", "traces"}
+    assert {p.stem for p in PACKAGE} >= {"extensions", "graph", "spectra", "traces"}
+
+
+def test_scan_covers_the_tests():
+    assert {p.stem for p in TESTS} >= {"test_graph", "test_unused_imports", "util"}
 
 
 def test_scan_flags_unused_names():
@@ -47,6 +53,7 @@ def test_scan_flags_unused_names():
     assert unused_imports(source) == [(2, "math"), (4, "path")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.name if p in PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

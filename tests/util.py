@@ -1,10 +1,12 @@
-"""Shared generators for randomized suites (fixed seeds, no hypothesis)."""
+"""Shared generators for randomized suites (fixed seeds, no hypothesis),
+and the walk-based orbit enumeration kept as an oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
 import xpgraphs as xg
+from xpgraphs.graph import LENGTH_TOL, PATTERN_TOL
 
 
 def random_unitary(rng, n: int) -> np.ndarray:
@@ -61,3 +63,72 @@ def random_kdep_spec(rng, g, family):
     p_perp = qr @ qr.conj().T
     a_t = np.eye(dim) - p_perp + (qr * lam) @ qr.conj().T
     return xg.from_interval_conditions(a_t, p_perp, g)
+
+
+def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically smallest cyclic rotation (canonical representative)."""
+    n = len(seq)
+    doubled = seq + seq
+    return min(tuple(doubled[i:i + n]) for i in range(n))
+
+
+def _primitive_period(seq: tuple[int, ...]) -> int:
+    """Smallest p dividing len(seq) with seq equal to its own p-rotation."""
+    n = len(seq)
+    for p in range(1, n + 1):
+        if n % p:
+            continue
+        if all(seq[i] == seq[i % p] for i in range(n)):
+            return p
+    return n
+
+
+def _make_orbit(seq: tuple[int, ...], weights: np.ndarray) -> xg.PeriodicOrbit:
+    canon = _min_rotation(seq)
+    p = _primitive_period(canon)
+    prim = float(sum(weights[b] for b in canon[:p]))
+    total = float(sum(weights[b] for b in canon))
+    return xg.PeriodicOrbit(bonds=canon, length=total, primitive_length=prim,
+                            repetition=len(canon) // p)
+
+
+def reference_orbits(pattern, weights, max_length: float,
+                     pattern_tol: float = PATTERN_TOL) -> list:
+    """Oracle for ``enumerate_orbits`` on valid input: walk every closed
+    bond sequence rooted at its smallest bond, canonicalise each to its
+    minimal rotation and keep one orbit per rotation class."""
+    pattern = np.asarray(pattern)
+    weights = np.asarray(weights, dtype=float)
+    d = pattern.shape[0]
+    scale = float(np.max(np.abs(pattern))) if pattern.size else 0.0
+    if scale == 0.0:
+        return []
+    allowed = [
+        [i for i in range(d) if abs(pattern[i, j]) > pattern_tol * scale]
+        for j in range(d)
+    ]
+
+    found = {}
+    budget = max_length + LENGTH_TOL
+
+    def grow(start: int, seq: list, acc: float):
+        cur = seq[-1]
+        if start in allowed[cur]:
+            orbit = _make_orbit(tuple(seq), weights)
+            found.setdefault(orbit.bonds, orbit)
+        for nxt in allowed[cur]:
+            # restrict to bonds >= start so each class is rooted at its
+            # minimal bond exactly once
+            if nxt < start:
+                continue
+            w = weights[nxt]
+            if acc + w <= budget:
+                seq.append(nxt)
+                grow(start, seq, acc + w)
+                seq.pop()
+
+    for s in range(d):
+        if weights[s] <= budget:
+            grow(s, [s], float(weights[s]))
+
+    return sorted(found.values(), key=lambda o: (o.length, o.bonds))
