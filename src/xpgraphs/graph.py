@@ -4,7 +4,7 @@ Each edge carries an interval [a, b] with 0 < a < b; its metric length is
 ln(b/a), so the graph is "hyperbolic" in one dimension.  Periodic orbits
 are equivalence classes (up to cyclic rotation) of closed bond sequences
 whose consecutive transitions are allowed by the nonzero pattern of a
-scattering matrix; a necklace recursion generates each class once.
+scattering matrix; a necklace generator yields each class once.
 """
 
 from __future__ import annotations
@@ -173,7 +173,9 @@ def enumerate_orbits(pattern: np.ndarray, weights, max_length: float,
     Savage & Wang, J. Algorithms 13, 1992).  A prefix a[0..t-1] of period
     p grows by an allowed step to a bond b >= a[t-p] within the cutoff; b
     equal to a[t-p] keeps p, a larger b makes it t + 1.  A prefix of size
-    n = r p with an allowed closing step a[n-1] -> a[0] is an orbit.
+    n = r p with an allowed closing step a[n-1] -> a[0] is an orbit.  The
+    prefixes are grown depth first on an explicit stack, so the step count
+    is not bounded by the interpreter's recursion limit.
 
     Args:
         pattern: square matrix; a step from bond j to bond i is allowed
@@ -209,31 +211,39 @@ def enumerate_orbits(pattern: np.ndarray, weights, max_length: float,
     budget = max_length + LENGTH_TOL
 
     orbits: list[PeriodicOrbit] = []
-    seq: list[int] = []
-    sums = [0.0]        # sums[t]: length of the prefix seq[:t]
-
-    def grow(p: int):
-        t = len(seq)
-        if t % p == 0 and allowed[seq[0]][seq[-1]]:
-            orbits.append(PeriodicOrbit(bonds=tuple(seq), length=sums[t],
-                                        primitive_length=sums[p],
-                                        repetition=t // p))
-        floor = seq[t - p]
-        for b in successors[seq[-1]]:
-            if b < floor:
-                continue
-            acc = sums[t] + w[b]
-            if acc <= budget:
-                seq.append(b)
-                sums.append(acc)
-                grow(p if b == floor else t + 1)
+    for s in range(d):      # each bond roots the prefixes that start with it
+        if w[s] > budget:
+            continue
+        seq = [s]
+        sums = [0.0, w[s]]  # sums[t]: length of the prefix seq[:t]
+        if allowed[s][s]:
+            orbits.append(PeriodicOrbit(bonds=(s,), length=w[s],
+                                        primitive_length=w[s], repetition=1))
+        # one frame per prefix: its period and the successors not yet tried
+        stack = [(1, iter(successors[s]))]
+        while stack:
+            p, untried = stack[-1]
+            t = len(seq)
+            floor = seq[t - p]
+            for b in untried:
+                if b < floor:
+                    continue
+                acc = sums[t] + w[b]
+                if acc <= budget:
+                    break
+            else:
+                stack.pop()
                 seq.pop()
                 sums.pop()
-
-    for s in range(d):      # each bond roots the prefixes that start with it
-        if w[s] <= budget:
-            seq[:], sums[1:] = [s], [w[s]]
-            grow(1)
+                continue
+            seq.append(b)
+            sums.append(acc)
+            p = p if b == floor else t + 1
+            if (t + 1) % p == 0 and allowed[s][b]:
+                orbits.append(PeriodicOrbit(bonds=tuple(seq), length=acc,
+                                            primitive_length=sums[p],
+                                            repetition=(t + 1) // p))
+            stack.append((p, iter(successors[b])))
 
     return sorted(orbits, key=lambda o: (o.length, o.bonds))
 

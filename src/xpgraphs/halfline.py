@@ -211,8 +211,12 @@ def zeta_critical(s: complex) -> complex:
 
     Term count grows with |Im s| to offset the exp(pi |Im s| / 2) loss of
     the acceleration; adequate to ~1e-11 relative for |Im s| <= 200.
+    Raises RangeExceeded for |Im s| > AMPLITUDE_K_MAX, where the series
+    loses that accuracy and its weights soon overflow.
     """
     s = complex(s)
+    if not abs(s.imag) <= AMPLITUDE_K_MAX:
+        raise RangeExceeded(f"zeta needs |Im s| <= {AMPLITUDE_K_MAX}, got s = {s}")
     n_terms = 25 + int(math.ceil(0.95 * abs(s.imag)))
     denom = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
     if abs(denom) < 1e-14:

@@ -5,6 +5,12 @@ side: a Weyl term L hhat(0), a zero-mode boundary term (squared case), an
 integral over the k-dependent part of the S-matrix trace, and a sum over
 periodic orbits.  Everything here is itemized so each term can be checked
 against independently computed references.
+
+For a constant S-part the orbit sum comes from traces of powers of
+U(k) = B diag(exp(ikw)), with no orbit list: summed over the orbit classes
+of n steps, the amplitudes times exp(ikl) give tr(W U(k)^n), W = diag(w)
+(Kottos & Smilansky, Ann. Phys. 274, 1999).  A k-dependent family sums
+enumerated orbits, shell by shell.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .extensions import BK2, Decomposition, s_matrix_bk2_derivative
-from .graph import MetricGraph, enumerate_orbits, orbit_amplitude
+from .graph import PATTERN_TOL, MetricGraph, enumerate_orbits
 from .spectra import SecularSystem, Spectrum, _swap_halves, zero_mode_test
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,13 @@ def tabulated(h_callable, k_max: float = 60.0, n: int = 6001,
 
 @dataclass(frozen=True)
 class TraceReport:
-    """Itemized two-sided trace-formula evaluation."""
+    """Itemized two-sided trace-formula evaluation.
+
+    ``n_orbits`` counts the orbit classes in ``orbit_sum``.  For a constant
+    S-part those are all classes of at most N = floor(cutoff / w_min) + 1
+    steps, counted exactly by Burnside's lemma; for a k-dependent family,
+    the enumerated orbits of the last length shell.
+    """
 
     lhs: float
     lhs_tail_bound: float
@@ -201,37 +213,139 @@ def _default_cutoff(h: TestFunction, eps: float = 1e-10) -> float:
     return 2.0 * y
 
 
-def _orbit_tail_bound(h: TestFunction, pattern: np.ndarray, weights: np.ndarray,
-                      cutoff: float) -> float:
-    """Bound on the dropped orbit terms: walks longer than the cutoff.
+def _power_grid(h: TestFunction, weights: np.ndarray, cutoff: float):
+    """Step count N, trapezoid step and half-width K of the power-trace sum.
 
-    The number of closed walks of n steps is at most d g^(n-1) with g the
-    maximum out-degree, each amplitude at most (max entry)^n times the
-    orbit length; super-exponential decay of hhat makes the series finite.
+    N = floor(cutoff / w_min) + 1 steps hold every orbit up to the cutoff.
+    The trapezoid rule with step 2 pi / (N w_max + cutoff) maps a walk of
+    length l <= N w_max onto its aliases l + m (N w_max + cutoff), each at
+    least the cutoff away from the origin for m != 0.  K is where a
+    Gaussian h falls to 1e-16, or where ``h.tail`` does.
     """
-    scale = float(np.max(np.abs(pattern)))
+    w_min, w_max = float(np.min(weights)), float(np.max(weights))
+    n_max = int(cutoff / w_min) + 1
+    step = 2.0 * math.pi / (n_max * w_max + cutoff)
+    if h.gaussian_width is not None:
+        big_k = math.sqrt(math.log(1e16) / h.gaussian_width)
+    else:
+        big_k = 1.0
+        while big_k < 1e3 and h.tail(big_k) > 1e-17:
+            big_k *= 1.25
+    return n_max, step, big_k
+
+
+def _orbit_tail_bound(h: TestFunction, bond: np.ndarray, weights: np.ndarray,
+                      cutoff: float, grid) -> float:
+    """Bound on the error of the power-trace orbit sum on ``grid``.
+
+    Walks of more than N steps are dropped: the number of closed walks of
+    n steps is at most d g^(n-1) with g the maximum out-degree, each
+    amplitude at most (max entry)^n times the orbit length;
+    super-exponential decay of hhat makes the series finite.
+
+    The quadrature adds two errors per step count n, both scaled by
+    |tr(W U(k)^n)| <= tr(W) ||B||_2^n on the real axis: the nodes beyond K
+    by h.tail(K) / pi, and the aliases by 2 sum_{m>=0} |hhat(cutoff + m P)|
+    with P = N w_max + cutoff (for Gaussian h by shifting the contour).
+    """
+    scale = float(np.max(np.abs(bond)))
     if scale == 0.0:
         return 0.0
-    d = pattern.shape[0]
-    out_deg = max(int(np.sum(np.abs(pattern[:, j]) > 0)) for j in range(d))
+    n_cut, step, big_k = grid
+    d = bond.shape[0]
+    out_deg = max(int(np.sum(np.abs(bond[:, j]) > 0)) for j in range(d))
     w_min, w_max = float(np.min(weights)), float(np.max(weights))
-    n_cut = int(cutoff / w_min) + 1
     bound = 0.0
     for n in range(n_cut, n_cut + 400):
-        term = d * (out_deg * max(scale, 1.0)) ** n * (n * w_max) * abs(float(h.hat(n * w_min)))
+        term = _times_power(d * n * w_max * abs(float(h.hat(n * w_min))),
+                            out_deg * max(scale, 1.0), n)
         bound += term
         if term < 1e-30 and n > n_cut + 4:
             break
+
+    period = 2.0 * math.pi / step
+    alias = 0.0
+    for m in range(64):
+        term = abs(float(h.hat(cutoff + m * period)))
+        alias += 2.0 * term
+        if term < 1e-300:
+            break
+    norm = float(np.linalg.norm(bond, 2))
+    quadrature = float(np.sum(weights)) * n_cut * (h.tail(big_k) / math.pi + alias)
+    bound += _times_power(quadrature, max(norm, 1.0), n_cut)
     return 2.0 * bound
 
 
-def _orbit_sum(orbits, s_matrix: np.ndarray, h: TestFunction) -> float:
-    """Sum of Re(A) hhat(l) over orbits of a constant S-matrix (doubled,
-    exactly, for the first-order operator)."""
-    total = 0.0
-    for orb in orbits:
-        total += float(np.real(orbit_amplitude(orb, s_matrix))) * float(h.hat(orb.length))
-    return total
+def _times_power(factor: float, ratio: float, n: int) -> float:
+    """factor * ratio^n for ratio >= 1, inf where it leaves the float range."""
+    if factor == 0.0:
+        return 0.0
+    exponent = math.log(factor) + n * math.log(ratio)
+    return math.exp(exponent) if exponent < 709.0 else math.inf
+
+
+def _orbit_count(bond: np.ndarray, n_max: int) -> int:
+    """Orbit classes of at most n_max steps, by Burnside's lemma.
+
+    With A the 0/1 pattern of allowed steps, the classes of n steps number
+    (1/n) sum_{j=1}^{n} tr A^gcd(j, n), grouped here by the divisor
+    m = gcd(j, n) as (1/n) sum_{m | n} phi(n/m) tr A^m.  The matrix powers
+    are taken in Python ints, so the count is exact.
+    """
+    scale = float(np.max(np.abs(bond)))
+    if scale == 0.0:
+        return 0
+    pattern = (np.abs(bond) > PATTERN_TOL * scale).astype(int).astype(object)
+    traces_a = [0]
+    power = pattern
+    for _ in range(n_max):
+        traces_a.append(int(power.trace()))
+        power = power @ pattern
+    phi = list(range(n_max + 1))        # Euler's totient, by a sieve
+    for p in range(2, n_max + 1):
+        if phi[p] == p:
+            for n in range(p, n_max + 1, p):
+                phi[n] -= phi[n] // p
+    fixed = [0] * (n_max + 1)
+    for m in range(1, n_max + 1):
+        for n in range(m, n_max + 1, m):
+            fixed[n] += phi[n // m] * traces_a[m]
+    return sum(fixed[n] // n for n in range(1, n_max + 1))
+
+
+def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
+                       cutoff: float):
+    """Orbit sum of a constant bond matrix B, without enumerating orbits.
+
+    Summed over every orbit class of n steps, the amplitude times exp(ikl)
+    is tr(W U(k)^n), with U(k) = B diag(exp(ikw)) and W = diag(w): the
+    rotations of a class start on each bond of its primitive cycle once,
+    so their first-bond weights add up to the primitive length.  Hence
+
+        sum_orbits Re(A) hhat(l) = Re sum_{n<=N} (1/2pi) int h tr(W U^n) dk,
+
+    evaluated by the trapezoid rule of ``_power_grid``: one stack of U over
+    the nodes and N - 1 stacked products.  The sum holds every orbit of at
+    most N steps, those longer than the cutoff included.
+
+    Returns:
+        (orbit_sum, tail_bound, n_orbits)
+    """
+    grid = n_max, step, big_k = _power_grid(h, weights, cutoff)
+    n_half = int(math.ceil(big_k / step))
+    ks = step * np.arange(-n_half, n_half + 1)
+    u = bond * np.exp(1j * np.multiply.outer(ks, weights))[:, None, :]
+    power = u
+    powers = u.copy()                   # U + U^2 + ... + U^N at every node
+    for _ in range(n_max - 1):
+        power = power @ u
+        powers += power
+    diagonals = np.diagonal(powers, axis1=1, axis2=2).real
+    # np.sum, not a BLAS dot, whose bits depend on the thread count
+    total = float(np.sum(np.real(h(ks))[:, None] * weights * diagonals))
+    return (total * step / (2.0 * math.pi),
+            _orbit_tail_bound(h, bond, weights, cutoff, grid),
+            _orbit_count(bond, n_max))
 
 
 def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
@@ -241,19 +355,20 @@ def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
         L hhat(0) + 2 sum_orbits Re(A) hhat(l).
     """
     s_matrix = np.atleast_2d(np.asarray(s_matrix, dtype=complex))
+    weights = graph.log_lengths
+    if s_matrix.shape != (weights.size, weights.size):
+        raise ValidationError("S-matrix size must equal the edge count")
     if orbit_cutoff is None:
         orbit_cutoff = _default_cutoff(h)
-    weights = graph.log_lengths
-    orbits = enumerate_orbits(s_matrix, weights, orbit_cutoff)
-    orbit_sum = 2.0 * _orbit_sum(orbits, s_matrix, h)
+    orbit_sum, tail, n_orbits = _power_trace_terms(s_matrix, weights, h, orbit_cutoff)
+    orbit_sum *= 2.0
     weyl = graph.total_length * float(h.hat(0.0))
-    tail = _orbit_tail_bound(h, s_matrix, weights, orbit_cutoff)
     rhs = weyl + orbit_sum
     return TraceReport(lhs=math.nan, lhs_tail_bound=math.nan, weyl_term=weyl,
                        boundary_term=0.0, s_matrix_integral=0.0,
                        orbit_sum=orbit_sum, orbit_tail_bound=tail,
                        rhs_total=rhs, discrepancy=math.nan,
-                       n_orbits=len(orbits), label=h.label)
+                       n_orbits=n_orbits, label=h.label)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +557,8 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
     boundary = (g0 - 0.5 * n_order) * float(np.real(h(0.0)))
     s_integral = _s_trace_integral(dec, h)
     if sys.k_independent:
-        sigma_probe = sys.bond_matrix(k_probe)
-        orbits = enumerate_orbits(sigma_probe, weights, orbit_cutoff)
-        orbit_sum = _orbit_sum(orbits, sigma_probe, h)
-        tail = _orbit_tail_bound(h, sigma_probe, weights, orbit_cutoff)
-        n_orbits = len(orbits)
+        orbit_sum, tail, n_orbits = _power_trace_terms(
+            sys.bond_matrix(k_probe), weights, h, orbit_cutoff)
     else:
         orbit_sum, tail, n_orbits, orbit_cutoff = _orbit_terms_kdep(
             sys, h, k_probe, cutoff_start=orbit_cutoff)

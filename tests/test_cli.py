@@ -142,6 +142,19 @@ class TestOtherTasks:
         _, rows = read_csv(out / "trace.csv")
         assert all(float(r[3]) <= 1e-9 for r in rows)
 
+    def test_trace_check_short_edge(self, tmp_path):
+        # ln(1.005) ~ 0.005: about 3,850 steps reach the orbit cutoff
+        graph = {"edges": [{"id": "e0", "a": 1.0, "b": 1.005, "from": "u", "to": "v"}]}
+        payload = {"task": "trace-check", "operator": "bk2", "graph": graph,
+                   "boundary": {"kind": "dirichlet"},
+                   "numeric": {"t_values": [1.0]}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        (report,) = json.loads((out / "trace.json").read_text())["reports"]
+        assert report["discrepancy"] <= 1e-8
+        assert report["orbit_tail_bound"] <= 1e-10
+        assert report["lhs_tail_bound"] <= 1e-10
+
     def test_weyl(self, tmp_path):
         payload = {"task": "weyl", "operator": "bk2", "graph": EDGE,
                    "boundary": {"kind": "dirichlet"},

@@ -104,6 +104,12 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             xg.enumerate_orbits(np.eye(2), [1.0], 3.0)
 
+    def test_long_orbits_need_no_recursion(self):
+        # 2,000 steps: far deeper than the interpreter's recursion limit
+        orbits = xg.enumerate_orbits(np.array([[1.0]]), [0.01], 20.0)
+        assert len(orbits) == 2000
+        assert orbits[-1].repetition == 2000
+
     def test_cutoff_inclusive(self):
         orbits = xg.enumerate_orbits(np.array([[1.0]]), [1.0], 2.0)
         assert [o.length for o in orbits] == [1.0, 2.0]

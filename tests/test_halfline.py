@@ -126,6 +126,11 @@ class TestCriticalLineSpecialFunctions:
             val = hl.zeta_critical(0.5 - 1j * k)
             assert abs(val - ref) <= 1e-10 * abs(ref)
 
+    @pytest.mark.parametrize("s", [0.5 - 400j, 0.5 + 450j])
+    def test_zeta_range(self, s):
+        with pytest.raises(RangeExceeded):
+            hl.zeta_critical(s)
+
     def test_gamma_against_mpmath(self):
         mp.mp.dps = 30
         for k in np.linspace(0.0, 50.0, 41):

@@ -10,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xpgraphs as xg
 from xpgraphs.errors import ConditionViolated
-from xpgraphs.traces import length_condition
+from xpgraphs.traces import _default_cutoff, length_condition
+
+from util import random_unitary, reference_orbit_sum
 
 PI = math.pi
 
@@ -23,14 +27,21 @@ SUM_EXP_MINUS_N_SQ = 0.38631860241332787
 SUM_EXP_TWO_SIDED = 1.7726372048266557
 
 
-# one Robin (rho = 1, length-4 edge) report, every float field as float.hex
-ROBIN_REPORT_SCRIPT = """
+# one Robin (rho = 1, length-4 edge) report and one constant-S first-order
+# report on three edges, every float field as float.hex
+TRACE_REPORTS_SCRIPT = """
 import json, math
+import numpy as np
 import xpgraphs as xg
 g = xg.MetricGraph.from_intervals([(1.0, math.exp(4.0))])
 dec = xg.decompose(xg.standard_bc("robin", g, rho=1.0), xg.DilationMatrices.from_graph(g))
-report = xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0)).to_dict()
-print(json.dumps({k: v.hex() if isinstance(v, float) else v for k, v in report.items()}))
+robin = xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0)).to_dict()
+g3 = xg.MetricGraph.from_intervals([(1.0, math.exp(l)) for l in (1.3, 1.5, 1.7)])
+j = np.arange(3)
+s3 = np.exp(0.3j * j)[:, None] * np.exp(2j * math.pi * np.outer(j, j) / 3) / math.sqrt(3)
+first_order = xg.trace_rhs_bk(g3, s3, xg.gaussian(0.5)).to_dict()
+print(json.dumps({name: {k: v.hex() if isinstance(v, float) else v for k, v in r.items()}
+                  for name, r in (("robin", robin), ("first_order", first_order))}))
 """
 
 
@@ -217,10 +228,11 @@ class TestSecondOrderTrace:
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            filter(None, [src, os.environ.get("PYTHONPATH")])))
-            out = subprocess.run([sys.executable, "-c", ROBIN_REPORT_SCRIPT], env=env,
+            out = subprocess.run([sys.executable, "-c", TRACE_REPORTS_SCRIPT], env=env,
                                  capture_output=True, text=True, check=True, timeout=120)
             reports.append(json.loads(out.stdout))
-        assert reports[0]["n_orbits"] > 0
+        assert reports[0]["robin"]["n_orbits"] > 0
+        assert reports[0]["first_order"]["n_orbits"] > 0
         assert reports[0] == reports[1]
 
     def test_condition_violated_for_short_edge(self):
@@ -251,6 +263,68 @@ class TestSecondOrderTrace:
             + abs(report.orbit_sum)
         assert report.weyl_term > 10.0 * others
         assert np.isfinite(report.rhs_total)
+
+
+def check_power_sum(report, bond, weights, h, doubling):
+    """Orbit sum against the orbit-by-orbit oracle, and the Burnside count
+    against the orbits of at most N steps, N = floor(cutoff / w_min) + 1."""
+    cutoff = _default_cutoff(h)
+    ref = doubling * reference_orbit_sum(bond, weights, h, cutoff)
+    assert abs(report.orbit_sum - ref) <= 1e-13
+    n_max = int(cutoff / float(np.min(weights))) + 1
+    ones = np.ones(len(weights))
+    assert report.n_orbits == len(xg.enumerate_orbits(bond, ones, n_max))
+
+
+def draw_log_lengths(rng, n, equal):
+    if equal:
+        return [1.2 + 1.3 * rng.random()] * n
+    return list(1.2 + 1.3 * rng.random(n))
+
+
+# deterministic examples, and no example database left behind
+POWER_SUM_EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True,
+                              database=None)
+
+
+class TestPowerTraceSum:
+    """Constant-S orbit sums from traces of U(k)^n, against enumeration."""
+
+    @POWER_SUM_EXAMPLES
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+           t=st.floats(0.2, 0.6), sparsity=st.floats(0.0, 0.6), equal=st.booleans())
+    def test_first_order(self, seed, d, t, sparsity, equal):
+        # random unitary with random entries zeroed, scaled to norm <= 1
+        rng = np.random.default_rng(seed)
+        bond = random_unitary(rng, d) * (rng.random((d, d)) >= sparsity)
+        bond /= max(1.0, float(np.linalg.norm(bond, 2)))
+        g = xg.MetricGraph.from_intervals(
+            [(1.0, math.exp(w)) for w in draw_log_lengths(rng, d, equal)])
+        h = xg.gaussian(t)
+        report = xg.trace_rhs_bk(g, bond, h)
+        check_power_sum(report, bond, g.log_lengths, h, doubling=2.0)
+
+    @POWER_SUM_EXAMPLES
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(1, 2),
+           t=st.floats(0.2, 0.6), coordinate=st.booleans(), equal=st.booleans())
+    def test_squared(self, seed, n_edges, t, coordinate, equal):
+        # Neumann on ran P, Dirichlet on its complement: a constant S''
+        rng = np.random.default_rng(seed)
+        dim = 2 * n_edges
+        if coordinate:
+            p = np.diag((rng.random(dim) < 0.5).astype(float))
+        else:
+            q = random_unitary(rng, dim)[:, :int(rng.integers(0, dim + 1))]
+            p = q @ q.conj().T
+        g = xg.MetricGraph.from_intervals(
+            [(1.0, math.exp(w)) for w in draw_log_lengths(rng, n_edges, equal)])
+        dec = xg.decompose(xg.from_interval_conditions(np.eye(dim) - p, p, g),
+                           xg.DilationMatrices.from_graph(g))
+        sys_ = xg.SecularSystem.bk2(dec, g)
+        assert sys_.k_independent
+        h = xg.gaussian(t)
+        report = xg.trace_rhs_bk2(g, dec, h)
+        check_power_sum(report, sys_.bond_matrix(1.0), sys_.weights, h, doubling=1.0)
 
 
 class TestHeatTrace:

@@ -1,5 +1,5 @@
-"""Shared generators for randomized suites (fixed seeds, no hypothesis),
-and the walk-based orbit enumeration kept as an oracle."""
+"""Shared generators for randomized suites, the walk-based orbit
+enumeration kept as an oracle, and the orbit-by-orbit trace sum."""
 
 from __future__ import annotations
 
@@ -132,3 +132,11 @@ def reference_orbits(pattern, weights, max_length: float,
             grow(s, [s], float(weights[s]))
 
     return sorted(found.values(), key=lambda o: (o.length, o.bonds))
+
+
+def reference_orbit_sum(bond, weights, h, cutoff: float) -> float:
+    """Orbit sum orbit by orbit: Re(A) hhat(l) over every orbit class up to
+    the cutoff, with A from ``orbit_amplitude``; the oracle of the
+    power-trace sum of a constant bond matrix."""
+    return sum(float(np.real(xg.orbit_amplitude(orb, bond))) * float(h.hat(orb.length))
+               for orb in xg.enumerate_orbits(bond, weights, cutoff))
