@@ -20,15 +20,21 @@ and a constant S-part (no poles) keeps only the first two terms.  One
 scan serves both cases: the grid is evaluated in stacked blocks of U(k).
 
 With a constant S-part every eigenphase is strictly increasing (rate
-between the smallest and largest bond length), so the count is exact.  A
-bracket holding one crossing is refined by Newton steps on the crossing
-eigenphase, with its velocity from Hellmann-Feynman, inside a bracket
-that M certifies at every step.  Brackets holding several crossings
-(degenerate levels) are bisected.
+between the smallest and largest bond length), so the count is exact at
+any k and the grid, two points per mean crossing spacing 2 pi / sum(w),
+only seeds brackets.  A bracket holding one crossing is refined by Newton
+steps on the crossing eigenphase, with its velocity from Hellmann-Feynman,
+inside a bracket that M certifies at every step.  Brackets holding
+several crossings (degenerate levels) are bisected.
 
-With a k-dependent S-part the grid step shrinks with the phase-velocity
-bound of the S-matrix family, grid steps where an eigenphase sat near 1 at
-both ends are re-checked on a finer grid, and every bracket is bisected.
+With a k-dependent S-part the grid takes eight points per mean spacing of
+sum(w) plus the phase-velocity bound of the S-matrix family, grid steps
+where an eigenphase sat near 1 at both ends are re-checked on a finer
+grid, and every bracket is bisected.
+
+Refinement runs in rounds: each round takes one Newton step or one split
+in every open bracket, with all iterates in stacked eig calls and all
+certificate probes and midpoints in stacked eigvals calls.
 """
 
 from __future__ import annotations
@@ -58,6 +64,14 @@ SCAN_BLOCK = 64
 
 #: Newton steps one bracket may take before refinement gives up
 NEWTON_BUDGET = 100
+
+#: scan grid points per mean crossing spacing 2 pi / sum(w) with a constant
+#: S-part, where M is exact at every k and the grid only seeds brackets
+GRID_DENSITY = 2
+
+#: grid points per mean crossing spacing with a k-dependent S-part, whose
+#: suspect-step re-check relies on steps this short
+KDEP_GRID_DENSITY = 8
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +197,14 @@ def _unit_count(m: np.ndarray, tol: float) -> int:
 
 
 class _Scan:
-    """M(k) for one secular system, and Newton refinement for a constant S-part.
+    """M(k) for one secular system, evaluated on stacks of U(k).
 
     U(k) = B(k) exp(ikw) with bond matrix B(k); a constant S-part builds B
     once, and a k-dependent one builds the stack of B(k) over each block of
     k in one broadcast.  ``_theta`` is the closed-form lift of arg det U(k),
-    anchored at arg det B(0), so M needs no lift along the scan.  ``evals``
-    counts every U(k) whose eigenvalues are computed.
+    anchored at arg det B(0), so M needs no lift along the scan.  Every
+    stack holds at most SCAN_BLOCK matrices.  ``evals`` counts every U(k)
+    whose eigenvalues are computed.
     """
 
     def __init__(self, sys: SecularSystem):
@@ -211,57 +226,51 @@ class _Scan:
         """M from principal eigenphases; vectorised over leading axes."""
         return np.rint((self._theta(k) - np.sum(angles, axis=-1)) / TWO_PI).astype(int)
 
-    def m_many(self, ks):
-        """(M(k), principal eigenphases) over ks, from one stacked eigvals call."""
-        ks = np.asarray(ks, dtype=float)
-        bond = self.sys.bond_matrix(ks) if self.bond is None else self.bond
-        stack = bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
-        angles = _principal_angles(stack)
+    def _blocks(self, ks):
+        """(slice, stack of U(k)) over ks, SCAN_BLOCK points at a time."""
         self.evals += len(ks)
+        for start in range(0, len(ks), SCAN_BLOCK):
+            block = slice(start, start + SCAN_BLOCK)
+            kb = ks[block]
+            bond = self.sys.bond_matrix(kb) if self.bond is None else self.bond
+            yield block, bond * np.exp(1j * np.multiply.outer(kb, self.weights))[:, None, :]
+
+    def m_many(self, ks):
+        """(M(k), principal eigenphases) over ks, from stacked eigvals calls."""
+        ks = np.asarray(ks, dtype=float)
+        angles = np.empty((len(ks), len(self.weights)))
+        for block, stack in self._blocks(ks):
+            angles[block] = _principal_angles(stack)
         return self._m(ks, angles), angles
+
+    def newton_steps(self, ks):
+        """(eigenphases in (-pi, pi], Newton step) over ks, from stacked eig calls.
+
+        The step -theta / (v+ diag(w) v) moves the eigenphase theta nearest
+        0 to 0 at its Hellmann-Feynman velocity, v its unit eigenvector.
+        """
+        ks = np.asarray(ks, dtype=float)
+        phases = np.empty((len(ks), len(self.weights)))
+        steps = np.empty(len(ks))
+        for block, stack in self._blocks(ks):
+            vals, vecs = np.linalg.eig(stack)
+            phase = np.angle(vals)
+            j = np.argmin(np.abs(phase), axis=-1)[:, None]
+            v = np.take_along_axis(vecs, j[:, None, :], axis=-1)[..., 0]
+            phases[block] = phase
+            steps[block] = -np.take_along_axis(phase, j, axis=-1)[:, 0] \
+                / (np.abs(v) ** 2 @ self.weights)
+        return phases, steps
 
     def m(self, k: float) -> int:
         return int(self.m_many([k])[0][0])
 
     def newton_root(self, lo: float, hi: float, mlo: int, guess: float | None,
                     tol: float) -> float:
-        """The single crossing in (lo, hi], where M(hi) = M(lo) + 1 = mlo + 1.
-
-        Each step diagonalises U(k) once: its eigenvalues give M(k), which
-        shrinks the bracket, and the eigenphase theta nearest 0 gives the
-        Newton step -theta / (v+ diag(w) v).  A step that leaves the bracket
-        is replaced by bisection.  Once the step is below tol/4, M at
-        k* -+ tol/2 must bracket the count; the root then lies within tol/2
-        of k*, and k* is returned clamped into the certified bracket.
-        """
-        half = 0.5 * tol
-        k = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-        for _ in range(NEWTON_BUDGET):
-            vals, vecs = np.linalg.eig(self.bond * np.exp(1j * k * self.weights))
-            self.evals += 1
-            phase = np.angle(vals)
-            if self._m(k, np.mod(phase, TWO_PI)) <= mlo:
-                lo = k
-            else:
-                hi = k
-            j = int(np.argmin(np.abs(phase)))
-            step = -float(phase[j]) / float(self.weights @ np.abs(vecs[:, j]) ** 2)
-            k += step
-            if abs(step) <= 0.25 * tol:
-                k = min(max(k, lo), hi)
-                probes = [x for x in (k - half, k + half) if lo < x < hi]
-                if probes:
-                    for x, mx in zip(probes, self.m_many(probes)[0]):
-                        if lo < x < hi:
-                            lo, hi = (x, hi) if mx <= mlo else (lo, x)
-                if lo >= k - half and hi <= k + half:
-                    return min(max(k, lo), hi)
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= tol or not lo < mid < hi:
-                return mid
-            if not lo < k < hi:
-                k = mid
-        raise ToleranceTooCoarse("Newton refinement budget exhausted")
+        """The single crossing in (lo, hi], where M(hi) = M(lo) + 1 = mlo + 1:
+        ``_refine_brackets`` on a batch of one bracket."""
+        roots, _ = _refine_brackets(self, [(lo, hi, mlo, mlo + 1, guess)], tol)
+        return roots[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,75 +311,157 @@ class Spectrum:
 # Root search
 # ---------------------------------------------------------------------------
 
-def _refine_brackets(m_at, brackets, tol: float, newton=None,
-                     max_splits: int = 200000):
+@dataclass(slots=True)
+class _Newton:
+    """A bracket (lo, hi] holding one crossing, M(lo) = mlo, under Newton steps."""
+
+    lo: float
+    hi: float
+    mlo: int
+    k: float                        # current iterate, inside (lo, hi)
+    steps: int = 0
+    probes: list | None = None      # certificate points of the current round
+
+
+def _refine_brackets(scan: _Scan, brackets, tol: float, max_splits: int = 200000):
     """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
 
-    With ``newton``, a bracket holding one crossing goes to
-    ``newton(lo, hi, M(lo), guess, tol)``; every other bracket is bisected
-    (M evaluated by ``m_at``) down to width tol.  Returns sorted (k, g).
+    Refinement runs in rounds, and each round advances every open bracket
+    by one step.  With a constant S-part a bracket holding one crossing
+    takes a Newton step from its guess (or midpoint): U(k) is diagonalised,
+    its eigenvalues give M(k), which shrinks the bracket, and the
+    eigenphase theta nearest 0 gives the step -theta / (v+ diag(w) v), with
+    the velocity from Hellmann-Feynman.  A step that leaves the bracket is
+    replaced by bisection.  Once a step is below tol/4, M at k* -+ tol/2
+    must bracket the count; the root then lies within tol/2 of k*, and k*
+    is returned clamped into the certified bracket.  Every other bracket
+    (several crossings, or a k-dependent S-part) is split at its midpoint
+    down to width tol, and its halves join the next round.
+
+    The Newton iterates of a round share stacked eig calls; the
+    certificate probes and midpoints of a round share stacked eigvals
+    calls.  Returns (sorted (k, g) list, number of rounds).
     """
-    roots = []
-    work = list(brackets)
-    splits = 0
-    while work:
-        lo, hi, mlo, mhi, guess = work.pop()
+    newton = scan.bond is not None
+    half = 0.5 * tol
+    roots: list = []
+    iterates: list = []     # _Newton states for the next round
+    halves: list = []       # (lo, hi, M(lo), M(hi)) to split in the next round
+
+    def admit(lo, hi, mlo, mhi, guess):
         if mhi == mlo:
-            continue
-        if newton is not None and abs(mhi - mlo) == 1:
-            roots.append((newton(lo, hi, mlo, guess, tol), 1))
-            continue
-        if hi - lo <= tol:
+            return
+        if newton and abs(mhi - mlo) == 1:
+            k = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+            iterates.append(_Newton(lo, hi, mlo, k))
+        elif hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
-            continue
-        splits += 1
+        else:
+            halves.append((lo, hi, mlo, mhi))
+
+    for bracket in brackets:
+        admit(*bracket)
+    rounds = splits = 0
+    while iterates or halves:
+        rounds += 1
+        stepping, splitting = iterates[:], halves[:]
+        iterates.clear()
+        halves.clear()
+        splits += len(splitting)
         if splits > max_splits:
             raise ToleranceTooCoarse("bisection budget exhausted")
-        mid = 0.5 * (lo + hi)
-        mm = m_at(mid)
-        work.append((lo, mid, mlo, mm, None))
-        work.append((mid, hi, mm, mhi, None))
-    return sorted(roots)
+
+        probes = []
+        if stepping:
+            ks = np.array([it.k for it in stepping])
+            phases, steps = scan.newton_steps(ks)
+            m_k = scan._m(ks, np.mod(phases, TWO_PI)).tolist()
+            for it, m, step in zip(stepping, m_k, steps.tolist()):
+                if m <= it.mlo:
+                    it.lo = it.k
+                else:
+                    it.hi = it.k
+                it.k += step
+                it.steps += 1
+                if abs(step) <= 0.25 * tol:
+                    it.k = min(max(it.k, it.lo), it.hi)
+                    it.probes = [x for x in (it.k - half, it.k + half) if it.lo < x < it.hi]
+                    probes.extend(it.probes)
+        mids = [0.5 * (lo + hi) for lo, hi, _, _ in splitting]
+        m_at = scan.m_many(probes + mids)[0].tolist()
+
+        pos = 0
+        for it in stepping:
+            if it.probes is not None:
+                for x, mx in zip(it.probes, m_at[pos:pos + len(it.probes)]):
+                    if it.lo < x < it.hi:
+                        if mx <= it.mlo:
+                            it.lo = x
+                        else:
+                            it.hi = x
+                pos += len(it.probes)
+                it.probes = None
+                if it.lo >= it.k - half and it.hi <= it.k + half:
+                    roots.append((min(max(it.k, it.lo), it.hi), 1))
+                    continue
+            mid = 0.5 * (it.lo + it.hi)
+            if it.hi - it.lo <= tol or not it.lo < mid < it.hi:
+                roots.append((mid, 1))
+                continue
+            if not it.lo < it.k < it.hi:
+                it.k = mid
+            if it.steps >= NEWTON_BUDGET:
+                raise ToleranceTooCoarse("Newton refinement budget exhausted")
+            iterates.append(it)
+        for (lo, hi, mlo, mhi), mid, mm in zip(splitting, mids, m_at[pos:]):
+            admit(lo, mid, mlo, mm, None)
+            admit(mid, hi, mm, mhi, None)
+    return sorted(roots), rounds
 
 
-def _scan_step(rate: float) -> float:
-    """Grid step for phase velocity ``rate``: four samples per mean level spacing."""
-    return 0.25 * math.pi / rate
+def _scan_step(rate: float, density: int) -> float:
+    """Grid step with ``density`` points per mean crossing spacing 2 pi / rate."""
+    return TWO_PI / (density * rate)
 
 
 def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
     """Locate all crossings in (k_lo, k_hi].
 
-    The grid step is ``_scan_step`` of sum(w), plus the S-matrix phase
-    velocity bound when S depends on k; M and the eigenphases are computed
-    SCAN_BLOCK grid points per stacked eigvals call.  With a constant
-    S-part a step with one crossing is refined by Newton steps from the
-    secant estimate of where the crossing eigenphase reaches 2 pi; every
-    other count-carrying step is bisected.
+    With a constant S-part M is exact at every k, so the grid only seeds
+    brackets: GRID_DENSITY points per mean crossing spacing 2 pi / sum(w).
+    A step with one crossing is refined by Newton steps from the secant
+    estimate of where the crossing eigenphase reaches 2 pi.  With a
+    k-dependent S-part the grid takes KDEP_GRID_DENSITY points per mean
+    spacing of sum(w) plus the S-matrix phase velocity bound, and steps
+    where an eigenphase sat near 1 at both ends are re-checked on a finer
+    grid.  M and the eigenphases are computed on stacks of SCAN_BLOCK grid
+    points; every count-carrying step goes to ``_refine_brackets``.
+
+    Returns:
+        (sorted (k, g) list, stats) with stats the eval counts per stage
+        (grid, re-check, refinement), the refinement rounds and the
+        smallest grid step.
     """
     scan = _Scan(sys)
     constant = scan.bond is not None
     if constant:
-        step = _scan_step(scan.rate)
+        step = _scan_step(scan.rate, GRID_DENSITY)
         n = max(1, math.ceil((k_hi - k_lo) / step))
         grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
         grid[-1] = k_hi
     else:
-        points = [k_lo]
+        points, step = [k_lo], math.inf
         while points[-1] < k_hi:
             k = points[-1]
             kappa = min(abs(k), abs(k_hi)) if k * k_hi > 0 else 0.0
-            rate = scan.rate + sys.s_phase_rate_bound(kappa)
-            points.append(min(k + _scan_step(rate), k_hi))
+            dk = _scan_step(scan.rate + sys.s_phase_rate_bound(kappa), KDEP_GRID_DENSITY)
+            step = min(step, dk)
+            points.append(min(k + dk, k_hi))
         grid = np.array(points)
-    m_vals = np.empty(len(grid), dtype=int)
-    top = np.empty(len(grid))       # largest principal eigenphase
-    bottom = np.empty(len(grid))    # smallest principal eigenphase
-    for start in range(0, len(grid), SCAN_BLOCK):
-        block = slice(start, start + SCAN_BLOCK)
-        m_vals[block], angles = scan.m_many(grid[block])
-        top[block] = np.max(angles, axis=-1)
-        bottom[block] = np.min(angles, axis=-1)
+    m_vals, angles = scan.m_many(grid)
+    top = np.max(angles, axis=-1)       # largest principal eigenphase
+    bottom = np.min(angles, axis=-1)    # smallest principal eigenphase
+    grid_evals = scan.evals
 
     brackets = []
     for i in np.flatnonzero(np.diff(m_vals)):
@@ -385,22 +476,26 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
         # k-dependent S-part, so re-check those steps on a finer grid when
         # an eigenphase was within the step's phase motion of 0 at both ends
         near = np.minimum(bottom, TWO_PI - top)
+        subs = []
         for i in np.flatnonzero(np.diff(m_vals) == 0):
             lo, hi = float(grid[i]), float(grid[i + 1])
             motion = (scan.rate + sys.s_phase_rate_bound(min(abs(lo), abs(hi)))) \
                 * (hi - lo)
-            if max(near[i], near[i + 1]) > motion:
-                continue
-            sub = np.linspace(lo, hi, 9)
-            sub_m = np.concatenate([m_vals[i:i + 1], scan.m_many(sub[1:-1])[0],
-                                    m_vals[i + 1:i + 2]])
-            for j in np.flatnonzero(np.diff(sub_m)):
-                brackets.append((float(sub[j]), float(sub[j + 1]),
-                                 int(sub_m[j]), int(sub_m[j + 1]), None))
+            if max(near[i], near[i + 1]) <= motion:
+                subs.append((i, np.linspace(lo, hi, 9)))
+        if subs:
+            inner = scan.m_many(np.concatenate([sub[1:-1] for _, sub in subs]))[0]
+            for (i, sub), sub_inner in zip(subs, inner.reshape(len(subs), 7)):
+                sub_m = np.concatenate([m_vals[i:i + 1], sub_inner, m_vals[i + 1:i + 2]])
+                for j in np.flatnonzero(np.diff(sub_m)):
+                    brackets.append((float(sub[j]), float(sub[j + 1]),
+                                     int(sub_m[j]), int(sub_m[j + 1]), None))
+    recheck_evals = scan.evals - grid_evals
 
-    roots = _refine_brackets(scan.m, brackets, tol,
-                             newton=scan.newton_root if constant else None)
-    return roots, scan.evals
+    roots, rounds = _refine_brackets(scan, brackets, tol)
+    return roots, {"grid_evals": grid_evals, "recheck_evals": recheck_evals,
+                   "refine_evals": scan.evals - grid_evals - recheck_evals,
+                   "refine_rounds": rounds, "scan_step": step}
 
 
 def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
@@ -413,10 +508,14 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     The scan grid is evaluated in stacked blocks, and M(k) uses the
     closed-form lift theta0 + k sum(w) - 2 sum arctan(k / lam) over the
-    nonzero eigenvalues lam of L''.  With a k-independent S-part each grid
-    step holding one crossing is refined by Newton steps inside a bracket
-    certified by M(k); steps holding several crossings (degenerate levels)
-    are bisected.  With a k-dependent S-part every bracket is bisected.
+    nonzero eigenvalues lam of L''.  With a k-independent S-part the grid
+    takes two points per mean crossing spacing 2 pi / sum(w), and each
+    grid step holding one crossing is refined by Newton steps inside a
+    bracket certified by M(k); steps holding several crossings (degenerate
+    levels) are bisected.  With a k-dependent S-part the grid takes eight
+    points per mean spacing and every bracket is bisected.  Refinement
+    runs in rounds that advance every bracket at once, on stacked
+    eigensolves.
 
     Args:
         sys: secular system.
@@ -428,6 +527,10 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     ``diagnostics["matrix_evals"]`` counts the U(k) whose eigenvalues were
     computed: grid points, Newton and bisection steps, and certificates.
+    It is the sum of ``grid_evals``, ``recheck_evals`` (the finer grid of
+    the k-dependent re-check) and ``refine_evals``; ``refine_rounds``
+    counts refinement rounds, and ``scan_step`` is the grid step used (the
+    smallest one with a k-dependent S-part).
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):
@@ -455,10 +558,13 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             results = list(pool.map(lambda c: _scan(sys, c[0], c[1], tol), chunks))
 
     roots: list = []
-    evals = 0
-    for rs, ev in results:
+    stats = dict.fromkeys(("grid_evals", "recheck_evals", "refine_evals", "refine_rounds"), 0)
+    step = math.inf
+    for rs, st in results:
         roots.extend(rs)
-        evals += ev
+        step = min(step, st["scan_step"])
+        for key in stats:
+            stats[key] += st[key]
     roots.sort()
 
     merged = []
@@ -468,13 +574,13 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
         else:
             merged.append((k, g))
 
-    rate = float(np.sum(sys.weights))
     diag = {
-        "scan_step": _scan_step(rate),
-        "matrix_evals": evals,
+        "scan_step": step,
+        "matrix_evals": stats["grid_evals"] + stats["recheck_evals"] + stats["refine_evals"],
         "n_roots": len(merged),
         "bracket_tol": tol,
         "workers": workers,
+        **stats,
     }
     return Spectrum(kind=sys.kind, eigenvalues=tuple(merged),
                     k_window=(k_lo, k_hi), zero_mode=zero_mode,

@@ -324,9 +324,11 @@ def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
 
         sum_orbits Re(A) hhat(l) = Re sum_{n<=N} (1/2pi) int h tr(W U^n) dk,
 
-    evaluated by the trapezoid rule of ``_power_grid``: one stack of U over
-    the nodes and N - 1 stacked products.  The sum holds every orbit of at
-    most N steps, those longer than the cutoff included.
+    evaluated by the trapezoid rule of ``_power_grid`` on one stack of U
+    over the nodes.  The power sum S_N = U + ... + U^N is built by binary
+    doubling over the bits of N, S_(2m) = S_m + U^m S_m and S_(m+1) = S_m
+    + U^(m+1), in at most 3 log2 N stacked products.  The sum holds every orbit
+    of at most N steps, those longer than the cutoff included.
 
     Returns:
         (orbit_sum, tail_bound, n_orbits)
@@ -335,11 +337,13 @@ def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
     n_half = int(math.ceil(big_k / step))
     ks = step * np.arange(-n_half, n_half + 1)
     u = bond * np.exp(1j * np.multiply.outer(ks, weights))[:, None, :]
-    power = u
-    powers = u.copy()                   # U + U^2 + ... + U^N at every node
-    for _ in range(n_max - 1):
-        power = power @ u
-        powers += power
+    power, powers = u, u                # U^m and U + ... + U^m at every node, m = 1
+    for bit in bin(n_max)[3:]:
+        powers = powers + power @ powers
+        power = power @ power
+        if bit == "1":
+            power = power @ u
+            powers = powers + power
     diagonals = np.diagonal(powers, axis1=1, axis2=2).real
     # np.sum, not a BLAS dot, whose bits depend on the thread count
     total = float(np.sum(np.real(h(ks))[:, None] * weights * diagonals))
@@ -419,11 +423,10 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     eigenvalues of L'', an even smooth function of k; adaptive quadrature
     resolves the Lorentzian peaks of small eigenvalues.
     """
-    from scipy.integrate import quad
-
     lam = dec.poles
     if lam.size == 0:
         return 0.0
+    from scipy.integrate import quad    # only k-dependent S-parts integrate
 
     def integrand(k):
         return float(np.real(h(k))) * float(np.sum(2.0 * lam / (lam ** 2 + k ** 2)))

@@ -145,3 +145,81 @@ def test_newton_root_stays_in_certified_bracket(guess):
     assert scan.m(hi) == mlo + 1
     k = scan.newton_root(lo, hi, mlo, guess, tol)
     assert abs(k - 4 * math.pi) <= 0.5 * tol
+
+
+def test_coarse_grid_eval_budget():
+    # the test_matrix_evals_per_root graph: two grid points per mean spacing
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 4)
+    sys_ = xg.SecularSystem.bk(random_unitary(rng, 4), g)
+    half = 200.0 * math.pi / g.total_length
+    sp = xg.find_spectrum(sys_, (-half, half), tol=ROOT_TOL)
+    check_spectrum(sys_, sp)
+    d = sp.diagnostics
+    assert d["matrix_evals"] <= 7 * sp.total_count
+    assert d["matrix_evals"] == d["grid_evals"] + d["recheck_evals"] + d["refine_evals"]
+    assert d["recheck_evals"] == 0
+    assert d["scan_step"] == math.pi / float(np.sum(sys_.weights))
+    assert d["grid_evals"] == math.ceil(2 * half / d["scan_step"]) + 1
+    assert 0 < d["refine_rounds"] <= spectra.NEWTON_BUDGET
+
+
+def test_mixed_batch_in_one_round(monkeypatch):
+    # commensurate Kirchhoff 3-star: simple levels at pi n, double ones at pi (n + 1/2)
+    g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
+                                      vertices=[("c", f"t{i}") for i in range(3)])
+    dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
+    scan = spectra._Scan(xg.SecularSystem.bk2(dec, g))
+    pi, tol = math.pi, 1e-12
+    windows = [(2 * pi - 0.3, 2 * pi + 0.3, 2 * pi + 1e-3),   # Newton converges
+               (3 * pi - 0.05, 3 * pi + 1.45, 3 * pi + 1.4),  # step to 3.5 pi leaves
+               (2.5 * pi - 0.2, 2.5 * pi + 0.2, None)]        # double level: bisected
+    brackets = []
+    for lo, hi, guess in windows:
+        brackets.append((lo, hi, scan.m(lo), scan.m(hi), guess))
+    assert [b[3] - b[2] for b in brackets] == [1, 1, 2]
+
+    stacks = []
+    for name in ("eig", "eigvals"):
+        def record(u, fn=getattr(np.linalg, name), name=name):
+            stacks.append((name, np.shape(u)[0]))
+            return fn(u)
+        monkeypatch.setattr(np.linalg, name, record)
+    evals = scan.evals
+    roots, rounds = spectra._refine_brackets(scan, brackets, tol)
+    monkeypatch.undo()
+
+    # round one: both Newton iterates in one eig stack, the midpoint in one eigvals stack
+    assert stacks[:2] == [("eig", 2), ("eigvals", 1)]
+    # later rounds: certificate probes share the midpoint's eigvals stack
+    assert ("eigvals", 2) in stacks[2:]
+    assert sum(n for _, n in stacks) == scan.evals - evals
+    assert len(stacks) <= 2 * rounds
+    assert [g for _, g in roots] == [1, 2, 1]
+    for (k, _), exact in zip(roots, (2 * pi, 2.5 * pi, 3 * pi)):
+        assert abs(k - exact) <= 0.5 * tol + 1e-15 * exact
+
+
+def test_newton_budget_raises(monkeypatch):
+    # zero-phase ring of log length 1: one step from the midpoint 4.1 pi
+    # does not certify the level at 4 pi
+    g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
+    scan = spectra._Scan(
+        xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.0)), g))
+    monkeypatch.setattr(spectra, "NEWTON_BUDGET", 1)
+    lo, hi = 3.5 * math.pi, 4.7 * math.pi
+    with pytest.raises(xg.ToleranceTooCoarse, match="Newton refinement budget"):
+        spectra._refine_brackets(scan, [(lo, hi, scan.m(lo), scan.m(hi), None)], 1e-12)
+
+
+def test_split_budget_raises():
+    # square of a zero-phase ring: bisecting the double level at 4 pi down
+    # to tol takes about 40 splits
+    g = xg.MetricGraph.from_intervals([(1.0, math.e)])
+    spec, _ = xg.squared_extension(np.array([[1.0 + 0j]]), g)
+    scan = spectra._Scan(
+        xg.SecularSystem.bk2(xg.decompose(spec, xg.DilationMatrices.from_graph(g)), g))
+    lo, hi = 3.5 * math.pi, 4.7 * math.pi
+    with pytest.raises(xg.ToleranceTooCoarse, match="bisection budget"):
+        spectra._refine_brackets(scan, [(lo, hi, scan.m(lo), scan.m(hi), None)], 1e-12,
+                                 max_splits=5)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xpgraphs as xg
 from xpgraphs import spectra
@@ -63,3 +65,58 @@ def test_robin_edge_eval_budget():
     for k, mult in sp.eigenvalues:
         sv = np.linalg.svd(np.eye(2) - sys_.u_matrix(k), compute_uv=False)
         assert sv[-mult] <= 1e-8
+
+
+def dense_crossings(sys_, k_lo, k_hi):
+    """(grid, counts): |net eigenphase crossings of 1| on each step of a
+    dense grid, from the continuous phase of det U(k) and no closed form.
+
+    The continuous eigenphase sum gains angle(det U(k_i+1) / det U(k_i)) on
+    a step, and the principal sum (in [0, 2 pi)) drops by 2 pi at every
+    crossing (rises at a backward one).  Steps move the total phase by at
+    most 0.05 rad, so no eigenphase crosses 1 and back inside one.
+    """
+    rate = float(np.sum(sys_.weights)) + sys_.s_phase_rate_bound(0.0)
+    grid = np.linspace(k_lo, k_hi, int(math.ceil((k_hi - k_lo) * rate / 0.05)) + 2)
+    u = sys_.u_matrix(grid)
+    dets = np.linalg.det(u)
+    phase_sum = np.sum(np.mod(np.angle(np.linalg.eigvals(u)), 2 * math.pi), axis=-1)
+    raw = (np.angle(dets[1:] / dets[:-1]) + phase_sum[:-1] - phase_sum[1:]) / (2 * math.pi)
+    counts = np.rint(raw).astype(int)
+    assert np.max(np.abs(raw - counts)) <= 1e-6
+    return grid, np.abs(counts)
+
+
+def short_robin_spec(rng, n_edges):
+    """Robin on edges of log length 0.1-0.6, mixed signs: near k = 0 the
+    S-part's phase velocity bound exceeds sum(w), and the re-check runs."""
+    g = xg.MetricGraph.from_intervals(
+        [(1.0, math.exp(rng.uniform(0.1, 0.6))) for _ in range(n_edges)])
+    rho = rng.choice([-1.0, 1.0], size=2 * n_edges) * rng.uniform(0.3, 2.0, 2 * n_edges)
+    return g, xg.standard_bc("robin", g, rho=rho)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(1, 2),
+       family=st.sampled_from(("short_robin",) + KDEP_FAMILIES))
+def test_scan_matches_dense_eigenphase_oracle(seed, n_edges, family):
+    rng = np.random.default_rng(seed)
+    if family == "short_robin":
+        g, spec = short_robin_spec(rng, n_edges)
+    else:
+        g = random_graph(rng, n_edges)
+        spec = random_kdep_spec(rng, g, family)
+    sys_ = xg.SecularSystem.bk2(xg.decompose(spec, xg.DilationMatrices.from_graph(g)), g)
+    sp = xg.find_spectrum(sys_, (0.0, 12.0), tol=1e-10)
+
+    d = sp.diagnostics
+    assert d["matrix_evals"] == d["grid_evals"] + d["recheck_evals"] + d["refine_evals"]
+    for k, mult in sp.eigenvalues:
+        sv = np.linalg.svd(np.eye(sys_.dim) - sys_.u_matrix(k), compute_uv=False)
+        assert sv[-mult] <= 1e-8, (k, mult, sv)
+    grid, counts = dense_crossings(sys_, *sp.k_window)
+    found = np.zeros(len(counts), dtype=int)
+    if sp.eigenvalues:
+        steps = np.searchsorted(grid, sp.wavenumbers, side="left") - 1
+        np.add.at(found, np.clip(steps, 0, len(counts) - 1), sp.multiplicities)
+    np.testing.assert_array_equal(found, counts)

@@ -45,6 +45,27 @@ print(json.dumps({name: {k: v.hex() if isinstance(v, float) else v for k, v in r
 """
 
 
+# a constant-S squared trace (Kirchhoff 3-star): does it import scipy.integrate?
+SCIPY_INTEGRATE_SCRIPT = """
+import math, sys
+import xpgraphs as xg
+g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
+                                  vertices=[("c", f"t{i}") for i in range(3)])
+dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
+xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def run_python(script, **env_vars):
+    """stdout of ``script`` in a fresh interpreter that imports this xpgraphs."""
+    src = str(Path(xg.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 def ring_setup(c, a=1.0, b=math.e):
     g = xg.MetricGraph.from_intervals([(a, b)], directed=True)
     s = xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=c))
@@ -221,19 +242,16 @@ class TestSecondOrderTrace:
 
     def test_robin_report_independent_of_blas_threads(self):
         # two processes, one and two BLAS threads: every field bit for bit
-        src = str(Path(xg.__file__).resolve().parents[1])
-        reports = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            out = subprocess.run([sys.executable, "-c", TRACE_REPORTS_SCRIPT], env=env,
-                                 capture_output=True, text=True, check=True, timeout=120)
-            reports.append(json.loads(out.stdout))
+        reports = [json.loads(run_python(TRACE_REPORTS_SCRIPT, OPENBLAS_NUM_THREADS=threads,
+                                         OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads))
+                   for threads in ("1", "2")]
         assert reports[0]["robin"]["n_orbits"] > 0
         assert reports[0]["first_order"]["n_orbits"] > 0
         assert reports[0] == reports[1]
+
+    def test_constant_s_trace_skips_scipy_integrate(self):
+        # no poles, no S-matrix integral: the quadrature module stays unloaded
+        assert run_python(SCIPY_INTEGRATE_SCRIPT).strip() == "False"
 
     def test_condition_violated_for_short_edge(self):
         g, dec, sys_ = bk2_setup("robin", rho=1.0)  # ell = 1 < l(sigma) ~ 3.45
