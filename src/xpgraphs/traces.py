@@ -6,11 +6,11 @@ integral over the k-dependent part of the S-matrix trace, and a sum over
 periodic orbits.  Everything here is itemized so each term can be checked
 against independently computed references.
 
-For a constant S-part the orbit sum comes from traces of powers of
-U(k) = B diag(exp(ikw)), with no orbit list: summed over the orbit classes
-of n steps, the amplitudes times exp(ikl) give tr(W U(k)^n), W = diag(w)
-(Kottos & Smilansky, Ann. Phys. 274, 1999).  A k-dependent family sums
-enumerated orbits, shell by shell.
+The orbit sum comes from traces of powers of U(k) = B(k) diag(exp(ikw)),
+with no orbit list: summed over the orbit classes of n steps, the
+amplitudes times exp(ikl) give tr(W U(k)^n) - i tr(U(k)^(n-1) B'(k) E(k)),
+W = diag(w), E = diag(exp(ikw)) (Kottos & Smilansky, Ann. Phys. 274,
+1999); B' = 0 for a constant S-part.  No quadrature here needs scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .extensions import BK2, Decomposition, s_matrix_bk2_derivative
-from .graph import PATTERN_TOL, MetricGraph, enumerate_orbits
+from .graph import PATTERN_TOL, MetricGraph
 from .spectra import SecularSystem, Spectrum, _swap_halves, zero_mode_test
 
 # ---------------------------------------------------------------------------
@@ -127,10 +127,11 @@ def tabulated(h_callable, k_max: float = 60.0, n: int = 6001,
 class TraceReport:
     """Itemized two-sided trace-formula evaluation.
 
-    ``n_orbits`` counts the orbit classes in ``orbit_sum``.  For a constant
-    S-part those are all classes of at most N = floor(cutoff / w_min) + 1
-    steps, counted exactly by Burnside's lemma; for a k-dependent family,
-    the enumerated orbits of the last length shell.
+    ``orbit_sum`` holds every orbit class of at most ``max_steps`` = N
+    steps, N = floor(cutoff / w_min) + 1 for a constant S-part and the N
+    at which doubling it stopped changing the sum for a k-dependent one;
+    ``n_orbits`` counts those classes exactly, by Burnside's lemma.
+    ``n_nodes`` counts the trapezoid nodes of the (last) evaluation.
     """
 
     lhs: float
@@ -143,6 +144,8 @@ class TraceReport:
     rhs_total: float
     discrepancy: float
     n_orbits: int
+    max_steps: int
+    n_nodes: int
     label: str = ""
 
     def with_lhs(self, lhs: float, lhs_tail_bound: float) -> "TraceReport":
@@ -213,35 +216,32 @@ def _default_cutoff(h: TestFunction, eps: float = 1e-10) -> float:
     return 2.0 * y
 
 
-def _power_grid(h: TestFunction, weights: np.ndarray, cutoff: float):
-    """Step count N, trapezoid step and half-width K of the power-trace sum.
+def _power_grid(h: TestFunction, weights: np.ndarray, n_max: int, reach: float):
+    """Trapezoid step and half-width K of a power-trace sum of N steps.
 
-    N = floor(cutoff / w_min) + 1 steps hold every orbit up to the cutoff.
-    The trapezoid rule with step 2 pi / (N w_max + cutoff) maps a walk of
-    length l <= N w_max onto its aliases l + m (N w_max + cutoff), each at
-    least the cutoff away from the origin for m != 0.  K is where a
-    Gaussian h falls to 1e-16, or where ``h.tail`` does.
+    Step 2 pi / (N w_max + reach) maps a walk of length l <= N w_max onto
+    aliases l + m (N w_max + reach), at least ``reach`` from the origin for
+    m != 0.  K is where a Gaussian h falls to 1e-16, or ``h.tail`` does.
     """
-    w_min, w_max = float(np.min(weights)), float(np.max(weights))
-    n_max = int(cutoff / w_min) + 1
-    step = 2.0 * math.pi / (n_max * w_max + cutoff)
+    step = 2.0 * math.pi / (n_max * float(np.max(weights)) + reach)
     if h.gaussian_width is not None:
         big_k = math.sqrt(math.log(1e16) / h.gaussian_width)
     else:
         big_k = 1.0
         while big_k < 1e3 and h.tail(big_k) > 1e-17:
             big_k *= 1.25
-    return n_max, step, big_k
+    return step, big_k
 
 
 def _orbit_tail_bound(h: TestFunction, bond: np.ndarray, weights: np.ndarray,
                       cutoff: float, grid) -> float:
     """Bound on the error of the power-trace orbit sum on ``grid``.
 
-    Walks of more than N steps are dropped: the number of closed walks of
-    n steps is at most d g^(n-1) with g the maximum out-degree, each
-    amplitude at most (max entry)^n times the orbit length;
-    super-exponential decay of hhat makes the series finite.
+    Walks of more than N steps are dropped.  Those of n steps add at most
+    d n w_max (g max|B|)^n hhat(n w_min), from d g^(n-1) closed walks (g the
+    maximum out-degree) of amplitude (max entry)^n; for Gaussian h, shifting
+    the contour to Im k = n w_min / 2t gives tr(W) ||B||_2^n hhat(n w_min),
+    and the smaller bound is taken.  hhat decays super-exponentially.
 
     The quadrature adds two errors per step count n, both scaled by
     |tr(W U(k)^n)| <= tr(W) ||B||_2^n on the real axis: the nodes beyond K
@@ -255,10 +255,14 @@ def _orbit_tail_bound(h: TestFunction, bond: np.ndarray, weights: np.ndarray,
     d = bond.shape[0]
     out_deg = max(int(np.sum(np.abs(bond[:, j]) > 0)) for j in range(d))
     w_min, w_max = float(np.min(weights)), float(np.max(weights))
+    trace_w = float(np.sum(weights))
+    norm = max(float(np.linalg.norm(bond, 2)), 1.0)
     bound = 0.0
     for n in range(n_cut, n_cut + 400):
-        term = _times_power(d * n * w_max * abs(float(h.hat(n * w_min))),
-                            out_deg * max(scale, 1.0), n)
+        hat = abs(float(h.hat(n * w_min)))
+        term = _times_power(d * n * w_max * hat, out_deg * max(scale, 1.0), n)
+        if h.gaussian_width is not None:
+            term = min(term, _times_power(trace_w * hat, norm, n))
         bound += term
         if term < 1e-30 and n > n_cut + 4:
             break
@@ -270,9 +274,8 @@ def _orbit_tail_bound(h: TestFunction, bond: np.ndarray, weights: np.ndarray,
         alias += 2.0 * term
         if term < 1e-300:
             break
-    norm = float(np.linalg.norm(bond, 2))
-    quadrature = float(np.sum(weights)) * n_cut * (h.tail(big_k) / math.pi + alias)
-    bound += _times_power(quadrature, max(norm, 1.0), n_cut)
+    quadrature = trace_w * n_cut * (h.tail(big_k) / math.pi + alias)
+    bound += _times_power(quadrature, norm, n_cut)
     return 2.0 * bound
 
 
@@ -313,30 +316,32 @@ def _orbit_count(bond: np.ndarray, n_max: int) -> int:
     return sum(fixed[n] // n for n in range(1, n_max + 1))
 
 
-def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
-                       cutoff: float):
-    """Orbit sum of a constant bond matrix B, without enumerating orbits.
+def _power_sum(bond, weights: np.ndarray, h: TestFunction, n_max: int,
+               step: float, big_k: float, d_bond=None):
+    """Orbit sum of every orbit class of at most N = n_max steps.
 
-    Summed over every orbit class of n steps, the amplitude times exp(ikl)
-    is tr(W U(k)^n), with U(k) = B diag(exp(ikw)) and W = diag(w): the
-    rotations of a class start on each bond of its primitive cycle once,
-    so their first-bond weights add up to the primitive length.  Hence
+    Summed over the classes of n steps, the amplitude
+    A(k) = l_p a_p^r - i a_p^(r-1) a_p' times exp(ikl) is
+    tr(W U^n) - i tr(U^(n-1) B'E), with U = BE, E = diag(exp(ikw)),
+    W = diag(w) and a_p the product of bond-matrix entries over the
+    primitive cycle: the rotations of a class start on each bond of that
+    cycle once, and the second term is -i d/dk of the walk products.  The
+    orbit sum Re sum_{n<=N} (1/2pi) int h [...] dk is a trapezoid rule of
+    ``step`` on |k| <= K over one stack of U.  S_N = U + ... + U^N comes
+    from binary doubling over the bits of N, S_(2m) = S_m + U^m S_m and
+    S_(m+1) = S_m + U^(m+1), in at most 3 log2 N stacked products; the
+    derivative terms add up to -i tr((I + S_N - U^N) B'E).
 
-        sum_orbits Re(A) hhat(l) = Re sum_{n<=N} (1/2pi) int h tr(W U^n) dk,
-
-    evaluated by the trapezoid rule of ``_power_grid`` on one stack of U
-    over the nodes.  The power sum S_N = U + ... + U^N is built by binary
-    doubling over the bits of N, S_(2m) = S_m + U^m S_m and S_(m+1) = S_m
-    + U^(m+1), in at most 3 log2 N stacked products.  The sum holds every orbit
-    of at most N steps, those longer than the cutoff included.
+    ``bond`` is a constant B with ``d_bond`` None, or a callable giving the
+    stack B(k) over an array of k with ``d_bond`` giving B'(k).
 
     Returns:
-        (orbit_sum, tail_bound, n_orbits)
+        (orbit_sum, n_nodes)
     """
-    grid = n_max, step, big_k = _power_grid(h, weights, cutoff)
     n_half = int(math.ceil(big_k / step))
     ks = step * np.arange(-n_half, n_half + 1)
-    u = bond * np.exp(1j * np.multiply.outer(ks, weights))[:, None, :]
+    phases = np.exp(1j * np.multiply.outer(ks, weights))[:, None, :]
+    u = (bond(ks) if callable(bond) else bond) * phases
     power, powers = u, u                # U^m and U + ... + U^m at every node, m = 1
     for bit in bin(n_max)[3:]:
         powers = powers + power @ powers
@@ -344,12 +349,30 @@ def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
         if bit == "1":
             power = power @ u
             powers = powers + power
-    diagonals = np.diagonal(powers, axis1=1, axis2=2).real
+    h_vals = np.real(h(ks))
     # np.sum, not a BLAS dot, whose bits depend on the thread count
-    total = float(np.sum(np.real(h(ks))[:, None] * weights * diagonals))
-    return (total * step / (2.0 * math.pi),
-            _orbit_tail_bound(h, bond, weights, cutoff, grid),
-            _orbit_count(bond, n_max))
+    total = float(np.sum(h_vals[:, None] * weights * np.diagonal(powers, axis1=1, axis2=2).real))
+    if d_bond is not None:
+        lead = powers - power + np.eye(len(weights))    # I + U + ... + U^(N-1)
+        # tr(X Y) as the sum of X * Y^T; Re(-i z) = Im z
+        deriv = np.sum(lead * np.swapaxes(d_bond(ks) * phases, 1, 2), axis=(1, 2))
+        total += float(np.sum(h_vals * deriv.imag))
+    return total * step / (2.0 * math.pi), ks.size
+
+
+def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
+                       cutoff: float) -> dict:
+    """Orbit-sum fields of a report for a constant bond matrix B.
+
+    N = floor(cutoff / w_min) + 1 steps hold every orbit up to the cutoff,
+    and the trapezoid aliases of the walks lie beyond the cutoff.
+    """
+    n_max = int(cutoff / float(np.min(weights))) + 1
+    grid = (n_max, *_power_grid(h, weights, n_max, cutoff))
+    orbit_sum, n_nodes = _power_sum(bond, weights, h, *grid)
+    tail = _orbit_tail_bound(h, bond, weights, cutoff, grid)
+    return dict(orbit_sum=orbit_sum, orbit_tail_bound=tail,
+                n_orbits=_orbit_count(bond, n_max), max_steps=n_max, n_nodes=n_nodes)
 
 
 def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
@@ -364,15 +387,13 @@ def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
         raise ValidationError("S-matrix size must equal the edge count")
     if orbit_cutoff is None:
         orbit_cutoff = _default_cutoff(h)
-    orbit_sum, tail, n_orbits = _power_trace_terms(s_matrix, weights, h, orbit_cutoff)
-    orbit_sum *= 2.0
+    terms = _power_trace_terms(s_matrix, weights, h, orbit_cutoff)
+    terms["orbit_sum"] *= 2.0
     weyl = graph.total_length * float(h.hat(0.0))
-    rhs = weyl + orbit_sum
+    rhs = weyl + terms["orbit_sum"]
     return TraceReport(lhs=math.nan, lhs_tail_bound=math.nan, weyl_term=weyl,
-                       boundary_term=0.0, s_matrix_integral=0.0,
-                       orbit_sum=orbit_sum, orbit_tail_bound=tail,
-                       rhs_total=rhs, discrepancy=math.nan,
-                       n_orbits=n_orbits, label=h.label)
+                       boundary_term=0.0, s_matrix_integral=0.0, rhs_total=rhs,
+                       discrepancy=math.nan, label=h.label, **terms)
 
 
 # ---------------------------------------------------------------------------
@@ -420,111 +441,95 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     """-(1/4pi) int h(k) Im tr S''(k) / k dk, extended continuously to 0.
 
     Im tr S''(k)/k equals sum_j 2 lam_j / (lam_j^2 + k^2) over the nonzero
-    eigenvalues of L'', an even smooth function of k; adaptive quadrature
-    resolves the Lorentzian peaks of small eigenvalues.
+    eigenvalues of L'', an even smooth function of k.  16-point
+    Gauss-Legendre panels (``_gl_grid``) on [0, K] resolve its Lorentzian peaks by
+    grading: [0, lam_min / 2], then panels of doubling width, each at
+    least its own width from the poles +-i lam.
     """
     lam = dec.poles
     if lam.size == 0:
         return 0.0
-    from scipy.integrate import quad    # only k-dependent S-parts integrate
-
-    def integrand(k):
-        return float(np.real(h(k))) * float(np.sum(2.0 * lam / (lam ** 2 + k ** 2)))
-
     big_k = 1.0
     while big_k < 1e6 and abs(float(h(big_k))) * float(np.sum(2.0 / np.abs(lam))) > 1e-16:
         big_k *= 1.5
-    value, _ = quad(integrand, 0.0, big_k, limit=400, epsabs=1e-14, epsrel=1e-12)
+    edges = [0.0, min(0.5 * float(np.min(np.abs(lam))), big_k)]
+    while edges[-1] < big_k:
+        edges.append(min(2.0 * edges[-1], big_k))
+    xs, ws = _gl_grid(np.array(edges))
+    lorentz = np.sum(2.0 * lam / (lam ** 2 + xs[:, None] ** 2), axis=1)
+    # np.sum, not a BLAS dot, whose bits depend on the thread count
+    value = float(np.sum(ws * np.real(h(xs)) * lorentz))
     return -2.0 * value / (4.0 * math.pi)
 
 
-def _gl_grid(a: float, b: float, panel: float, order: int = 16):
-    """Nodes and weights of composite Gauss-Legendre quadrature on [a, b]."""
+def _gl_grid(edges: np.ndarray, order: int = 16):
+    """Gauss-Legendre nodes and weights on every panel [edges[i], edges[i + 1]]."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    n_panels = max(1, int(math.ceil((b - a) / panel)))
-    edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
-    xs = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-    ws = (halves[:, None] * weights[None, :]).ravel()
-    return xs, ws
+    mids = edges[:-1] + halves
+    return (mids[:, None] + halves[:, None] * nodes).ravel(), (halves[:, None] * weights).ravel()
 
 
-def _orbit_terms_kdep(sys: SecularSystem, h: TestFunction, k_probe: float,
-                      cutoff_start: float, eps: float = 1e-11):
-    """Adaptive orbit sum for a k-dependent S-matrix family.
+#: doublings of the step count allowed to a k-dependent orbit sum
+MAX_DOUBLINGS = 7
+#: most matrix entries (nodes x d^2) in one stack of a k-dependent orbit sum
+KDEP_STACK_LIMIT = 2 ** 22
 
-    Each orbit class contributes Re[(1/2pi) int h(k) A(k) exp(ik l) dk]
-    with the k-resolved amplitude
 
-        A(k) = l_p a_p(k)^r - i a_p(k)^(r-1) a_p'(k),
+def _power_trace_terms_kdep(sys: SecularSystem, h: TestFunction, cutoff: float,
+                            k_probe: float, eps: float = 1e-11) -> dict:
+    """Orbit-sum fields of a report for a k-dependent S-matrix family.
 
-    a_p the product of bond-matrix entries over the primitive cycle: the
-    derivative term is what the walk products of a k-dependent S-matrix
-    generate alongside the plain length factor.  Amplitude poles at
-    k = +-i lam make orbit contributions decay only geometrically in
-    orbit length, so shells of increasing length are added until the last
-    two fall below ``eps``; the tail is bounded by the measured shell
-    ratio.
+    ``_power_sum`` takes the stacks of S''(k) J0 and its k-derivative.
+    Amplitude poles at k = +-i lam make the step-n terms decay only
+    geometrically, so N starts at floor(cutoff / w_min) + 1 and doubles,
+    at most ``MAX_DOUBLINGS`` times, until two successive sums differ by
+    less than ``eps``; partial sums, unlike single terms, skip the exact
+    zeros at odd n on a single edge.  The last difference is the tail
+    bound: measured, not certified.
 
-    The bond matrices S''(k) J0 and their k-derivatives at all quadrature
-    nodes are built as two stacks, one broadcast each per shell pass.
+    Near the poles the alias of a walk decays like exp(-lam_min distance),
+    not like hhat, so the period is N w_max + reach, reach at least
+    max(cutoff, ln(1e16) / lam_min).  A pole -mu in the lower half plane
+    lets the aliases of n-step walks grow like ((mu + kappa) / (mu -
+    kappa))^n exp(-kappa distance), contour shifted down by kappa = mu / 2,
+    so reach also covers (2 / mu) (N ln 3 + ln 1e16).
 
-    Returns:
-        (orbit_sum, tail_bound, n_orbits, cutoff_used)
+    Raises:
+        ComputeError: the nonzero pattern of the bond matrix varies with k,
+            or a pole near the real axis needs a grid beyond
+            ``KDEP_STACK_LIMIT``.
     """
-    pattern0 = np.abs(sys.bond_matrix(k_probe)) > 0
-    pattern1 = np.abs(sys.bond_matrix(2.0 * k_probe)) > 0
-    if not np.array_equal(pattern0, pattern1):
+    bond = sys.bond_matrix(k_probe)
+    if not np.array_equal(np.abs(bond) > 0, np.abs(sys.bond_matrix(2.0 * k_probe)) > 0):
         raise ComputeError("k-dependent S-matrix with varying nonzero pattern "
                            "is outside the supported orbit machinery")
 
-    if h.gaussian_width is not None:
-        big_k = math.sqrt(math.log(1e16) / h.gaussian_width)
-    else:
-        big_k = 30.0
+    def d_bond(ks):
+        return _swap_halves(s_matrix_bk2_derivative(sys.dec, ks))
 
-    weights = sys.weights
-    cutoff = cutoff_start
-    shells: dict = {}
-    for _ in range(12):
-        orbits = enumerate_orbits(sys.bond_matrix(k_probe), weights, cutoff)
-        if not orbits:
-            return 0.0, 0.0, 0, cutoff
-        l_max = max(o.length for o in orbits)
-        xs, ws = _gl_grid(-big_k, big_k, panel=min(0.5, math.pi / (2.0 * l_max)))
-        sig = sys.bond_matrix(xs)
-        dsig = _swap_halves(s_matrix_bk2_derivative(sys.dec, xs))
-        h_vals = np.real(h(xs))
+    lam, log_eps = sys.poles, math.log(1e16)
+    mu = float(np.min(-lam[lam < 0.0], initial=math.inf))
 
-        shells = {}
-        for orb in orbits:
-            p = orb.n_steps // orb.repetition
-            prim = orb.bonds[:p]
-            a_p = np.ones(len(xs), dtype=complex)
-            log_deriv = np.zeros(len(xs), dtype=complex)
-            for i in range(p):
-                cur, nxt = prim[i], prim[(i + 1) % p]
-                entry = sig[:, nxt, cur]
-                a_p *= entry
-                log_deriv += dsig[:, nxt, cur] / entry
-            r = orb.repetition
-            amp = orb.primitive_length * a_p ** r \
-                - 1j * a_p ** (r - 1) * (a_p * log_deriv)
-            integrand = h_vals * amp * np.exp(1j * xs * orb.length)
-            # np.sum, not a BLAS dot, whose bits depend on the thread count
-            value = float(np.sum(ws * integrand.real)) / (2.0 * math.pi)
-            key = round(orb.length, 9)
-            shells[key] = shells.get(key, 0.0) + value
+    def orbit_sum(n):
+        reach = max(cutoff, log_eps / float(np.min(np.abs(lam))),
+                    2.0 / mu * (n * math.log(3.0) + log_eps))
+        step, big_k = _power_grid(h, sys.weights, n, reach)
+        if 2.0 * big_k / step * sys.dim ** 2 > KDEP_STACK_LIMIT:
+            raise ComputeError(f"the k-dependent orbit sum of {n} steps needs "
+                               f"{2.0 * big_k / step:.3g} quadrature nodes")
+        return _power_sum(sys.bond_matrix, sys.weights, h, n, step, big_k, d_bond)
 
-        lengths = sorted(shells)
-        mags = [abs(shells[l]) for l in lengths]
-        if len(mags) >= 2 and mags[-1] < eps and mags[-2] < eps:
-            ratio = min(mags[-1] / max(mags[-2], 1e-300), 0.9)
-            tail = mags[-1] * ratio / (1.0 - ratio)
-            return float(sum(shells.values())), tail, len(orbits), cutoff
-        cutoff *= 1.5
-    return float(sum(shells.values())), mags[-1], len(orbits), cutoff
+    n_max = int(cutoff / float(np.min(sys.weights))) + 1
+    (value, n_nodes), change = orbit_sum(n_max), math.inf
+    for _ in range(MAX_DOUBLINGS):
+        if change < eps:
+            break
+        n_max *= 2
+        previous, (value, n_nodes) = value, orbit_sum(n_max)
+        change = abs(value - previous)
+    return dict(orbit_sum=value, orbit_tail_bound=change,
+                n_orbits=_orbit_count(bond, n_max), max_steps=n_max, n_nodes=n_nodes)
 
 
 def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
@@ -536,22 +541,19 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
         + orbit terms.
 
     With a k-dependent family the amplitudes carry poles at k = +-i lam,
-    so orbit contributions decay like exp(-lam l) rather than at the
-    Gaussian rate of hhat; the cutoff is widened accordingly and the tail
-    is bounded by the geometric decay of the last computed length shell.
+    so orbit terms decay like exp(-lam l), not like hhat: the step count
+    grows until the sum settles, and its tail is the last change measured.
 
     Raises:
         ConditionViolated: the shortest edge is not longer than l(sigma)
             for a genuinely k-dependent family.
     """
     sys = SecularSystem.bk2(dec, graph)
-    weights = sys.weights
     if not sys.k_independent:
         _, l_sigma = length_condition(dec, graph)
         if float(np.min(graph.log_lengths)) <= l_sigma:
-            raise ConditionViolated(
-                f"need min edge length > {l_sigma:.6f} for this extension"
-            )
+            raise ConditionViolated(f"need min edge length > {l_sigma:.6f} "
+                                    "for this extension")
     if orbit_cutoff is None:
         orbit_cutoff = _default_cutoff(h)
 
@@ -560,18 +562,14 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
     boundary = (g0 - 0.5 * n_order) * float(np.real(h(0.0)))
     s_integral = _s_trace_integral(dec, h)
     if sys.k_independent:
-        orbit_sum, tail, n_orbits = _power_trace_terms(
-            sys.bond_matrix(k_probe), weights, h, orbit_cutoff)
+        terms = _power_trace_terms(sys.bond_matrix(k_probe), sys.weights, h, orbit_cutoff)
     else:
-        orbit_sum, tail, n_orbits, orbit_cutoff = _orbit_terms_kdep(
-            sys, h, k_probe, cutoff_start=orbit_cutoff)
+        terms = _power_trace_terms_kdep(sys, h, orbit_cutoff, k_probe)
 
-    rhs = weyl + boundary + s_integral + orbit_sum
+    rhs = weyl + boundary + s_integral + terms["orbit_sum"]
     return TraceReport(lhs=math.nan, lhs_tail_bound=math.nan, weyl_term=weyl,
                        boundary_term=boundary, s_matrix_integral=s_integral,
-                       orbit_sum=orbit_sum, orbit_tail_bound=tail,
-                       rhs_total=rhs, discrepancy=math.nan,
-                       n_orbits=n_orbits, label=h.label)
+                       rhs_total=rhs, discrepancy=math.nan, label=h.label, **terms)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ class TestOtherTasks:
         assert all(float(r[3]) <= 1e-9 for r in rows)
 
     def test_trace_check_short_edge(self, tmp_path):
-        # ln(1.005) ~ 0.005: about 3,850 steps reach the orbit cutoff
+        # ln(1.005) ~ 0.005: 3,849 steps reach the orbit cutoff
         graph = {"edges": [{"id": "e0", "a": 1.0, "b": 1.005, "from": "u", "to": "v"}]}
         payload = {"task": "trace-check", "operator": "bk2", "graph": graph,
                    "boundary": {"kind": "dirichlet"},
@@ -154,6 +154,9 @@ class TestOtherTasks:
         assert report["discrepancy"] <= 1e-8
         assert report["orbit_tail_bound"] <= 1e-10
         assert report["lhs_tail_bound"] <= 1e-10
+        # floor(cutoff / ln 1.005) + 1 steps, cutoff = 4 sqrt(ln 1e10) at t = 1
+        assert report["max_steps"] == 3849
+        assert report["n_nodes"] > 0
 
     def test_weyl(self, tmp_path):
         payload = {"task": "weyl", "operator": "bk2", "graph": EDGE,

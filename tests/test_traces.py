@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import xpgraphs as xg
 from xpgraphs.errors import ConditionViolated
-from xpgraphs.traces import _default_cutoff, length_condition
+from xpgraphs.traces import _default_cutoff, _s_trace_integral, length_condition
 
-from util import random_unitary, reference_orbit_sum
+from util import random_unitary, reference_orbit_sum, reference_orbit_sum_kdep
 
 PI = math.pi
 
@@ -45,7 +45,8 @@ print(json.dumps({name: {k: v.hex() if isinstance(v, float) else v for k, v in r
 """
 
 
-# a constant-S squared trace (Kirchhoff 3-star): does it import scipy.integrate?
+# a constant-S squared trace (Kirchhoff 3-star) and a k-dependent one
+# (Robin rho = 1, length-4 edge): does either import scipy?
 SCIPY_INTEGRATE_SCRIPT = """
 import math, sys
 import xpgraphs as xg
@@ -53,7 +54,10 @@ g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
                                   vertices=[("c", f"t{i}") for i in range(3)])
 dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
 xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
-print("scipy.integrate" in sys.modules)
+g = xg.MetricGraph.from_intervals([(1.0, math.exp(4.0))])
+dec = xg.decompose(xg.standard_bc("robin", g, rho=1.0), xg.DilationMatrices.from_graph(g))
+xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
+print("scipy" in sys.modules)
 """
 
 
@@ -230,6 +234,18 @@ class TestSecondOrderTrace:
             lhs_imag, _ = xg.trace_lhs(sp, h, g.total_length, include_imaginary=True)
             assert abs(lhs_imag - report.rhs_total) > 1.0
 
+    def test_robin_identity_with_every_orbit_beyond_the_cutoff(self):
+        # the shortest orbit, 9.4, is longer than the Gaussian cutoff 8.6 at
+        # t = 0.2, yet the poles keep its term near 1e-3
+        g, dec, sys_ = bk2_setup("robin", b=math.exp(4.7), rho=1.0)
+        h = xg.gaussian(0.2)
+        sp = xg.find_spectrum(sys_, (0.0, math.sqrt(math.log(1e15) / 0.2)), tol=1e-12)
+        lhs, _ = xg.trace_lhs(sp, h, g.total_length)
+        report = xg.trace_rhs_bk2(g, dec, h)
+        assert report.orbit_sum > 1e-4
+        assert report.orbit_tail_bound <= 1e-10
+        assert abs(lhs - report.rhs_total) <= 1e-9
+
     def test_robin_s_integral_matches_erfc_form(self):
         # for Gaussian h the integral term has closed form
         # -(1/2) sum_j sign(lam) exp(lam^2 t) erfc(|lam| sqrt t)
@@ -250,8 +266,28 @@ class TestSecondOrderTrace:
         assert reports[0] == reports[1]
 
     def test_constant_s_trace_skips_scipy_integrate(self):
-        # no poles, no S-matrix integral: the quadrature module stays unloaded
+        # every quadrature of the trace side is numpy: scipy stays unloaded
         assert run_python(SCIPY_INTEGRATE_SCRIPT).strip() == "False"
+
+    @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 5.0])
+    def test_s_integral_matches_erfc_form_on_graded_panels(self, t):
+        # -(1/2) sum_j sign(lam) exp(lam^2 t) erfc(|lam| sqrt t), with a
+        # negative pole and one near 1e-3, whose Lorentzian the panels resolve
+        g = xg.MetricGraph.from_intervals([(1.0, math.e), (1.0, math.exp(2.0))])
+        dec = xg.decompose(xg.standard_bc("robin", g, rho=[-0.7, 1e-3, 1.0, 2.5]),
+                           xg.DilationMatrices.from_graph(g))
+        lam = dec.poles
+        assert np.min(lam) < 0.0 and np.min(np.abs(lam)) < 2e-3
+        closed = -0.5 * sum(math.copysign(1.0, x) * math.exp(x * x * t)
+                            * math.erfc(abs(x) * math.sqrt(t)) for x in lam)
+        assert _s_trace_integral(dec, xg.gaussian(t)) == pytest.approx(closed, abs=1e-12)
+
+    def test_pole_near_the_real_axis_is_refused(self):
+        # a pole at -1e-6 needs an aliasing margin of about 1e8: a grid of
+        # some 1e8 nodes is refused before any stack is built
+        g, dec, _ = bk2_setup("robin", b=math.exp(4.7), rho=[-1e-6, 1.0])
+        with pytest.raises(xg.ComputeError, match="quadrature nodes"):
+            xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
 
     def test_condition_violated_for_short_edge(self):
         g, dec, sys_ = bk2_setup("robin", rho=1.0)  # ell = 1 < l(sigma) ~ 3.45
@@ -273,6 +309,23 @@ class TestSecondOrderTrace:
             lhs, _ = xg.trace_lhs(sp, h, g.total_length)
             report = xg.trace_rhs_bk2(g, dec, h)
             assert abs(lhs - report.rhs_total) <= 1e-9
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_short_star_tail_bounds(self, t):
+        # three edges of log length 0.049: the walk count bound alone is
+        # 1e218 at t = 1, the contour-shift bound for Gaussian h is tight
+        verts = [("c", f"t{i}") for i in range(3)]
+        g = xg.MetricGraph.from_intervals([(1.0, 1.05)] * 3, vertices=verts)
+        dec = xg.decompose(xg.standard_bc("kirchhoff", g),
+                           xg.DilationMatrices.from_graph(g))
+        h = xg.gaussian(t)
+        sp = xg.find_spectrum(xg.SecularSystem.bk2(dec, g),
+                              (0.0, math.sqrt(math.log(1e15) / t)), tol=1e-12)
+        lhs, lhs_tail = xg.trace_lhs(sp, h, g.total_length)
+        report = xg.trace_rhs_bk2(g, dec, h)
+        assert report.orbit_tail_bound <= 1e-10
+        assert lhs_tail <= 1e-10
+        assert abs(lhs - report.rhs_total) <= 1e-8
 
     def test_weyl_term_dominates_small_t(self):
         g, dec, _ = bk2_setup("dirichlet")
@@ -343,6 +396,89 @@ class TestPowerTraceSum:
         h = xg.gaussian(t)
         report = xg.trace_rhs_bk2(g, dec, h)
         check_power_sum(report, sys_.bond_matrix(1.0), sys_.weights, h, doubling=1.0)
+
+
+def robin_edge(rho, margin):
+    """One edge with Robin parameters ``rho`` at its two ends, margin longer
+    than l(sigma)."""
+    def build(log_length):
+        g = xg.MetricGraph.from_intervals([(1.0, math.exp(log_length))])
+        return g, xg.decompose(xg.standard_bc("robin", g, rho=np.array(rho)),
+                               xg.DilationMatrices.from_graph(g))
+    g, dec = build(1.0)
+    _, l_sigma = length_condition(dec, g)
+    return build(l_sigma + margin)
+
+
+def delta_path(alpha, rho_u, rho_v, margins):
+    """Edges u-c and c-v joined by a delta vertex of strength alpha, Robin at
+    u and v, each margin longer than l(sigma): the walks branch at c."""
+    def build(log_lengths):
+        g = xg.MetricGraph.from_intervals([(1.0, math.exp(x)) for x in log_lengths],
+                                          vertices=[("u", "c"), ("c", "v")])
+        # channels: a-end of e0 (u), a-end of e1 (c), b-end of e0 (c), b-end of e1 (v)
+        a_t, b_t = np.zeros((4, 4)), np.zeros((4, 4))
+        a_t[0, 0], b_t[0, 0] = rho_u, 1.0
+        a_t[1, 1], a_t[1, 2] = -1.0, 1.0
+        a_t[2, 1], b_t[2, 1], b_t[2, 2] = alpha, 1.0, 1.0
+        a_t[3, 3], b_t[3, 3] = rho_v, 1.0
+        return g, xg.decompose(xg.from_interval_conditions(a_t, b_t, g),
+                               xg.DilationMatrices.from_graph(g))
+    g, dec = build([1.0, 1.0])
+    _, l_sigma = length_condition(dec, g)
+    return build([l_sigma + m for m in margins])
+
+
+def delta_ring(alpha, log_length):
+    """One loop edge on a delta vertex of strength alpha: every bond also
+    steps onto itself, so walks of one step exist."""
+    g = xg.MetricGraph.from_intervals([(1.0, math.exp(log_length))], vertices=[("v", "v")])
+    a_t, b_t = np.zeros((2, 2)), np.zeros((2, 2))
+    a_t[0, 0], a_t[0, 1] = 1.0, -1.0
+    a_t[1, 0], b_t[1, 0], b_t[1, 1] = alpha, 1.0, 1.0
+    return g, xg.decompose(xg.from_interval_conditions(a_t, b_t, g),
+                           xg.DilationMatrices.from_graph(g))
+
+
+def check_kdep_sum(g, dec, t):
+    """k-dependent orbit sum against the orbit-by-orbit oracle at the same
+    step count, and the Burnside count against the orbits of that many steps."""
+    sys_ = xg.SecularSystem.bk2(dec, g)
+    assert not sys_.k_independent
+    h = xg.gaussian(t)
+    report = xg.trace_rhs_bk2(g, dec, h)
+    assert report.orbit_tail_bound <= 1e-10
+    ref = reference_orbit_sum_kdep(sys_, h, report.max_steps)
+    assert abs(report.orbit_sum - ref) <= 1e-12
+    ones = np.ones(sys_.dim)
+    assert report.n_orbits == len(xg.enumerate_orbits(sys_.bond_matrix(1.0), ones,
+                                                      report.max_steps))
+
+
+class TestKdepPowerSum:
+    """k-dependent orbit sums from traces of U(k)^n, against the orbit-by-orbit sum."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(rho=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           margin=st.floats(0.05, 1.0), t=st.sampled_from((0.2, 1.0)))
+    def test_robin_edge(self, rho, margin, t):
+        check_kdep_sum(*robin_edge(rho, margin), t)
+
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    def test_delta_path(self, t):
+        check_kdep_sum(*delta_path(4.0, 1.0, 1.5, (0.3, 0.7)), t)
+
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    def test_delta_ring(self, t):
+        # one-step walks: the n = 1 derivative term -i tr(B'E) is nonzero
+        check_kdep_sum(*delta_ring(4.0, 6.0), t)
+
+    @pytest.mark.parametrize("rho,margin", [((-0.5, -0.5), 1.3), ((-0.7, 1.0), 1.25)])
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    def test_negative_poles(self, rho, margin, t):
+        # poles in the lower half plane: the aliases of long walks need a
+        # margin that grows with the step count
+        check_kdep_sum(*robin_edge(rho, margin), t)
 
 
 class TestHeatTrace:

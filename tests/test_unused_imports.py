@@ -1,6 +1,7 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package or test module imports is used in that module,
+and only one function of the package imports scipy.
 
-A static scan with the stdlib ``ast`` module: an imported name counts as
+Static scans with the stdlib ``ast`` module: an imported name counts as
 used when it appears as a bare name anywhere in the module, including the
 root of an attribute chain such as ``np.linalg``.  The package's
 ``__init__.py`` is skipped, because its imports are the re-exports.
@@ -37,6 +38,41 @@ def unused_imports(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported_names(tree).items()
                   if name not in used)
+
+
+def scipy_importers(source: str) -> list:
+    """Dotted name of the function or class around each scipy import, ""
+    for one at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_finds_scipy_imports():
+    source = ("import scipy.special\nclass A:\n    def f(self):\n"
+              "        from scipy.integrate import quad\n")
+    assert scipy_importers(source) == ["", "A.f"]
+
+
+def test_only_the_halfline_norm_imports_scipy():
+    # every quadrature of the trace side is numpy; only the half-line packet
+    # norm integrates an arbitrary callable with scipy
+    found = [f"{p.stem}.{name}" for p in PACKAGE for name in scipy_importers(p.read_text())]
+    assert found == ["halfline.HalflineState.from_callable"]
 
 
 def test_scan_covers_the_package():

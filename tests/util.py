@@ -1,11 +1,14 @@
 """Shared generators for randomized suites, the walk-based orbit
-enumeration kept as an oracle, and the orbit-by-orbit trace sum."""
+enumeration kept as an oracle, and the orbit-by-orbit trace sums."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 import xpgraphs as xg
+from xpgraphs.extensions import s_matrix_bk2_derivative
 from xpgraphs.graph import LENGTH_TOL, PATTERN_TOL
 
 
@@ -140,3 +143,44 @@ def reference_orbit_sum(bond, weights, h, cutoff: float) -> float:
     power-trace sum of a constant bond matrix."""
     return sum(float(np.real(xg.orbit_amplitude(orb, bond))) * float(h.hat(orb.length))
                for orb in xg.enumerate_orbits(bond, weights, cutoff))
+
+
+def reference_orbit_sum_kdep(sys, h, max_steps: int, k_probe: float = 1.0) -> float:
+    """Orbit sum of a k-dependent family orbit by orbit, over every class of
+    at most ``max_steps`` steps; the oracle of the power-trace sum.
+
+    Each class contributes Re[(1/2pi) int h(k) A(k) exp(ikl) dk] with the
+    k-resolved amplitude A(k) = l_p a_p(k)^r - i a_p(k)^(r-1) a_p'(k), a_p
+    the product of bond-matrix entries S''(k) J0 over the primitive cycle,
+    by composite Gauss-Legendre quadrature on |k| <= K for Gaussian h.
+    """
+    weights = sys.weights
+    orbits = xg.enumerate_orbits(sys.bond_matrix(k_probe), np.ones(sys.dim), max_steps)
+    big_k = math.sqrt(math.log(1e16) / h.gaussian_width)
+    l_max = max(float(np.sum(weights[list(orb.bonds)])) for orb in orbits)
+    n_panels = int(math.ceil(2.0 * big_k / min(0.5, math.pi / (2.0 * l_max))))
+    nodes, node_weights = np.polynomial.legendre.leggauss(16)
+    half = big_k / n_panels
+    mids = -big_k + half * (2 * np.arange(n_panels) + 1)
+    xs = (mids[:, None] + half * nodes).ravel()
+    ws = np.tile(half * node_weights, n_panels)
+    sig = sys.bond_matrix(xs)
+    # B' = dS''/dk J0: J0 swaps the two column halves
+    dsig = np.roll(s_matrix_bk2_derivative(sys.dec, xs), sys.dim // 2, axis=-1)
+    h_vals = np.real(h(xs))
+    total = 0.0
+    for orb in orbits:
+        p = orb.n_steps // orb.repetition
+        prim = orb.bonds[:p]
+        a_p = np.ones(len(xs), dtype=complex)
+        log_deriv = np.zeros(len(xs), dtype=complex)
+        for i in range(p):
+            cur, nxt = prim[i], prim[(i + 1) % p]
+            a_p *= sig[:, nxt, cur]
+            log_deriv += dsig[:, nxt, cur] / sig[:, nxt, cur]
+        r = orb.repetition
+        l_p = float(np.sum(weights[list(prim)]))
+        amp = l_p * a_p ** r - 1j * a_p ** r * log_deriv
+        integrand = h_vals * amp * np.exp(1j * xs * r * l_p)
+        total += float(np.sum(ws * integrand.real)) / (2.0 * math.pi)
+    return total
