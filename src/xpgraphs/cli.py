@@ -117,6 +117,8 @@ def _validate_config(config: JobConfig) -> None:
             raise ValidationError(f"numeric.{key} must be a number")
     if "tol" in num and num["tol"] <= 0:
         raise ValidationError("numeric.tol must be positive")
+    if "orbit_cutoff" in num and not 0 < num["orbit_cutoff"] < math.inf:
+        raise ValidationError("numeric.orbit_cutoff must be positive and finite")
     if "k_min" in num and "k_max" in num and not num["k_min"] < num["k_max"]:
         raise ValidationError("need numeric.k_min < numeric.k_max")
     if "t_values" in num:
@@ -306,19 +308,17 @@ def _task_trace_check(config, out_dir, workers):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
     t_values = config.numeric.get("t_values", [0.1, 1.0])
+    cutoff = config.numeric.get("orbit_cutoff")
     reports = []
     for t in t_values:
         h = traces.gaussian(float(t))
         k_top = math.sqrt(math.log(1e14) / float(t))
         if spec.kind == extensions.BK:
             spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), workers=workers)
-            report = traces.trace_rhs_bk(graph, sys_.s_bk, h)
+            report = traces.trace_rhs_bk(graph, sys_.s_bk, h, orbit_cutoff=cutoff)
         else:
             spectrum = spectra.find_spectrum(sys_, (0.0, k_top), workers=workers)
-            if not sys_.k_independent:
-                negative = spectra.find_negative_eigenvalues(sys_, kappa_max=k_top)
-                spectrum = dataclasses.replace(spectrum, negative=tuple(negative))
-            report = traces.trace_rhs_bk2(graph, dec, h)
+            report = traces.trace_rhs_bk2(graph, dec, h, orbit_cutoff=cutoff)
         lhs, tail = traces.trace_lhs(spectrum, h, graph.total_length)
         reports.append((float(t), report.with_lhs(lhs, tail)))
     _write_csv(out_dir / "trace.csv", ("t", "lhs", "rhs_total", "discrepancy"),

@@ -320,12 +320,6 @@ def s_matrix_bk2(dec: Decomposition, k) -> np.ndarray:
     return -dec.p_ker - _eigen_sum(dec, ratios)
 
 
-def s_matrix_bk2_direct(dec: Decomposition, k: complex) -> np.ndarray:
-    """Raw formula -(A'' - ikB'')(A'' + ikB'')^-1; cross-check path, k != 0."""
-    a, b = dec.a_dprime, dec.b_dprime
-    return -(a - 1j * k * b) @ np.linalg.inv(a + 1j * k * b)
-
-
 def s_matrix_bk2_derivative(dec: Decomposition, k) -> np.ndarray:
     """dS''/dk, from the eigenmode form: each eigenvalue ratio
     (lam - ik)/(lam + ik) differentiates to -2i lam / (lam + ik)^2.

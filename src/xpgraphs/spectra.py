@@ -35,6 +35,12 @@ grid, and every bracket is bisected.
 Refinement runs in rounds: each round takes one Newton step or one split
 in every open bracket, with all iterates in stacked eig calls and all
 certificate probes and midpoints in stacked eigvals calls.
+
+The negative spectrum -kappa^2 of the squared operator has its own
+integer count: N(kappa), the number of eigenvalues below -kappa^2, is the
+negative index of a Hermitian boundary matrix built from L'' and the edge
+Dirichlet-to-Neumann maps.  N is nonincreasing, and the same bracket
+refinement bisects it, so its jumps give the roots with multiplicities.
 """
 
 from __future__ import annotations
@@ -154,11 +160,22 @@ def _swap_halves(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m[..., e:], m[..., :e]], axis=-1)
 
 
+def _end_pair(diag, off) -> np.ndarray:
+    """[[D, O], [O, D]] with D = diag(diag) and O = diag(off): a map that
+    couples only the two ends (b and b + E) of each edge.  Leading axes of
+    diag and off give a stack."""
+    diag, off = np.broadcast_arrays(diag, off)
+    e = diag.shape[-1]
+    out = np.zeros(diag.shape[:-1] + (2 * e, 2 * e), dtype=np.result_type(diag, off))
+    a, b = np.arange(e), np.arange(e, 2 * e)
+    out[..., a, a] = out[..., b, b] = diag
+    out[..., a, b] = out[..., b, a] = off
+    return out
+
+
 def swap_matrix(n_edges: int) -> np.ndarray:
     """J0, which exchanges the two ends (b and b + E) of every edge."""
-    j0 = np.zeros((2 * n_edges, 2 * n_edges))
-    j0[:n_edges, n_edges:] = j0[n_edges:, :n_edges] = np.eye(n_edges)
-    return j0
+    return _end_pair(np.zeros(n_edges), np.ones(n_edges))
 
 
 def t_matrix(kind: str, lengths, k: complex) -> np.ndarray:
@@ -262,16 +279,6 @@ class _Scan:
                 / (np.abs(v) ** 2 @ self.weights)
         return phases, steps
 
-    def m(self, k: float) -> int:
-        return int(self.m_many([k])[0][0])
-
-    def newton_root(self, lo: float, hi: float, mlo: int, guess: float | None,
-                    tol: float) -> float:
-        """The single crossing in (lo, hi], where M(hi) = M(lo) + 1 = mlo + 1:
-        ``_refine_brackets`` on a batch of one bracket."""
-        roots, _ = _refine_brackets(self, [(lo, hi, mlo, mlo + 1, guess)], tol)
-        return roots[0][0]
-
 
 # ---------------------------------------------------------------------------
 # Spectrum container
@@ -323,7 +330,7 @@ class _Newton:
     probes: list | None = None      # certificate points of the current round
 
 
-def _refine_brackets(scan: _Scan, brackets, tol: float, max_splits: int = 200000):
+def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
     """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
 
     Refinement runs in rounds, and each round advances every open bracket
@@ -336,7 +343,10 @@ def _refine_brackets(scan: _Scan, brackets, tol: float, max_splits: int = 200000
     must bracket the count; the root then lies within tol/2 of k*, and k*
     is returned clamped into the certified bracket.  Every other bracket
     (several crossings, or a k-dependent S-part) is split at its midpoint
-    down to width tol, and its halves join the next round.
+    down to width tol, and its halves join the next round.  ``scan`` may
+    also be a ``_NegativeCount``, whose ``bond`` is None: it is only split,
+    and a count that falls across a bracket gives its size as the
+    multiplicity.
 
     The Newton iterates of a round share stacked eig calls; the
     certificate probes and midpoints of a round share stacked eigvals
@@ -594,15 +604,7 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 def _zero_mode_c_matrix(lengths: np.ndarray, k_probe: float) -> np.ndarray:
     """Unitary comparison matrix entering the lambda = 0 secular function."""
     z = 2j / k_probe
-    diag = lengths / (z + lengths)
-    off = z / (z + lengths)
-    e = len(lengths)
-    c = np.zeros((2 * e, 2 * e), dtype=complex)
-    c[:e, :e] = np.diag(diag)
-    c[e:, e:] = np.diag(diag)
-    c[:e, e:] = np.diag(off)
-    c[e:, :e] = np.diag(off)
-    return c
+    return _end_pair(lengths / (z + lengths), z / (z + lengths))
 
 
 def zero_mode_test(sys: SecularSystem, k_probe: float = 1.0,
@@ -634,70 +636,70 @@ def zero_mode_test(sys: SecularSystem, k_probe: float = 1.0,
     return g0, n_zero
 
 
-def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float,
-                              n_grid: int = 2000, mult_tol: float = 1e-6):
-    """Zeros of the secular function on the positive imaginary axis.
+class _NegativeCount:
+    """N(kappa), the number of eigenvalues of the squared operator below -kappa^2.
 
-    Returns a list of (kappa, multiplicity) with eigenvalue lambda = -kappa^2,
-    excluding the poles at kappa in sigma(L'').  The sign-change grid of
-    each segment between poles is evaluated by :func:`secular` on stacks of
-    SCAN_BLOCK points, one det each; the bisection inside a sign change is
-    scalar.
+    The substitution y = ln x maps the operator onto -d^2/dy^2 on edges of
+    log length l, with the boundary form -<L'' u, u> on ran B'+ and
+    Dirichlet conditions on ker B'.  The Dirichlet-decoupled operator has
+    no negative spectrum, so N(kappa) is the negative index of
 
-    Raises:
-        ComputeError: the secular function is not real at some kappa.
+        M(kappa) = Q+ Lambda(kappa) Q - diag(sigma),
+
+    Q = dec.ran_vectors and sigma = dec.sigma_l, where Lambda(kappa) is the
+    per-edge Dirichlet-to-Neumann map of kappa-harmonic functions,
+    kappa [[coth kappa l, -csch kappa l], [-csch kappa l, coth kappa l]].
+    Lambda is positive definite and increasing in kappa, so N is
+    nonincreasing, at most #{sigma > 0}, and drops at each root by its
+    multiplicity.  ``bond`` is None: ``_refine_brackets`` bisects N.
+    """
+
+    bond = None
+
+    def __init__(self, sys: SecularSystem):
+        self.lengths = sys.lengths
+        self.q = sys.dec.ran_vectors
+        self.sigma = np.diag(sys.dec.sigma_l)
+
+    def m_many(self, kappas):
+        """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from one
+        stacked eigvalsh call."""
+        kappa = np.asarray(kappas, dtype=float)[:, None]
+        x = kappa * self.lengths
+        den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
+        lam = _end_pair(kappa * (2.0 - den) / den, -2.0 * kappa * np.exp(-x) / den)
+        vals = np.linalg.eigvalsh(self.q.conj().T @ lam @ self.q - self.sigma)
+        # a zero mode of the operator leaves M(kappa) an eigenvalue of order
+        # kappa^2 l, below rounding at small kappa: eigenvalues within the
+        # eigvalsh error bound 4 r eps max|mu| of 0 count as nonnegative
+        bound = 4 * len(self.sigma) * np.finfo(float).eps \
+            * np.max(np.abs(vals), axis=-1, initial=0.0)
+        return np.sum(vals < -bound[:, None], axis=-1), vals
+
+
+def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
+    """Eigenvalues lambda = -kappa^2 of the squared operator, kappa <= kappa_max.
+
+    Returns the sorted list of (kappa, multiplicity) over kappa in
+    (kappa_lo, kappa_max], kappa_lo = 1e-9 max(1, kappa_max).  They are the
+    jumps of the integer count N(kappa) of eigenvalues below -kappa^2 (see
+    ``_NegativeCount``), located by ``_refine_brackets`` bisecting the one
+    bracket (kappa_lo, kappa_max] down to width 1e-13 max(1, kappa_max);
+    the size of a jump is the multiplicity, so roots of even order are
+    found like simple ones.
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
-
-    def f(kappa):
-        """Secular values at i kappa (scalar or array), real on the axis."""
-        vals = secular(sys, 1j * np.asarray(kappa))
-        off = np.abs(vals.imag) > 1e-6 * np.maximum(1.0, np.abs(vals.real))
-        if np.any(off):
-            raise ComputeError("secular function not real on imaginary axis: "
-                               f"{np.ravel(vals)[np.argmax(np.ravel(off))]}")
-        return vals.real
-
-    poles = sorted(lam for lam in sys.dec.poles if 0.0 < lam < kappa_max)
-    cuts = [1e-9 * max(1.0, kappa_max)]
-    for p in poles:
-        pad = 1e-7 * max(1.0, p)
-        cuts.extend([p - pad, p + pad])
-    cuts.append(kappa_max)
-
-    roots = []
-    for seg_lo, seg_hi in zip(cuts[::2], cuts[1::2]):
-        if seg_hi <= seg_lo:
-            continue
-        grid = np.linspace(seg_lo, seg_hi, max(16, n_grid // max(1, len(cuts) // 2)))
-        vals = np.concatenate([f(grid[i:i + SCAN_BLOCK])
-                               for i in range(0, len(grid), SCAN_BLOCK)])
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                roots.append(grid[i])
-            if vals[i] * vals[i + 1] < 0.0:
-                lo, hi = grid[i], grid[i + 1]
-                flo = vals[i]
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    fm = f(mid)
-                    if fm == 0.0 or hi - lo < 1e-13 * max(1.0, mid):
-                        break
-                    if flo * fm < 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                roots.append(0.5 * (lo + hi))
-
-    out = []
-    for kappa in roots:
-        mu = np.linalg.eigvals(sys.u_matrix(1j * kappa))
-        mult = int(np.sum(np.abs(mu - 1.0) <= mult_tol))
-        out.append((float(kappa), max(1, mult)))
-    return sorted(out)
+    scale = max(1.0, kappa_max)
+    lo = 1e-9 * scale
+    if lo >= kappa_max:
+        return []
+    count = _NegativeCount(sys)
+    n_lo, n_hi = count.m_many([lo, kappa_max])[0].tolist()
+    roots, _ = _refine_brackets(count, [(lo, kappa_max, n_lo, n_hi, None)], 1e-13 * scale)
+    return roots
 
 
 # ---------------------------------------------------------------------------

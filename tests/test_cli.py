@@ -158,6 +158,37 @@ class TestOtherTasks:
         assert report["max_steps"] == 3849
         assert report["n_nodes"] > 0
 
+    def test_trace_check_robin_without_negative_spectrum(self, tmp_path, monkeypatch):
+        # the trace identity sums real eigenvalues only: no bound-state search
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace-check searched the negative axis")
+
+        monkeypatch.setattr(cli.spectra, "find_negative_eigenvalues", refuse)
+        payload = {"task": "trace-check", "operator": "bk2",
+                   "graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.exp(4.0)}]},
+                   "boundary": {"kind": "robin", "rho": 1.0},
+                   "numeric": {"t_values": [1.0]}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        (report,) = json.loads((out / "trace.json").read_text())["reports"]
+        assert report["discrepancy"] <= 1e-8
+
+    @pytest.mark.parametrize("operator, graph, boundary", [
+        ("bk2", EDGE, {"kind": "dirichlet"}),
+        ("bk", RING, {"kind": "ring_phase", "c": 0.0}),
+    ])
+    def test_trace_check_orbit_cutoff(self, tmp_path, operator, graph, boundary):
+        steps = []
+        for numeric in ({}, {"orbit_cutoff": 5.5}):
+            payload = {"task": "trace-check", "operator": operator, "graph": graph,
+                       "boundary": boundary, "numeric": {"t_values": [1.0], **numeric}}
+            code, out = run_config(tmp_path, payload, name=f"job{len(steps)}")
+            assert code == 0
+            (report,) = json.loads((out / "trace.json").read_text())["reports"]
+            steps.append(report["max_steps"])
+        # log length 1: floor(cutoff) + 1 steps, default cutoff 4 sqrt(ln 1e10)
+        assert steps == [20, 6]
+
     def test_weyl(self, tmp_path):
         payload = {"task": "weyl", "operator": "bk2", "graph": EDGE,
                    "boundary": {"kind": "dirichlet"},
@@ -275,6 +306,15 @@ class TestErrorContract:
         payload = {"task": "counting-compare", "operator": "bk", "graph": RING,
                    "boundary": {"kind": "ring_phase", "c": 0.0},
                    "numeric": {"k_min": -20.0, "k_max": 20.0, "k_start": "abc"}}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION
+        assert err["code"] == "VALIDATION_ERROR"
+
+    @pytest.mark.parametrize("cutoff", [0, -1.0])
+    def test_non_positive_orbit_cutoff(self, tmp_path, cutoff):
+        payload = {"task": "trace-check", "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"},
+                   "numeric": {"t_values": [1.0], "orbit_cutoff": cutoff}}
         code, err = self.run_main(tmp_path, payload)
         assert code == cli.EXIT_VALIDATION
         assert err["code"] == "VALIDATION_ERROR"

@@ -141,9 +141,10 @@ def test_newton_root_stays_in_certified_bracket(guess):
     sys_ = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.0)), g)
     scan = spectra._Scan(sys_)
     lo, hi, tol = 2 * math.pi + 1e-13, 2 * math.pi + 6.5, 1e-12
-    mlo = scan.m(lo)
-    assert scan.m(hi) == mlo + 1
-    k = scan.newton_root(lo, hi, mlo, guess, tol)
+    mlo, mhi = scan.m_many([lo, hi])[0].tolist()
+    assert mhi == mlo + 1
+    roots, _ = spectra._refine_brackets(scan, [(lo, hi, mlo, mhi, guess)], tol)
+    k = roots[0][0]
     assert abs(k - 4 * math.pi) <= 0.5 * tol
 
 
@@ -176,7 +177,7 @@ def test_mixed_batch_in_one_round(monkeypatch):
                (2.5 * pi - 0.2, 2.5 * pi + 0.2, None)]        # double level: bisected
     brackets = []
     for lo, hi, guess in windows:
-        brackets.append((lo, hi, scan.m(lo), scan.m(hi), guess))
+        brackets.append((lo, hi, *scan.m_many([lo, hi])[0].tolist(), guess))
     assert [b[3] - b[2] for b in brackets] == [1, 1, 2]
 
     stacks = []
@@ -209,7 +210,8 @@ def test_newton_budget_raises(monkeypatch):
     monkeypatch.setattr(spectra, "NEWTON_BUDGET", 1)
     lo, hi = 3.5 * math.pi, 4.7 * math.pi
     with pytest.raises(xg.ToleranceTooCoarse, match="Newton refinement budget"):
-        spectra._refine_brackets(scan, [(lo, hi, scan.m(lo), scan.m(hi), None)], 1e-12)
+        spectra._refine_brackets(scan, [(lo, hi, *scan.m_many([lo, hi])[0].tolist(), None)],
+                                 1e-12)
 
 
 def test_split_budget_raises():
@@ -221,5 +223,5 @@ def test_split_budget_raises():
         xg.SecularSystem.bk2(xg.decompose(spec, xg.DilationMatrices.from_graph(g)), g))
     lo, hi = 3.5 * math.pi, 4.7 * math.pi
     with pytest.raises(xg.ToleranceTooCoarse, match="bisection budget"):
-        spectra._refine_brackets(scan, [(lo, hi, scan.m(lo), scan.m(hi), None)], 1e-12,
-                                 max_splits=5)
+        spectra._refine_brackets(scan, [(lo, hi, *scan.m_many([lo, hi])[0].tolist(), None)],
+                                 1e-12, max_splits=5)

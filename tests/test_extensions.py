@@ -12,9 +12,15 @@ from xpgraphs.errors import (
     RankDeficient,
     SingularAtK,
 )
-from xpgraphs.extensions import s_matrix_bk2_derivative, s_matrix_bk2_direct
+from xpgraphs.extensions import s_matrix_bk2_derivative
 
-from util import random_bk2_spec, random_graph, random_invertible, random_unitary
+from util import (
+    random_bk2_spec,
+    random_graph,
+    random_invertible,
+    random_unitary,
+    s_matrix_bk2_direct,
+)
 
 
 def single_edge(a=1.0, b=math.e):

@@ -1,0 +1,137 @@
+"""Negative spectrum -kappa^2 of the squared operator from the count N(kappa).
+
+N(kappa), the number of eigenvalues below -kappa^2, is the negative index
+of Q+ Lambda(kappa) Q - diag(sigma_l), with Lambda the edge
+Dirichlet-to-Neumann map.  Its jumps are the roots, and their sizes the
+multiplicities.  The checks: closed-form Robin bound states to 30 digits
+(mpmath), double roots on two copies of one Robin edge, the smallest
+singular values of I - U(i kappa) at every root, agreement with the
+sign-change search of det(I - U(i kappa)) wherever that one finds a root,
+and the bound N(kappa) <= #{sigma_l > 0}.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import xpgraphs as xg
+from xpgraphs import spectra
+
+from util import KDEP_FAMILIES, random_graph, random_kdep_spec, sign_change_negative_roots
+
+#: largest m-th smallest singular value of I - U(i kappa) at a root of multiplicity m
+SV_TOL = 1e-10
+#: root distance allowed against the sign-change search and the closed form
+ROOT_TOL = 1e-12
+
+EXAMPLES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def robin_system(log_lengths, rho):
+    g = xg.MetricGraph.from_intervals([(1.0, math.exp(ell)) for ell in log_lengths])
+    dec = xg.decompose(xg.standard_bc("robin", g, rho=rho), xg.DilationMatrices.from_graph(g))
+    return xg.SecularSystem.bk2(dec, g)
+
+
+def kdep_system(seed, n_edges, family):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_edges)
+    dec = xg.decompose(random_kdep_spec(rng, g, family), xg.DilationMatrices.from_graph(g))
+    return xg.SecularSystem.bk2(dec, g)
+
+
+def root_singular_values(sys_, roots):
+    """The m smallest singular values of I - U(i kappa) at each root (kappa, m)."""
+    eye = np.eye(sys_.dim)
+    return [np.linalg.svd(eye - sys_.u_matrix(1j * kappa), compute_uv=False)[-m:]
+            for kappa, m in roots]
+
+
+def robin_bound_states(rho, ell):
+    """kappa with kappa tanh(kappa l/2) = rho (even) or kappa coth(kappa l/2) = rho
+    (odd): the bound states of one edge with Robin parameter rho > 0 at both ends."""
+    mpmath.mp.dps = 30
+    half = mpmath.mpf(ell) / 2
+    found = [mpmath.findroot(lambda k: k * mpmath.tanh(k * half) - rho,
+                             (mpmath.mpf("1e-6"), rho + 10), solver="anderson")]
+    if rho * half > 1:
+        found.append(mpmath.findroot(lambda k: k / mpmath.tanh(k * half) - rho,
+                                     (mpmath.mpf("1e-6"), rho + 10), solver="anderson"))
+    return sorted(float(k) for k in found)
+
+
+@pytest.mark.parametrize("rho, ell", [(1.0, 4.0), (0.7, 2.0), (2.0, 1.5), (0.3, 1.0)])
+def test_robin_edge_matches_closed_form(rho, ell):
+    roots = xg.find_negative_eigenvalues(robin_system([ell], rho), 5.0)
+    expected = robin_bound_states(rho, ell)
+    assert [m for _, m in roots] == [1] * len(expected)
+    for (kappa, _), exact in zip(roots, expected):
+        assert abs(kappa - exact) <= ROOT_TOL
+
+
+def test_doubled_robin_edge_has_double_roots():
+    # det(I - U) is a square here and never changes sign
+    single = xg.find_negative_eigenvalues(robin_system([4.0], 1.0), 5.68)
+    sys_ = robin_system([4.0, 4.0], 1.0)
+    double = xg.find_negative_eigenvalues(sys_, 5.68)
+    assert [m for _, m in single] == [1, 1]
+    assert [m for _, m in double] == [2, 2]
+    for (k1, _), (k2, _) in zip(single, double):
+        assert abs(k1 - k2) <= ROOT_TOL
+    assert max(np.max(sv) for sv in root_singular_values(sys_, double)) <= SV_TOL
+    assert sign_change_negative_roots(sys_, 5.68) == []
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0])
+def test_count_is_zero_without_binding(rho):
+    count = spectra._NegativeCount(robin_system([4.0, 1.0], rho))
+    assert count.m_many(np.geomspace(1e-9, 10.0, 12))[0].tolist() == [0] * 12
+
+
+@pytest.mark.parametrize("kind", ["neumann", "kirchhoff"])
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_mode_is_not_a_bound_state(kind, seed):
+    # the eigenvalue 0 leaves M(kappa) an eigenvalue of order kappa^2 l,
+    # below rounding at kappa_lo; it must not count as negative there
+    rng = np.random.default_rng(seed)
+    n_edges = int(rng.integers(1, 5))
+    g = xg.MetricGraph.from_intervals(
+        [(1.0, math.exp(rng.uniform(0.05, 6.0))) for _ in range(n_edges)],
+        vertices=[("c", f"t{i}") for i in range(n_edges)])
+    dec = xg.decompose(xg.standard_bc(kind, g), xg.DilationMatrices.from_graph(g))
+    sys_ = xg.SecularSystem.bk2(dec, g)
+    assert xg.zero_mode_test(sys_)[0] >= 1
+    counts = spectra._NegativeCount(sys_).m_many(np.geomspace(1e-12, 1e-3, 50))[0]
+    assert not np.any(counts)
+    for kappa_max in (1e-3, 0.1, 5.0, 100.0):
+        assert xg.find_negative_eigenvalues(sys_, kappa_max) == []
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(1, 2),
+       family=st.sampled_from(KDEP_FAMILIES))
+def test_count_is_monotone_and_bounded(seed, n_edges, family):
+    sys_ = kdep_system(seed, n_edges, family)
+    counts = spectra._NegativeCount(sys_).m_many(np.geomspace(1e-9, 20.0, 40))[0]
+    assert counts[0] <= int(np.sum(sys_.dec.sigma_l > 0))
+    assert np.all(np.diff(counts) <= 0)
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(1, 2),
+       family=st.sampled_from(KDEP_FAMILIES))
+def test_roots_are_zeros_of_the_secular_matrix(seed, n_edges, family):
+    kappa_max = 5.0
+    sys_ = kdep_system(seed, n_edges, family)
+    roots = xg.find_negative_eigenvalues(sys_, kappa_max)
+    count = spectra._NegativeCount(sys_)
+    n_lo, n_hi = count.m_many([1e-9 * kappa_max, kappa_max])[0].tolist()
+    assert sum(m for _, m in roots) == n_lo - n_hi
+    for (kappa, m), sv in zip(roots, root_singular_values(sys_, roots)):
+        assert np.max(sv) <= SV_TOL, (kappa, m, sv)
+    for kappa in sign_change_negative_roots(sys_, kappa_max):
+        assert min(abs(kappa - k) for k, _ in roots) <= ROOT_TOL

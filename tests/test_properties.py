@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import xpgraphs as xg
-from xpgraphs.extensions import s_matrix_bk2_direct
 
 from util import (
     random_bk2_spec,
     random_graph,
     random_invertible,
     random_unitary,
+    s_matrix_bk2_direct,
 )
 
 N_CASES = 200

@@ -15,10 +15,10 @@ import pytest
 
 import xpgraphs as xg
 from xpgraphs import spectra, traces
-from xpgraphs.errors import ComputeError, SingularAtK
-from xpgraphs.extensions import s_matrix_bk2_derivative, s_matrix_bk2_direct
+from xpgraphs.errors import SingularAtK
+from xpgraphs.extensions import s_matrix_bk2_derivative
 
-from util import KDEP_FAMILIES, random_graph, random_kdep_spec
+from util import KDEP_FAMILIES, random_graph, random_kdep_spec, s_matrix_bk2_direct
 
 BASE_SEED = 20261019
 N_PER_FAMILY = 3
@@ -161,24 +161,6 @@ def test_trace_rhs_bk2_builds_budget(monkeypatch):
     assert 0 < counts["s_matrix_bk2"] <= 50
     assert 0 < counts["s_matrix_bk2_derivative"] <= 50
     assert abs(lhs - report.rhs_total) <= 1e-7
-
-
-def test_negative_axis_grid_flags_non_real_secular(monkeypatch):
-    g, dec = robin_edge()
-    sys_ = xg.SecularSystem.bk2(dec, g)
-    shapes = []
-    s_matrix_bk2 = spectra.s_matrix_bk2
-
-    def tilted(dec, k):
-        # a phase on S''(k) breaks the reality of det(I - U) on the axis
-        shapes.append(np.shape(k))
-        return np.exp(0.1j) * s_matrix_bk2(dec, k)
-
-    monkeypatch.setattr(spectra, "s_matrix_bk2", tilted)
-    with pytest.raises(ComputeError, match="not real on imaginary axis"):
-        xg.find_negative_eigenvalues(sys_, kappa_max=5.0)
-    # raised by the first stacked grid block, before any scalar bisection
-    assert shapes == [(spectra.SCAN_BLOCK,)]
 
 
 def test_negative_axis_grid_matches_scalar_secular():

@@ -1,5 +1,7 @@
-"""Shared generators for randomized suites, the walk-based orbit
-enumeration kept as an oracle, and the orbit-by-orbit trace sums."""
+"""Shared generators for randomized suites, and the oracles kept for
+them: the raw S''(k) formula, the sign-change search of the negative
+axis, the walk-based orbit enumeration and the orbit-by-orbit trace
+sums."""
 
 from __future__ import annotations
 
@@ -66,6 +68,47 @@ def random_kdep_spec(rng, g, family):
     p_perp = qr @ qr.conj().T
     a_t = np.eye(dim) - p_perp + (qr * lam) @ qr.conj().T
     return xg.from_interval_conditions(a_t, p_perp, g)
+
+
+def s_matrix_bk2_direct(dec, k: complex) -> np.ndarray:
+    """Raw formula -(A'' - ikB'')(A'' + ikB'')^-1; cross-check path, k != 0."""
+    a, b = dec.a_dprime, dec.b_dprime
+    return -(a - 1j * k * b) @ np.linalg.inv(a + 1j * k * b)
+
+
+def sign_change_negative_roots(sys, kappa_max: float) -> list:
+    """kappa where det(I - U(i kappa)) changes sign in (kappa_lo, kappa_max].
+
+    A 2,000-point grid split at the poles of S''(i kappa), padded by 1e-7,
+    and a bisection of each sign change to width 1e-13 max(1, kappa); roots of
+    even order leave no sign change and are not found.
+    """
+    def f(kappa):
+        return xg.secular(sys, 1j * np.asarray(kappa)).real
+
+    poles = sorted(lam for lam in sys.dec.poles if 0.0 < lam < kappa_max)
+    cuts = [1e-9 * max(1.0, kappa_max)]
+    for p in poles:
+        cuts.extend([p - 1e-7 * max(1.0, p), p + 1e-7 * max(1.0, p)])
+    cuts.append(kappa_max)
+    roots = []
+    for seg_lo, seg_hi in zip(cuts[::2], cuts[1::2]):
+        if seg_hi <= seg_lo:
+            continue
+        grid = np.linspace(seg_lo, seg_hi, max(16, 2000 // (len(cuts) // 2)))
+        vals = f(grid)
+        for lo, hi, flo, fhi in zip(grid, grid[1:], vals, vals[1:]):
+            if flo * fhi >= 0.0:
+                continue
+            while hi - lo >= 1e-13 * max(1.0, lo):
+                mid = 0.5 * (lo + hi)
+                fmid = f(mid)
+                if flo * fmid < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            roots.append(0.5 * (lo + hi))
+    return roots
 
 
 def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
