@@ -113,7 +113,7 @@ def _validate_config(config: JobConfig) -> None:
 
     num = config.numeric
     for key in ("k_min", "k_max", "tol", "orbit_cutoff", "kappa_max", "k_grid_max"):
-        if key in num and not isinstance(num[key], (int, float)):
+        if key in num and not _is_number(num[key]):
             raise ValidationError(f"numeric.{key} must be a number")
     if "tol" in num and num["tol"] <= 0:
         raise ValidationError("numeric.tol must be positive")
@@ -124,21 +124,28 @@ def _validate_config(config: JobConfig) -> None:
     if "t_values" in num:
         ts = num["t_values"]
         if (not isinstance(ts, list) or not ts
-                or any(not isinstance(t, (int, float)) or t <= 0 for t in ts)):
+                or any(not _is_number(t) or t <= 0 for t in ts)):
             raise ValidationError("numeric.t_values must be a nonempty list of positive numbers")
     if config.task in ("spectrum", "weyl", "counting-compare"):
         if "k_min" not in num or "k_max" not in num:
             raise ValidationError(f"task {config.task!r} needs numeric.k_min and numeric.k_max")
 
 
+def _is_number(value) -> bool:
+    """A JSON number; booleans are ints in Python but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numeric(config: JobConfig, key: str, default=None, kind=float):
     """numeric.<key> (or ``default`` when absent) converted by ``kind``.
 
     Raises:
-        ValidationError: the value does not convert.
+        ValidationError: the value is a boolean or does not convert.
     """
     value = config.numeric.get(key, default)
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"numeric.{key} must be a number, got {value!r}") from exc
@@ -347,21 +354,17 @@ def _task_halfline_demo(config, out_dir, workers):
     k_max = _numeric(config, "k_grid_max", 30.0)
     n_k = _numeric(config, "n_k", 1201, kind=int)
     ks = np.linspace(-k_max, k_max, n_k)
-    rows = []
-    for k in ks:
-        a = halfline.fermi_amplitude_closed(float(k))
-        rows.append((float(k), a.real, a.imag, abs(a) ** 2))
-    _write_csv(out_dir / "amplitude.csv", ("k", "re_a", "im_a", "abs_a_sq"), rows)
+    amps = halfline.fermi_amplitude_closed(ks)
+    mags = np.abs(amps) ** 2
+    _write_csv(out_dir / "amplitude.csv", ("k", "re_a", "im_a", "abs_a_sq"),
+               zip(ks.tolist(), amps.real.tolist(), amps.imag.tolist(), mags.tolist()))
 
-    mags = np.array([r[3] for r in rows])
     ref = abs(halfline.fermi_amplitude_closed(0.0)) ** 2
-    dips = []
-    for i in range(1, len(rows) - 1):
-        if mags[i] < mags[i - 1] and mags[i] < mags[i + 1] and mags[i] < 1e-8 * ref:
-            dips.append(rows[i][0])
+    mid = mags[1:-1]
+    is_dip = (mid < mags[:-2]) & (mid < mags[2:]) & (mid < 1e-8 * ref)
     _write_json(out_dir / "halfline.json",
                 {"k_grid_max": k_max, "n_k": n_k,
-                 "normalization": ref, "dip_locations": dips})
+                 "normalization": ref, "dip_locations": ks[1:-1][is_dip].tolist()})
 
 
 def _task_counting_compare(config, out_dir, workers):
@@ -422,16 +425,19 @@ def _write_error(out_dir: Path, exc: XpGraphsError) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+#: built once per process; parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="xpgraphs",
+    description="Spectral computations for dilation operators on metric graphs",
+)
+_PARSER.add_argument("--config", required=True, help="path to a JSON job document")
+_PARSER.add_argument("--out", required=True, help="output directory for artifacts")
+_PARSER.add_argument("--threads", type=int, default=1,
+                     help="worker threads for spectral scans, at most the CPU count")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="xpgraphs",
-        description="Spectral computations for dilation operators on metric graphs",
-    )
-    parser.add_argument("--config", required=True, help="path to a JSON job document")
-    parser.add_argument("--out", required=True, help="output directory for artifacts")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for spectral scans, at most the CPU count")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     out_dir = Path(args.out)
     try:

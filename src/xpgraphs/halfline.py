@@ -12,7 +12,9 @@ through a Lanczos approximation, both adequate to ~1e-11 relative for
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,6 @@ ALPHA = 1.0 / math.sqrt(math.log(2.0) - 0.5)
 #: largest |k| of the closed-form amplitude, checked against mpmath up to
 #: here; the eta series overflows a double near |k| = 400
 AMPLITUDE_K_MAX = 200.0
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -192,34 +191,83 @@ def reconstruct_from_amplitude(amplitude, x: float, k_max: float = 40.0,
 # Zeta and gamma on the critical line
 # ---------------------------------------------------------------------------
 
-def _eta_alternating(s: complex, n_terms: int) -> complex:
-    """Accelerated alternating series for eta(s) (Cohen-Villegas-Zagier)."""
+@functools.cache
+def _eta_weights(n_terms: int) -> tuple:
+    """Weights (c_j, d) of the n-term Cohen-Villegas-Zagier eta series,
+    eta(s) ~ sum_j c_j (j + 1)^(-s) / d.  Cached per term count; the range
+    guard of ``zeta_critical`` admits at most 191 of them."""
     d = (3.0 + math.sqrt(8.0)) ** n_terms
     d = (d + 1.0 / d) / 2.0
     b = -1.0
     c = -d
-    total = 0.0 + 0.0j
+    weights = np.empty(n_terms)
     for j in range(n_terms):
         c = b - c
-        total += c * cmath.exp(-s * math.log(j + 1))
+        weights[j] = c
         b *= (j + n_terms) * (j - n_terms) / ((j + 0.5) * (j + 1.0))
-    return total / d
+    weights.flags.writeable = False
+    return weights, d
 
 
-def zeta_critical(s: complex) -> complex:
+def _eta_alternating(s: np.ndarray, n_terms: np.ndarray) -> np.ndarray:
+    """Accelerated alternating series for eta(s[i]) with n_terms[i] terms.
+
+    Term j is evaluated only where j < n_terms[i], so each point sums
+    exactly its own terms, in order, whatever else is in the batch.
+    Memory stays linear in len(s).
+    """
+    if s.size == 0:
+        return np.zeros(0, dtype=complex)
+    n_lo, n_hi = int(n_terms.min()), int(n_terms.max())
+    # weights[j, m]: term j of the series with n_lo + m terms, 0 beyond it
+    weights = np.zeros((n_hi, n_hi - n_lo + 1))
+    d = np.empty(n_hi - n_lo + 1)
+    for m in range(n_lo, n_hi + 1):
+        weights[:m, m - n_lo], d[m - n_lo] = _eta_weights(m)
+    col = n_terms - n_lo
+    total = np.zeros(s.shape, dtype=complex)
+    term = np.zeros(s.shape, dtype=complex)
+    for j in range(n_hi):
+        np.exp(-s * math.log(j + 1), out=term, where=n_terms > j)
+        total += weights[j, col] * term
+    return total / d[col]
+
+
+def _elementwise(dtype):
+    """Decorate a function of a 1-d array so that it takes any array of
+    ``dtype`` and returns the same shape, and a Python complex for a scalar.
+
+    A scalar is a 0-d array here: it takes the same array arithmetic as a
+    batch, so its value does not depend on how it is called.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def call(x):
+            x = np.asarray(x, dtype=dtype)
+            out = fn(x.ravel()).reshape(x.shape)
+            return complex(out) if out.ndim == 0 else out
+        return call
+    return wrap
+
+
+@_elementwise(complex)
+def zeta_critical(s):
     """zeta(s) = eta(s) / (1 - 2^(1-s)), accurate near the critical line.
 
-    Term count grows with |Im s| to offset the exp(pi |Im s| / 2) loss of
-    the acceleration; adequate to ~1e-11 relative for |Im s| <= 200.
-    Raises RangeExceeded for |Im s| > AMPLITUDE_K_MAX, where the series
-    loses that accuracy and its weights soon overflow.
+    Takes a scalar or an array; a scalar is a 0-d array and returns a
+    Python complex.  Term count grows with |Im s| to offset the
+    exp(pi |Im s| / 2) loss of the acceleration; adequate to ~1e-11
+    relative for |Im s| <= 200.  Raises RangeExceeded if any |Im s| >
+    AMPLITUDE_K_MAX (or is not a number), where the series loses that
+    accuracy and its weights soon overflow.
     """
-    s = complex(s)
-    if not abs(s.imag) <= AMPLITUDE_K_MAX:
-        raise RangeExceeded(f"zeta needs |Im s| <= {AMPLITUDE_K_MAX}, got s = {s}")
-    n_terms = 25 + int(math.ceil(0.95 * abs(s.imag)))
-    denom = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
-    if abs(denom) < 1e-14:
+    in_range = np.abs(s.imag) <= AMPLITUDE_K_MAX
+    if not np.all(in_range):
+        bad = complex(s[np.argmin(in_range)])
+        raise RangeExceeded(f"zeta needs |Im s| <= {AMPLITUDE_K_MAX}, got s = {bad}")
+    n_terms = 25 + np.ceil(0.95 * np.abs(s.imag)).astype(int)
+    denom = 1.0 - np.exp((1.0 - s) * math.log(2.0))
+    if np.any(np.abs(denom) < 1e-14):
         raise ValidationError("zeta evaluation at a pole of the eta quotient")
     return _eta_alternating(s, n_terms) / denom
 
@@ -238,40 +286,44 @@ _LANCZOS_COEF = (
 )
 
 
-def gamma_complex(z: complex) -> complex:
-    """Gamma function by the Lanczos approximation (reflection for Re z < 1/2)."""
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
-    z -= 1.0
+@_elementwise(complex)
+def gamma_complex(z):
+    """Gamma function by the Lanczos approximation (reflection for Re z < 1/2).
+
+    Takes a scalar or an array; a scalar is a 0-d array and returns a
+    Python complex.  Raises ValidationError if any z is a pole (a
+    non-positive integer).
+    """
+    if np.any((z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))):
+        raise ValidationError("gamma evaluation at a pole (a non-positive integer)")
+    reflect = z.real < 0.5
+    # Lanczos at z, or at 1 - z for the reflected points
+    w = np.where(reflect, 1.0 - z, z) - 1.0
     x = _LANCZOS_COEF[0]
     for i, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        x += coef / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+        x += coef / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    out = SQRT_2PI * t ** (w + 0.5) * np.exp(-t) * x
+    out[reflect] = math.pi / (np.sin(math.pi * z[reflect]) * out[reflect])
+    return out
 
 
-def fermi_amplitude_closed(k: float) -> complex:
+@_elementwise(float)
+def fermi_amplitude_closed(k):
     """Closed-form amplitude of the reference packet:
 
         A(k) = (alpha / sqrt(2 pi)) (1 - sqrt(2) 2^(ik))
                Gamma(1/2 - ik) zeta(1/2 - ik).
 
     Vanishes exactly at the ordinates of the critical-line zeta zeros.
-    Raises RangeExceeded for |k| > AMPLITUDE_K_MAX (or k not a number).
+    Takes a scalar or an array of k; a scalar is a 0-d array and returns a
+    Python complex.  Raises RangeExceeded if any |k| > AMPLITUDE_K_MAX (or
+    k is not a number).
     """
-    if not abs(k) <= AMPLITUDE_K_MAX:
-        raise RangeExceeded(f"amplitude needs |k| <= {AMPLITUDE_K_MAX}, got k = {k}")
+    in_range = np.abs(k) <= AMPLITUDE_K_MAX
+    if not np.all(in_range):
+        bad = float(k[np.argmin(in_range)])
+        raise RangeExceeded(f"amplitude needs |k| <= {AMPLITUDE_K_MAX}, got k = {bad}")
     s = 0.5 - 1j * k
-    pref = ALPHA / SQRT_2PI * (1.0 - math.sqrt(2.0) * cmath.exp(1j * k * math.log(2.0)))
+    pref = ALPHA / SQRT_2PI * (1.0 - math.sqrt(2.0) * np.exp(1j * k * math.log(2.0)))
     return pref * gamma_complex(s) * zeta_critical(s)
-
-
-def amplitude_envelope_sq(k: float) -> float:
-    """Large-|k| asymptotic envelope of |A(k)|^2 for the reference packet:
-
-        alpha^2 (3 - 2 sqrt(2) cos(k ln 2)) exp(-pi |k|) |zeta(1/2 - ik)|^2.
-    """
-    z = zeta_critical(0.5 - 1j * k)
-    return ALPHA ** 2 * (3.0 - 2.0 * math.sqrt(2.0) * math.cos(k * math.log(2.0))) \
-        * math.exp(-math.pi * abs(k)) * abs(z) ** 2

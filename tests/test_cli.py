@@ -210,6 +210,35 @@ class TestOtherTasks:
         # the first zeta-zero ordinate appears as an absorption dip
         assert any(abs(abs(d) - 14.134725) < 0.05 for d in report["dip_locations"])
 
+    @pytest.mark.parametrize("n_k", [0, 1, 2, 3])
+    def test_halfline_demo_tiny_grids(self, tmp_path, n_k):
+        payload = {"task": "halfline-demo", "numeric": {"k_grid_max": 12.5, "n_k": n_k}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        header, rows = read_csv(out / "amplitude.csv")
+        ks = np.linspace(-12.5, 12.5, n_k)
+        assert [float(r[0]) for r in rows] == ks.tolist()
+        amps = [complex(float(r[1]), float(r[2])) for r in rows]
+        assert amps == [cli.halfline.fermi_amplitude_closed(k) for k in ks.tolist()]
+        report = json.loads((out / "halfline.json").read_text())
+        assert report == {"k_grid_max": 12.5, "n_k": n_k, "dip_locations": [],
+                          "normalization": abs(cli.halfline.fermi_amplitude_closed(0.0)) ** 2}
+
+    @pytest.mark.parametrize("n_k", [0, 1, 5, 641])
+    def test_halfline_demo_evaluates_the_grid_at_once(self, tmp_path, monkeypatch, n_k):
+        calls = []
+        amplitude = cli.halfline.fermi_amplitude_closed
+
+        def counted(k):
+            calls.append(np.shape(k))
+            return amplitude(k)
+
+        monkeypatch.setattr(cli.halfline, "fermi_amplitude_closed", counted)
+        payload = {"task": "halfline-demo", "numeric": {"k_grid_max": 16.0, "n_k": n_k}}
+        code, _ = run_config(tmp_path, payload)
+        assert code == 0
+        assert len(calls) <= 2
+
     def test_counting_compare(self, tmp_path):
         payload = {"task": "counting-compare", "operator": "bk", "graph": RING,
                    "boundary": {"kind": "ring_phase", "c": 0.0},
@@ -299,6 +328,29 @@ class TestErrorContract:
     ])
     def test_non_numeric_halfline_field(self, tmp_path, numeric):
         code, err = self.run_main(tmp_path, {"task": "halfline-demo", "numeric": numeric})
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
+    @pytest.mark.parametrize("task, numeric", [
+        ("trace-check", {"t_values": [1.0], "orbit_cutoff": True, "tol": True}),
+        ("trace-check", {"t_values": [True]}),
+        ("spectrum", {"k_min": 0.0, "k_max": True}),
+        ("spectrum", {"k_min": False, "k_max": 5.0}),
+        ("spectrum", {"k_min": 0.0, "k_max": 5.0, "kappa_max": True}),
+        ("halfline-demo", {"k_grid_max": True}),
+        ("halfline-demo", {"n_k": True}),
+        ("halfline-demo", {"k_grid_max": 10.0, "n_k": False}),
+        ("counting-compare", {"k_min": -20.0, "k_max": 20.0, "k_start": True}),
+    ])
+    def test_boolean_numeric_field(self, tmp_path, task, numeric):
+        # JSON booleans are Python ints; no numeric field may take one as 1 or 0
+        payload = {"task": task, "numeric": numeric}
+        if task == "counting-compare":
+            payload.update(operator="bk", graph=RING,
+                           boundary={"kind": "ring_phase", "c": 0.0})
+        elif task != "halfline-demo":
+            payload.update(operator="bk2", graph=EDGE, boundary={"kind": "dirichlet"})
+        code, err = self.run_main(tmp_path, payload)
         assert code == cli.EXIT_VALIDATION == 3
         assert err["code"] == "VALIDATION_ERROR"
 

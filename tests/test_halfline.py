@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import xpgraphs.halfline as hl
+from util import amplitude_envelope_sq, reference_zeta_critical
 from xpgraphs.errors import RangeExceeded, ValidationError
 
 # first two critical-line zero ordinates of the zeta function
@@ -144,6 +145,15 @@ class TestCriticalLineSpecialFunctions:
             ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
             assert hl.gamma_complex(z) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("z", [0, -1, -2, 0.0 + 0.0j, -2.0 + 0.0j])
+    def test_gamma_poles(self, z):
+        with pytest.raises(ValidationError):
+            hl.gamma_complex(z)
+
+    def test_zeta_pole(self):
+        with pytest.raises(ValidationError):
+            hl.zeta_critical(1.0)
+
 
 class TestAmplitude:
     def test_quadrature_matches_closed_form(self):
@@ -184,7 +194,7 @@ class TestAmplitude:
     def test_envelope_asymptotics(self):
         # |A|^2 approaches alpha^2 (3 - 2 sqrt2 cos(k ln 2)) e^{-pi k} |zeta|^2
         for k in (20.0, 35.0):
-            ratio = abs(hl.fermi_amplitude_closed(k)) ** 2 / hl.amplitude_envelope_sq(k)
+            ratio = abs(hl.fermi_amplitude_closed(k)) ** 2 / amplitude_envelope_sq(k)
             assert ratio == pytest.approx(1.0, rel=5e-3)
 
     def test_scaling_covariance(self):
@@ -201,22 +211,105 @@ class TestAmplitude:
 
     def test_reconstruction_pointwise(self):
         for x in (0.5, 1.0, 2.0):
-            rebuilt = hl.reconstruct_from_amplitude(
-                lambda ks: np.array([hl.fermi_amplitude_closed(float(k)) for k in np.atleast_1d(ks)]),
-                x, k_max=40.0, n=4001)
+            rebuilt = hl.reconstruct_from_amplitude(hl.fermi_amplitude_closed,
+                                                    x, k_max=40.0, n=4001)
             assert abs(rebuilt - hl.fermi_packet(x)) <= 1e-4
 
     def test_reconstruction_is_scaled_fourier_transform(self):
         # phi(x) = sqrt(2 pi / x) Ahat(ln x) with Ahat the Fourier transform
         x = 1.7
         ks = np.linspace(-40.0, 40.0, 4001)
-        a = np.array([hl.fermi_amplitude_closed(float(k)) for k in ks])
+        a = hl.fermi_amplitude_closed(ks)
         ahat = np.trapezoid(a * np.exp(1j * ks * math.log(x)), ks) / (2 * math.pi)
         assert math.sqrt(2 * math.pi / x) * ahat == pytest.approx(
             complex(hl.fermi_packet(x)), abs=1e-4)
 
     def test_normalization_constant(self):
         assert hl.ALPHA == pytest.approx(1.0 / math.sqrt(math.log(2.0) - 0.5), rel=1e-15)
+
+
+class TestArrayEvaluation:
+    """A scalar is a 0-d array: one code path, the same bits at any batch."""
+
+    KS = np.linspace(-30.0, 30.0, 241)
+
+    @pytest.mark.parametrize("fn, arg", [
+        (hl.fermi_amplitude_closed, lambda k: k),
+        (hl.zeta_critical, lambda k: 0.5 - 1j * k),
+        (hl.gamma_complex, lambda k: 0.5 - 1j * k),
+    ])
+    def test_array_equals_scalar_calls_bitwise(self, fn, arg):
+        args = arg(self.KS)
+        batch = fn(args)
+        singles = [fn(x) for x in args.tolist()]
+        assert all(type(v) is complex for v in singles)
+        assert batch.shape == args.shape
+        assert batch.tolist() == singles
+
+    def test_value_independent_of_batch(self):
+        ks = self.KS
+        batch = hl.fermi_amplitude_closed(ks)
+        assert hl.fermi_amplitude_closed(ks[::-1]).tolist() == batch[::-1].tolist()
+        larger = np.concatenate([np.linspace(-200.0, 200.0, 57), ks, [0.0, 150.0]])
+        assert hl.fermi_amplitude_closed(larger)[57:57 + ks.size].tolist() == batch.tolist()
+        grid = ks.reshape(-1, 1)
+        assert hl.fermi_amplitude_closed(grid).ravel().tolist() == batch.tolist()
+        # each point sums only its own 25 + ceil(0.95 |Im s|) terms: the
+        # 26th term of s = -200 would overflow
+        far = hl.zeta_critical(-200.0 + 0.0j)
+        assert hl.zeta_critical(np.array([0.5 + 200.0j, -200.0]))[1] == far
+
+    def test_zeta_array_against_mpmath_and_scalar_series(self):
+        mp.mp.dps = 30
+        ks = np.linspace(-hl.AMPLITUDE_K_MAX, hl.AMPLITUDE_K_MAX, 161)
+        vals = hl.zeta_critical(0.5 - 1j * ks)
+        for k, val in zip(ks, vals):
+            ref = complex(mp.zeta(mp.mpc(0.5, -k)))
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+            series = reference_zeta_critical(0.5 - 1j * k)
+            assert abs(val - series) <= 1e-13 * abs(series)
+
+    def test_amplitude_array_matches_scalar_series(self):
+        ks = np.linspace(-hl.AMPLITUDE_K_MAX, hl.AMPLITUDE_K_MAX, 81)
+        vals = hl.fermi_amplitude_closed(ks)
+        for k, val in zip(ks, vals):
+            s = 0.5 - 1j * k
+            ref = (hl.ALPHA / math.sqrt(2 * math.pi)
+                   * (1 - math.sqrt(2) * cmath.exp(1j * k * math.log(2)))
+                   * complex(mp.gamma(mp.mpc(0.5, -k))) * reference_zeta_critical(s))
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("bad", [200.5, -400.0, math.nan, math.inf, -math.inf])
+    def test_one_bad_element_raises(self, bad):
+        ks = np.array([0.0, 14.0, bad, 3.0])
+        with pytest.raises(RangeExceeded):
+            hl.fermi_amplitude_closed(ks)
+        s = np.full(ks.shape, 0.5 + 0.0j)
+        s.imag = -ks
+        with pytest.raises(RangeExceeded):
+            hl.zeta_critical(s)
+
+    def test_zeta_pole_in_array(self):
+        with pytest.raises(ValidationError):
+            hl.zeta_critical(np.array([0.5 + 3.0j, 1.0, 2.0]))
+
+    def test_gamma_reflection_on_mixed_array(self):
+        mp.mp.dps = 30
+        zs = np.array([-0.7 + 2.0j, 3.5 - 4.0j, -2.3 - 1.1j, 0.5 + 7.0j,
+                       0.2 + 0.0j, 0.4999 - 0.3j, -10.5 + 0.5j, 1.0 + 0.0j])
+        vals = hl.gamma_complex(zs)
+        for z, val in zip(zs, vals):
+            ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+            assert val == pytest.approx(ref, rel=1e-11)
+
+    def test_gamma_pole_in_array(self):
+        with pytest.raises(ValidationError):
+            hl.gamma_complex(np.array([0.5 + 1.0j, -3.0, 2.5]))
+
+    def test_empty_array(self):
+        for fn in (hl.fermi_amplitude_closed, hl.zeta_critical, hl.gamma_complex):
+            out = fn(np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 class TestHalflineState:

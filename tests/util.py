@@ -1,15 +1,17 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the sign-change search of the negative
-axis, the walk-based orbit enumeration and the orbit-by-orbit trace
-sums."""
+axis, the walk-based orbit enumeration, the orbit-by-orbit trace sums
+and the scalar critical-line zeta series."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 import xpgraphs as xg
+from xpgraphs.halfline import ALPHA
 from xpgraphs.extensions import s_matrix_bk2_derivative
 from xpgraphs.graph import LENGTH_TOL, PATTERN_TOL
 
@@ -227,3 +229,32 @@ def reference_orbit_sum_kdep(sys, h, max_steps: int, k_probe: float = 1.0) -> fl
         integrand = h_vals * amp * np.exp(1j * xs * r * l_p)
         total += float(np.sum(ws * integrand.real)) / (2.0 * math.pi)
     return total
+
+
+def reference_zeta_critical(s: complex) -> complex:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)) point by point in Python complex
+    arithmetic, with 25 + ceil(0.95 |Im s|) terms of the Cohen-Villegas-
+    Zagier eta series; the oracle of the array series in
+    ``halfline.zeta_critical``."""
+    s = complex(s)
+    n_terms = 25 + int(math.ceil(0.95 * abs(s.imag)))
+    d = (3.0 + math.sqrt(8.0)) ** n_terms
+    d = (d + 1.0 / d) / 2.0
+    b = -1.0
+    c = -d
+    total = 0.0 + 0.0j
+    for j in range(n_terms):
+        c = b - c
+        total += c * cmath.exp(-s * math.log(j + 1))
+        b *= (j + n_terms) * (j - n_terms) / ((j + 0.5) * (j + 1.0))
+    return total / d / (1.0 - cmath.exp((1.0 - s) * math.log(2.0)))
+
+
+def amplitude_envelope_sq(k: float) -> float:
+    """Large-|k| asymptotic envelope of |A(k)|^2 for the reference packet:
+
+        alpha^2 (3 - 2 sqrt(2) cos(k ln 2)) exp(-pi |k|) |zeta(1/2 - ik)|^2.
+    """
+    z = xg.zeta_critical(0.5 - 1j * k)
+    return ALPHA ** 2 * (3.0 - 2.0 * math.sqrt(2.0) * math.cos(k * math.log(2.0))) \
+        * math.exp(-math.pi * abs(k)) * abs(z) ** 2
