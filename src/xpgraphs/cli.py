@@ -137,18 +137,18 @@ def _is_number(value) -> bool:
 
 
 def _numeric(config: JobConfig, key: str, default=None, kind=float):
-    """numeric.<key> (or ``default`` when absent) converted by ``kind``.
+    """numeric.<key> (or ``default`` when absent) as a ``kind``.
 
     Raises:
-        ValidationError: the value is a boolean or does not convert.
+        ValidationError: the value is not a JSON number (a string or a
+            boolean), or a count (``kind=int``) is not a whole number.
     """
     value = config.numeric.get(key, default)
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"numeric.{key} must be a number, got {value!r}") from exc
+    if not _is_number(value):
+        raise ValidationError(f"numeric.{key} must be a number, got {value!r}")
+    if kind is int and not (math.isfinite(value) and value == math.floor(value)):
+        raise ValidationError(f"numeric.{key} must be a whole number, got {value!r}")
+    return kind(value)
 
 
 # ---------------------------------------------------------------------------

@@ -257,14 +257,17 @@ def zeta_critical(s):
     Takes a scalar or an array; a scalar is a 0-d array and returns a
     Python complex.  Term count grows with |Im s| to offset the
     exp(pi |Im s| / 2) loss of the acceleration; adequate to ~1e-11
-    relative for |Im s| <= 200.  Raises RangeExceeded if any |Im s| >
-    AMPLITUDE_K_MAX (or is not a number), where the series loses that
-    accuracy and its weights soon overflow.
+    relative for |Im s| <= 200 and Re s >= 0.  Raises RangeExceeded if
+    any |Im s| > AMPLITUDE_K_MAX, where the series loses that accuracy and
+    its weights soon overflow, any Re s < 0, where the terms (j+1)^-s grow
+    and the result is wrong (-3.86 at s = -10.5, where zeta is 0.0111), or
+    any s is not a number.
     """
-    in_range = np.abs(s.imag) <= AMPLITUDE_K_MAX
+    in_range = (np.abs(s.imag) <= AMPLITUDE_K_MAX) & (s.real >= 0.0)
     if not np.all(in_range):
         bad = complex(s[np.argmin(in_range)])
-        raise RangeExceeded(f"zeta needs |Im s| <= {AMPLITUDE_K_MAX}, got s = {bad}")
+        raise RangeExceeded(
+            f"zeta needs |Im s| <= {AMPLITUDE_K_MAX} and Re s >= 0, got s = {bad}")
     n_terms = 25 + np.ceil(0.95 * np.abs(s.imag)).astype(int)
     denom = 1.0 - np.exp((1.0 - s) * math.log(2.0))
     if np.any(np.abs(denom) < 1e-14):

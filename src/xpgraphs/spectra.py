@@ -1,46 +1,46 @@
 """Secular functions, eigenvalue location with multiplicities, Weyl fits.
 
 The spectrum of either operator on a graph is the set of real k where the
-unitary family U(k) = S(k) T(k) has eigenvalue one.  We count those
-crossings with an integer-valued winding function
+unitary family U(k) = S(k) T(k) has eigenvalue one.  Roots are the jumps
+of an integer count that is exact at every k, located by brackets that
+the count certifies.
 
-    M(k) = (Theta(k) - sum_j theta_j(k)) / (2 pi),
+For the first-order operator (constant S) the count is the winding
+function
 
-where Theta is a continuous lift of arg det U and theta_j are principal
-eigenphases in [0, 2 pi).  M(k2) - M(k1) equals the net number of
-eigenphase crossings through 1 on (k1, k2].
+    M(k) = (arg det S + k sum(w) - sum_j theta_j(k)) / (2 pi),
 
-The lift is known in closed form.  S''(k) has eigenvalue -1 on ker B' and
--(lam - ik)/(lam + ik) for each nonzero eigenvalue lam of L'' (a pole of
-the family), so
+theta_j the principal eigenphases of U(k) in [0, 2 pi).  Every eigenphase
+increases with k (rate between the smallest and largest bond length), so
+M(k2) - M(k1) is the number of crossings of 1 on (k1, k2].
 
-    Theta(k) = arg det U(0) + k sum(w) - 2 sum_lam arctan(k / lam),
+For the squared operator, whatever its S-part, the count is N(k), the
+number of eigenvalues below k^2, from Friedlander's Dirichlet-to-Neumann
+index identity (Arch. Ration. Mech. Anal. 116, 1991; Behrndt & Luger,
+J. Phys. A 43, 474006, 2010):
 
-and a constant S-part (no poles) keeps only the first two terms.  One
-scan serves both cases: the grid is evaluated in stacked blocks of U(k).
+    N(k) = sum_e floor(k l_e / pi) + n_-(Q+ Lambda(k) Q - diag(sigma)),
 
-With a constant S-part every eigenphase is strictly increasing (rate
-between the smallest and largest bond length), so the count is exact at
-any k and the grid, two points per mean crossing spacing 2 pi / sum(w),
-only seeds brackets.  A bracket holding one crossing is refined by Newton
-steps on the crossing eigenphase, with its velocity from Hellmann-Feynman,
-inside a bracket that M certifies at every step.  Brackets holding
-several crossings (degenerate levels) are bisected.
+Q and sigma the eigenvectors and eigenvalues of L'' on ran B'+, Lambda(k)
+the per-edge Dirichlet-to-Neumann map k [[cot kl, -csc kl],
+[-csc kl, cot kl]].  It comes from one eigvalsh of a Hermitian matrix in
+which the end-pair eigenvalue of Lambda that diverges at a Dirichlet point
+k l_e in pi Z sits in a border, so the count holds next to those points
+too (``_PositiveCount``).  Each Dirichlet point p is its own bracket
+(p - tol/2, p + tol/2]: a jump of N across it is a root at p.  The zero
+eigenvalue is characterized by ``zero_mode_test``, and the negative
+spectrum -kappa^2 by the same kind of count with kappa-harmonic maps
+(``_NegativeCount``).
 
-With a k-dependent S-part the grid takes eight points per mean spacing of
-sum(w) plus the phase-velocity bound of the S-matrix family, grid steps
-where an eigenphase sat near 1 at both ends are re-checked on a finer
-grid, and every bracket is bisected.
-
-Refinement runs in rounds: each round takes one Newton step or one split
-in every open bracket, with all iterates in stacked eig calls and all
-certificate probes and midpoints in stacked eigvals calls.
-
-The negative spectrum -kappa^2 of the squared operator has its own
-integer count: N(kappa), the number of eigenvalues below -kappa^2, is the
-negative index of a Hermitian boundary matrix built from L'' and the edge
-Dirichlet-to-Neumann maps.  N is nonincreasing, and the same bracket
-refinement bisects it, so its jumps give the roots with multiplicities.
+A grid of two points per mean crossing spacing 2 pi / sum(w) only seeds
+brackets.  A bracket holding one root is refined by Newton steps (on the
+eigenphase of U(k), or on the eigenvalue of the Hermitian matrix, nearest
+0, with the slope from the same eigensolve) inside a bracket that the
+count certifies at every step.  Brackets holding several roots
+(degenerate levels) are bisected.  Refinement runs in rounds: each round
+takes one Newton step or one split in every open bracket, with all
+iterates in one stacked eigensolve and all certificate probes and
+midpoints in another.
 """
 
 from __future__ import annotations
@@ -71,13 +71,9 @@ SCAN_BLOCK = 64
 #: Newton steps one bracket may take before refinement gives up
 NEWTON_BUDGET = 100
 
-#: scan grid points per mean crossing spacing 2 pi / sum(w) with a constant
-#: S-part, where M is exact at every k and the grid only seeds brackets
+#: scan grid points per mean crossing spacing 2 pi / sum(w); every count is
+#: exact at every k, so the grid only seeds brackets
 GRID_DENSITY = 2
-
-#: grid points per mean crossing spacing with a k-dependent S-part, whose
-#: suspect-step re-check relies on steps this short
-KDEP_GRID_DENSITY = 8
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +142,6 @@ class SecularSystem:
         """Nonzero eigenvalues of L'': S(k) has poles at k = +- i poles."""
         return np.zeros(0) if self.kind == BK else self.dec.poles
 
-    def s_phase_rate_bound(self, kappa: float) -> float:
-        """Upper bound on |d/dk arg det S(k)| near |k| = kappa."""
-        lam = np.abs(self.poles)
-        if lam.size == 0:
-            return 0.0
-        return float(np.sum(2.0 * lam / (lam ** 2 + kappa ** 2)))
-
 
 def _swap_halves(m: np.ndarray) -> np.ndarray:
     """m J0 for a matrix or a stack: the two column halves exchanged."""
@@ -197,7 +186,7 @@ def secular(sys: SecularSystem, k):
 
 
 # ---------------------------------------------------------------------------
-# Winding-number machinery
+# Integer counts
 # ---------------------------------------------------------------------------
 
 def _principal_angles(u: np.ndarray) -> np.ndarray:
@@ -207,50 +196,51 @@ def _principal_angles(u: np.ndarray) -> np.ndarray:
 
 
 def _unit_count(m: np.ndarray, tol: float) -> int:
-    """Eigenvalues of a unitary matrix within eigenphase distance tol of 1."""
-    ang = _principal_angles(m)
-    dist = np.minimum(ang, TWO_PI - ang)
-    return int(np.sum(dist <= tol))
+    """Eigenvalues of a unitary matrix within eigenphase distance tol of 1.
+
+    m is normal, so the singular values of I - m are |1 - exp(i theta_j)|
+    = 2 |sin(theta_j / 2)| over its eigenphases theta_j.
+    """
+    sv = np.linalg.svd(np.eye(len(m)) - m, compute_uv=False)
+    return int(np.sum(sv <= 2.0 * math.sin(0.5 * tol)))
+
+
+def _window_floor(k_max: float) -> float:
+    """Lower end of a squared-operator search window reaching k_max:
+    1e-9 max(1, |k_max|), below which a zero mode is not told from rounding."""
+    return 1e-9 * max(1.0, abs(k_max))
 
 
 class _Scan:
-    """M(k) for one secular system, evaluated on stacks of U(k).
+    """M(k) for a constant S-part, evaluated on stacks of U(k).
 
-    U(k) = B(k) exp(ikw) with bond matrix B(k); a constant S-part builds B
-    once, and a k-dependent one builds the stack of B(k) over each block of
-    k in one broadcast.  ``_theta`` is the closed-form lift of arg det U(k),
-    anchored at arg det B(0), so M needs no lift along the scan.  Every
-    stack holds at most SCAN_BLOCK matrices.  ``evals`` counts every U(k)
-    whose eigenvalues are computed.
+    U(k) = B exp(ikw) with the constant bond matrix B, and arg det U(k) =
+    arg det B + k sum(w), so M needs no lift along the scan.  Every stack
+    holds at most SCAN_BLOCK matrices.  ``evals`` counts every U(k) whose
+    eigenvalues are computed.
     """
 
+    newton = True
+
     def __init__(self, sys: SecularSystem):
-        self.sys = sys
         self.weights = sys.weights
         self.rate = float(np.sum(self.weights))
-        self.poles = sys.poles
-        bond = sys.bond_matrix(0.0)
-        self.theta0 = float(np.angle(np.linalg.det(bond)))
-        self.bond = bond if self.poles.size == 0 else None
+        self.grid_step = _scan_step(self.rate)
+        self.bond = sys.bond_matrix(0.0)
+        self.theta0 = float(np.angle(np.linalg.det(self.bond)))
         self.evals = 0
-
-    def _theta(self, k):
-        """Continuous arg det U(k); vectorised over k."""
-        return (self.theta0 + k * self.rate
-                - 2.0 * np.sum(np.arctan(np.divide.outer(k, self.poles)), axis=-1))
 
     def _m(self, k, angles):
         """M from principal eigenphases; vectorised over leading axes."""
-        return np.rint((self._theta(k) - np.sum(angles, axis=-1)) / TWO_PI).astype(int)
+        return np.rint((self.theta0 + k * self.rate - np.sum(angles, axis=-1))
+                       / TWO_PI).astype(int)
 
     def _blocks(self, ks):
         """(slice, stack of U(k)) over ks, SCAN_BLOCK points at a time."""
         self.evals += len(ks)
         for start in range(0, len(ks), SCAN_BLOCK):
             block = slice(start, start + SCAN_BLOCK)
-            kb = ks[block]
-            bond = self.sys.bond_matrix(kb) if self.bond is None else self.bond
-            yield block, bond * np.exp(1j * np.multiply.outer(kb, self.weights))[:, None, :]
+            yield block, self.bond * np.exp(1j * np.multiply.outer(ks[block], self.weights))[:, None, :]
 
     def m_many(self, ks):
         """(M(k), principal eigenphases) over ks, from stacked eigvals calls."""
@@ -260,8 +250,14 @@ class _Scan:
             angles[block] = _principal_angles(stack)
         return self._m(ks, angles), angles
 
+    @staticmethod
+    def gaps(angles):
+        """(ahead, behind) per point: the eigenphase distance 2 pi - max theta_j
+        to the next crossing of 1 and min theta_j past the last one."""
+        return TWO_PI - np.max(angles, axis=-1), np.min(angles, axis=-1)
+
     def newton_steps(self, ks):
-        """(eigenphases in (-pi, pi], Newton step) over ks, from stacked eig calls.
+        """(M(k), Newton step) over ks, from stacked eig calls.
 
         The step -theta / (v+ diag(w) v) moves the eigenphase theta nearest
         0 to 0 at its Hellmann-Feynman velocity, v its unit eigenvector.
@@ -277,7 +273,190 @@ class _Scan:
             phases[block] = phase
             steps[block] = -np.take_along_axis(phase, j, axis=-1)[:, 0] \
                 / (np.abs(v) ** 2 @ self.weights)
-        return phases, steps
+        return self._m(ks, np.mod(phases, TWO_PI)), steps
+
+
+class _HermitianCount:
+    """What the two counts of the squared operator share: Q = dec.ran_vectors
+    (real when its entries are), sigma = dec.sigma_l, the edge log lengths,
+    and the negative index of a stack of Hermitian boundary matrices.
+
+    The substitution y = ln x maps the operator onto -d^2/dy^2 on edges of
+    log length l, with the boundary form -<L'' u, u> on ran B'+ and
+    Dirichlet conditions on ker B'.  Restricted to solutions of
+    -u'' = lambda u, the quadratic form of the operator minus lambda is
+    <(Q+ Lambda Q - diag(sigma)) f, f> on the boundary values f, Lambda the
+    per-edge Dirichlet-to-Neumann map at lambda.  ``evals`` counts the
+    matrices diagonalised.
+    """
+
+    newton = False
+
+    def __init__(self, sys: SecularSystem):
+        q = sys.dec.ran_vectors
+        self.q = q if np.any(q.imag) else q.real
+        self.sigma = sys.dec.sigma_l
+        self.lengths = sys.lengths
+        self.evals = 0
+
+    @staticmethod
+    def _index(vals: np.ndarray) -> np.ndarray:
+        """Negative index per row of a stack of ascending eigenvalues.
+
+        A zero mode of the operator leaves the matrix an eigenvalue of order
+        k^2 l, below rounding at small k: eigenvalues within the eigvalsh
+        error bound 4 n eps max|mu| of 0 count as nonnegative.
+        """
+        bound = 4 * vals.shape[-1] * np.finfo(float).eps \
+            * np.max(np.abs(vals), axis=-1, initial=0.0)
+        return np.sum(vals < -bound[:, None], axis=-1)
+
+    def _eigvalsh_count(self, mats):
+        """(negative index, ascending eigenvalues) of a stack of Hermitian
+        matrices, from one eigvalsh call."""
+        self.evals += len(mats)
+        vals = np.linalg.eigvalsh(mats)
+        return self._index(vals), vals
+
+
+class _NegativeCount(_HermitianCount):
+    """N(kappa), the number of eigenvalues of the squared operator below -kappa^2.
+
+    The Dirichlet-decoupled operator has no negative spectrum, so N(kappa)
+    is the negative index of M(kappa) = Q+ Lambda(kappa) Q - diag(sigma),
+    where Lambda(kappa) = kappa [[coth kappa l, -csch kappa l],
+    [-csch kappa l, coth kappa l]] maps kappa-harmonic functions.  Lambda
+    is positive definite and increasing in kappa, so N is nonincreasing,
+    at most #{sigma > 0}, and drops at each root by its multiplicity.
+    ``_refine_brackets`` bisects it.
+    """
+
+    def m_many(self, kappas):
+        """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from one
+        stacked eigvalsh call."""
+        kappa = np.asarray(kappas, dtype=float)[:, None]
+        x = kappa * self.lengths
+        den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
+        lam = _end_pair(kappa * (2.0 - den) / den, -2.0 * kappa * np.exp(-x) / den)
+        return self._eigvalsh_count(self.q.conj().T @ lam @ self.q - np.diag(self.sigma))
+
+
+class _PositiveCount(_HermitianCount):
+    """N(k), the number of eigenvalues of the squared operator below k^2, k > 0.
+
+    Friedlander's Dirichlet-to-Neumann index identity (Arch. Ration. Mech.
+    Anal. 116, 1991) gives
+
+        N(k) = sum_e floor(k l_e / pi) + n_-(Q+ Lambda(k) Q - diag(sigma))
+
+    off the Dirichlet points k l_e in pi Z, with Lambda(k) =
+    k [[cot kl, -csc kl], [-csc kl, cot kl]].  sigma does not depend on k,
+    so the count is exact for every S-part.  Per edge, with n = rint(kl / pi)
+    and the reduced argument delta = kl - n pi in [-pi/2, pi/2], Lambda has
+    the eigenvalue t = -k tan(delta / 2) on p_S = (e_a + (-1)^n e_b) / sqrt 2
+    and d = k cot(delta / 2) = -k^2 / t on p_L = (e_a - (-1)^n e_b) / sqrt 2,
+    which diverges at the Dirichlet points.  Every d goes into a border
+    (Haynsworth inertia): with X_S, X_L the rows p_S+ Q, p_L+ Q,
+
+        H(k) = [[X_S+ diag(t) X_S - diag(sigma), k X_L+], [k X_L, diag(t)]]
+
+    has the Schur complement Q+ Lambda Q - diag(sigma) over diag(t), whose
+    negative index #{delta > 0} is sum_e floor(kl / pi) - (n - 1), so
+
+        N(k) = sum_e (n_e - 1) + n_-(H(k)).
+
+    The floor term and the side of each pole come from the same reduced
+    argument, and the entries of H stay below about 2k + max|sigma|, so
+    the count holds at and next to a pole, where the plain matrix has
+    entries of order k / delta.  At a Dirichlet point itself it counts
+    the eigenvalues below k^2 only.
+    """
+
+    newton = True
+
+    def __init__(self, sys: SecularSystem):
+        super().__init__(sys)
+        e, rank = len(self.lengths), self.q.shape[1]
+        # N(k) = sum_e floor(kl / pi) at rank 0: no roots between Dirichlet points
+        self.grid_step = _scan_step(float(np.sum(sys.weights))) if rank else math.inf
+        self.rank, self.ends = rank, np.arange(rank, rank + e)
+        qa, qb = self.q[:e] / math.sqrt(2.0), self.q[e:] / math.sqrt(2.0)
+        self.qa_t, self.qb_t = qa.T, qb.T
+        self.qa_h, self.qb_h = qa.conj().T, qb.conj().T
+        # X_S+ diag(t) X_S = sum_e t_e (even_e + (-1)^n_e odd_e), flattened
+        self.even = (qa.conj()[:, :, None] * qa[:, None, :]
+                     + qb.conj()[:, :, None] * qb[:, None, :]).reshape(e, rank * rank)
+        self.odd = (qa.conj()[:, :, None] * qb[:, None, :]
+                    + qb.conj()[:, :, None] * qa[:, None, :]).reshape(e, rank * rank)
+        self.minus_sigma = -np.diag(self.sigma)
+
+    def _blocks(self, ks):
+        """(slice, H(k), sum_e (n_e - 1), (-1)^n, tan(delta / 2)) over ks,
+        SCAN_BLOCK points at a time."""
+        rank, ends = self.rank, self.ends
+        for start in range(0, len(ks), SCAN_BLOCK):
+            block = slice(start, start + SCAN_BLOCK)
+            k = ks[block]
+            x = np.multiply.outer(k, self.lengths)
+            turns = np.rint(x / math.pi)
+            tan = np.tan(0.5 * (x - turns * math.pi))
+            sign = 1.0 - 2.0 * np.mod(turns, 2.0)
+            t = -k[:, None] * tan
+            h = np.empty((len(k), rank + len(ends), rank + len(ends)), dtype=self.q.dtype)
+            h[:, :rank, :rank] = (t @ self.even + (sign * t) @ self.odd).reshape(
+                len(k), rank, rank) + self.minus_sigma
+            border = k[:, None, None] * (self.qa_h - self.qb_h * sign[:, None, :])
+            h[:, :rank, rank:] = border
+            h[:, rank:, :rank] = np.swapaxes(border, 1, 2).conj()
+            h[:, rank:, rank:] = 0.0
+            h[:, ends, ends] = t
+            yield block, h, np.sum(turns, axis=-1).astype(int) - len(ends), sign, tan
+
+    def m_many(self, ks):
+        """(N(k), eigenvalues of H(k)) over ks, from stacked eigvalsh calls."""
+        ks = np.asarray(ks, dtype=float)
+        counts = np.empty(len(ks), dtype=int)
+        vals = np.empty((len(ks), self.rank + len(self.ends)))
+        for block, h, offset, _, _ in self._blocks(ks):
+            neg, vals[block] = self._eigvalsh_count(h)
+            counts[block] = offset + neg
+        return counts, vals
+
+    def gaps(self, vals):
+        """(ahead, behind) per point: the smallest eigenvalue of H counted as
+        nonnegative and the distance of the largest negative one below 0,
+        inf where there is none."""
+        neg, n = self._index(vals), vals.shape[-1]
+        rows = np.arange(len(vals))
+        ahead = np.where(neg < n, vals[rows, np.minimum(neg, n - 1)], np.inf)
+        return np.maximum(ahead, 0.0), np.where(neg > 0, -vals[rows, neg - 1], np.inf)
+
+    def newton_steps(self, ks):
+        """(N(k), Newton step) over ks, from stacked eigh calls.
+
+        The step -mu / (v+ H'(k) v) moves the eigenvalue mu of H(k) nearest
+        0 to 0, v its unit eigenvector.  H' has the blocks X_S+ diag(t') X_S,
+        X_L+ and diag(t'), with t' = -tan(delta / 2) - kl / (2 cos^2(delta / 2)).
+        """
+        ks = np.asarray(ks, dtype=float)
+        counts = np.empty(len(ks), dtype=int)
+        steps = np.empty(len(ks))
+        rank = self.rank
+        self.evals += len(ks)
+        for block, h, offset, sign, tan in self._blocks(ks):
+            vals, vecs = np.linalg.eigh(h)
+            counts[block] = offset + self._index(vals)
+            rows = np.arange(len(vals))
+            j = np.argmin(np.abs(vals), axis=-1)
+            v = vecs[rows, :, j]
+            top, bottom = v[:, :rank], v[:, rank:]
+            ua, ub = top @ self.qa_t, top @ self.qb_t
+            rate = -tan - 0.5 * ks[block, None] * self.lengths * (1.0 + tan ** 2)
+            slope = np.sum(rate * (np.abs(ua + sign * ub) ** 2 + np.abs(bottom) ** 2)
+                           + 2.0 * ((ua - sign * ub).conj() * bottom).real, axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps[block] = -vals[rows, j] / slope
+        return counts, steps
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +513,23 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
     """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
 
     Refinement runs in rounds, and each round advances every open bracket
-    by one step.  With a constant S-part a bracket holding one crossing
-    takes a Newton step from its guess (or midpoint): U(k) is diagonalised,
-    its eigenvalues give M(k), which shrinks the bracket, and the
-    eigenphase theta nearest 0 gives the step -theta / (v+ diag(w) v), with
-    the velocity from Hellmann-Feynman.  A step that leaves the bracket is
-    replaced by bisection.  Once a step is below tol/4, M at k* -+ tol/2
-    must bracket the count; the root then lies within tol/2 of k*, and k*
-    is returned clamped into the certified bracket.  Every other bracket
-    (several crossings, or a k-dependent S-part) is split at its midpoint
-    down to width tol, and its halves join the next round.  ``scan`` may
-    also be a ``_NegativeCount``, whose ``bond`` is None: it is only split,
-    and a count that falls across a bracket gives its size as the
-    multiplicity.
+    by one step.  When ``scan.newton`` is set, a bracket holding one
+    crossing takes a Newton step from its guess (or midpoint):
+    ``scan.newton_steps`` gives the count at the iterate, which shrinks the
+    bracket, and the step.  A step that leaves the bracket is replaced by
+    bisection.  Once a step is below tol/4, the count at k* -+ tol/2 must
+    bracket the crossing; the root then lies within tol/2 of k*, and k* is
+    returned clamped into the certified bracket.  Every other bracket
+    (several crossings, or a count without Newton steps such as
+    ``_NegativeCount``) is split at its midpoint down to width tol, and its
+    halves join the next round; a count that changes across a bracket
+    gives its size as the multiplicity.
 
-    The Newton iterates of a round share stacked eig calls; the
-    certificate probes and midpoints of a round share stacked eigvals
-    calls.  Returns (sorted (k, g) list, number of rounds).
+    The Newton iterates of a round share stacked eigensolves, and so do the
+    certificate probes and midpoints of a round.  Returns (sorted (k, g)
+    list, number of rounds).
     """
-    newton = scan.bond is not None
+    newton = scan.newton
     half = 0.5 * tol
     roots: list = []
     iterates: list = []     # _Newton states for the next round
@@ -383,10 +560,8 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
 
         probes = []
         if stepping:
-            ks = np.array([it.k for it in stepping])
-            phases, steps = scan.newton_steps(ks)
-            m_k = scan._m(ks, np.mod(phases, TWO_PI)).tolist()
-            for it, m, step in zip(stepping, m_k, steps.tolist()):
+            m_k, steps = scan.newton_steps(np.array([it.k for it in stepping]))
+            for it, m, step in zip(stepping, m_k.tolist(), steps.tolist()):
                 if m <= it.mlo:
                     it.lo = it.k
                 else:
@@ -429,83 +604,92 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
     return sorted(roots), rounds
 
 
-def _scan_step(rate: float, density: int) -> float:
-    """Grid step with ``density`` points per mean crossing spacing 2 pi / rate."""
-    return TWO_PI / (density * rate)
+def _scan_step(rate: float) -> float:
+    """Grid step with GRID_DENSITY points per mean crossing spacing 2 pi / rate."""
+    return TWO_PI / (GRID_DENSITY * rate)
 
 
-def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float):
-    """Locate all crossings in (k_lo, k_hi].
+def _dirichlet_points(lengths, k_lo: float, k_hi: float, tol: float) -> np.ndarray:
+    """Sorted Dirichlet points n pi / l_e in (k_lo, k_hi], each more than tol
+    above the one before; a point closer to its predecessor is left to the
+    brackets around it."""
+    points = [np.arange(math.floor(k_lo * ell / math.pi) + 1,
+                        math.floor(k_hi * ell / math.pi) + 1) * (math.pi / ell)
+              for ell in lengths]
+    points = np.sort(np.concatenate(points))
+    points = points[(points > k_lo) & (points <= k_hi)]
+    return points[np.concatenate([[True], np.diff(points) > tol])] if points.size else points
 
-    With a constant S-part M is exact at every k, so the grid only seeds
+
+def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
+    """Locate all roots in (k_lo, k_hi].
+
+    The count (``_Scan`` for the first-order operator, ``_PositiveCount``
+    for the squared one) is exact at every k, so the grid only seeds
     brackets: GRID_DENSITY points per mean crossing spacing 2 pi / sum(w).
-    A step with one crossing is refined by Newton steps from the secant
-    estimate of where the crossing eigenphase reaches 2 pi.  With a
-    k-dependent S-part the grid takes KDEP_GRID_DENSITY points per mean
-    spacing of sum(w) plus the S-matrix phase velocity bound, and steps
-    where an eigenphase sat near 1 at both ends are re-checked on a finer
-    grid.  M and the eigenphases are computed on stacks of SCAN_BLOCK grid
-    points; every count-carrying step goes to ``_refine_brackets``.
+    For the squared operator each Dirichlet point p adds the bracket
+    (p - tol/2, p + tol/2], and a jump of N across it is a root at p with
+    that multiplicity.  Every other step with a jump goes to
+    ``_refine_brackets``, with a first Newton iterate interpolated from the
+    distances of the count to its next and last jump.  ``m_lo``, when
+    given, replaces the count at k_lo.  All points are evaluated in stacks
+    of at most SCAN_BLOCK matrices.
 
     Returns:
         (sorted (k, g) list, stats) with stats the eval counts per stage
-        (grid, re-check, refinement), the refinement rounds and the
-        smallest grid step.
+        (grid and Dirichlet probes, refinement), the refinement rounds,
+        the roots read off at Dirichlet points and the grid step.
     """
-    scan = _Scan(sys)
-    constant = scan.bond is not None
-    if constant:
-        step = _scan_step(scan.rate, GRID_DENSITY)
-        n = max(1, math.ceil((k_hi - k_lo) / step))
-        grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
-        grid[-1] = k_hi
-    else:
-        points, step = [k_lo], math.inf
-        while points[-1] < k_hi:
-            k = points[-1]
-            kappa = min(abs(k), abs(k_hi)) if k * k_hi > 0 else 0.0
-            dk = _scan_step(scan.rate + sys.s_phase_rate_bound(kappa), KDEP_GRID_DENSITY)
-            step = min(step, dk)
-            points.append(min(k + dk, k_hi))
-        grid = np.array(points)
-    m_vals, angles = scan.m_many(grid)
-    top = np.max(angles, axis=-1)       # largest principal eigenphase
-    bottom = np.min(angles, axis=-1)    # smallest principal eigenphase
-    grid_evals = scan.evals
+    count = _Scan(sys) if sys.kind == BK else _PositiveCount(sys)
+    step = min(count.grid_step, k_hi - k_lo)
+    n = max(1, math.ceil((k_hi - k_lo) / step))
+    grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
+    grid[-1] = k_hi
+    m_vals, vals = count.m_many(grid)
+    if m_lo is not None:
+        m_vals[0] = m_lo
+    points, poles = grid, np.zeros(0)
+    if sys.kind == BK2:
+        # a root at a Dirichlet point makes a jump on the grid step holding it
+        poles = _dirichlet_points(sys.lengths, k_lo, k_hi, tol)
+        poles = poles[np.diff(m_vals)[np.searchsorted(grid, poles) - 1] != 0]
+    if poles.size:
+        p_lo = np.maximum(poles - 0.5 * tol, k_lo)
+        p_hi = np.minimum(poles + 0.5 * tol, k_hi)
+        # grid points inside a Dirichlet bracket give way to its two ends
+        j = np.searchsorted(p_lo, grid, side="right") - 1
+        keep = (j < 0) | (grid <= p_lo[j]) | (grid >= p_hi[j])
+        probes = np.concatenate([p_lo, p_hi])
+        probes = probes[grid[np.minimum(np.searchsorted(grid, probes), len(grid) - 1)] != probes]
+        m_probes, vals_probes = count.m_many(probes)
+        points = np.concatenate([grid[keep], probes])
+        order = np.argsort(points)
+        points = points[order]
+        m_vals = np.concatenate([m_vals[keep], m_probes])[order]
+        vals = np.concatenate([vals[keep], vals_probes])[order]
+    grid_evals = count.evals
+    ahead, behind = count.gaps(vals)
 
-    brackets = []
+    pole_at = np.full(len(points) - 1, np.nan)       # p of each Dirichlet bracket
+    if poles.size:
+        pole_at[np.searchsorted(points, p_lo)] = poles
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guesses = points[:-1] + np.diff(points) * ahead[:-1] / (ahead[:-1] + behind[1:])
+    roots, brackets = [], []
     for i in np.flatnonzero(np.diff(m_vals)):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        gap_lo, gap_hi = TWO_PI - top[i], bottom[i + 1]
-        guess = lo + (hi - lo) * float(gap_lo / (gap_lo + gap_hi))
-        brackets.append((lo, hi, int(m_vals[i]), int(m_vals[i + 1]), guess))
+        jump = int(m_vals[i + 1] - m_vals[i])
+        if not np.isnan(pole_at[i]):
+            roots.append((float(pole_at[i]), abs(jump)))
+        else:
+            brackets.append((float(points[i]), float(points[i + 1]),
+                             int(m_vals[i]), int(m_vals[i + 1]), float(guesses[i])))
+    pole_roots = len(roots)
 
-    if not constant:
-        # net-count scanning can miss an eigenphase that dips through one
-        # full turn and back inside a single step; only possible with a
-        # k-dependent S-part, so re-check those steps on a finer grid when
-        # an eigenphase was within the step's phase motion of 0 at both ends
-        near = np.minimum(bottom, TWO_PI - top)
-        subs = []
-        for i in np.flatnonzero(np.diff(m_vals) == 0):
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            motion = (scan.rate + sys.s_phase_rate_bound(min(abs(lo), abs(hi)))) \
-                * (hi - lo)
-            if max(near[i], near[i + 1]) <= motion:
-                subs.append((i, np.linspace(lo, hi, 9)))
-        if subs:
-            inner = scan.m_many(np.concatenate([sub[1:-1] for _, sub in subs]))[0]
-            for (i, sub), sub_inner in zip(subs, inner.reshape(len(subs), 7)):
-                sub_m = np.concatenate([m_vals[i:i + 1], sub_inner, m_vals[i + 1:i + 2]])
-                for j in np.flatnonzero(np.diff(sub_m)):
-                    brackets.append((float(sub[j]), float(sub[j + 1]),
-                                     int(sub_m[j]), int(sub_m[j + 1]), None))
-    recheck_evals = scan.evals - grid_evals
-
-    roots, rounds = _refine_brackets(scan, brackets, tol)
-    return roots, {"grid_evals": grid_evals, "recheck_evals": recheck_evals,
-                   "refine_evals": scan.evals - grid_evals - recheck_evals,
-                   "refine_rounds": rounds, "scan_step": step}
+    refined, rounds = _refine_brackets(count, brackets, tol)
+    return sorted(roots + refined), {
+        "grid_evals": grid_evals, "recheck_evals": 0,
+        "refine_evals": count.evals - grid_evals, "refine_rounds": rounds,
+        "pole_roots": pole_roots, "scan_step": step}
 
 
 def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
@@ -514,18 +698,23 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     For the squared operator only positive wave numbers are reported
     (lambda = k^2); the zero eigenvalue is characterized separately by
-    :func:`zero_mode_test` and attached as ``zero_mode``.
+    :func:`zero_mode_test` and attached as ``zero_mode``.  The window then
+    starts at ``_window_floor(k_max)``, where the count is set to the
+    number of negative eigenvalues plus g0: there a zero mode sits below
+    rounding in the Hermitian matrix.
 
-    The scan grid is evaluated in stacked blocks, and M(k) uses the
-    closed-form lift theta0 + k sum(w) - 2 sum arctan(k / lam) over the
-    nonzero eigenvalues lam of L''.  With a k-independent S-part the grid
-    takes two points per mean crossing spacing 2 pi / sum(w), and each
-    grid step holding one crossing is refined by Newton steps inside a
-    bracket certified by M(k); steps holding several crossings (degenerate
-    levels) are bisected.  With a k-dependent S-part the grid takes eight
-    points per mean spacing and every bracket is bisected.  Refinement
-    runs in rounds that advance every bracket at once, on stacked
-    eigensolves.
+    Roots are the jumps of an integer count that is exact at every k: the
+    eigenphase winding count M(k) of U(k) for the first-order operator,
+    and for the squared operator (constant or k-dependent S-part) the
+    number N(k) of eigenvalues below k^2, from one stacked eigvalsh of a
+    bordered Dirichlet-to-Neumann matrix (``_PositiveCount``).  A grid of
+    two points per mean crossing spacing 2 pi / sum(w) seeds brackets;
+    each Dirichlet point p = n pi / l_e adds the bracket
+    (p - tol/2, p + tol/2], and a jump across it is a root at p.  A
+    bracket holding one root is refined by Newton steps inside a bracket
+    certified by the count, one holding several (degenerate levels) is
+    bisected.  Refinement runs in rounds that advance every bracket at
+    once, on stacked eigensolves.
 
     Args:
         sys: secular system.
@@ -535,12 +724,13 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             chunks whose results are merged in sorted order.
         k_probe: probe wave number for the zero-mode test (squared case).
 
-    ``diagnostics["matrix_evals"]`` counts the U(k) whose eigenvalues were
-    computed: grid points, Newton and bisection steps, and certificates.
-    It is the sum of ``grid_evals``, ``recheck_evals`` (the finer grid of
-    the k-dependent re-check) and ``refine_evals``; ``refine_rounds``
-    counts refinement rounds, and ``scan_step`` is the grid step used (the
-    smallest one with a k-dependent S-part).
+    ``diagnostics["matrix_evals"]`` counts the matrices whose eigenvalues
+    were computed: grid points, Dirichlet probes, Newton and bisection
+    steps, and certificates.  It is the sum of ``grid_evals`` (grid and
+    Dirichlet probes), ``recheck_evals`` (0: no count needs a re-check)
+    and ``refine_evals``; ``refine_rounds`` counts refinement rounds,
+    ``pole_roots`` the roots read off at Dirichlet points, and
+    ``scan_step`` is the grid step used.
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):
@@ -548,27 +738,32 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     if tol <= 0:
         raise ValidationError("tol must be positive")
 
-    zero_mode = None
+    zero_mode = m_lo = None
     if sys.kind == BK2:
         zero_mode = zero_mode_test(sys, k_probe=k_probe)
-        k_lo = max(k_lo, 1e-9 * max(1.0, abs(k_hi)))
+        floor = _window_floor(k_hi)
+        if k_lo <= floor:
+            k_lo = floor
+            m_lo = int(_NegativeCount(sys).m_many([floor])[0][0]) + zero_mode[0]
         if k_lo >= k_hi:
             return Spectrum(kind=sys.kind, eigenvalues=(), k_window=(k_lo, k_hi),
                             zero_mode=zero_mode)
 
     workers = max(1, int(workers))
     edges = np.linspace(k_lo, k_hi, workers + 1)
-    chunks = list(zip(edges[:-1], edges[1:]))
+    chunks = [(lo, hi, m_lo if i == 0 else None)
+              for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
     if workers == 1:
-        results = [_scan(sys, lo, hi, tol) for lo, hi in chunks]
+        results = [_scan(sys, lo, hi, tol, m) for lo, hi, m in chunks]
     else:
         from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _scan(sys, c[0], c[1], tol), chunks))
+            results = list(pool.map(lambda c: _scan(sys, c[0], c[1], tol, c[2]), chunks))
 
     roots: list = []
-    stats = dict.fromkeys(("grid_evals", "recheck_evals", "refine_evals", "refine_rounds"), 0)
+    stats = dict.fromkeys(("grid_evals", "recheck_evals", "refine_evals", "refine_rounds",
+                           "pole_roots"), 0)
     step = math.inf
     for rs, st in results:
         roots.extend(rs)
@@ -615,7 +810,8 @@ def zero_mode_test(sys: SecularSystem, k_probe: float = 1.0,
     unit-eigenvalue multiplicity of S''(k') C(k') at a nonzero probe k';
     the result is probe-independent and is asserted at a second probe.
     N is the order of the k = 0 zero of the secular function, the
-    unit-eigenvalue multiplicity of S''(0) T(0).
+    unit-eigenvalue multiplicity of S''(0) T(0).  Both come from singular
+    values, with no eigenvalue solver.
     """
     if sys.kind != BK2:
         raise ValidationError("zero_mode_test applies to the squared operator")
@@ -636,69 +832,28 @@ def zero_mode_test(sys: SecularSystem, k_probe: float = 1.0,
     return g0, n_zero
 
 
-class _NegativeCount:
-    """N(kappa), the number of eigenvalues of the squared operator below -kappa^2.
-
-    The substitution y = ln x maps the operator onto -d^2/dy^2 on edges of
-    log length l, with the boundary form -<L'' u, u> on ran B'+ and
-    Dirichlet conditions on ker B'.  The Dirichlet-decoupled operator has
-    no negative spectrum, so N(kappa) is the negative index of
-
-        M(kappa) = Q+ Lambda(kappa) Q - diag(sigma),
-
-    Q = dec.ran_vectors and sigma = dec.sigma_l, where Lambda(kappa) is the
-    per-edge Dirichlet-to-Neumann map of kappa-harmonic functions,
-    kappa [[coth kappa l, -csch kappa l], [-csch kappa l, coth kappa l]].
-    Lambda is positive definite and increasing in kappa, so N is
-    nonincreasing, at most #{sigma > 0}, and drops at each root by its
-    multiplicity.  ``bond`` is None: ``_refine_brackets`` bisects N.
-    """
-
-    bond = None
-
-    def __init__(self, sys: SecularSystem):
-        self.lengths = sys.lengths
-        self.q = sys.dec.ran_vectors
-        self.sigma = np.diag(sys.dec.sigma_l)
-
-    def m_many(self, kappas):
-        """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from one
-        stacked eigvalsh call."""
-        kappa = np.asarray(kappas, dtype=float)[:, None]
-        x = kappa * self.lengths
-        den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
-        lam = _end_pair(kappa * (2.0 - den) / den, -2.0 * kappa * np.exp(-x) / den)
-        vals = np.linalg.eigvalsh(self.q.conj().T @ lam @ self.q - self.sigma)
-        # a zero mode of the operator leaves M(kappa) an eigenvalue of order
-        # kappa^2 l, below rounding at small kappa: eigenvalues within the
-        # eigvalsh error bound 4 r eps max|mu| of 0 count as nonnegative
-        bound = 4 * len(self.sigma) * np.finfo(float).eps \
-            * np.max(np.abs(vals), axis=-1, initial=0.0)
-        return np.sum(vals < -bound[:, None], axis=-1), vals
-
-
 def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
     """Eigenvalues lambda = -kappa^2 of the squared operator, kappa <= kappa_max.
 
     Returns the sorted list of (kappa, multiplicity) over kappa in
-    (kappa_lo, kappa_max], kappa_lo = 1e-9 max(1, kappa_max).  They are the
-    jumps of the integer count N(kappa) of eigenvalues below -kappa^2 (see
-    ``_NegativeCount``), located by ``_refine_brackets`` bisecting the one
-    bracket (kappa_lo, kappa_max] down to width 1e-13 max(1, kappa_max);
-    the size of a jump is the multiplicity, so roots of even order are
-    found like simple ones.
+    (kappa_lo, kappa_max], kappa_lo = ``_window_floor(kappa_max)``.  They
+    are the jumps of the integer count N(kappa) of eigenvalues below
+    -kappa^2 (see ``_NegativeCount``), located by ``_refine_brackets``
+    bisecting the one bracket (kappa_lo, kappa_max] down to width
+    1e-13 max(1, kappa_max); the size of a jump is the multiplicity, so
+    roots of even order are found like simple ones.
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
-    scale = max(1.0, kappa_max)
-    lo = 1e-9 * scale
+    lo = _window_floor(kappa_max)
     if lo >= kappa_max:
         return []
     count = _NegativeCount(sys)
     n_lo, n_hi = count.m_many([lo, kappa_max])[0].tolist()
-    roots, _ = _refine_brackets(count, [(lo, kappa_max, n_lo, n_hi, None)], 1e-13 * scale)
+    roots, _ = _refine_brackets(count, [(lo, kappa_max, n_lo, n_hi, None)],
+                                1e-13 * max(1.0, kappa_max))
     return roots
 
 

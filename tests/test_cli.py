@@ -354,6 +354,28 @@ class TestErrorContract:
         assert code == cli.EXIT_VALIDATION == 3
         assert err["code"] == "VALIDATION_ERROR"
 
+    @pytest.mark.parametrize("task, numeric", [
+        ("halfline-demo", {"n_k": "12"}),
+        ("halfline-demo", {"n_k": 7.9}),
+        ("counting-compare", {"k_min": -20.0, "k_max": 20.0, "k_start": "7"}),
+    ])
+    def test_string_or_fractional_numeric_field(self, tmp_path, task, numeric):
+        # a number in a string, or a fractional count, is not converted
+        payload = {"task": task, "numeric": numeric}
+        if task == "counting-compare":
+            payload.update(operator="bk", graph=RING,
+                           boundary={"kind": "ring_phase", "c": 0.0})
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
+    def test_whole_float_count_is_a_count(self, tmp_path):
+        out = tmp_path / "out"
+        config = cli.parse(json.dumps({"task": "halfline-demo",
+                                       "numeric": {"k_grid_max": 5.0, "n_k": 12.0}}))
+        assert cli.run(config, out) == 0
+        assert json.loads((out / "halfline.json").read_text())["n_k"] == 12
+
     def test_non_numeric_k_start(self, tmp_path):
         payload = {"task": "counting-compare", "operator": "bk", "graph": RING,
                    "boundary": {"kind": "ring_phase", "c": 0.0},

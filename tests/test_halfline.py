@@ -127,10 +127,21 @@ class TestCriticalLineSpecialFunctions:
             val = hl.zeta_critical(0.5 - 1j * k)
             assert abs(val - ref) <= 1e-10 * abs(ref)
 
-    @pytest.mark.parametrize("s", [0.5 - 400j, 0.5 + 450j])
+    @pytest.mark.parametrize("s", [0.5 - 400j, 0.5 + 450j, -10.5, -2.0 + 14.0j, -1e-300,
+                                   complex(math.nan, 1.0)])
     def test_zeta_range(self, s):
         with pytest.raises(RangeExceeded):
             hl.zeta_critical(s)
+        with pytest.raises(RangeExceeded):
+            hl.zeta_critical(np.array([0.5 + 3.0j, s]))
+
+    @pytest.mark.parametrize("re", [0.0, 0.25, 0.5, 1.5, 3.0, 6.0])
+    def test_zeta_on_the_admitted_strip_against_mpmath(self, re):
+        mp.mp.dps = 30
+        s = re + 1j * np.linspace(-hl.AMPLITUDE_K_MAX, hl.AMPLITUDE_K_MAX, 81)
+        for si, val in zip(s, hl.zeta_critical(s)):
+            ref = complex(mp.zeta(mp.mpc(si.real, si.imag)))
+            assert abs(val - ref) <= 1e-12 * abs(ref), si
 
     def test_gamma_against_mpmath(self):
         mp.mp.dps = 30
@@ -255,9 +266,9 @@ class TestArrayEvaluation:
         grid = ks.reshape(-1, 1)
         assert hl.fermi_amplitude_closed(grid).ravel().tolist() == batch.tolist()
         # each point sums only its own 25 + ceil(0.95 |Im s|) terms: the
-        # 26th term of s = -200 would overflow
-        far = hl.zeta_critical(-200.0 + 0.0j)
-        assert hl.zeta_critical(np.array([0.5 + 200.0j, -200.0]))[1] == far
+        # terms 26 to 215 of its neighbour would move s = 0
+        near = hl.zeta_critical(0.0 + 0.0j)
+        assert hl.zeta_critical(np.array([0.5 + 200.0j, 0.0]))[1] == near
 
     def test_zeta_array_against_mpmath_and_scalar_series(self):
         mp.mp.dps = 30

@@ -1,4 +1,6 @@
-"""The scan's closed-form lift of arg det U(k), at fixed seeds.
+"""k-dependent S-parts at fixed seeds: the closed-form lift of arg det U(k)
+kept by the eigenphase oracle, and find_spectrum against dense eigenphase
+crossings.
 
 S''(k) has eigenvalue -1 on ker B' and -(lam - ik)/(lam + ik) for every
 nonzero eigenvalue lam of L'', so arg det U(k) = theta0 + k sum(w)
@@ -15,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xpgraphs as xg
-from xpgraphs import spectra
 
-from util import KDEP_FAMILIES, random_graph, random_kdep_spec
+from util import (KDEP_FAMILIES, EigenphaseScan, random_graph, random_kdep_spec,
+                  s_phase_rate_bound)
 
 BASE_SEED = 20261018
 N_PER_FAMILY = 6
@@ -44,10 +46,10 @@ def test_closed_form_phase_is_continuous_phase(case):
         assert dec.rank < dec.dim
 
     # steps of at most 0.05 rad in the total phase keep every ratio unambiguous
-    rate = float(np.sum(sys_.weights)) + sys_.s_phase_rate_bound(0.0)
+    rate = float(np.sum(sys_.weights)) + s_phase_rate_bound(sys_, 0.0)
     ks = np.arange(-6.0, 18.0, 0.05 / rate)
     reference = continuous_phase(sys_, ks)
-    theta = spectra._Scan(sys_)._theta(ks)
+    theta = EigenphaseScan(sys_).theta(ks)
     offset = theta - reference
     turns = offset[0] / (2 * math.pi)
     assert abs(turns - round(turns)) <= 1e-9
@@ -76,7 +78,7 @@ def dense_crossings(sys_, k_lo, k_hi):
     crossing (rises at a backward one).  Steps move the total phase by at
     most 0.05 rad, so no eigenphase crosses 1 and back inside one.
     """
-    rate = float(np.sum(sys_.weights)) + sys_.s_phase_rate_bound(0.0)
+    rate = float(np.sum(sys_.weights)) + s_phase_rate_bound(sys_, 0.0)
     grid = np.linspace(k_lo, k_hi, int(math.ceil((k_hi - k_lo) * rate / 0.05)) + 2)
     u = sys_.u_matrix(grid)
     dets = np.linalg.det(u)
@@ -89,7 +91,7 @@ def dense_crossings(sys_, k_lo, k_hi):
 
 def short_robin_spec(rng, n_edges):
     """Robin on edges of log length 0.1-0.6, mixed signs: near k = 0 the
-    S-part's phase velocity bound exceeds sum(w), and the re-check runs."""
+    S-part's phase velocity bound exceeds sum(w)."""
     g = xg.MetricGraph.from_intervals(
         [(1.0, math.exp(rng.uniform(0.1, 0.6))) for _ in range(n_edges)])
     rho = rng.choice([-1.0, 1.0], size=2 * n_edges) * rng.uniform(0.3, 2.0, 2 * n_edges)

@@ -1,7 +1,8 @@
 """Shared generators for randomized suites, and the oracles kept for
-them: the raw S''(k) formula, the sign-change search of the negative
-axis, the walk-based orbit enumeration, the orbit-by-orbit trace sums
-and the scalar critical-line zeta series."""
+them: the raw S''(k) formula, the eigenphase scan of the positive axis,
+the sign-change search of the negative axis, the walk-based orbit
+enumeration, the orbit-by-orbit trace sums and the scalar critical-line
+zeta series."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 import numpy as np
 
 import xpgraphs as xg
+from xpgraphs import spectra
 from xpgraphs.halfline import ALPHA
 from xpgraphs.extensions import s_matrix_bk2_derivative
 from xpgraphs.graph import LENGTH_TOL, PATTERN_TOL
@@ -76,6 +78,80 @@ def s_matrix_bk2_direct(dec, k: complex) -> np.ndarray:
     """Raw formula -(A'' - ikB'')(A'' + ikB'')^-1; cross-check path, k != 0."""
     a, b = dec.a_dprime, dec.b_dprime
     return -(a - 1j * k * b) @ np.linalg.inv(a + 1j * k * b)
+
+
+def s_phase_rate_bound(sys, kappa: float) -> float:
+    """Upper bound on |d/dk arg det S(k)| near |k| = kappa."""
+    lam = np.abs(sys.poles)
+    if lam.size == 0:
+        return 0.0
+    return float(np.sum(2.0 * lam / (lam ** 2 + kappa ** 2)))
+
+
+class EigenphaseScan:
+    """The winding count M(k) of U(k) for any S-part, constant or not.
+
+    S''(k) has eigenvalue -1 on ker B' and -(lam - ik)/(lam + ik) for each
+    nonzero eigenvalue lam of L'', so arg det U(k) = theta0 + k sum(w)
+    - 2 sum_lam arctan(k / lam) in closed form, and M(k) is that lift minus
+    the principal eigenphases over 2 pi.  Only bisected by
+    ``spectra._refine_brackets``.
+    """
+
+    newton = False
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.weights = sys.weights
+        self.rate = float(np.sum(self.weights))
+        self.poles = sys.poles
+        self.theta0 = float(np.angle(np.linalg.det(sys.bond_matrix(0.0))))
+        self.evals = 0
+
+    def theta(self, k):
+        """Continuous arg det U(k); vectorised over k."""
+        return (self.theta0 + k * self.rate
+                - 2.0 * np.sum(np.arctan(np.divide.outer(k, self.poles)), axis=-1))
+
+    def m_many(self, ks):
+        """(M(k), principal eigenphases) over ks."""
+        ks = np.asarray(ks, dtype=float)
+        self.evals += len(ks)
+        angles = np.mod(np.angle(np.linalg.eigvals(self.sys.u_matrix(ks))), 2 * math.pi)
+        m = np.rint((self.theta(ks) - np.sum(angles, axis=-1)) / (2 * math.pi)).astype(int)
+        return m, angles
+
+
+def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
+    """Sorted (k, g) over (k_lo, k_hi] from ``EigenphaseScan``: eight grid
+    points per mean spacing of sum(w) plus the S-matrix phase velocity
+    bound, a nine-point re-check of every step with an eigenphase within
+    the step's phase motion of 1 at both ends, and bisection to width tol.
+    """
+    scan = EigenphaseScan(sys)
+    points = [k_lo]
+    while points[-1] < k_hi:
+        k = points[-1]
+        rate = scan.rate + s_phase_rate_bound(sys, min(abs(k), abs(k_hi)) if k * k_hi > 0 else 0.0)
+        points.append(min(k + 2 * math.pi / (8 * rate), k_hi))
+    grid = np.array(points)
+    m_vals, angles = scan.m_many(grid)
+    near = np.minimum(np.min(angles, axis=-1), 2 * math.pi - np.max(angles, axis=-1))
+    brackets = []
+    for i in range(len(grid) - 1):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        if m_vals[i + 1] != m_vals[i]:
+            brackets.append((lo, hi, int(m_vals[i]), int(m_vals[i + 1]), None))
+            continue
+        motion = (scan.rate + s_phase_rate_bound(sys, min(abs(lo), abs(hi)))) * (hi - lo)
+        if max(near[i], near[i + 1]) <= motion:
+            sub = np.linspace(lo, hi, 9)
+            sub_m = np.concatenate([m_vals[i:i + 1], scan.m_many(sub[1:-1])[0],
+                                    m_vals[i + 1:i + 2]])
+            for j in np.flatnonzero(np.diff(sub_m)):
+                brackets.append((float(sub[j]), float(sub[j + 1]),
+                                 int(sub_m[j]), int(sub_m[j + 1]), None))
+    return spectra._refine_brackets(scan, brackets, tol)[0]
 
 
 def sign_change_negative_roots(sys, kappa_max: float) -> list:
