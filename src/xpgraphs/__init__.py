@@ -77,7 +77,6 @@ from .traces import (
     heat_trace_pair,
     riemann_counting,
     semiclassical_counts,
-    tabulated,
     trace_lhs,
     trace_rhs_bk,
     trace_rhs_bk2,

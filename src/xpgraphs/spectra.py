@@ -33,14 +33,13 @@ spectrum -kappa^2 by the same kind of count with kappa-harmonic maps
 (``_NegativeCount``).
 
 A grid of two points per mean crossing spacing 2 pi / sum(w) only seeds
-brackets.  A bracket holding one root is refined by Newton steps (on the
-eigenphase of U(k), or on the eigenvalue of the Hermitian matrix, nearest
-0, with the slope from the same eigensolve) inside a bracket that the
-count certifies at every step.  Brackets holding several roots
-(degenerate levels) are bisected.  Refinement runs in rounds: each round
-takes one Newton step or one split in every open bracket, with all
-iterates in one stacked eigensolve and all certificate probes and
-midpoints in another.
+brackets.  Every bracket is refined by Newton steps (on the eigenphase of
+U(k), or on the eigenvalue of the Hermitian matrix, nearest 0, with the
+slope from the same eigensolve) inside a bracket that the count
+certifies at every step; a degenerate level is certified with its
+multiplicity like a simple one.  Refinement runs in rounds: each round
+takes one Newton step in every open bracket, with all iterates in one
+stacked eigensolve and all certificate probes in another.
 """
 
 from __future__ import annotations
@@ -290,7 +289,7 @@ class _HermitianCount:
     matrices diagonalised.
     """
 
-    newton = False
+    newton = True
 
     def __init__(self, sys: SecularSystem):
         q = sys.dec.ran_vectors
@@ -328,17 +327,43 @@ class _NegativeCount(_HermitianCount):
     [-csch kappa l, coth kappa l]] maps kappa-harmonic functions.  Lambda
     is positive definite and increasing in kappa, so N is nonincreasing,
     at most #{sigma > 0}, and drops at each root by its multiplicity.
-    ``_refine_brackets`` bisects it.
     """
+
+    def _maps(self, kappas):
+        """kappa l, coth kappa l and csch kappa l per point and edge."""
+        x = np.multiply.outer(np.asarray(kappas, dtype=float), self.lengths)
+        den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
+        return x, (2.0 - den) / den, 2.0 * np.exp(-x) / den
+
+    def _matrices(self, kappas, coth, csch):
+        kappa = np.asarray(kappas, dtype=float)[:, None]
+        lam = _end_pair(kappa * coth, -kappa * csch)
+        return self.q.conj().T @ lam @ self.q - np.diag(self.sigma)
 
     def m_many(self, kappas):
         """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from one
         stacked eigvalsh call."""
-        kappa = np.asarray(kappas, dtype=float)[:, None]
-        x = kappa * self.lengths
-        den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
-        lam = _end_pair(kappa * (2.0 - den) / den, -2.0 * kappa * np.exp(-x) / den)
-        return self._eigvalsh_count(self.q.conj().T @ lam @ self.q - np.diag(self.sigma))
+        _, coth, csch = self._maps(kappas)
+        return self._eigvalsh_count(self._matrices(kappas, coth, csch))
+
+    def newton_steps(self, kappas):
+        """(N(kappa), Newton step) over kappas, from one stacked eigh call.
+
+        The step -mu / (v+ Q+ Lambda'(kappa) Q v) moves the eigenvalue mu of
+        M(kappa) nearest 0 to 0, v its unit eigenvector.  Per edge Lambda'
+        has the entries coth - kappa l csch^2 and -csch + kappa l csch coth.
+        """
+        x, coth, csch = self._maps(kappas)
+        self.evals += len(x)
+        vals, vecs = np.linalg.eigh(self._matrices(kappas, coth, csch))
+        rows = np.arange(len(vals))
+        j = np.argmin(np.abs(vals), axis=-1)
+        u = vecs[rows, :, j] @ self.q.T
+        ua, ub = np.split(u, 2, axis=-1)
+        slope = np.sum((coth - x * csch ** 2) * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
+                       + 2.0 * (x * csch * coth - csch) * (ua.conj() * ub).real, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._index(vals), -vals[rows, j] / slope
 
 
 class _PositiveCount(_HermitianCount):
@@ -371,8 +396,6 @@ class _PositiveCount(_HermitianCount):
     entries of order k / delta.  At a Dirichlet point itself it counts
     the eigenvalues below k^2 only.
     """
-
-    newton = True
 
     def __init__(self, sys: SecularSystem):
         super().__init__(sys)
@@ -499,11 +522,12 @@ class Spectrum:
 
 @dataclass(slots=True)
 class _Newton:
-    """A bracket (lo, hi] holding one crossing, M(lo) = mlo, under Newton steps."""
+    """A bracket (lo, hi] with counts mlo at lo and mhi at hi, under Newton steps."""
 
     lo: float
     hi: float
     mlo: int
+    mhi: int
     k: float                        # current iterate, inside (lo, hi)
     steps: int = 0
     probes: list | None = None      # certificate points of the current round
@@ -513,21 +537,24 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
     """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
 
     Refinement runs in rounds, and each round advances every open bracket
-    by one step.  When ``scan.newton`` is set, a bracket holding one
-    crossing takes a Newton step from its guess (or midpoint):
-    ``scan.newton_steps`` gives the count at the iterate, which shrinks the
-    bracket, and the step.  A step that leaves the bracket is replaced by
-    bisection.  Once a step is below tol/4, the count at k* -+ tol/2 must
-    bracket the crossing; the root then lies within tol/2 of k*, and k* is
-    returned clamped into the certified bracket.  Every other bracket
-    (several crossings, or a count without Newton steps such as
-    ``_NegativeCount``) is split at its midpoint down to width tol, and its
-    halves join the next round; a count that changes across a bracket
-    gives its size as the multiplicity.
+    by one step.  When ``scan.newton`` is set, every bracket takes a Newton
+    step from its guess (or midpoint): ``scan.newton_steps`` gives the
+    count at the iterate and the step.  A count equal to M(lo) or M(hi)
+    moves that end to the iterate; a count strictly between splits the
+    bracket there, and both parts go on.  A step that leaves the bracket
+    is replaced by bisection.  Once a step is below tol/4, the count is
+    taken at k* -+ tol/2.  If the whole jump g = |M(hi) - M(lo)| lies
+    between the two, the root is certified g-fold within tol/2 of k*, and
+    k* is returned clamped into the bracket; otherwise the up to three
+    sub-brackets go on.  A count without Newton steps (``scan.newton``
+    unset) is bisected.  A bracket no wider than tol is a root at its
+    midpoint, of multiplicity g.
 
-    The Newton iterates of a round share stacked eigensolves, and so do the
-    certificate probes and midpoints of a round.  Returns (sorted (k, g)
-    list, number of rounds).
+    Ends move by equality of counts, so a count may increase (``_Scan``,
+    ``_PositiveCount``) or decrease (``_NegativeCount``) across a root.
+    The Newton iterates of a round share stacked eigensolves, and so do
+    the certificate probes and midpoints of a round.  Returns (sorted
+    (k, g) list, number of rounds).
     """
     newton = scan.newton
     half = 0.5 * tol
@@ -535,14 +562,14 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
     iterates: list = []     # _Newton states for the next round
     halves: list = []       # (lo, hi, M(lo), M(hi)) to split in the next round
 
-    def admit(lo, hi, mlo, mhi, guess):
+    def admit(lo, hi, mlo, mhi, guess, steps=0):
         if mhi == mlo:
             return
-        if newton and abs(mhi - mlo) == 1:
-            k = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-            iterates.append(_Newton(lo, hi, mlo, k))
-        elif hi - lo <= tol:
+        if hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
+        elif newton:
+            k = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+            iterates.append(_Newton(lo, hi, mlo, mhi, k, steps))
         else:
             halves.append((lo, hi, mlo, mhi))
 
@@ -558,40 +585,52 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
         if splits > max_splits:
             raise ToleranceTooCoarse("bisection budget exhausted")
 
-        probes = []
+        probes, live = [], []
         if stepping:
             m_k, steps = scan.newton_steps(np.array([it.k for it in stepping]))
             for it, m, step in zip(stepping, m_k.tolist(), steps.tolist()):
-                if m <= it.mlo:
+                it.steps += 1
+                if m != it.mlo and m != it.mhi:
+                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps)
+                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
+                    continue
+                if m == it.mlo:
                     it.lo = it.k
                 else:
                     it.hi = it.k
                 it.k += step
-                it.steps += 1
                 if abs(step) <= 0.25 * tol:
                     it.k = min(max(it.k, it.lo), it.hi)
                     it.probes = [x for x in (it.k - half, it.k + half) if it.lo < x < it.hi]
                     probes.extend(it.probes)
+                live.append(it)
         mids = [0.5 * (lo + hi) for lo, hi, _, _ in splitting]
-        m_at = scan.m_many(probes + mids)[0].tolist()
+        m_at = scan.m_many(probes + mids)[0].tolist() if probes or mids else []
 
         pos = 0
-        for it in stepping:
+        for it in live:
             if it.probes is not None:
-                for x, mx in zip(it.probes, m_at[pos:pos + len(it.probes)]):
-                    if it.lo < x < it.hi:
-                        if mx <= it.mlo:
-                            it.lo = x
-                        else:
-                            it.hi = x
+                counts = m_at[pos:pos + len(it.probes)]
                 pos += len(it.probes)
+                if any(m != it.mlo and m != it.mhi for m in counts):
+                    points = [it.lo, *it.probes, it.hi]
+                    counts = [it.mlo, *counts, it.mhi]
+                    for i in range(len(points) - 1):
+                        admit(points[i], points[i + 1], counts[i], counts[i + 1],
+                              it.k, it.steps)
+                    continue
+                for x, mx in zip(it.probes, counts):
+                    if mx == it.mlo:
+                        it.lo = x
+                    else:
+                        it.hi = x
                 it.probes = None
                 if it.lo >= it.k - half and it.hi <= it.k + half:
-                    roots.append((min(max(it.k, it.lo), it.hi), 1))
+                    roots.append((min(max(it.k, it.lo), it.hi), abs(it.mhi - it.mlo)))
                     continue
             mid = 0.5 * (it.lo + it.hi)
             if it.hi - it.lo <= tol or not it.lo < mid < it.hi:
-                roots.append((mid, 1))
+                roots.append((mid, abs(it.mhi - it.mlo)))
                 continue
             if not it.lo < it.k < it.hi:
                 it.k = mid
@@ -710,11 +749,11 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     bordered Dirichlet-to-Neumann matrix (``_PositiveCount``).  A grid of
     two points per mean crossing spacing 2 pi / sum(w) seeds brackets;
     each Dirichlet point p = n pi / l_e adds the bracket
-    (p - tol/2, p + tol/2], and a jump across it is a root at p.  A
-    bracket holding one root is refined by Newton steps inside a bracket
-    certified by the count, one holding several (degenerate levels) is
-    bisected.  Refinement runs in rounds that advance every bracket at
-    once, on stacked eigensolves.
+    (p - tol/2, p + tol/2], and a jump across it is a root at p.  Every
+    bracket is refined by Newton steps inside a bracket certified by the
+    count, degenerate levels included (``_refine_brackets``).  Refinement
+    runs in rounds that advance every bracket at once, on stacked
+    eigensolves.
 
     Args:
         sys: secular system.
@@ -839,9 +878,9 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
     (kappa_lo, kappa_max], kappa_lo = ``_window_floor(kappa_max)``.  They
     are the jumps of the integer count N(kappa) of eigenvalues below
     -kappa^2 (see ``_NegativeCount``), located by ``_refine_brackets``
-    bisecting the one bracket (kappa_lo, kappa_max] down to width
-    1e-13 max(1, kappa_max); the size of a jump is the multiplicity, so
-    roots of even order are found like simple ones.
+    with Newton steps from the one bracket (kappa_lo, kappa_max], to
+    width 1e-13 max(1, kappa_max); the size of a jump is the
+    multiplicity, so roots of even order are found like simple ones.
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")

@@ -6,23 +6,25 @@ integral over the k-dependent part of the S-matrix trace, and a sum over
 periodic orbits.  Everything here is itemized so each term can be checked
 against independently computed references.
 
-The orbit sum comes from traces of powers of U(k) = B(k) diag(exp(ikw)),
-with no orbit list: summed over the orbit classes of n steps, the
-amplitudes times exp(ikl) give tr(W U(k)^n) - i tr(U(k)^(n-1) B'(k) E(k)),
-W = diag(w), E = diag(exp(ikw)) (Kottos & Smilansky, Ann. Phys. 274,
-1999); B' = 0 for a constant S-part.  No quadrature here needs scipy.
+The orbit sum needs no orbit list and no cutoff.  With U(k) = B(k) E(k),
+E = diag(exp(ikw)) and W = diag(w), the orbit classes of n steps give
+tr(W U^n) - i tr(U^(n-1) B'E) (Kottos & Smilansky, Ann. Phys. 274, 1999;
+B' = 0 for a constant S-part).  On a line Im k = eta where ||U|| < 1 the
+series over n sums to the resolvent, tr[W U (I - U)^-1 - i (I - U)^-1 B'E],
+and one trapezoid rule with an explicit strip bound integrates it.  No
+quadrature here needs scipy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ComputeError,
     ConditionViolated,
     TailBoundExceeded,
     ValidationError,
@@ -41,8 +43,10 @@ class TestFunction:
 
     ``hat`` uses the convention hhat(y) = (1/2pi) int h(k) exp(iky) dk.
     ``tail`` bounds int_K^inf |h(k)| dk for the spectral-sum remainder.
-    ``gaussian_width`` is set for the pure Gaussian family, unlocking
-    closed-form cutoff choices.
+    ``gaussian_width`` t is set for both Gaussian families: h is entire
+    with |h(x + iy)| <= exp(t y^2) h(x) and |hhat(y)| <= hhat(0)
+    exp(-y^2 / 4t).  The orbit sums move their contour off the real axis
+    and need it.
     """
 
     h: callable
@@ -92,31 +96,8 @@ def gaussian_shifted(t: float, k0: float) -> TestFunction:
         shift = max(big_k - abs(k0), 0.0)
         return 0.5 * math.sqrt(math.pi / t) * math.erfc(shift * math.sqrt(t))
 
-    return TestFunction(h=h, hat=hat, tail=tail, label=f"gaussian(t={t},k0={k0})")
-
-
-def tabulated(h_callable, k_max: float = 60.0, n: int = 6001,
-              label: str = "tabulated") -> TestFunction:
-    """Wrap a user-supplied even h; the transform is computed by quadrature."""
-    ks = np.linspace(0.0, k_max, n)
-    hs = np.asarray(h_callable(ks), dtype=float)
-
-    def h(k):
-        return h_callable(k)
-
-    def hat(y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        # (1/pi) int_0^inf h(k) cos(ky) dk for even h
-        out = np.trapezoid(hs[None, :] * np.cos(np.outer(y, ks)), ks, axis=1) / math.pi
-        return out if out.size > 1 else float(out[0])
-
-    def tail(big_k):
-        mask = ks >= big_k
-        if not np.any(mask):
-            return float(abs(hs[-1]) * k_max)
-        return float(np.trapezoid(np.abs(hs[mask]), ks[mask]))
-
-    return TestFunction(h=h, hat=hat, tail=tail, label=label)
+    return TestFunction(h=h, hat=hat, tail=tail, label=f"gaussian(t={t},k0={k0})",
+                        gaussian_width=t)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +108,13 @@ def tabulated(h_callable, k_max: float = 60.0, n: int = 6001,
 class TraceReport:
     """Itemized two-sided trace-formula evaluation.
 
-    ``orbit_sum`` holds every orbit class of at most ``max_steps`` = N
-    steps, N = floor(cutoff / w_min) + 1 for a constant S-part and the N
-    at which doubling it stopped changing the sum for a k-dependent one;
-    ``n_orbits`` counts those classes exactly, by Burnside's lemma.
-    ``n_nodes`` counts the trapezoid nodes of the (last) evaluation.
+    ``orbit_sum`` holds every orbit class, of any length: it is the
+    contour integral of the resolvent on the line Im k = ``eta``, by the
+    trapezoid rule on ``n_nodes`` nodes.  ``orbit_tail_bound`` bounds its
+    quadrature and truncation error (not rounding) from the closed-form
+    strip bound.  ``max_steps`` is N = floor(cutoff / w_min) + 1 and
+    ``n_orbits`` the exact Burnside count of the orbit classes of at most
+    N steps; the cutoff sets only these two.
     """
 
     lhs: float
@@ -146,6 +129,7 @@ class TraceReport:
     n_orbits: int
     max_steps: int
     n_nodes: int
+    eta: float
     label: str = ""
 
     def with_lhs(self, lhs: float, lhs_tail_bound: float) -> "TraceReport":
@@ -206,85 +190,8 @@ def trace_lhs(spectrum: Spectrum, h: TestFunction, total_length: float,
 # ---------------------------------------------------------------------------
 
 def _default_cutoff(h: TestFunction, eps: float = 1e-10) -> float:
-    """Orbit-length cutoff; for Gaussians twice the radius where hhat = eps."""
-    if h.gaussian_width is not None:
-        return 2.0 * math.sqrt(4.0 * h.gaussian_width * math.log(1.0 / eps))
-    # generic fallback: scan hhat outward until it stays below eps
-    y = 1.0
-    while y < 1e4 and abs(float(h.hat(y))) > eps:
-        y *= 1.25
-    return 2.0 * y
-
-
-def _power_grid(h: TestFunction, weights: np.ndarray, n_max: int, reach: float):
-    """Trapezoid step and half-width K of a power-trace sum of N steps.
-
-    Step 2 pi / (N w_max + reach) maps a walk of length l <= N w_max onto
-    aliases l + m (N w_max + reach), at least ``reach`` from the origin for
-    m != 0.  K is where a Gaussian h falls to 1e-16, or ``h.tail`` does.
-    """
-    step = 2.0 * math.pi / (n_max * float(np.max(weights)) + reach)
-    if h.gaussian_width is not None:
-        big_k = math.sqrt(math.log(1e16) / h.gaussian_width)
-    else:
-        big_k = 1.0
-        while big_k < 1e3 and h.tail(big_k) > 1e-17:
-            big_k *= 1.25
-    return step, big_k
-
-
-def _orbit_tail_bound(h: TestFunction, bond: np.ndarray, weights: np.ndarray,
-                      cutoff: float, grid) -> float:
-    """Bound on the error of the power-trace orbit sum on ``grid``.
-
-    Walks of more than N steps are dropped.  Those of n steps add at most
-    d n w_max (g max|B|)^n hhat(n w_min), from d g^(n-1) closed walks (g the
-    maximum out-degree) of amplitude (max entry)^n; for Gaussian h, shifting
-    the contour to Im k = n w_min / 2t gives tr(W) ||B||_2^n hhat(n w_min),
-    and the smaller bound is taken.  hhat decays super-exponentially.
-
-    The quadrature adds two errors per step count n, both scaled by
-    |tr(W U(k)^n)| <= tr(W) ||B||_2^n on the real axis: the nodes beyond K
-    by h.tail(K) / pi, and the aliases by 2 sum_{m>=0} |hhat(cutoff + m P)|
-    with P = N w_max + cutoff (for Gaussian h by shifting the contour).
-    """
-    scale = float(np.max(np.abs(bond)))
-    if scale == 0.0:
-        return 0.0
-    n_cut, step, big_k = grid
-    d = bond.shape[0]
-    out_deg = max(int(np.sum(np.abs(bond[:, j]) > 0)) for j in range(d))
-    w_min, w_max = float(np.min(weights)), float(np.max(weights))
-    trace_w = float(np.sum(weights))
-    norm = max(float(np.linalg.norm(bond, 2)), 1.0)
-    bound = 0.0
-    for n in range(n_cut, n_cut + 400):
-        hat = abs(float(h.hat(n * w_min)))
-        term = _times_power(d * n * w_max * hat, out_deg * max(scale, 1.0), n)
-        if h.gaussian_width is not None:
-            term = min(term, _times_power(trace_w * hat, norm, n))
-        bound += term
-        if term < 1e-30 and n > n_cut + 4:
-            break
-
-    period = 2.0 * math.pi / step
-    alias = 0.0
-    for m in range(64):
-        term = abs(float(h.hat(cutoff + m * period)))
-        alias += 2.0 * term
-        if term < 1e-300:
-            break
-    quadrature = trace_w * n_cut * (h.tail(big_k) / math.pi + alias)
-    bound += _times_power(quadrature, norm, n_cut)
-    return 2.0 * bound
-
-
-def _times_power(factor: float, ratio: float, n: int) -> float:
-    """factor * ratio^n for ratio >= 1, inf where it leaves the float range."""
-    if factor == 0.0:
-        return 0.0
-    exponent = math.log(factor) + n * math.log(ratio)
-    return math.exp(exponent) if exponent < 709.0 else math.inf
+    """Orbit-length cutoff: twice the radius where a Gaussian hhat = eps."""
+    return 2.0 * math.sqrt(4.0 * h.gaussian_width * math.log(1.0 / eps))
 
 
 def _orbit_count(bond: np.ndarray, n_max: int) -> int:
@@ -293,12 +200,15 @@ def _orbit_count(bond: np.ndarray, n_max: int) -> int:
     With A the 0/1 pattern of allowed steps, the classes of n steps number
     (1/n) sum_{j=1}^{n} tr A^gcd(j, n), grouped here by the divisor
     m = gcd(j, n) as (1/n) sum_{m | n} phi(n/m) tr A^m.  The matrix powers
-    are taken in Python ints, so the count is exact.
+    are taken in int64 while the largest row sum r has r^(N+1) below 2^63,
+    else in Python ints, so the count is exact.
     """
     scale = float(np.max(np.abs(bond)))
     if scale == 0.0:
         return 0
-    pattern = (np.abs(bond) > PATTERN_TOL * scale).astype(int).astype(object)
+    pattern = (np.abs(bond) > PATTERN_TOL * scale).astype(np.int64)
+    if float(np.max(np.sum(pattern, axis=1))) ** (n_max + 1) >= 2.0 ** 63:
+        pattern = pattern.astype(object)    # entries of A^m may leave int64
     traces_a = [0]
     power = pattern
     for _ in range(n_max):
@@ -316,63 +226,149 @@ def _orbit_count(bond: np.ndarray, n_max: int) -> int:
     return sum(fixed[n] // n for n in range(1, n_max + 1))
 
 
-def _power_sum(bond, weights: np.ndarray, h: TestFunction, n_max: int,
-               step: float, big_k: float, d_bond=None):
-    """Orbit sum of every orbit class of at most N = n_max steps.
+#: quadrature plus truncation error allowed to the contour integral of an
+#: orbit sum, before its factor 1 / 2pi
+ORBIT_SUM_TOL = 1e-13
 
-    Summed over the classes of n steps, the amplitude
-    A(k) = l_p a_p^r - i a_p^(r-1) a_p' times exp(ikl) is
-    tr(W U^n) - i tr(U^(n-1) B'E), with U = BE, E = diag(exp(ikw)),
-    W = diag(w) and a_p the product of bond-matrix entries over the
-    primitive cycle: the rotations of a class start on each bond of that
-    cycle once, and the second term is -i d/dk of the walk products.  The
-    orbit sum Re sum_{n<=N} (1/2pi) int h [...] dk is a trapezoid rule of
-    ``step`` on |k| <= K over one stack of U.  S_N = U + ... + U^N comes
-    from binary doubling over the bits of N, S_(2m) = S_m + U^m S_m and
-    S_(m+1) = S_m + U^(m+1), in at most 3 log2 N stacked products; the
-    derivative terms add up to -i tr((I + S_N - U^N) B'E).
 
-    ``bond`` is a constant B with ``d_bond`` None, or a callable giving the
-    stack B(k) over an array of k with ``d_bond`` giving B'(k).
+def _resolvent_sum(bond, weights: np.ndarray, h: TestFunction, eta: float,
+                   step: float, big_k: float, d_bond=None):
+    """Re (1/2pi) int_{Im k = eta} h(k) tr[W U (I - U)^-1 - i (I - U)^-1 B'E] dk.
+
+    U = B E with E = diag(exp(ikw)) and W = diag(w).  The trapezoid rule
+    of ``step`` on |Re k| <= big_k takes one stacked solve of (I - U) X =
+    [U | B'E] over its nodes.  ``bond`` is a constant B with ``d_bond``
+    None (B' = 0), or a callable giving the stack B(k) over an array of k
+    with ``d_bond`` giving B'(k).
 
     Returns:
-        (orbit_sum, n_nodes)
+        (value, n_nodes)
     """
     n_half = int(math.ceil(big_k / step))
-    ks = step * np.arange(-n_half, n_half + 1)
+    ks = step * np.arange(-n_half, n_half + 1) + 1j * eta
     phases = np.exp(1j * np.multiply.outer(ks, weights))[:, None, :]
     u = (bond(ks) if callable(bond) else bond) * phases
-    power, powers = u, u                # U^m and U + ... + U^m at every node, m = 1
-    for bit in bin(n_max)[3:]:
-        powers = powers + power @ powers
-        power = power @ power
-        if bit == "1":
-            power = power @ u
-            powers = powers + power
-    h_vals = np.real(h(ks))
+    d = len(weights)
+    rhs = u if d_bond is None else np.concatenate([u, d_bond(ks) * phases], axis=-1)
+    x = np.linalg.solve(np.eye(d) - u, rhs)
     # np.sum, not a BLAS dot, whose bits depend on the thread count
-    total = float(np.sum(h_vals[:, None] * weights * np.diagonal(powers, axis1=1, axis2=2).real))
+    trace = np.sum(weights * np.diagonal(x[..., :d], axis1=1, axis2=2), axis=-1)
     if d_bond is not None:
-        lead = powers - power + np.eye(len(weights))    # I + U + ... + U^(N-1)
-        # tr(X Y) as the sum of X * Y^T; Re(-i z) = Im z
-        deriv = np.sum(lead * np.swapaxes(d_bond(ks) * phases, 1, 2), axis=(1, 2))
-        total += float(np.sum(h_vals * deriv.imag))
-    return total * step / (2.0 * math.pi), ks.size
+        trace = trace - 1j * np.trace(x[..., d:], axis1=1, axis2=2)
+    return float(np.sum((h(ks) * trace).real)) * step / (2.0 * math.pi), ks.size
 
 
-def _power_trace_terms(bond: np.ndarray, weights: np.ndarray, h: TestFunction,
-                       cutoff: float) -> dict:
-    """Orbit-sum fields of a report for a constant bond matrix B.
+def _contour(h: TestFunction, weights: np.ndarray, norm_b: float, poles: np.ndarray):
+    """Line Im k = eta, trapezoid step and half-width K of an orbit sum,
+    with the bound on its error.
 
-    N = floor(cutoff / w_min) + 1 steps hold every orbit up to the cutoff,
-    and the trapezoid aliases of the walks lie beyond the cutoff.
+    On Im k = y the S-part has norm at most norm_b max(1, (lam + y)/(lam - y))
+    over the poles lam > 0, and |exp(ikw)| <= exp(-y w_min), so ||U|| <=
+    beta(y) = norm_b exp(-y w_min) max(1, ...), and ||B'|| <= max 2|lam| /
+    (lam - y)^2.  A unitary B has norm 1 up to rounding, and norm_b is
+    clipped to 1.  log beta is convex with beta(0) <= 1, so beta < 1 on
+    (0, 1.9 eta] once it holds at 1.9 eta: I - U is invertible on the
+    whole strip, no bound state lies below the line, and the series in U
+    converges on it.  With a = 0.9 eta, both traces are at most
+    G = d (w_max beta + ||B'|| exp(-y w_min)) / (1 - beta) on the strip
+    [eta - a, eta + a], and |h(x + iy)| <= exp(t y^2) h(x) for a Gaussian
+    of width t.  The trapezoid rule then errs by at most 2M / (exp(2 pi a /
+    step) - 1), M the integral of the bound on |h| G along a line of the
+    strip (Trefethen & Weideman, SIAM Rev. 56, 2014), and the nodes beyond
+    K add at most 2 exp(t eta^2) G(eta) h.tail(K).  Each takes half of
+    ORBIT_SUM_TOL.  Among 32 lines up to the first pole, the one with the
+    fewest nodes is taken whose integral of |h| G stays below 0.1
+    ORBIT_SUM_TOL / eps, which holds rounding near 1e-14.
+
+    Returns:
+        (eta, step, K, bound), the bound divided by 2pi like the sum.
+
+    Raises:
+        ConditionViolated: ||B|| > 1, or beta reaches 1 below every line.
     """
+    t, tol = h.gaussian_width, ORBIT_SUM_TOL
+    w_min, w_max, d = float(np.min(weights)), float(np.max(weights)), len(weights)
+    if norm_b > 1.0 + 1e-12:
+        raise ConditionViolated(f"||B|| = {norm_b:.6g} > 1: I - U may be singular "
+                                "just above the real axis")
+    top = float(np.min(poles[poles > 0.0], initial=math.inf))
+    eta = 10.0 ** np.linspace(-3.0, 0.0, 32) * min(0.5 * top, math.sqrt(10.0 / t))
+    y = np.multiply.outer((0.1, 1.0, 1.9), eta)        # strip bottom, line, strip top
+    lam = poles[:, None, None]
+    ratio = np.max(np.where(lam > 0.0, (lam + y) / (lam - y), 1.0), axis=0, initial=1.0)
+    beta = min(norm_b, 1.0) * np.exp(-y * w_min) * ratio
+    d_norm = np.max(2.0 * np.abs(lam) / (lam - y) ** 2, axis=0, initial=0.0)
+    keep = beta[2] < 1.0
+    if not np.any(keep):
+        raise ConditionViolated("||U(k)|| < 1 holds on no strip above the real axis")
+    eta, y, beta, d_norm = eta[keep], y[:, keep], beta[:, keep], d_norm[:, keep]
+    # G on the strip: every factor peaks at one of its ends
+    b_strip = np.maximum(beta[0], beta[2])
+    g_strip = d * (w_max * b_strip + np.maximum(d_norm[0], d_norm[2])
+                   * np.exp(-y[0] * w_min)) / (1.0 - b_strip)
+    g_line = d * (w_max * beta[1] + d_norm[1] * np.exp(-eta * w_min)) / (1.0 - beta[1])
+    mass = 2.0 * h.tail(0.0)                    # int |h(x)| dx over the real line
+    strip = np.exp(t * y[2] ** 2) * mass * g_strip
+    step = 2.0 * math.pi * 0.9 * eta / np.log1p(4.0 * strip / tol)
+    line = np.exp(t * eta ** 2) * g_line
+    # K on a ladder of ratio 1.05, from below the smallest K any line needs
+    most, least = 0.25 * tol / float(np.min(line)), 0.25 * tol / float(np.max(line))
+    big_k = [0.5]
+    while h.tail(2.0 * big_k[0]) > most:
+        big_k[0] *= 2.0
+    tails = [h.tail(big_k[0])]
+    while tails[-1] > least:
+        big_k.append(1.05 * big_k[-1])
+        tails.append(h.tail(big_k[-1]))
+    j = np.searchsorted(-np.array(tails), -0.25 * tol / line)
+    nodes = 2 * np.ceil(np.array(big_k)[j] / step) + 1
+    rounding = np.maximum(np.finfo(float).eps * line * mass, 0.1 * tol)
+    i = np.lexsort((nodes, rounding))[0]
+    quadrature = 2.0 * strip[i] / math.expm1(2.0 * math.pi * 0.9 * eta[i] / step[i])
+    truncation = 2.0 * line[i] * tails[j[i]]
+    return (float(eta[i]), float(step[i]), big_k[j[i]],
+            (quadrature + truncation) / (2.0 * math.pi))
+
+
+def _orbit_terms(sys: SecularSystem, h: TestFunction, cutoff: float | None,
+                 k_probe: float = 1.0) -> dict:
+    """Orbit-sum fields of a report: the sum over every orbit class, of any
+    length, as one contour integral of the resolvent (``_contour``,
+    ``_resolvent_sum``).
+
+    Summed over the orbit classes of n steps, the amplitudes times
+    exp(ikl) give tr(W U^n) - i tr(U^(n-1) B'E) (Kottos & Smilansky, Ann.
+    Phys. 274, 1999), analytic below the first pole.  On Im k = eta the
+    series in n converges and sums to the resolvent.  ``n_orbits`` and
+    ``max_steps`` describe the orbit classes of at most N = floor(cutoff /
+    w_min) + 1 steps, on the pattern of the bond matrix at ``k_probe``;
+    the sum does not depend on the cutoff (``_default_cutoff`` when None).
+
+    Raises:
+        ValidationError: h is not a Gaussian, so its growth off the real
+            axis is unknown.
+    """
+    if h.gaussian_width is None:
+        raise ValidationError("orbit sums need a Gaussian test function")
+    if cutoff is None:
+        cutoff = _default_cutoff(h)
+    weights, probe = sys.weights, sys.bond_matrix(k_probe)
     n_max = int(cutoff / float(np.min(weights))) + 1
-    grid = (n_max, *_power_grid(h, weights, n_max, cutoff))
-    orbit_sum, n_nodes = _power_sum(bond, weights, h, *grid)
-    tail = _orbit_tail_bound(h, bond, weights, cutoff, grid)
-    return dict(orbit_sum=orbit_sum, orbit_tail_bound=tail,
-                n_orbits=_orbit_count(bond, n_max), max_steps=n_max, n_nodes=n_nodes)
+    counts = dict(n_orbits=_orbit_count(probe, n_max), max_steps=n_max)
+    if sys.k_independent:
+        if not np.any(probe):
+            return dict(orbit_sum=0.0, orbit_tail_bound=0.0, n_nodes=0, eta=0.0, **counts)
+        bond, d_bond, norm_b = probe, None, float(np.linalg.norm(probe, 2))
+    else:
+        bond, norm_b = sys.bond_matrix, 1.0
+
+        def d_bond(ks):
+            return _swap_halves(s_matrix_bk2_derivative(sys.dec, ks))
+
+    eta, step, big_k, bound = _contour(h, weights, norm_b, sys.poles)
+    orbit_sum, n_nodes = _resolvent_sum(bond, weights, h, eta, step, big_k, d_bond)
+    return dict(orbit_sum=orbit_sum, orbit_tail_bound=bound, n_nodes=n_nodes, eta=eta,
+                **counts)
 
 
 def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
@@ -385,10 +381,9 @@ def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
     weights = graph.log_lengths
     if s_matrix.shape != (weights.size, weights.size):
         raise ValidationError("S-matrix size must equal the edge count")
-    if orbit_cutoff is None:
-        orbit_cutoff = _default_cutoff(h)
-    terms = _power_trace_terms(s_matrix, weights, h, orbit_cutoff)
+    terms = _orbit_terms(SecularSystem.bk(s_matrix, graph), h, orbit_cutoff)
     terms["orbit_sum"] *= 2.0
+    terms["orbit_tail_bound"] *= 2.0
     weyl = graph.total_length * float(h.hat(0.0))
     rhs = weyl + terms["orbit_sum"]
     return TraceReport(lhs=math.nan, lhs_tail_bound=math.nan, weyl_term=weyl,
@@ -462,74 +457,18 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     return -2.0 * value / (4.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _gl_grid(edges: np.ndarray, order: int = 16):
     """Gauss-Legendre nodes and weights on every panel [edges[i], edges[i + 1]]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     halves = 0.5 * np.diff(edges)
     mids = edges[:-1] + halves
     return (mids[:, None] + halves[:, None] * nodes).ravel(), (halves[:, None] * weights).ravel()
-
-
-#: doublings of the step count allowed to a k-dependent orbit sum
-MAX_DOUBLINGS = 7
-#: most matrix entries (nodes x d^2) in one stack of a k-dependent orbit sum
-KDEP_STACK_LIMIT = 2 ** 22
-
-
-def _power_trace_terms_kdep(sys: SecularSystem, h: TestFunction, cutoff: float,
-                            k_probe: float, eps: float = 1e-11) -> dict:
-    """Orbit-sum fields of a report for a k-dependent S-matrix family.
-
-    ``_power_sum`` takes the stacks of S''(k) J0 and its k-derivative.
-    Amplitude poles at k = +-i lam make the step-n terms decay only
-    geometrically, so N starts at floor(cutoff / w_min) + 1 and doubles,
-    at most ``MAX_DOUBLINGS`` times, until two successive sums differ by
-    less than ``eps``; partial sums, unlike single terms, skip the exact
-    zeros at odd n on a single edge.  The last difference is the tail
-    bound: measured, not certified.
-
-    Near the poles the alias of a walk decays like exp(-lam_min distance),
-    not like hhat, so the period is N w_max + reach, reach at least
-    max(cutoff, ln(1e16) / lam_min).  A pole -mu in the lower half plane
-    lets the aliases of n-step walks grow like ((mu + kappa) / (mu -
-    kappa))^n exp(-kappa distance), contour shifted down by kappa = mu / 2,
-    so reach also covers (2 / mu) (N ln 3 + ln 1e16).
-
-    Raises:
-        ComputeError: the nonzero pattern of the bond matrix varies with k,
-            or a pole near the real axis needs a grid beyond
-            ``KDEP_STACK_LIMIT``.
-    """
-    bond = sys.bond_matrix(k_probe)
-    if not np.array_equal(np.abs(bond) > 0, np.abs(sys.bond_matrix(2.0 * k_probe)) > 0):
-        raise ComputeError("k-dependent S-matrix with varying nonzero pattern "
-                           "is outside the supported orbit machinery")
-
-    def d_bond(ks):
-        return _swap_halves(s_matrix_bk2_derivative(sys.dec, ks))
-
-    lam, log_eps = sys.poles, math.log(1e16)
-    mu = float(np.min(-lam[lam < 0.0], initial=math.inf))
-
-    def orbit_sum(n):
-        reach = max(cutoff, log_eps / float(np.min(np.abs(lam))),
-                    2.0 / mu * (n * math.log(3.0) + log_eps))
-        step, big_k = _power_grid(h, sys.weights, n, reach)
-        if 2.0 * big_k / step * sys.dim ** 2 > KDEP_STACK_LIMIT:
-            raise ComputeError(f"the k-dependent orbit sum of {n} steps needs "
-                               f"{2.0 * big_k / step:.3g} quadrature nodes")
-        return _power_sum(sys.bond_matrix, sys.weights, h, n, step, big_k, d_bond)
-
-    n_max = int(cutoff / float(np.min(sys.weights))) + 1
-    (value, n_nodes), change = orbit_sum(n_max), math.inf
-    for _ in range(MAX_DOUBLINGS):
-        if change < eps:
-            break
-        n_max *= 2
-        previous, (value, n_nodes) = value, orbit_sum(n_max)
-        change = abs(value - previous)
-    return dict(orbit_sum=value, orbit_tail_bound=change,
-                n_orbits=_orbit_count(bond, n_max), max_steps=n_max, n_nodes=n_nodes)
 
 
 def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
@@ -541,8 +480,8 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
         + orbit terms.
 
     With a k-dependent family the amplitudes carry poles at k = +-i lam,
-    so orbit terms decay like exp(-lam l), not like hhat: the step count
-    grows until the sum settles, and its tail is the last change measured.
+    so orbit terms decay like exp(-lam l), not like hhat; the resolvent
+    sums them all, on a line below the first pole with lam > 0.
 
     Raises:
         ConditionViolated: the shortest edge is not longer than l(sigma)
@@ -554,17 +493,11 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
         if float(np.min(graph.log_lengths)) <= l_sigma:
             raise ConditionViolated(f"need min edge length > {l_sigma:.6f} "
                                     "for this extension")
-    if orbit_cutoff is None:
-        orbit_cutoff = _default_cutoff(h)
-
     g0, n_order = zero_mode_test(sys, k_probe=k_probe)
     weyl = graph.total_length * float(h.hat(0.0))
     boundary = (g0 - 0.5 * n_order) * float(np.real(h(0.0)))
     s_integral = _s_trace_integral(dec, h)
-    if sys.k_independent:
-        terms = _power_trace_terms(sys.bond_matrix(k_probe), sys.weights, h, orbit_cutoff)
-    else:
-        terms = _power_trace_terms_kdep(sys, h, orbit_cutoff, k_probe)
+    terms = _orbit_terms(sys, h, orbit_cutoff, k_probe)
 
     rhs = weyl + boundary + s_integral + terms["orbit_sum"]
     return TraceReport(lhs=math.nan, lhs_tail_bound=math.nan, weyl_term=weyl,

@@ -174,7 +174,7 @@ def test_mixed_batch_in_one_round(monkeypatch):
     pi, tol = math.pi, 1e-12
     windows = [(2 * pi - 0.3, 2 * pi + 0.3, 2 * pi + 1e-3),   # Newton converges
                (3 * pi - 0.05, 3 * pi + 1.45, 3 * pi + 1.4),  # step to 3.5 pi leaves
-               (2.5 * pi - 0.2, 2.5 * pi + 0.2, None)]        # double level: bisected
+               (2.5 * pi - 0.2, 2.5 * pi + 0.2, None)]        # double level: Newton too
     brackets = []
     for lo, hi, guess in windows:
         brackets.append((lo, hi, *scan.m_many([lo, hi])[0].tolist(), guess))
@@ -190,12 +190,13 @@ def test_mixed_batch_in_one_round(monkeypatch):
     roots, rounds = spectra._refine_brackets(scan, brackets, tol)
     monkeypatch.undo()
 
-    # round one: both Newton iterates in one eig stack, the midpoint in one eigvals stack
-    assert stacks[:2] == [("eig", 2), ("eigvals", 1)]
-    # later rounds: certificate probes share the midpoint's eigvals stack
-    assert ("eigvals", 2) in stacks[2:]
+    # round one: the three Newton iterates in one eig stack; every round
+    # then evaluates its certificate probes in one eigvals stack
+    assert stacks[0] == ("eig", 3)
+    assert [name for name, _ in stacks] == ["eig", "eigvals"] * rounds
     assert sum(n for _, n in stacks) == scan.evals - evals
-    assert len(stacks) <= 2 * rounds
+    # no bisection: the double level takes as few rounds as the simple ones
+    assert rounds <= 4
     assert [g for _, g in roots] == [1, 2, 1]
     for (k, _), exact in zip(roots, (2 * pi, 2.5 * pi, 3 * pi)):
         assert abs(k - exact) <= 0.5 * tol + 1e-15 * exact
@@ -216,11 +217,12 @@ def test_newton_budget_raises(monkeypatch):
 
 def test_split_budget_raises():
     # square of a zero-phase ring: bisecting the double level at 4 pi down
-    # to tol takes about 40 splits
+    # to tol, with Newton steps switched off, takes about 40 splits
     g = xg.MetricGraph.from_intervals([(1.0, math.e)])
     spec, _ = xg.squared_extension(np.array([[1.0 + 0j]]), g)
     scan = spectra._Scan(
         xg.SecularSystem.bk2(xg.decompose(spec, xg.DilationMatrices.from_graph(g)), g))
+    scan.newton = False
     lo, hi = 3.5 * math.pi, 4.7 * math.pi
     with pytest.raises(xg.ToleranceTooCoarse, match="bisection budget"):
         spectra._refine_brackets(scan, [(lo, hi, *scan.m_many([lo, hi])[0].tolist(), None)],

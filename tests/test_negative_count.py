@@ -135,3 +135,33 @@ def test_roots_are_zeros_of_the_secular_matrix(seed, n_edges, family):
         assert np.max(sv) <= SV_TOL, (kappa, m, sv)
     for kappa in sign_change_negative_roots(sys_, kappa_max):
         assert min(abs(kappa - k) for k, _ in roots) <= ROOT_TOL
+
+
+def test_newton_step_matches_the_eigenvalue_slope():
+    # the step -mu / slope against a central difference of the eigenvalue
+    # of M(kappa) nearest 0, on two edges with mixed-sign Robin ends
+    count = spectra._NegativeCount(robin_system([4.0, 3.0], [1.0, 0.8, -0.5, 1.5]))
+    kappas = np.array([0.3, 0.7, 1.1, 1.6])
+    _, steps = count.newton_steps(kappas)
+    vals = count.m_many(kappas)[1]
+    rows, j = np.arange(len(kappas)), np.argmin(np.abs(vals), axis=-1)
+    delta = 1e-6
+    slope = (count.m_many(kappas + delta)[1][rows, j]
+             - count.m_many(kappas - delta)[1][rows, j]) / (2.0 * delta)
+    assert np.all(slope > 0.0)
+    np.testing.assert_allclose(steps, -vals[rows, j] / slope, rtol=1e-6)
+
+
+def test_decreasing_count_refines_by_newton_steps():
+    # N(kappa) falls across each root: the ends move by equality of counts.
+    # Bisecting (kappa_lo, 4] to 4e-13 would take about 43 evals per root.
+    sys_ = robin_system([4.0, 3.0], [1.0, 0.8, -0.5, 1.5])
+    count = spectra._NegativeCount(sys_)
+    lo, hi = 1e-9, 4.0
+    n_lo, n_hi = count.m_many([lo, hi])[0].tolist()
+    assert n_lo - n_hi == 3
+    roots, _ = spectra._refine_brackets(count, [(lo, hi, n_lo, n_hi, None)], 4e-13)
+    assert sum(m for _, m in roots) == 3
+    assert count.evals - 2 <= 8 * len(roots)
+    for (kappa, _), (ref, _) in zip(roots, xg.find_negative_eigenvalues(sys_, hi)):
+        assert abs(kappa - ref) <= ROOT_TOL

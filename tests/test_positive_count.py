@@ -195,6 +195,34 @@ def test_newton_refinement_budget(make):
     assert sp.diagnostics["refine_evals"] <= 6 * sp.total_count
 
 
+def test_degenerate_levels_take_newton_steps():
+    # equal-length Kirchhoff 3-star: pi (m + 1/2) is a double level, pi m a
+    # simple one.  A bracket around a double level is certified 2-fold by
+    # Newton steps; one holding 4 pi and 4.5 pi splits at an iterate or a
+    # probe.  Bisection to 1e-10 takes about 33 evals per bracket.
+    count = spectra._PositiveCount(star3())
+    pi = math.pi
+    brackets = [(lo, hi, *count.m_many([lo, hi])[0].tolist(), None)
+                for lo, hi in ((2.5 * pi - 0.4, 2.5 * pi + 0.3), (4 * pi - 0.3, 4.5 * pi + 0.2))]
+    assert [mhi - mlo for _, _, mlo, mhi, _ in brackets] == [2, 3]
+    evals = count.evals
+    roots, rounds = spectra._refine_brackets(count, brackets, TOL)
+    assert [g for _, g in roots] == [2, 1, 2]
+    for (k, _), exact in zip(roots, (2.5 * pi, 4 * pi, 4.5 * pi)):
+        assert abs(k - exact) <= 0.5 * TOL + 1e-15 * exact
+    assert count.evals - evals <= 24
+    assert rounds <= 10
+
+
+def test_star3_spectrum_refines_with_few_evals():
+    # the double levels of the equal-length 3-star cost about as much as
+    # simple ones; the simple levels sit at Dirichlet points
+    sp = xg.find_spectrum(star3(), (0.0, 30.0), tol=TOL)
+    doubles = [k for k, g in sp.eigenvalues if g == 2]
+    assert len(doubles) == 10
+    assert sp.diagnostics["refine_evals"] <= 4 * len(doubles)
+
+
 def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eig or eigvals called")

@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 
 import xpgraphs as xg
 from xpgraphs.errors import ConditionViolated
-from xpgraphs.traces import _default_cutoff, _s_trace_integral, length_condition
+from xpgraphs.extensions import s_matrix_bk2_derivative
+from xpgraphs.spectra import _swap_halves
+from xpgraphs.traces import (
+    _default_cutoff,
+    _resolvent_sum,
+    _s_trace_integral,
+    length_condition,
+)
 
-from util import random_unitary, reference_orbit_sum, reference_orbit_sum_kdep
+from util import converged_orbit_sum_kdep, random_unitary, reference_orbit_sum, tabulated
 
 PI = math.pi
 
@@ -106,7 +113,7 @@ class TestTestFunctions:
 
     def test_shifted_gaussian_hat_matches_quadrature(self):
         h = xg.gaussian_shifted(0.5, 2.0)
-        tab = xg.tabulated(h.h, k_max=30.0, n=30001)
+        tab = tabulated(h.h, k_max=30.0, n=30001)
         for y in (0.0, 0.9, 2.5):
             assert float(h.hat(y)) == pytest.approx(float(tab.hat(y)), abs=1e-8)
 
@@ -282,12 +289,53 @@ class TestSecondOrderTrace:
                             * math.erfc(abs(x) * math.sqrt(t)) for x in lam)
         assert _s_trace_integral(dec, xg.gaussian(t)) == pytest.approx(closed, abs=1e-12)
 
-    def test_pole_near_the_real_axis_is_refused(self):
-        # a pole at -1e-6 needs an aliasing margin of about 1e8: a grid of
-        # some 1e8 nodes is refused before any stack is built
-        g, dec, _ = bk2_setup("robin", b=math.exp(4.7), rho=[-1e-6, 1.0])
-        with pytest.raises(xg.ComputeError, match="quadrature nodes"):
-            xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
+    @pytest.mark.parametrize("rho", [(-1e-3, 1.0), (-1e-4, 1.0), (-1e-6, 1.0)],
+                             ids=["1e-3", "1e-4", "1e-6"])
+    def test_pole_near_the_real_axis_is_summed(self, rho):
+        # a pole just below the real axis: on the shifted line the orbit
+        # integrand stays smooth, and the bound needs no more nodes
+        g, dec, sys_ = bk2_setup("robin", b=math.exp(4.7), rho=list(rho))
+        h = xg.gaussian(1.0)
+        sp = xg.find_spectrum(sys_, (0.0, math.sqrt(math.log(1e15))), tol=1e-12)
+        lhs, _ = xg.trace_lhs(sp, h, g.total_length)
+        report = xg.trace_rhs_bk2(g, dec, h)
+        assert report.orbit_tail_bound <= 1e-10
+        assert report.n_nodes < 1000
+        assert abs(lhs - report.rhs_total) <= 1e-8
+
+    def test_moving_the_line_across_a_bound_state_adds_its_residue(self):
+        # Robin rho = 1 on log length 3: one bound state at k = i kappa,
+        # kappa ~ 0.8586, below the pole at i.  Above it, (1/2pi) times the
+        # line integral of h(k) i d/dk log det(I - U) gains m h(i kappa).
+        g, dec, sys_ = bk2_setup("robin", b=math.exp(3.0), rho=1.0)
+        ((kappa, mult),) = xg.find_negative_eigenvalues(sys_, 0.99)
+        assert 0.858 < kappa < 0.859
+        h = xg.gaussian(1.0)
+
+        def d_bond(ks):
+            return _swap_halves(s_matrix_bk2_derivative(dec, ks))
+
+        below, above = (_resolvent_sum(sys_.bond_matrix, sys_.weights, h, eta, 0.004, 8.0,
+                                       d_bond)[0] for eta in (0.5, 0.93))
+        assert abs((above - below) - mult * float(np.real(h(1j * kappa)))) <= 1e-10
+
+    def test_shifted_gaussian_identity(self):
+        # the pair of Gaussians at +-3 grows off the real axis like the
+        # centred one: the Robin edge's trace identity holds through it
+        g, dec, sys_ = bk2_setup("robin", b=math.exp(4.0), rho=1.0)
+        h = xg.gaussian_shifted(0.5, 3.0)
+        sp = xg.find_spectrum(sys_, (0.0, 12.0), tol=1e-12)
+        lhs, lhs_tail = xg.trace_lhs(sp, h, g.total_length)
+        report = xg.trace_rhs_bk2(g, dec, h)
+        assert lhs_tail <= 1e-15 and report.orbit_tail_bound <= 1e-13
+        assert abs(lhs - report.rhs_total) <= 1e-12
+
+    def test_test_function_without_growth_bound_is_refused(self):
+        # a tabulated h says nothing about h off the real axis
+        g, dec, _ = bk2_setup("dirichlet")
+        tab = tabulated(xg.gaussian(1.0).h, k_max=30.0)
+        with pytest.raises(xg.ValidationError, match="Gaussian"):
+            xg.trace_rhs_bk2(g, dec, tab)
 
     def test_condition_violated_for_short_edge(self):
         g, dec, sys_ = bk2_setup("robin", rho=1.0)  # ell = 1 < l(sigma) ~ 3.45
@@ -359,7 +407,7 @@ POWER_SUM_EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 class TestPowerTraceSum:
-    """Constant-S orbit sums from traces of U(k)^n, against enumeration."""
+    """Constant-S orbit sums from the resolvent, against enumeration."""
 
     @POWER_SUM_EXAMPLES
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
@@ -441,22 +489,24 @@ def delta_ring(alpha, log_length):
 
 
 def check_kdep_sum(g, dec, t):
-    """k-dependent orbit sum against the orbit-by-orbit oracle at the same
-    step count, and the Burnside count against the orbits of that many steps."""
+    """k-dependent orbit sum against the orbit-by-orbit oracle, summed until
+    it settles, and the Burnside count against the orbits of at most N =
+    floor(cutoff / w_min) + 1 steps."""
     sys_ = xg.SecularSystem.bk2(dec, g)
     assert not sys_.k_independent
     h = xg.gaussian(t)
     report = xg.trace_rhs_bk2(g, dec, h)
     assert report.orbit_tail_bound <= 1e-10
-    ref = reference_orbit_sum_kdep(sys_, h, report.max_steps)
+    n_max = int(_default_cutoff(h) / float(np.min(sys_.weights))) + 1
+    assert report.max_steps == n_max
+    ref = converged_orbit_sum_kdep(sys_, h, n_max)
     assert abs(report.orbit_sum - ref) <= 1e-12
     ones = np.ones(sys_.dim)
-    assert report.n_orbits == len(xg.enumerate_orbits(sys_.bond_matrix(1.0), ones,
-                                                      report.max_steps))
+    assert report.n_orbits == len(xg.enumerate_orbits(sys_.bond_matrix(1.0), ones, n_max))
 
 
 class TestKdepPowerSum:
-    """k-dependent orbit sums from traces of U(k)^n, against the orbit-by-orbit sum."""
+    """k-dependent orbit sums from the resolvent, against the orbit-by-orbit sum."""
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(rho=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
@@ -476,9 +526,26 @@ class TestKdepPowerSum:
     @pytest.mark.parametrize("rho,margin", [((-0.5, -0.5), 1.3), ((-0.7, 1.0), 1.25)])
     @pytest.mark.parametrize("t", [0.2, 1.0])
     def test_negative_poles(self, rho, margin, t):
-        # poles in the lower half plane: the aliases of long walks need a
-        # margin that grows with the step count
+        # poles in the lower half plane: only the poles above bound the line
         check_kdep_sum(*robin_edge(rho, margin), t)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(rho=st.tuples(st.floats(0.3, 2.0), st.floats(0.5, 2.0)), flip=st.booleans(),
+           margin=st.floats(0.05, 1.0), t=st.sampled_from((0.2, 1.0)),
+           shift=st.floats(0.3, 1.5))
+    def test_sum_does_not_depend_on_the_line(self, rho, flip, margin, t, shift):
+        # any line between the real axis and 1.9 eta, the top of the strip,
+        # gives the same sum; here on a step of 1/20 of the line's height
+        g, dec = robin_edge((-rho[0] if flip else rho[0], rho[1]), margin)
+        sys_ = xg.SecularSystem.bk2(dec, g)
+        h = xg.gaussian(t)
+        report = xg.trace_rhs_bk2(g, dec, h)
+        eta = shift * report.eta
+        moved, _ = _resolvent_sum(
+            sys_.bond_matrix, sys_.weights, h, eta, 0.05 * min(eta, report.eta),
+            math.sqrt(eta ** 2 + 40.0 / t),
+            lambda ks: _swap_halves(s_matrix_bk2_derivative(dec, ks)))
+        assert abs(moved - report.orbit_sum) <= 1e-12
 
 
 class TestHeatTrace:

@@ -1,8 +1,8 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the eigenphase scan of the positive axis,
 the sign-change search of the negative axis, the walk-based orbit
-enumeration, the orbit-by-orbit trace sums and the scalar critical-line
-zeta series."""
+enumeration, the orbit-by-orbit trace sums, a test function tabulated on
+a grid and the scalar critical-line zeta series."""
 
 from __future__ import annotations
 
@@ -305,6 +305,42 @@ def reference_orbit_sum_kdep(sys, h, max_steps: int, k_probe: float = 1.0) -> fl
         integrand = h_vals * amp * np.exp(1j * xs * r * l_p)
         total += float(np.sum(ws * integrand.real)) / (2.0 * math.pi)
     return total
+
+
+def converged_orbit_sum_kdep(sys, h, n_start: int, eps: float = 1e-13,
+                             max_doublings: int = 7) -> float:
+    """``reference_orbit_sum_kdep`` over at most n steps, n doubling from
+    ``n_start`` until two successive sums differ by less than ``eps``."""
+    n, value = n_start, reference_orbit_sum_kdep(sys, h, n_start)
+    for _ in range(max_doublings):
+        n *= 2
+        previous, value = value, reference_orbit_sum_kdep(sys, h, n)
+        if abs(value - previous) < eps:
+            return value
+    raise AssertionError(f"orbit-by-orbit sum still moving at {n} steps")
+
+
+def tabulated(h_callable, k_max: float = 60.0, n: int = 6001,
+              label: str = "tabulated") -> xg.TestFunction:
+    """Wrap an even h given only as a callable; the transform is computed by
+    quadrature on [0, k_max].  Nothing is known of h off the real axis, so
+    the trace sums refuse it."""
+    ks = np.linspace(0.0, k_max, n)
+    hs = np.asarray(h_callable(ks), dtype=float)
+
+    def hat(y):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        # (1/pi) int_0^inf h(k) cos(ky) dk for even h
+        out = np.trapezoid(hs[None, :] * np.cos(np.outer(y, ks)), ks, axis=1) / math.pi
+        return out if out.size > 1 else float(out[0])
+
+    def tail(big_k):
+        mask = ks >= big_k
+        if not np.any(mask):
+            return float(abs(hs[-1]) * k_max)
+        return float(np.trapezoid(np.abs(hs[mask]), ks[mask]))
+
+    return xg.TestFunction(h=h_callable, hat=hat, tail=tail, label=label)
 
 
 def reference_zeta_critical(s: complex) -> complex:
