@@ -24,33 +24,38 @@ J. Phys. A 43, 474006, 2010):
 Q and sigma the eigenvectors and eigenvalues of L'' on ran B'+, Lambda(k)
 the per-edge Dirichlet-to-Neumann map k [[cot kl, -csc kl],
 [-csc kl, cot kl]].  It comes from one eigvalsh of a Hermitian matrix in
-which the end-pair eigenvalue of Lambda that diverges at a Dirichlet point
-k l_e in pi Z sits in a border, so the count holds next to those points
-too (``_PositiveCount``).  Each Dirichlet point p is its own bracket
-(p - tol/2, p + tol/2]: a jump of N across it is a root at p.  The zero
-eigenvalue is characterized by ``zero_mode_test``, and the negative
-spectrum -kappa^2 by the same kind of count with kappa-harmonic maps
-(``_NegativeCount``).
+which the end-pair eigenvalue d = k cot(delta / 2), delta = kl - n pi,
+of Lambda that diverges at a Dirichlet point k l_e in pi Z sits in a
+border, so the count holds next to those points too (``_PositiveCount``).
+Only the BORDER_SLOTS edges of smallest |delta| at a point are bordered;
+the d of the others, at most 8k, stay in the rank block, and a point
+whose fifth-smallest |delta| is below SLOT_DELTA_MIN takes the full
+border.  Each Dirichlet point p is its own bracket (p - tol/2, p + tol/2]:
+a jump of N across it is a root at p.  The zero eigenvalue is
+characterized by ``zero_mode_test`` from the nullity of
+M(0) = Q+ Lambda(0) Q - diag(sigma), and the negative spectrum -kappa^2
+by the same kind of count with kappa-harmonic maps (``_NegativeCount``).
 
 A grid of two points per mean crossing spacing 2 pi / sum(w) only seeds
 brackets.  Every bracket is refined by Newton steps (on the eigenphase of
 U(k), or on the eigenvalue of the Hermitian matrix, nearest 0, with the
-slope from the same eigensolve) inside a bracket that the count
-certifies at every step; a degenerate level is certified with its
-multiplicity like a simple one.  Refinement runs in rounds: each round
-takes one Newton step in every open bracket, with all iterates in one
-stacked eigensolve and all certificate probes in another.
+eigenvector of the slope from one step of shifted inverse iteration,
+``_nearest_vector``) inside a bracket that the count certifies at every
+step; a degenerate level is certified with its multiplicity like a
+simple one.  Refinement runs in rounds: each round takes one Newton step
+in every open bracket, with all iterates in one stacked eigensolve and
+all certificate probes in another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    ComputeError,
     InsufficientData,
     RangeExceeded,
     ToleranceTooCoarse,
@@ -73,6 +78,17 @@ NEWTON_BUDGET = 100
 #: scan grid points per mean crossing spacing 2 pi / sum(w); every count is
 #: exact at every k, so the grid only seeds brackets
 GRID_DENSITY = 2
+
+#: edges per point that get a border row in the squared-operator count
+BORDER_SLOTS = 4
+
+#: a point whose fifth-smallest |delta_e| lies below this takes the full
+#: border; above it every unbordered |k cot(delta_e / 2)| is at most 8k
+SLOT_DELTA_MIN = 2.0 * math.atan(1.0 / 8.0)
+
+#: shift of the inverse-iteration step that gives a Newton eigenvector,
+#: relative to the largest eigenvalue modulus of its matrix
+NEWTON_SHIFT = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +226,38 @@ def _window_floor(k_max: float) -> float:
     return 1e-9 * max(1.0, abs(k_max))
 
 
+@lru_cache(maxsize=None)
+def _iteration_start(n: int) -> tuple:
+    """(identity, fixed start vector) of size n for ``_nearest_vector``.  The
+    start vector b_i = sin(i) has no integer linear relation (e^i is
+    transcendental), so it is orthogonal to no integer-pattern eigenvector,
+    such as (1, -1, -1, 1), of a symmetric graph."""
+    return np.eye(n), np.sin(np.arange(1.0, n + 1.0))
+
+
+def _nearest_vector(mats: np.ndarray, vals: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors for the eigenvalues vals[i, j[i]] of a stack of
+    normal matrices, from one stacked step of shifted inverse iteration
+    (Ipsen, SIAM Rev. 39, 1997): x = (M - (mu_j + eps) I)^-1 b.
+
+    eps = NEWTON_SHIFT max|mu| leaves the shifted matrix nonsingular and
+    damps the other eigenvectors by eps / |mu_i - mu_j|; a zero matrix
+    takes eps = NEWTON_SHIFT 1e-100, so every row stays finite.
+    """
+    eye, start = _iteration_start(mats.shape[-1])
+    top = np.maximum(abs(vals).max(axis=-1), 1e-100)
+    shift = vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top
+    x = np.linalg.solve(mats - shift[:, None, None] * eye, start)
+    return x / np.sqrt((abs(x) ** 2).sum(axis=-1, keepdims=True))
+
+
+def _rounding_bound(vals: np.ndarray) -> np.ndarray:
+    """eigvalsh error bound 4 n eps max|mu| per row of a stack of eigenvalues
+    (last axis kept): an eigenvalue this close to 0 is not told from 0."""
+    return 4 * vals.shape[-1] * np.finfo(float).eps \
+        * np.max(np.abs(vals), axis=-1, initial=0.0, keepdims=True)
+
+
 class _Scan:
     """M(k) for a constant S-part, evaluated on stacks of U(k).
 
@@ -256,22 +304,22 @@ class _Scan:
         return TWO_PI - np.max(angles, axis=-1), np.min(angles, axis=-1)
 
     def newton_steps(self, ks):
-        """(M(k), Newton step) over ks, from stacked eig calls.
+        """(M(k), Newton step) over ks, from stacked eigvals calls.
 
         The step -theta / (v+ diag(w) v) moves the eigenphase theta nearest
-        0 to 0 at its Hellmann-Feynman velocity, v its unit eigenvector.
+        0 to 0 at its Hellmann-Feynman velocity, v its unit eigenvector from
+        ``_nearest_vector``.
         """
         ks = np.asarray(ks, dtype=float)
         phases = np.empty((len(ks), len(self.weights)))
         steps = np.empty(len(ks))
         for block, stack in self._blocks(ks):
-            vals, vecs = np.linalg.eig(stack)
+            vals = np.linalg.eigvals(stack)
             phase = np.angle(vals)
-            j = np.argmin(np.abs(phase), axis=-1)[:, None]
-            v = np.take_along_axis(vecs, j[:, None, :], axis=-1)[..., 0]
+            j = np.argmin(np.abs(phase), axis=-1)
+            v = _nearest_vector(stack, vals, j)
             phases[block] = phase
-            steps[block] = -np.take_along_axis(phase, j, axis=-1)[:, 0] \
-                / (np.abs(v) ** 2 @ self.weights)
+            steps[block] = -phase[np.arange(len(j)), j] / (np.abs(v) ** 2 @ self.weights)
         return self._m(ks, np.mod(phases, TWO_PI)), steps
 
 
@@ -306,9 +354,7 @@ class _HermitianCount:
         k^2 l, below rounding at small k: eigenvalues within the eigvalsh
         error bound 4 n eps max|mu| of 0 count as nonnegative.
         """
-        bound = 4 * vals.shape[-1] * np.finfo(float).eps \
-            * np.max(np.abs(vals), axis=-1, initial=0.0)
-        return np.sum(vals < -bound[:, None], axis=-1)
+        return np.sum(vals < -_rounding_bound(vals), axis=-1)
 
     def _eigvalsh_count(self, mats):
         """(negative index, ascending eigenvalues) of a stack of Hermitian
@@ -380,21 +426,26 @@ class _PositiveCount(_HermitianCount):
     and the reduced argument delta = kl - n pi in [-pi/2, pi/2], Lambda has
     the eigenvalue t = -k tan(delta / 2) on p_S = (e_a + (-1)^n e_b) / sqrt 2
     and d = k cot(delta / 2) = -k^2 / t on p_L = (e_a - (-1)^n e_b) / sqrt 2,
-    which diverges at the Dirichlet points.  Every d goes into a border
-    (Haynsworth inertia): with X_S, X_L the rows p_S+ Q, p_L+ Q,
+    which diverges at the Dirichlet points.  The d of the bordered edges B
+    go into a border (Haynsworth inertia), those of the other edges U into
+    the rank block: with X_S, X_L the rows p_S+ Q, p_L+ Q,
 
-        H(k) = [[X_S+ diag(t) X_S - diag(sigma), k X_L+], [k X_L, diag(t)]]
+        H(k) = [[X_S+ diag(t) X_S + X_LU+ diag(d_U) X_LU - diag(sigma), k X_LB+],
+                [k X_LB, diag(t_B)]]
 
-    has the Schur complement Q+ Lambda Q - diag(sigma) over diag(t), whose
-    negative index #{delta > 0} is sum_e floor(kl / pi) - (n - 1), so
+    has the Schur complement Q+ Lambda Q - diag(sigma) over diag(t_B), whose
+    negative index is #{e in B : delta_e > 0}.  As floor(kl / pi) is
+    n - 1 + [delta > 0],
 
-        N(k) = sum_e (n_e - 1) + n_-(H(k)).
+        N(k) = sum_e (n_e - 1) + #{e in U : delta_e > 0} + n_-(H(k)).
 
-    The floor term and the side of each pole come from the same reduced
-    argument, and the entries of H stay below about 2k + max|sigma|, so
-    the count holds at and next to a pole, where the plain matrix has
-    entries of order k / delta.  At a Dirichlet point itself it counts
-    the eigenvalues below k^2 only.
+    B holds every edge when E <= BORDER_SLOTS.  Otherwise it holds the
+    BORDER_SLOTS edges of smallest |delta| at each point, unless the next
+    |delta| is below SLOT_DELTA_MIN, where the point takes the full border.
+    Every |d_U| is then at most 8k, so the entries of H stay below about
+    8k + max|sigma|, and the count holds at and next to a pole, where the
+    plain matrix has entries of order k / delta.  At a Dirichlet point
+    itself it counts the eigenvalues below k^2 only.
     """
 
     def __init__(self, sys: SecularSystem):
@@ -402,10 +453,9 @@ class _PositiveCount(_HermitianCount):
         e, rank = len(self.lengths), self.q.shape[1]
         # N(k) = sum_e floor(kl / pi) at rank 0: no roots between Dirichlet points
         self.grid_step = _scan_step(float(np.sum(sys.weights))) if rank else math.inf
-        self.rank, self.ends = rank, np.arange(rank, rank + e)
+        self.rank = rank
         qa, qb = self.q[:e] / math.sqrt(2.0), self.q[e:] / math.sqrt(2.0)
-        self.qa_t, self.qb_t = qa.T, qb.T
-        self.qa_h, self.qb_h = qa.conj().T, qb.conj().T
+        self.qa, self.qb = qa, qb
         # X_S+ diag(t) X_S = sum_e t_e (even_e + (-1)^n_e odd_e), flattened
         self.even = (qa.conj()[:, :, None] * qa[:, None, :]
                      + qb.conj()[:, :, None] * qb[:, None, :]).reshape(e, rank * rank)
@@ -413,36 +463,87 @@ class _PositiveCount(_HermitianCount):
                     + qb.conj()[:, :, None] * qa[:, None, :]).reshape(e, rank * rank)
         self.minus_sigma = -np.diag(self.sigma)
 
+    def _matrices(self, k, sign, tan, edges=None, cot=None):
+        """H(k) over points k.  edges (points, BORDER_SLOTS) holds the
+        bordered edges and cot the cot(delta / 2) of the others, 0 on the
+        bordered ones; both None give the full border."""
+        rank = self.rank
+        t = -k[:, None] * tan
+        if edges is None:
+            w_even, w_odd, t_b = t, sign * t, t
+            low = self.qa - sign[..., None] * self.qb
+        else:
+            # X_LU+ diag(d_U) X_LU = sum_U d_e (even_e - (-1)^n_e odd_e)
+            d = k[:, None] * cot
+            w_even, w_odd = t + d, sign * (t - d)
+            t_b = np.take_along_axis(t, edges, axis=-1)
+            low = self.qa[edges] \
+                - np.take_along_axis(sign, edges, axis=-1)[..., None] * self.qb[edges]
+        n = rank + t_b.shape[-1]
+        h = np.empty((len(k), n, n), dtype=self.q.dtype)
+        h[:, :rank, :rank] = (w_even @ self.even + w_odd @ self.odd).reshape(
+            len(k), rank, rank) + self.minus_sigma
+        low = k[:, None, None] * low
+        h[:, rank:, :rank] = low
+        h[:, :rank, rank:] = np.swapaxes(low, 1, 2).conj()
+        h[:, rank:, rank:] = 0.0
+        ends = np.arange(rank, n)
+        h[:, ends, ends] = t_b
+        return h
+
     def _blocks(self, ks):
-        """(slice, H(k), sum_e (n_e - 1), (-1)^n, tan(delta / 2)) over ks,
-        SCAN_BLOCK points at a time."""
-        rank, ends = self.rank, self.ends
+        """(rows, H(k), offset, (k, (-1)^n, tan(delta / 2), edges, cot)) per
+        group of points, SCAN_BLOCK points at a time, with offset
+        sum_e (n_e - 1) + #{e in U : delta_e > 0}.  A block yields its
+        full-border points and its slot points apart; edges and cot are as
+        in ``_matrices``."""
+        e = len(self.lengths)
         for start in range(0, len(ks), SCAN_BLOCK):
             block = slice(start, start + SCAN_BLOCK)
             k = ks[block]
             x = np.multiply.outer(k, self.lengths)
             turns = np.rint(x / math.pi)
-            tan = np.tan(0.5 * (x - turns * math.pi))
+            delta = x - turns * math.pi
+            tan = np.tan(0.5 * delta)
             sign = 1.0 - 2.0 * np.mod(turns, 2.0)
-            t = -k[:, None] * tan
-            h = np.empty((len(k), rank + len(ends), rank + len(ends)), dtype=self.q.dtype)
-            h[:, :rank, :rank] = (t @ self.even + (sign * t) @ self.odd).reshape(
-                len(k), rank, rank) + self.minus_sigma
-            border = k[:, None, None] * (self.qa_h - self.qb_h * sign[:, None, :])
-            h[:, :rank, rank:] = border
-            h[:, rank:, :rank] = np.swapaxes(border, 1, 2).conj()
-            h[:, rank:, rank:] = 0.0
-            h[:, ends, ends] = t
-            yield block, h, np.sum(turns, axis=-1).astype(int) - len(ends), sign, tan
+            offset = np.sum(turns, axis=-1).astype(int) - e
+            if e <= BORDER_SLOTS:
+                yield block, self._matrices(k, sign, tan), offset, (k, sign, tan, None, None)
+                continue
+            size = np.abs(delta)
+            order = np.argpartition(size, BORDER_SLOTS, axis=-1)
+            full = np.take_along_axis(size, order[:, BORDER_SLOTS:BORDER_SLOTS + 1],
+                                      axis=-1)[:, 0] < SLOT_DELTA_MIN
+            rows = np.arange(start, start + len(k))
+            if np.any(full):
+                kf, sf, tf = k[full], sign[full], tan[full]
+                yield rows[full], self._matrices(kf, sf, tf), offset[full], (kf, sf, tf, None, None)
+            slot = ~full
+            if np.any(slot):
+                k, sign, tan = k[slot], sign[slot], tan[slot]
+                edges = order[slot, :BORDER_SLOTS]
+                free = tan.copy()
+                np.put_along_axis(free, edges, np.inf, axis=-1)
+                cot = 1.0 / free            # |cot| >= 1 on U, 0 on the bordered edges
+                yield (rows[slot], self._matrices(k, sign, tan, edges, cot),
+                       offset[slot] + np.sum(cot > 0.0, axis=-1), (k, sign, tan, edges, cot))
 
     def m_many(self, ks):
-        """(N(k), eigenvalues of H(k)) over ks, from stacked eigvalsh calls."""
+        """(N(k), eigenvalues of H(k)) over ks, from stacked eigvalsh calls.
+
+        A row of a slot point, rank + BORDER_SLOTS eigenvalues, is padded to
+        rank + E with its largest |mu|, which leaves ``_index`` and
+        ``gaps`` as they are."""
         ks = np.asarray(ks, dtype=float)
         counts = np.empty(len(ks), dtype=int)
-        vals = np.empty((len(ks), self.rank + len(self.ends)))
-        for block, h, offset, _, _ in self._blocks(ks):
-            neg, vals[block] = self._eigvalsh_count(h)
-            counts[block] = offset + neg
+        vals = np.empty((len(ks), self.rank + len(self.lengths)))
+        for rows, h, offset, _ in self._blocks(ks):
+            neg, mu = self._eigvalsh_count(h)
+            counts[rows] = offset + neg
+            n = mu.shape[-1]
+            vals[rows, :n] = mu
+            if n < vals.shape[-1]:
+                vals[rows, n:] = np.max(np.abs(mu), axis=-1, keepdims=True)
         return counts, vals
 
     def gaps(self, vals):
@@ -455,30 +556,39 @@ class _PositiveCount(_HermitianCount):
         return np.maximum(ahead, 0.0), np.where(neg > 0, -vals[rows, neg - 1], np.inf)
 
     def newton_steps(self, ks):
-        """(N(k), Newton step) over ks, from stacked eigh calls.
+        """(N(k), Newton step) over ks, from stacked eigvalsh and solve calls.
 
         The step -mu / (v+ H'(k) v) moves the eigenvalue mu of H(k) nearest
-        0 to 0, v its unit eigenvector.  H' has the blocks X_S+ diag(t') X_S,
-        X_L+ and diag(t'), with t' = -tan(delta / 2) - kl / (2 cos^2(delta / 2)).
+        0 to 0, v its unit eigenvector from ``_nearest_vector``.  H' has the
+        blocks X_S+ diag(t') X_S + X_LU+ diag(d'_U) X_LU, X_LB+ and
+        diag(t'_B), with t' = -tan(delta / 2) - kl / (2 cos^2(delta / 2))
+        and d' = cot(delta / 2) - (kl / 2)(1 + cot^2(delta / 2)).
         """
         ks = np.asarray(ks, dtype=float)
         counts = np.empty(len(ks), dtype=int)
         steps = np.empty(len(ks))
         rank = self.rank
         self.evals += len(ks)
-        for block, h, offset, sign, tan in self._blocks(ks):
-            vals, vecs = np.linalg.eigh(h)
-            counts[block] = offset + self._index(vals)
-            rows = np.arange(len(vals))
+        for rows, h, offset, (k, sign, tan, edges, cot) in self._blocks(ks):
+            vals = np.linalg.eigvalsh(h)
+            counts[rows] = offset + self._index(vals)
             j = np.argmin(np.abs(vals), axis=-1)
-            v = vecs[rows, :, j]
+            v = _nearest_vector(h, vals, j)
             top, bottom = v[:, :rank], v[:, rank:]
-            ua, ub = top @ self.qa_t, top @ self.qb_t
-            rate = -tan - 0.5 * ks[block, None] * self.lengths * (1.0 + tan ** 2)
-            slope = np.sum(rate * (np.abs(ua + sign * ub) ** 2 + np.abs(bottom) ** 2)
-                           + 2.0 * ((ua - sign * ub).conj() * bottom).real, axis=-1)
+            ua, ub = top @ self.qa.T, top @ self.qb.T
+            x_l = ua - sign * ub
+            kl = k[:, None] * self.lengths
+            rate = -tan - 0.5 * kl * (1.0 + tan ** 2)
+            terms = rate * np.abs(ua + sign * ub) ** 2
+            if edges is not None:
+                terms += np.where(cot != 0.0, cot - 0.5 * kl * (1.0 + cot ** 2), 0.0) \
+                    * np.abs(x_l) ** 2
+                rate = np.take_along_axis(rate, edges, axis=-1)
+                x_l = np.take_along_axis(x_l, edges, axis=-1)
+            slope = np.sum(terms, axis=-1) + np.sum(
+                rate * np.abs(bottom) ** 2 + 2.0 * (x_l.conj() * bottom).real, axis=-1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                steps[block] = -vals[rows, j] / slope
+                steps[rows] = -vals[np.arange(len(vals)), j] / slope
         return counts, steps
 
 
@@ -732,21 +842,24 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
 
 
 def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
-                  workers: int = 1, k_probe: float = 1.0) -> Spectrum:
+                  workers: int = 1) -> Spectrum:
     """All real eigenvalues in k_range with multiplicities.
 
     For the squared operator only positive wave numbers are reported
-    (lambda = k^2); the zero eigenvalue is characterized separately by
-    :func:`zero_mode_test` and attached as ``zero_mode``.  The window then
-    starts at ``_window_floor(k_max)``, where the count is set to the
-    number of negative eigenvalues plus g0: there a zero mode sits below
-    rounding in the Hermitian matrix.
+    (lambda = k^2); the zero eigenvalue is characterized separately, as in
+    :func:`zero_mode_test`, and attached as ``zero_mode``.  The window then
+    starts at ``_window_floor(k_max)``, where a zero mode sits below
+    rounding in the Hermitian matrix; there the count is the number of
+    eigenvalues of M(0) = Q+ Lambda(0) Q - diag(sigma) at or below its
+    rounding bound, the negative eigenvalues plus g0, from the same
+    eigvalsh that gives g0.
 
     Roots are the jumps of an integer count that is exact at every k: the
     eigenphase winding count M(k) of U(k) for the first-order operator,
     and for the squared operator (constant or k-dependent S-part) the
     number N(k) of eigenvalues below k^2, from one stacked eigvalsh of a
-    bordered Dirichlet-to-Neumann matrix (``_PositiveCount``).  A grid of
+    bordered Dirichlet-to-Neumann matrix with at most BORDER_SLOTS border
+    rows at most points (``_PositiveCount``).  A grid of
     two points per mean crossing spacing 2 pi / sum(w) seeds brackets;
     each Dirichlet point p = n pi / l_e adds the bracket
     (p - tol/2, p + tol/2], and a jump across it is a root at p.  Every
@@ -761,7 +874,6 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
         tol: certified bracket width; located roots are accurate to tol/2.
         workers: number of threads; the window is split into independent
             chunks whose results are merged in sorted order.
-        k_probe: probe wave number for the zero-mode test (squared case).
 
     ``diagnostics["matrix_evals"]`` counts the matrices whose eigenvalues
     were computed: grid points, Dirichlet probes, Newton and bisection
@@ -779,11 +891,11 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     zero_mode = m_lo = None
     if sys.kind == BK2:
-        zero_mode = zero_mode_test(sys, k_probe=k_probe)
+        g0, n_zero, below = _zero_modes(sys)
+        zero_mode = (g0, n_zero)
         floor = _window_floor(k_hi)
         if k_lo <= floor:
-            k_lo = floor
-            m_lo = int(_NegativeCount(sys).m_many([floor])[0][0]) + zero_mode[0]
+            k_lo, m_lo = floor, below
         if k_lo >= k_hi:
             return Spectrum(kind=sys.kind, eigenvalues=(), k_window=(k_lo, k_hi),
                             zero_mode=zero_mode)
@@ -835,40 +947,31 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 # Zero modes and negative spectrum (squared operator)
 # ---------------------------------------------------------------------------
 
-def _zero_mode_c_matrix(lengths: np.ndarray, k_probe: float) -> np.ndarray:
-    """Unitary comparison matrix entering the lambda = 0 secular function."""
-    z = 2j / k_probe
-    return _end_pair(lengths / (z + lengths), z / (z + lengths))
-
-
-def zero_mode_test(sys: SecularSystem, k_probe: float = 1.0,
-                   mult_tol: float = MULT_TOL) -> tuple:
-    """Multiplicity data (g0, N) of the zero eigenvalue.
-
-    g0 is the dimension of the lambda = 0 eigenspace, read off as the
-    unit-eigenvalue multiplicity of S''(k') C(k') at a nonzero probe k';
-    the result is probe-independent and is asserted at a second probe.
-    N is the order of the k = 0 zero of the secular function, the
-    unit-eigenvalue multiplicity of S''(0) T(0).  Both come from singular
-    values, with no eigenvalue solver.
-    """
+def _zero_modes(sys: SecularSystem, mult_tol: float = MULT_TOL) -> tuple:
+    """(g0, N, N(0+)): the zero-mode data of ``zero_mode_test`` and the
+    number of eigenvalues <= 0, all from one eigvalsh of M(0)."""
     if sys.kind != BK2:
         raise ValidationError("zero_mode_test applies to the squared operator")
-    if k_probe == 0.0:
-        raise ValidationError("probe wave number must be nonzero")
-    counts = []
-    for kp in (k_probe, k_probe * math.sqrt(2.0)):
-        s = sys.s_part(kp)
-        c = _zero_mode_c_matrix(sys.lengths, kp)
-        counts.append(_unit_count(s @ c, mult_tol))
-    if counts[0] != counts[1]:
-        raise ComputeError(
-            f"zero-mode multiplicity probe-dependent: {counts}; "
-            "probe likely degenerate, try another k_probe"
-        )
-    g0 = counts[0]
-    n_zero = _unit_count(sys.u_matrix(0.0), mult_tol)
-    return g0, n_zero
+    q, inv = sys.dec.ran_vectors, 1.0 / sys.lengths
+    mu = np.linalg.eigvalsh(q.conj().T @ _end_pair(inv, -inv) @ q - np.diag(sys.dec.sigma_l))
+    bound = _rounding_bound(mu)
+    return (int(np.sum(np.abs(mu) <= bound)), _unit_count(sys.u_matrix(0.0), mult_tol),
+            int(np.sum(mu <= bound)))
+
+
+def zero_mode_test(sys: SecularSystem, mult_tol: float = MULT_TOL) -> tuple:
+    """Multiplicity data (g0, N) of the zero eigenvalue.
+
+    g0 is the dimension of the lambda = 0 eigenspace.  No Dirichlet
+    eigenvalue sits at 0, so by Friedlander's identity it is the nullity of
+    M(0) = Q+ Lambda(0) Q - diag(sigma), with Lambda_e(0) =
+    (1/l_e) [[1, -1], [-1, 1]] the Dirichlet-to-Neumann map of linear
+    functions: one eigvalsh, whose eigenvalues within the rounding bound
+    4 n eps max|mu| of ``_HermitianCount._index`` count as zero.  N is the
+    order of the k = 0 zero of the secular function, the unit-eigenvalue
+    multiplicity of S''(0) T(0), from singular values.
+    """
+    return _zero_modes(sys, mult_tol)[:2]
 
 
 def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):

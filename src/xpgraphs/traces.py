@@ -493,7 +493,7 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
         if float(np.min(graph.log_lengths)) <= l_sigma:
             raise ConditionViolated(f"need min edge length > {l_sigma:.6f} "
                                     "for this extension")
-    g0, n_order = zero_mode_test(sys, k_probe=k_probe)
+    g0, n_order = zero_mode_test(sys)
     weyl = graph.total_length * float(h.hat(0.0))
     boundary = (g0 - 0.5 * n_order) * float(np.real(h(0.0)))
     s_integral = _s_trace_integral(dec, h)

@@ -181,20 +181,21 @@ def test_mixed_batch_in_one_round(monkeypatch):
     assert [b[3] - b[2] for b in brackets] == [1, 1, 2]
 
     stacks = []
-    for name in ("eig", "eigvals"):
-        def record(u, fn=getattr(np.linalg, name), name=name):
+    for name in ("eigvals", "solve"):
+        def record(u, *args, fn=getattr(np.linalg, name), name=name):
             stacks.append((name, np.shape(u)[0]))
-            return fn(u)
+            return fn(u, *args)
         monkeypatch.setattr(np.linalg, name, record)
     evals = scan.evals
     roots, rounds = spectra._refine_brackets(scan, brackets, tol)
     monkeypatch.undo()
 
-    # round one: the three Newton iterates in one eig stack; every round
-    # then evaluates its certificate probes in one eigvals stack
-    assert stacks[0] == ("eig", 3)
-    assert [name for name, _ in stacks] == ["eig", "eigvals"] * rounds
-    assert sum(n for _, n in stacks) == scan.evals - evals
+    # round one: the three Newton iterates in one eigvals stack and their
+    # eigenvectors in one solve stack; every round then evaluates its
+    # certificate probes in one eigvals stack
+    assert stacks[:2] == [("eigvals", 3), ("solve", 3)]
+    assert [name for name, _ in stacks] == ["eigvals", "solve", "eigvals"] * rounds
+    assert sum(n for name, n in stacks if name == "eigvals") == scan.evals - evals
     # no bisection: the double level takes as few rounds as the simple ones
     assert rounds <= 4
     assert [g for _, g in roots] == [1, 2, 1]

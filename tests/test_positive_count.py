@@ -6,8 +6,10 @@ that holds next to the Dirichlet points k l_e in pi Z.  The checks: the
 count and the roots against the eigenphase scan kept in ``util`` as the
 oracle, for k-dependent and constant S-parts; the plain matrix and its
 monotone eigenvalues between poles; exact counts at and next to
-Dirichlet points on graphs with known levels; and no eigenvalue solver
-for non-Hermitian matrices in a squared-operator solve.
+Dirichlet points on graphs with known levels; the slot border of graphs
+with more than BORDER_SLOTS edges against the full border; the Newton
+vectors of a shifted solve; a near-degenerate zero mode counted once;
+and no eig, eigvals or eigh in a squared-operator solve.
 """
 
 import math
@@ -102,6 +104,108 @@ def test_plain_matrix_decreases_between_poles_and_gives_the_count(family, seed):
         floors = np.sum(np.floor(np.multiply.outer(ks, sys_.lengths) / math.pi), axis=-1)
         plain = floors + np.sum(mu < 0, axis=-1)
         np.testing.assert_array_equal(count.m_many(ks)[0][clear], plain[clear])
+
+
+def kirchhoff_star(n_edges, equal=False, seed=0):
+    """Kirchhoff star with log lengths in [1, 2), or all of log length 1."""
+    logs = np.ones(n_edges) if equal else np.random.default_rng(seed).uniform(1.0, 2.0, n_edges)
+    g = xg.MetricGraph.from_intervals([(1.0, math.exp(ell)) for ell in logs],
+                                      vertices=[("c", f"t{i}") for i in range(n_edges)])
+    return system_of(xg.standard_bc("kirchhoff", g), g)
+
+
+def reduced_sizes(sys_, ks):
+    """|delta_e| = |k l_e - n pi| per point and edge, sorted along the edges."""
+    x = np.multiply.outer(np.asarray(ks, dtype=float), sys_.lengths)
+    return np.sort(np.abs(x - np.rint(x / math.pi) * math.pi), axis=-1)
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(5, 12),
+       family=st.sampled_from(FAMILIES + ("equal_star",)))
+def test_slot_count_equals_full_border_count(seed, n_edges, family):
+    # random k, k exactly at Dirichlet points, k next to the window floor;
+    # on an equal-length star every pole of the plain matrix coincides
+    if family == "equal_star":
+        sys_ = kirchhoff_star(n_edges, equal=True)
+    else:
+        sys_ = drawn_system(seed, n_edges, family)
+    rng = np.random.default_rng(seed)
+    poles = np.concatenate([math.pi * np.arange(1, math.floor(K_MAX * ell / math.pi) + 1) / ell
+                            for ell in sys_.lengths])
+    ks = np.concatenate([rng.uniform(0.05, K_MAX, 60), rng.choice(poles, 12),
+                         [1e-9, 1.5e-9, 1e-8, 1e-3, 0.3]])
+    slots = spectra._PositiveCount(sys_).m_many(ks)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "BORDER_SLOTS", n_edges)
+        full = spectra._PositiveCount(sys_).m_many(ks)[0]
+    np.testing.assert_array_equal(slots, full)
+    # the slot path ran: some points keep BORDER_SLOTS border rows
+    assert np.any(reduced_sizes(sys_, ks)[:, spectra.BORDER_SLOTS] >= spectra.SLOT_DELTA_MIN)
+
+
+def test_slot_newton_step_matches_the_eigenvalue_slope():
+    # the step -mu / slope against a central difference of the eigenvalue of
+    # H nearest 0, at points whose border set holds on k +- 1e-6
+    sys_ = kirchhoff_star(10)
+    ks = np.linspace(1.0, 12.0, 400)
+    sizes = reduced_sizes(sys_, ks)
+    slots = spectra.BORDER_SLOTS
+    ks = ks[(sizes[:, slots] > spectra.SLOT_DELTA_MIN + 1e-3)
+            & (sizes[:, slots] - sizes[:, slots - 1] > 1e-3)][::10]
+    assert len(ks) >= 8
+    count = spectra._PositiveCount(sys_)
+    _, steps = count.newton_steps(ks)
+    vals = count.m_many(ks)[1]
+    rows, j = np.arange(len(ks)), np.argmin(np.abs(vals), axis=-1)
+    delta = 1e-6
+    slope = (count.m_many(ks + delta)[1][rows, j]
+             - count.m_many(ks - delta)[1][rows, j]) / (2.0 * delta)
+    np.testing.assert_allclose(steps, -vals[rows, j] / slope, rtol=1e-6)
+
+
+@pytest.mark.parametrize("mats, nearest", [
+    (np.zeros((2, 3, 3)), None),
+    (np.array([np.diag([1.0, 2.0, 3.0]), np.diag([0.0, -1.0, 5.0]),
+               np.diag([-2.0, 2.0, 2.0])]), [0, 0, 0])])
+def test_nearest_vector_is_a_finite_unit_vector(mats, nearest):
+    vals = np.linalg.eigvalsh(mats)
+    j = np.argmin(np.abs(vals), axis=-1)
+    v = spectra._nearest_vector(mats, vals, j)
+    assert np.all(np.isfinite(v))
+    np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=1e-14)
+    if nearest is not None:
+        np.testing.assert_allclose(np.abs(v[np.arange(len(v)), nearest]), 1.0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_edges", [6, 10])
+def test_kirchhoff_star_spectrum_matches_eigenphase_oracle(n_edges):
+    sys_ = kirchhoff_star(n_edges, seed=n_edges)
+    sp = xg.find_spectrum(sys_, (0.0, 10.0), tol=TOL)
+    oracle = eigenphase_roots(sys_, sp.k_window[0], 10.0, TOL)
+    assert sp.total_count > 4 * n_edges
+    assert [g for _, g in sp.eigenvalues] == [g for _, g in oracle]
+    for (k, _), (k_ref, _) in zip(sp.eigenvalues, oracle):
+        assert abs(k - k_ref) <= TOL, (k, k_ref)
+
+
+@pytest.mark.parametrize("rho", [1e-9, -1e-9])
+def test_near_zero_mode_is_counted_once(rho):
+    # Robin ends rho = +-1e-9 on one edge: the Neumann zero mode moves to
+    # -kappa^2 or to a small k^2, below MULT_TOL in eigenphase.  M(0) has no
+    # kernel then, and the eigenvalue is found once, at its place.
+    ell, k_max = 1.7, 12.0
+    sys_ = edge("robin", ell, rho=rho)
+    sp = xg.find_spectrum(sys_, (0.0, k_max), tol=TOL)
+    negative = xg.find_negative_eigenvalues(sys_, k_max)
+    oracle = eigenphase_roots(sys_, sp.k_window[0], k_max, TOL)
+    assert sp.zero_mode[0] == 0
+    assert [g for _, g in sp.eigenvalues] == [g for _, g in oracle]
+    for (k, _), (k_ref, _) in zip(sp.eigenvalues, oracle):
+        assert abs(k - k_ref) <= TOL, (k, k_ref)
+    # the Neumann edge has the levels n pi / l, n = 0, 1, ...
+    assert len(negative) + sp.total_count == 1 + math.floor(k_max * ell / math.pi)
+    assert len(negative) == (rho > 0) or len(negative) == (rho < 0)
 
 
 def star3():
@@ -224,14 +328,16 @@ def test_star3_spectrum_refines_with_few_evals():
 
 
 def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
+    # Newton vectors come from a shifted solve: a squared-operator solve
+    # calls no eig, eigvals or eigh, and a first-order one eigvals only
     def refuse(*args, **kwargs):
-        raise AssertionError("eig or eigvals called")
+        raise AssertionError("eig, eigvals or eigh called")
 
     squared = [star3(), edge("robin", 2.0, rho=0.8), edge("dirichlet", 1.0),
-               drawn_system(3, 2, "hermitian_partial")]
+               drawn_system(3, 2, "hermitian_partial"), kirchhoff_star(6)]
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eig", refuse)
-        patch.setattr(np.linalg, "eigvals", refuse)
+        for name in ("eig", "eigvals", "eigh"):
+            patch.setattr(np.linalg, name, refuse)
         for sys_ in squared:
             assert xg.find_spectrum(sys_, (0.0, 10.0), workers=2).total_count > 0
 
@@ -244,4 +350,4 @@ def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
     g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
     first_order = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.3)), g)
     assert xg.find_spectrum(first_order, (-10.0, 10.0)).total_count > 0
-    assert set(calls) == {"eig", "eigvals"}
+    assert set(calls) == {"eigvals"}

@@ -3,10 +3,8 @@
 These back the package-level guarantees: unitarity of both S-matrix
 families, gauge invariance of the scattering data, eigenphase velocity
 bounds, the +-k symmetry of the squared-operator secular function, and
-probe independence of the zero-mode multiplicity.
+the zero-mode multiplicity from M(0) against the two-probe oracle.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ import pytest
 import xpgraphs as xg
 
 from util import (
+    probe_zero_mode_count,
     random_bk2_spec,
     random_graph,
     random_invertible,
@@ -114,9 +113,9 @@ def test_zero_mode_probe_independent(case):
     g = random_graph(rng, int(rng.integers(1, 4)))
     sys_ = xg.SecularSystem.bk2(
         xg.decompose(random_bk2_spec(rng, g), xg.DilationMatrices.from_graph(g)), g)
-    g0_a, n_a = xg.zero_mode_test(sys_, k_probe=1.0)
-    g0_b, n_b = xg.zero_mode_test(sys_, k_probe=math.sqrt(2.0))
-    assert (g0_a, n_a) == (g0_b, n_b)
+    # g0 from M(0) against the two-probe oracle, which asserts that its
+    # count is the same at probes 1 and sqrt 2
+    assert xg.zero_mode_test(sys_)[0] == probe_zero_mode_count(sys_, 1.0)
 
 
 @pytest.mark.parametrize("case", range(50))

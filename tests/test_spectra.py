@@ -8,7 +8,7 @@ import pytest
 import xpgraphs as xg
 from xpgraphs.errors import InsufficientData, RangeExceeded
 
-from util import random_graph, random_unitary
+from util import probe_zero_mode_count, random_graph, random_unitary
 
 PI = math.pi
 
@@ -206,8 +206,10 @@ class TestZeroModes:
         assert (g0, n) == (1, 1)
 
     def test_probe_independence(self):
+        # g0 from M(0) against the two-probe oracle at probes 1, 2 (and sqrt 2 times each)
         sys_, _ = bk2_system("neumann")
-        assert xg.zero_mode_test(sys_, k_probe=1.0) == xg.zero_mode_test(sys_, k_probe=2.0)
+        g0 = xg.zero_mode_test(sys_)[0]
+        assert g0 == probe_zero_mode_count(sys_, 1.0) == probe_zero_mode_count(sys_, 2.0)
 
     def test_star_constant_mode(self):
         sys_, _ = star_system()

@@ -1,8 +1,9 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the eigenphase scan of the positive axis,
-the sign-change search of the negative axis, the walk-based orbit
-enumeration, the orbit-by-orbit trace sums, a test function tabulated on
-a grid and the scalar critical-line zeta series."""
+the sign-change search of the negative axis, the two-probe zero-mode
+count, the walk-based orbit enumeration, the orbit-by-orbit trace sums,
+a test function tabulated on a grid and the scalar critical-line zeta
+series."""
 
 from __future__ import annotations
 
@@ -152,6 +153,21 @@ def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
                 brackets.append((float(sub[j]), float(sub[j + 1]),
                                  int(sub_m[j]), int(sub_m[j + 1]), None))
     return spectra._refine_brackets(scan, brackets, tol)[0]
+
+
+def probe_zero_mode_count(sys, k_probe: float = 1.0, mult_tol: float = spectra.MULT_TOL) -> int:
+    """g0 as the unit-eigenvalue multiplicity of S''(k') C(k') at the probe
+    k' = k_probe, with C(k') = [[D, O], [O, D]], D = diag(l / (z + l)) and
+    O = diag(z / (z + l)), z = 2i / k', the unitary comparison matrix of the
+    lambda = 0 secular function.  The count must not depend on the probe:
+    it is asserted equal at k_probe sqrt 2."""
+    counts = []
+    for kp in (k_probe, k_probe * math.sqrt(2.0)):
+        z = 2j / kp
+        c = spectra._end_pair(sys.lengths / (z + sys.lengths), z / (z + sys.lengths))
+        counts.append(spectra._unit_count(sys.s_part(kp) @ c, mult_tol))
+    assert counts[0] == counts[1], f"zero-mode count probe-dependent: {counts}"
+    return counts[0]
 
 
 def sign_change_negative_roots(sys, kappa_max: float) -> list:
