@@ -115,8 +115,12 @@ def _validate_config(config: JobConfig) -> None:
     for key in ("k_min", "k_max", "tol", "orbit_cutoff", "kappa_max", "k_grid_max"):
         if key in num and not _is_number(num[key]):
             raise ValidationError(f"numeric.{key} must be a number")
-    if "tol" in num and num["tol"] <= 0:
-        raise ValidationError("numeric.tol must be positive")
+    if "tol" in num:
+        spectra.check_tol(num["tol"], [num[key] for key in ("k_min", "k_max") if key in num])
+    if "side" in num:
+        # only a Weyl fit refuses two_sided counting of the squared operator
+        spectra.check_side(num["side"], config.operator if config.task == "weyl"
+                           else extensions.BK)
     if "orbit_cutoff" in num and not 0 < num["orbit_cutoff"] < math.inf:
         raise ValidationError("numeric.orbit_cutoff must be positive and finite")
     if "k_min" in num and "k_max" in num and not num["k_min"] < num["k_max"]:

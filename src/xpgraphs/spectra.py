@@ -40,11 +40,18 @@ A grid of two points per mean crossing spacing 2 pi / sum(w) only seeds
 brackets.  Every bracket is refined by Newton steps (on the eigenphase of
 U(k), or on the eigenvalue of the Hermitian matrix, nearest 0, with the
 eigenvector of the slope from one step of shifted inverse iteration,
-``_nearest_vector``) inside a bracket that the count certifies at every
+``_shifted_solve``) inside a bracket that the count certifies at every
 step; a degenerate level is certified with its multiplicity like a
-simple one.  Refinement runs in rounds: each round takes one Newton step
-in every open bracket, with all iterates in one stacked eigensolve and
-all certificate probes in another.
+simple one.  Inside a simple bracket the count is one of its two end
+counts, and the sign of a determinant tells them apart (``parity``):
+there the certificate probes, and for a constant S the Newton iterates
+after the first (whose step is a Rayleigh quotient of the same solve),
+take one LU and no eigensolve.  The grid, the first step of a bracket,
+multiple levels and unresolved signs take the full count.  Refinement
+runs in rounds: each round takes one Newton step in every open bracket
+and makes at most one stacked call of each kind (eigensolve of the
+iterates, solve, LU of the parity points, eigensolve of the other
+points).
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from .extensions import BK, BK2, Decomposition, s_matrix_bk2
 from .graph import MetricGraph
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 #: eigenphase distance (mod 2 pi) that counts as a unit eigenvalue
 MULT_TOL = 1e-8
@@ -228,33 +236,58 @@ def _window_floor(k_max: float) -> float:
 
 @lru_cache(maxsize=None)
 def _iteration_start(n: int) -> tuple:
-    """(identity, fixed start vector) of size n for ``_nearest_vector``.  The
+    """(identity, fixed start vector) of size n for ``_shifted_solve``.  The
     start vector b_i = sin(i) has no integer linear relation (e^i is
     transcendental), so it is orthogonal to no integer-pattern eigenvector,
     such as (1, -1, -1, 1), of a symmetric graph."""
     return np.eye(n), np.sin(np.arange(1.0, n + 1.0))
 
 
+def _shifted_solve(mats: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """x = (M - shift I)^-1 b per matrix of a stack, b the start vector of
+    ``_iteration_start``: one stacked step of shifted inverse iteration
+    (Ipsen, SIAM Rev. 39, 1997)."""
+    eye, start = _iteration_start(mats.shape[-1])
+    return np.linalg.solve(mats - shift[:, None, None] * eye, start)
+
+
 def _nearest_vector(mats: np.ndarray, vals: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Unit eigenvectors for the eigenvalues vals[i, j[i]] of a stack of
-    normal matrices, from one stacked step of shifted inverse iteration
-    (Ipsen, SIAM Rev. 39, 1997): x = (M - (mu_j + eps) I)^-1 b.
+    normal matrices, from ``_shifted_solve`` at mu_j + eps.
 
     eps = NEWTON_SHIFT max|mu| leaves the shifted matrix nonsingular and
     damps the other eigenvectors by eps / |mu_i - mu_j|; a zero matrix
     takes eps = NEWTON_SHIFT 1e-100, so every row stays finite.
     """
-    eye, start = _iteration_start(mats.shape[-1])
     top = np.maximum(abs(vals).max(axis=-1), 1e-100)
-    shift = vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top
-    x = np.linalg.solve(mats - shift[:, None, None] * eye, start)
+    x = _shifted_solve(mats, vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top)
     return x / np.sqrt((abs(x) ** 2).sum(axis=-1, keepdims=True))
+
+
+def _det_signs(mats: np.ndarray, phase=None) -> np.ndarray:
+    """Sign of the real number det(M) exp(-i phase) (det(M) without a
+    phase) per matrix of a stack, from one stacked LU, and 0 where rounding
+    may hide it.
+
+    The rows are scaled to unit norm first, so |det| <= 1 (Hadamard) and
+    the LU error of the det is of order n^2 eps.  A sign counts where the
+    real part exceeds twice the imaginary one (0 in exact arithmetic) plus
+    4 n^2 eps; a singular or non-finite matrix gives 0.
+    """
+    n = mats.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(mats / np.linalg.norm(mats, axis=-1, keepdims=True))
+        if phase is not None:
+            det = det * np.exp(-1j * phase)
+    re = det.real
+    clear = np.abs(re) > 2.0 * np.abs(det.imag) + 4 * n * n * EPS
+    return np.where(clear, np.where(re > 0.0, 1, -1), 0)
 
 
 def _rounding_bound(vals: np.ndarray) -> np.ndarray:
     """eigvalsh error bound 4 n eps max|mu| per row of a stack of eigenvalues
     (last axis kept): an eigenvalue this close to 0 is not told from 0."""
-    return 4 * vals.shape[-1] * np.finfo(float).eps \
+    return 4 * vals.shape[-1] * EPS \
         * np.max(np.abs(vals), axis=-1, initial=0.0, keepdims=True)
 
 
@@ -264,10 +297,13 @@ class _Scan:
     U(k) = B exp(ikw) with the constant bond matrix B, and arg det U(k) =
     arg det B + k sum(w), so M needs no lift along the scan.  Every stack
     holds at most SCAN_BLOCK matrices.  ``evals`` counts every U(k) whose
-    eigenvalues are computed.
+    eigenvalues are computed, ``lu_evals`` every U(k) that only takes an LU
+    (``parity``).
     """
 
     newton = True
+    use_parity = True
+    rayleigh = True
 
     def __init__(self, sys: SecularSystem):
         self.weights = sys.weights
@@ -275,7 +311,8 @@ class _Scan:
         self.grid_step = _scan_step(self.rate)
         self.bond = sys.bond_matrix(0.0)
         self.theta0 = float(np.angle(np.linalg.det(self.bond)))
-        self.evals = 0
+        self.eye, self.start = _iteration_start(len(self.weights))
+        self.evals = self.lu_evals = 0
 
     def _m(self, k, angles):
         """M from principal eigenphases; vectorised over leading axes."""
@@ -284,7 +321,6 @@ class _Scan:
 
     def _blocks(self, ks):
         """(slice, stack of U(k)) over ks, SCAN_BLOCK points at a time."""
-        self.evals += len(ks)
         for start in range(0, len(ks), SCAN_BLOCK):
             block = slice(start, start + SCAN_BLOCK)
             yield block, self.bond * np.exp(1j * np.multiply.outer(ks[block], self.weights))[:, None, :]
@@ -292,10 +328,31 @@ class _Scan:
     def m_many(self, ks):
         """(M(k), principal eigenphases) over ks, from stacked eigvals calls."""
         ks = np.asarray(ks, dtype=float)
+        self.evals += len(ks)
         angles = np.empty((len(ks), len(self.weights)))
         for block, stack in self._blocks(ks):
             angles[block] = _principal_angles(stack)
         return self._m(ks, angles), angles
+
+    def parity(self, ks):
+        """(-1)^M(k) over ks, 0 where rounding may hide it, from stacked dets.
+
+        With theta_j the principal eigenphases, 1 - exp(i theta) =
+        2 sin(theta / 2) exp(i (theta - pi) / 2) with sin(theta / 2) >= 0,
+        and sum_j theta_j = theta0 + k sum(w) - 2 pi M, so
+
+            det(I - U(k)) exp(-i (theta0 + k sum(w) - d pi) / 2)
+                = (-1)^M prod_j 2 sin(theta_j / 2)
+
+        is real, with the sign (-1)^M.
+        """
+        ks = np.asarray(ks, dtype=float)
+        self.lu_evals += len(ks)
+        signs = np.empty(len(ks), dtype=int)
+        for block, stack in self._blocks(ks):
+            phase = 0.5 * (self.theta0 + ks[block] * self.rate - len(self.eye) * math.pi)
+            signs[block] = _det_signs(self.eye - stack, phase)
+        return signs
 
     @staticmethod
     def gaps(angles):
@@ -303,24 +360,46 @@ class _Scan:
         to the next crossing of 1 and min theta_j past the last one."""
         return TWO_PI - np.max(angles, axis=-1), np.min(angles, axis=-1)
 
-    def newton_steps(self, ks):
-        """(M(k), Newton step) over ks, from stacked eigvals calls.
+    def newton_steps(self, ks, rayleigh=None):
+        """(M(k), Newton step) over ks, from stacked eigvals and solve calls.
 
         The step -theta / (v+ diag(w) v) moves the eigenphase theta nearest
         0 to 0 at its Hellmann-Feynman velocity, v its unit eigenvector from
-        ``_nearest_vector``.
+        ``_shifted_solve`` at the eigenvalue plus NEWTON_SHIFT.  Rows flagged
+        in the boolean array ``rayleigh`` take no eigensolve and carry no
+        count (it is read from ``parity``): their solve is shifted at
+        1 + NEWTON_SHIFT, and theta is the phase of the Rayleigh quotient
+        v+ U v = s + x+ b / |x|^2 of x = (U - s I)^-1 b.  All rows of a
+        block share one solve.
         """
         ks = np.asarray(ks, dtype=float)
-        phases = np.empty((len(ks), len(self.weights)))
+        quick = np.zeros(len(ks), dtype=bool) if rayleigh is None else np.asarray(rayleigh)
+        counts = np.zeros(len(ks), dtype=int)
         steps = np.empty(len(ks))
         for block, stack in self._blocks(ks):
-            vals = np.linalg.eigvals(stack)
-            phase = np.angle(vals)
-            j = np.argmin(np.abs(phase), axis=-1)
-            v = _nearest_vector(stack, vals, j)
-            phases[block] = phase
-            steps[block] = -phase[np.arange(len(j)), j] / (np.abs(v) ** 2 @ self.weights)
-        return self._m(ks, np.mod(phases, TWO_PI)), steps
+            quick_rows = quick[block]
+            # a slice keeps an all-eigensolved block free of masked copies
+            full = slice(None) if not quick_rows.any() else ~quick_rows
+            shift = np.full(len(stack), 1.0 + NEWTON_SHIFT, dtype=complex)
+            theta = np.empty(len(stack))
+            if not quick_rows.all():
+                vals = np.linalg.eigvals(stack[full])
+                self.evals += len(vals)
+                phase = np.angle(vals)
+                j = np.argmin(np.abs(phase), axis=-1)
+                rows = np.arange(len(j))
+                counts[block][full] = self._m(ks[block][full], np.mod(phase, TWO_PI))
+                shift[full] = vals[rows, j] + NEWTON_SHIFT * np.maximum(
+                    abs(vals).max(axis=-1), 1e-100)
+                theta[full] = phase[rows, j]
+            x = _shifted_solve(stack, shift)
+            norm = np.sqrt((abs(x) ** 2).sum(axis=-1))
+            v = x / norm[:, None]
+            if quick_rows.any():
+                theta[quick_rows] = np.angle(shift[quick_rows]
+                                             + (v[quick_rows].conj() @ self.start) / norm[quick_rows])
+            steps[block] = -theta / (np.abs(v) ** 2 @ self.weights)
+        return counts, steps
 
 
 class _HermitianCount:
@@ -334,17 +413,20 @@ class _HermitianCount:
     -u'' = lambda u, the quadratic form of the operator minus lambda is
     <(Q+ Lambda Q - diag(sigma)) f, f> on the boundary values f, Lambda the
     per-edge Dirichlet-to-Neumann map at lambda.  ``evals`` counts the
-    matrices diagonalised.
+    matrices diagonalised, ``lu_evals`` those that only take an LU
+    (``parity``).
     """
 
     newton = True
+    use_parity = True
+    rayleigh = False
 
     def __init__(self, sys: SecularSystem):
         q = sys.dec.ran_vectors
         self.q = q if np.any(q.imag) else q.real
         self.sigma = sys.dec.sigma_l
         self.lengths = sys.lengths
-        self.evals = 0
+        self.evals = self.lu_evals = 0
 
     @staticmethod
     def _index(vals: np.ndarray) -> np.ndarray:
@@ -362,6 +444,17 @@ class _HermitianCount:
         self.evals += len(mats)
         vals = np.linalg.eigvalsh(mats)
         return self._index(vals), vals
+
+    def parity(self, ks):
+        """(-1)^N over ks, 0 where rounding may hide it: the sign of det H
+        is (-1)^(n_-(H)), and N = offset + n_-(H) (see ``_blocks``).  One
+        stacked LU per block."""
+        ks = np.asarray(ks, dtype=float)
+        self.lu_evals += len(ks)
+        signs = np.empty(len(ks), dtype=int)
+        for rows, h, offset, _ in self._blocks(ks):
+            signs[rows] = _det_signs(h) * (1 - 2 * (offset % 2))
+        return signs
 
 
 class _NegativeCount(_HermitianCount):
@@ -386,11 +479,16 @@ class _NegativeCount(_HermitianCount):
         lam = _end_pair(kappa * coth, -kappa * csch)
         return self.q.conj().T @ lam @ self.q - np.diag(self.sigma)
 
+    def _blocks(self, kappas):
+        """All points as one block (rows, M(kappa), offset 0, None)."""
+        _, coth, csch = self._maps(kappas)
+        yield slice(None), self._matrices(kappas, coth, csch), 0, None
+
     def m_many(self, kappas):
         """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from one
         stacked eigvalsh call."""
-        _, coth, csch = self._maps(kappas)
-        return self._eigvalsh_count(self._matrices(kappas, coth, csch))
+        (_, mats, _, _), = self._blocks(kappas)
+        return self._eigvalsh_count(mats)
 
     def newton_steps(self, kappas):
         """(N(kappa), Newton step) over kappas, from one stacked eigh call.
@@ -476,9 +574,9 @@ class _PositiveCount(_HermitianCount):
             # X_LU+ diag(d_U) X_LU = sum_U d_e (even_e - (-1)^n_e odd_e)
             d = k[:, None] * cot
             w_even, w_odd = t + d, sign * (t - d)
-            t_b = np.take_along_axis(t, edges, axis=-1)
-            low = self.qa[edges] \
-                - np.take_along_axis(sign, edges, axis=-1)[..., None] * self.qb[edges]
+            points = np.arange(len(k))[:, None]
+            t_b = t[points, edges]
+            low = self.qa[edges] - sign[points, edges][..., None] * self.qb[edges]
         n = rank + t_b.shape[-1]
         h = np.empty((len(k), n, n), dtype=self.q.dtype)
         h[:, :rank, :rank] = (w_even @ self.even + w_odd @ self.odd).reshape(
@@ -512,8 +610,7 @@ class _PositiveCount(_HermitianCount):
                 continue
             size = np.abs(delta)
             order = np.argpartition(size, BORDER_SLOTS, axis=-1)
-            full = np.take_along_axis(size, order[:, BORDER_SLOTS:BORDER_SLOTS + 1],
-                                      axis=-1)[:, 0] < SLOT_DELTA_MIN
+            full = size[np.arange(len(k)), order[:, BORDER_SLOTS]] < SLOT_DELTA_MIN
             rows = np.arange(start, start + len(k))
             if np.any(full):
                 kf, sf, tf = k[full], sign[full], tan[full]
@@ -523,7 +620,7 @@ class _PositiveCount(_HermitianCount):
                 k, sign, tan = k[slot], sign[slot], tan[slot]
                 edges = order[slot, :BORDER_SLOTS]
                 free = tan.copy()
-                np.put_along_axis(free, edges, np.inf, axis=-1)
+                free[np.arange(len(k))[:, None], edges] = np.inf
                 cot = 1.0 / free            # |cot| >= 1 on U, 0 on the bordered edges
                 yield (rows[slot], self._matrices(k, sign, tan, edges, cot),
                        offset[slot] + np.sum(cot > 0.0, axis=-1), (k, sign, tan, edges, cot))
@@ -583,8 +680,8 @@ class _PositiveCount(_HermitianCount):
             if edges is not None:
                 terms += np.where(cot != 0.0, cot - 0.5 * kl * (1.0 + cot ** 2), 0.0) \
                     * np.abs(x_l) ** 2
-                rate = np.take_along_axis(rate, edges, axis=-1)
-                x_l = np.take_along_axis(x_l, edges, axis=-1)
+                points = np.arange(len(k))[:, None]
+                rate, x_l = rate[points, edges], x_l[points, edges]
             slope = np.sum(terms, axis=-1) + np.sum(
                 rate * np.abs(bottom) ** 2 + 2.0 * (x_l.conj() * bottom).real, axis=-1)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -640,7 +737,32 @@ class _Newton:
     mhi: int
     k: float                        # current iterate, inside (lo, hi)
     steps: int = 0
-    probes: list | None = None      # certificate points of the current round
+    stepped: bool = False           # k is the Newton iterate of a step inside the bracket
+    last: float = 0.0               # size of the step that gave k, 0 before the first
+    probes: list | None = None      # (point, index) of the certificate points of the round
+    pending: int | None = None      # index of the round's point of an iterate counted after its step
+
+
+def _count_points(scan, points, pairs) -> list:
+    """The count at every point of a round.
+
+    A point with a pair (m_lo, m_hi) lies in a simple bracket, whose count
+    is monotone and so one of the two; the two differ in parity, which
+    ``scan.parity`` reads off one stacked LU.  The other points, and those
+    whose sign is not resolved, take one stacked eigensolve (``m_many``).
+    """
+    counts = [None] * len(points)
+    lu = [i for i, pair in enumerate(pairs) if pair is not None]
+    if lu:
+        for i, sign in zip(lu, scan.parity(np.array([points[i] for i in lu])).tolist()):
+            if sign:
+                m_lo, m_hi = pairs[i]
+                counts[i] = m_lo if sign == 1 - 2 * (m_lo % 2) else m_hi
+    rest = [i for i, m in enumerate(counts) if m is None]
+    if rest:
+        for i, m in zip(rest, scan.m_many(np.array([points[i] for i in rest]))[0].tolist()):
+            counts[i] = m
+    return counts
 
 
 def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
@@ -652,34 +774,73 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
     count at the iterate and the step.  A count equal to M(lo) or M(hi)
     moves that end to the iterate; a count strictly between splits the
     bracket there, and both parts go on.  A step that leaves the bracket
-    is replaced by bisection.  Once a step is below tol/4, the count is
-    taken at k* -+ tol/2.  If the whole jump g = |M(hi) - M(lo)| lies
-    between the two, the root is certified g-fold within tol/2 of k*, and
-    k* is returned clamped into the bracket; otherwise the up to three
-    sub-brackets go on.  A count without Newton steps (``scan.newton``
-    unset) is bisected.  A bracket no wider than tol is a root at its
-    midpoint, of multiplicity g.
+    is replaced by bisection.  Once a step is below tol/4, or an
+    eigensolved step s after a step s' leaves the error |s|^3 / s'^2 of
+    quadratic convergence below the float spacing at k, the count is
+    taken at k* -+ tol/2 around the new iterate k*.  If the whole jump
+    g = |M(hi) - M(lo)| lies between the two, the root is certified
+    g-fold within tol/2 of k*, and k* is returned clamped into the
+    bracket; otherwise the up to three sub-brackets go on.  A split at a converged iterate takes the count at
+    k* -+ tol/2 in the part holding k* at once, so a level at the split
+    point is returned at k*, not at the midpoint of a part closed by
+    bisection.  A count without Newton steps (``scan.newton`` unset) is
+    bisected.  A bracket no wider than tol is a root at its midpoint, of
+    multiplicity g.
+
+    In a simple bracket (g = 1) the count is M(lo) or M(hi), and the two
+    differ in parity.  When ``scan.use_parity`` is set, every certificate
+    point and midpoint of a simple bracket reads its count from the sign
+    of a determinant (``scan.parity``), one LU and no eigensolve, and so
+    does every Newton iterate after a simple bracket's first when
+    ``scan.rayleigh`` is set: its step comes from the Rayleigh quotient of
+    one shifted solve.  Grid points, the first step of every bracket, the
+    points of brackets with g >= 2 and every point whose sign is not
+    resolved take the full count.
 
     Ends move by equality of counts, so a count may increase (``_Scan``,
     ``_PositiveCount``) or decrease (``_NegativeCount``) across a root.
-    The Newton iterates of a round share stacked eigensolves, and so do
-    the certificate probes and midpoints of a round.  Returns (sorted
-    (k, g) list, number of rounds).
+    Each round makes at most one batch of stacked calls of each kind: the
+    eigensolve of the Newton iterates that take one, the solve of all
+    Newton iterates, the LU of all parity points, and the eigensolve of
+    the other count points.  Returns (sorted (k, g) list, number of
+    rounds).
     """
     newton = scan.newton
+    parity = scan.use_parity
+    rayleigh = newton and parity and scan.rayleigh
     half = 0.5 * tol
     roots: list = []
     iterates: list = []     # _Newton states for the next round
     halves: list = []       # (lo, hi, M(lo), M(hi)) to split in the next round
+    points: list = []       # count points of the round
+    pairs: list = []        # (M(lo), M(hi)) of a point whose count parity decides, else None
+    live: list = []         # _Newton states that wait for the counts of the round
 
-    def admit(lo, hi, mlo, mhi, guess, steps=0):
+    def request(x, mlo, mhi):
+        points.append(x)
+        pairs.append((mlo, mhi) if parity and abs(mhi - mlo) == 1 else None)
+        return len(points) - 1
+
+    def probe(it, k):
+        """Certificate points k -+ tol/2 inside the bracket, counted this round."""
+        it.k = k
+        it.probes = [(x, request(x, it.mlo, it.mhi)) for x in (k - half, k + half)
+                     if it.lo < x < it.hi]
+
+    def admit(lo, hi, mlo, mhi, guess, steps=0, converged=False):
+        """Queue a bracket; a guess with steps > 0 is a Newton iterate."""
         if mhi == mlo:
             return
-        if hi - lo <= tol:
+        if converged and lo <= guess <= hi:
+            it = _Newton(lo, hi, mlo, mhi, guess, steps)
+            probe(it, guess)
+            live.append(it)
+        elif hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
         elif newton:
-            k = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-            iterates.append(_Newton(lo, hi, mlo, mhi, k, steps))
+            inside = guess is not None and lo < guess < hi
+            iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi),
+                                    steps, inside and steps > 0))
         else:
             halves.append((lo, hi, mlo, mhi))
 
@@ -691,50 +852,81 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
         stepping, splitting = iterates[:], halves[:]
         iterates.clear()
         halves.clear()
+        points.clear()
+        pairs.clear()
+        live.clear()
         splits += len(splitting)
         if splits > max_splits:
             raise ToleranceTooCoarse("bisection budget exhausted")
 
-        probes, live = [], []
         if stepping:
-            m_k, steps = scan.newton_steps(np.array([it.k for it in stepping]))
-            for it, m, step in zip(stepping, m_k.tolist(), steps.tolist()):
+            ks = np.array([it.k for it in stepping])
+            quick = [rayleigh and it.stepped and abs(it.mhi - it.mlo) == 1 for it in stepping]
+            m_k, steps = scan.newton_steps(ks, np.array(quick)) if rayleigh \
+                else scan.newton_steps(ks)
+            for it, q, m, step in zip(stepping, quick, m_k.tolist(), steps.tolist()):
                 it.steps += 1
+                # an eigensolved Newton step converges quadratically: after
+                # steps s' then s the error is about |s|^3 / s'^2, and once
+                # that is below the float spacing at k no step can improve k
+                converged = abs(step) <= 0.25 * tol or (
+                    not q and abs(step) < it.last
+                    and abs(step) ** 3 <= EPS * abs(it.k) * it.last ** 2)
+                it.last = abs(step)
+                if q:
+                    # counted with this round's points; a converged step
+                    # needs no count at it.k: both certificate points decide
+                    if converged:
+                        probe(it, it.k + step)
+                    else:
+                        it.pending = request(it.k, it.mlo, it.mhi)
+                        it.k += step
+                        it.stepped = True
+                    live.append(it)
+                    continue
                 if m != it.mlo and m != it.mhi:
-                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps)
-                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
+                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps, converged)
+                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps, converged)
                     continue
                 if m == it.mlo:
                     it.lo = it.k
                 else:
                     it.hi = it.k
-                it.k += step
-                if abs(step) <= 0.25 * tol:
-                    it.k = min(max(it.k, it.lo), it.hi)
-                    it.probes = [x for x in (it.k - half, it.k + half) if it.lo < x < it.hi]
-                    probes.extend(it.probes)
+                if converged:
+                    probe(it, min(max(it.k + step, it.lo), it.hi))
+                else:
+                    it.k += step
+                    it.stepped = True
                 live.append(it)
-        mids = [0.5 * (lo + hi) for lo, hi, _, _ in splitting]
-        m_at = scan.m_many(probes + mids)[0].tolist() if probes or mids else []
+        mids = [request(0.5 * (lo + hi), mlo, mhi) for lo, hi, mlo, mhi in splitting]
+        counts = _count_points(scan, points, pairs) if points else []
 
-        pos = 0
         for it in live:
-            if it.probes is not None:
-                counts = m_at[pos:pos + len(it.probes)]
-                pos += len(it.probes)
-                if any(m != it.mlo and m != it.mhi for m in counts):
-                    points = [it.lo, *it.probes, it.hi]
-                    counts = [it.mlo, *counts, it.mhi]
-                    for i in range(len(points) - 1):
-                        admit(points[i], points[i + 1], counts[i], counts[i + 1],
-                              it.k, it.steps)
+            if it.pending is not None:
+                x, m = points[it.pending], counts[it.pending]
+                it.pending = None
+                if m != it.mlo and m != it.mhi:
+                    admit(it.lo, x, it.mlo, m, it.k, it.steps)
+                    admit(x, it.hi, m, it.mhi, it.k, it.steps)
                     continue
-                for x, mx in zip(it.probes, counts):
-                    if mx == it.mlo:
+                if m == it.mlo:
+                    it.lo = x
+                else:
+                    it.hi = x
+            if it.probes is not None:
+                probes = [(x, counts[i]) for x, i in it.probes if it.lo < x < it.hi]
+                it.probes = None
+                if any(m != it.mlo and m != it.mhi for _, m in probes):
+                    ends = [it.lo, *(x for x, _ in probes), it.hi]
+                    ms = [it.mlo, *(m for _, m in probes), it.mhi]
+                    for i in range(len(ends) - 1):
+                        admit(ends[i], ends[i + 1], ms[i], ms[i + 1], it.k, it.steps)
+                    continue
+                for x, m in probes:
+                    if m == it.mlo:
                         it.lo = x
                     else:
                         it.hi = x
-                it.probes = None
                 if it.lo >= it.k - half and it.hi <= it.k + half:
                     roots.append((min(max(it.k, it.lo), it.hi), abs(it.mhi - it.mlo)))
                     continue
@@ -743,13 +935,13 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
                 roots.append((mid, abs(it.mhi - it.mlo)))
                 continue
             if not it.lo < it.k < it.hi:
-                it.k = mid
+                it.k, it.stepped, it.last = mid, False, 0.0
             if it.steps >= NEWTON_BUDGET:
                 raise ToleranceTooCoarse("Newton refinement budget exhausted")
             iterates.append(it)
-        for (lo, hi, mlo, mhi), mid, mm in zip(splitting, mids, m_at[pos:]):
-            admit(lo, mid, mlo, mm, None)
-            admit(mid, hi, mm, mhi, None)
+        for (lo, hi, mlo, mhi), index in zip(splitting, mids):
+            admit(lo, points[index], mlo, counts[index], None)
+            admit(points[index], hi, counts[index], mhi, None)
     return sorted(roots), rounds
 
 
@@ -837,8 +1029,19 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     refined, rounds = _refine_brackets(count, brackets, tol)
     return sorted(roots + refined), {
         "grid_evals": grid_evals, "recheck_evals": 0,
-        "refine_evals": count.evals - grid_evals, "refine_rounds": rounds,
-        "pole_roots": pole_roots, "scan_step": step}
+        "refine_evals": count.evals - grid_evals + count.lu_evals,
+        "refine_eig_evals": count.evals - grid_evals, "refine_lu_evals": count.lu_evals,
+        "refine_rounds": rounds, "pole_roots": pole_roots, "scan_step": step}
+
+
+def check_tol(tol: float, k_range) -> None:
+    """Raise ValidationError unless tol >= 4 eps max(1, |k_min|, |k_max|):
+    a finer bracket would be below the float spacing of the window, and
+    no root can be located to half of it."""
+    floor = 4.0 * EPS * max([1.0, *(abs(float(k)) for k in k_range)])
+    if not tol >= floor:
+        raise ValidationError(f"tol must be at least 4 eps max(1, |k_min|, |k_max|) = "
+                              f"{floor:.3g} on this window, got {tol!r}")
 
 
 def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
@@ -865,29 +1068,35 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     (p - tol/2, p + tol/2], and a jump across it is a root at p.  Every
     bracket is refined by Newton steps inside a bracket certified by the
     count, degenerate levels included (``_refine_brackets``).  Refinement
-    runs in rounds that advance every bracket at once, on stacked
-    eigensolves.
+    runs in rounds that advance every bracket at once, on stacked calls.
+    The grid, the first Newton step of each bracket and every point of a
+    multiple level are eigensolved; in a simple bracket the certificate
+    probes, and for the first-order operator the later Newton iterates,
+    read the count from the sign of one LU (``parity``), falling back to
+    an eigensolve where that sign is not resolved.
 
     Args:
         sys: secular system.
         k_range: (k_min, k_max) search window.
         tol: certified bracket width; located roots are accurate to tol/2.
+            At least 4 eps max(1, |k_min|, |k_max|) (``check_tol``).
         workers: number of threads; the window is split into independent
             chunks whose results are merged in sorted order.
 
-    ``diagnostics["matrix_evals"]`` counts the matrices whose eigenvalues
-    were computed: grid points, Dirichlet probes, Newton and bisection
-    steps, and certificates.  It is the sum of ``grid_evals`` (grid and
-    Dirichlet probes), ``recheck_evals`` (0: no count needs a re-check)
-    and ``refine_evals``; ``refine_rounds`` counts refinement rounds,
+    ``diagnostics["matrix_evals"]`` counts the matrices evaluated: grid
+    points, Dirichlet probes, Newton and bisection steps, and
+    certificates.  It is the sum of ``grid_evals`` (grid and Dirichlet
+    probes), ``recheck_evals`` (0: no count needs a re-check) and
+    ``refine_evals``, which splits into ``refine_eig_evals`` (matrices
+    eigensolved) and ``refine_lu_evals`` (matrices that took only an LU
+    and a solve); ``refine_rounds`` counts refinement rounds,
     ``pole_roots`` the roots read off at Dirichlet points, and
     ``scan_step`` is the grid step used.
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):
         raise ValidationError("need k_min < k_max")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    check_tol(tol, (k_lo, k_hi))
 
     zero_mode = m_lo = None
     if sys.kind == BK2:
@@ -913,8 +1122,8 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             results = list(pool.map(lambda c: _scan(sys, c[0], c[1], tol, c[2]), chunks))
 
     roots: list = []
-    stats = dict.fromkeys(("grid_evals", "recheck_evals", "refine_evals", "refine_rounds",
-                           "pole_roots"), 0)
+    stats = dict.fromkeys(("grid_evals", "recheck_evals", "refine_evals", "refine_eig_evals",
+                           "refine_lu_evals", "refine_rounds", "pole_roots"), 0)
     step = math.inf
     for rs, st in results:
         roots.extend(rs)
@@ -1003,6 +1212,19 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
 # Weyl law
 # ---------------------------------------------------------------------------
 
+#: counting conventions of ``weyl_fit``; two_sided is first-order only
+WEYL_SIDES = ("positive", "two_sided")
+
+
+def check_side(side, kind: str) -> None:
+    """Raise ValidationError unless side is one of WEYL_SIDES, and two_sided
+    only for the first-order operator (kind BK)."""
+    if side not in WEYL_SIDES:
+        raise ValidationError(f"unknown side {side!r}; expected one of {WEYL_SIDES}")
+    if side == "two_sided" and kind == BK2:
+        raise ValidationError("two_sided counting applies to the first-order operator")
+
+
 @dataclass(frozen=True)
 class WeylFit:
     """Least-squares slope of the counting staircase against k."""
@@ -1025,18 +1247,15 @@ def weyl_fit(spectrum: Spectrum, graph: MetricGraph,
     two-sided first-order counting and for positive squared-operator
     counting, and L/(2 pi) per branch of the first-order spectrum.
     """
+    check_side(side, spectrum.kind)
     total = graph.total_length
     weyl_slope = total / math.pi
     if side == "positive":
         pairs = [(k, g) for k, g in spectrum.eigenvalues if k > 0]
         expected = weyl_slope if spectrum.kind == BK2 else total / TWO_PI
-    elif side == "two_sided":
-        if spectrum.kind == BK2:
-            raise ValidationError("two_sided counting applies to the first-order operator")
+    else:
         pairs = sorted((abs(k), g) for k, g in spectrum.eigenvalues)
         expected = weyl_slope
-    else:
-        raise ValidationError(f"unknown side {side!r}")
     if sum(g for _, g in pairs) < 20:
         raise InsufficientData("need at least 20 eigenvalues for a Weyl fit")
 

@@ -393,6 +393,50 @@ class TestErrorContract:
         assert code == cli.EXIT_VALIDATION
         assert err["code"] == "VALIDATION_ERROR"
 
+    @pytest.mark.parametrize("numeric", [
+        {"k_min": 0.0, "k_max": 1e5, "tol": 1e-300},
+        {"k_min": 0.0, "k_max": 1.0, "tol": 1e-16},
+        {"k_min": -2e4, "k_max": 0.0, "tol": 1e-12},
+    ])
+    def test_tol_below_float_spacing(self, tmp_path, monkeypatch, numeric):
+        # 4 eps max(1, |k_min|, |k_max|) is the smallest tol; refused before any solve
+        monkeypatch.setattr(cli.spectra, "find_spectrum", self.refuse)
+        payload = {"task": "spectrum", "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"}, "numeric": numeric}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+        assert "tol must be at least" in err["message"]
+
+    @pytest.mark.parametrize("tol, code", [(1e-12, cli.EXIT_OK), (1e-17, cli.EXIT_VALIDATION)])
+    def test_tol_floor_without_k_range(self, tmp_path, tol, code):
+        # with no k range in the document the floor is 4 eps
+        payload = {"task": "trace-check", "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"}, "numeric": {"t_values": [1.0], "tol": tol}}
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(payload))
+        assert cli.main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == code
+
+    @pytest.mark.parametrize("task, operator, side", [
+        ("weyl", "bk", "both"),
+        ("weyl", "bk2", "two_sided"),
+        ("counting-compare", "bk", "negative"),
+        ("counting-compare", "bk2", 1),
+    ])
+    def test_bad_side_before_any_solve(self, tmp_path, monkeypatch, task, operator, side):
+        monkeypatch.setattr(cli.spectra, "find_spectrum", self.refuse)
+        graph, boundary = ((RING, {"kind": "ring_phase", "c": 0.0}) if operator == "bk"
+                           else (EDGE, {"kind": "dirichlet"}))
+        payload = {"task": task, "operator": operator, "graph": graph, "boundary": boundary,
+                   "numeric": {"k_min": 0.0, "k_max": 60.0, "side": side}}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
     def test_halfline_beyond_amplitude_range(self, tmp_path):
         code, err = self.run_main(tmp_path, {"task": "halfline-demo",
                                              "numeric": {"k_grid_max": 500.0, "n_k": 11}})

@@ -181,21 +181,26 @@ def test_mixed_batch_in_one_round(monkeypatch):
     assert [b[3] - b[2] for b in brackets] == [1, 1, 2]
 
     stacks = []
-    for name in ("eigvals", "solve"):
+    for name in ("eigvals", "solve", "det"):
         def record(u, *args, fn=getattr(np.linalg, name), name=name):
             stacks.append((name, np.shape(u)[0]))
             return fn(u, *args)
         monkeypatch.setattr(np.linalg, name, record)
-    evals = scan.evals
+    evals, lu_evals = scan.evals, scan.lu_evals
     roots, rounds = spectra._refine_brackets(scan, brackets, tol)
     monkeypatch.undo()
 
     # round one: the three Newton iterates in one eigvals stack and their
-    # eigenvectors in one solve stack; every round then evaluates its
-    # certificate probes in one eigvals stack
+    # eigenvectors in one solve stack.  Every round makes one solve of all
+    # its iterates and at most one det of all its parity points; eigvals
+    # run only for the three first steps, the restart of the second
+    # bracket from its midpoint and the certificate of the double level
+    names = [name for name, _ in stacks]
     assert stacks[:2] == [("eigvals", 3), ("solve", 3)]
-    assert [name for name, _ in stacks] == ["eigvals", "solve", "eigvals"] * rounds
-    assert sum(n for name, n in stacks if name == "eigvals") == scan.evals - evals
+    assert names.count("solve") == rounds
+    assert 0 < names.count("det") <= rounds
+    assert sum(n for name, n in stacks if name == "eigvals") == scan.evals - evals == 5
+    assert sum(n for name, n in stacks if name == "det") == scan.lu_evals - lu_evals
     # no bisection: the double level takes as few rounds as the simple ones
     assert rounds <= 4
     assert [g for _, g in roots] == [1, 2, 1]

@@ -329,7 +329,8 @@ def test_star3_spectrum_refines_with_few_evals():
 
 def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
     # Newton vectors come from a shifted solve: a squared-operator solve
-    # calls no eig, eigvals or eigh, and a first-order one eigvals only
+    # calls no eig, eigvals or eigh, and a first-order one eigvals and the
+    # det of its parity counts, but no eig
     def refuse(*args, **kwargs):
         raise AssertionError("eig, eigvals or eigh called")
 
@@ -342,7 +343,7 @@ def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
             assert xg.find_spectrum(sys_, (0.0, 10.0), workers=2).total_count > 0
 
     calls = []
-    for name in ("eig", "eigvals"):
+    for name in ("eig", "eigvals", "det"):
         def record(u, fn=getattr(np.linalg, name), name=name):
             calls.append(name)
             return fn(u)
@@ -350,4 +351,4 @@ def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
     g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
     first_order = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.3)), g)
     assert xg.find_spectrum(first_order, (-10.0, 10.0)).total_count > 0
-    assert set(calls) == {"eigvals"}
+    assert set(calls) == {"eigvals", "det"}

@@ -1,14 +1,15 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the eigenphase scan of the positive axis,
-the sign-change search of the negative axis, the two-probe zero-mode
-count, the walk-based orbit enumeration, the orbit-by-orbit trace sums,
-a test function tabulated on a grid and the scalar critical-line zeta
-series."""
+the eigensolve-only spectrum solve, the sign-change search of the
+negative axis, the two-probe zero-mode count, the walk-based orbit
+enumeration, the orbit-by-orbit trace sums, a test function tabulated on
+a grid and the scalar critical-line zeta series."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -100,6 +101,7 @@ class EigenphaseScan:
     """
 
     newton = False
+    use_parity = False
 
     def __init__(self, sys):
         self.sys = sys
@@ -153,6 +155,15 @@ def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
                 brackets.append((float(sub[j]), float(sub[j + 1]),
                                  int(sub_m[j]), int(sub_m[j + 1]), None))
     return spectra._refine_brackets(scan, brackets, tol)[0]
+
+
+def eigensolve_spectrum(sys, k_range, tol: float):
+    """``find_spectrum`` with every count from an eigensolve and every
+    Newton step from one: the path without determinant-sign (parity)
+    counts and Rayleigh steps, kept as their oracle."""
+    with mock.patch.object(spectra._Scan, "use_parity", False), \
+            mock.patch.object(spectra._HermitianCount, "use_parity", False):
+        return xg.find_spectrum(sys, k_range, tol)
 
 
 def probe_zero_mode_count(sys, k_probe: float = 1.0, mult_tol: float = spectra.MULT_TOL) -> int:
