@@ -320,15 +320,16 @@ def _task_trace_check(config, out_dir, workers):
     sys_, spec, dec = build_system(config, graph)
     t_values = config.numeric.get("t_values", [0.1, 1.0])
     cutoff = config.numeric.get("orbit_cutoff")
+    tol = _numeric(config, "tol", 1e-10)
     reports = []
     for t in t_values:
         h = traces.gaussian(float(t))
         k_top = math.sqrt(math.log(1e14) / float(t))
         if spec.kind == extensions.BK:
-            spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), workers=workers)
+            spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), tol=tol, workers=workers)
             report = traces.trace_rhs_bk(graph, sys_.s_bk, h, orbit_cutoff=cutoff)
         else:
-            spectrum = spectra.find_spectrum(sys_, (0.0, k_top), workers=workers)
+            spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol, workers=workers)
             report = traces.trace_rhs_bk2(graph, dec, h, orbit_cutoff=cutoff)
         lhs, tail = traces.trace_lhs(spectrum, h, graph.total_length)
         reports.append((float(t), report.with_lhs(lhs, tail)))

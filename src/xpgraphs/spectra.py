@@ -5,60 +5,43 @@ unitary family U(k) = S(k) T(k) has eigenvalue one.  Roots are the jumps
 of an integer count that is exact at every k, located by brackets that
 the count certifies.
 
-For the first-order operator (constant S) the count is the winding
-function
-
-    M(k) = (arg det S + k sum(w) - sum_j theta_j(k)) / (2 pi),
-
-theta_j the principal eigenphases of U(k) in [0, 2 pi).  Every eigenphase
-increases with k (rate between the smallest and largest bond length), so
-M(k2) - M(k1) is the number of crossings of 1 on (k1, k2].
+For the first-order operator, U(k) = B exp(ikw) with a constant bond
+matrix B, the count is the winding count M(k) = (arg det B + k sum(w)
+- sum_j theta_j(k)) / (2 pi), theta_j the principal eigenphases of U(k).
+It comes from one eigh of a Hermitian Cayley matrix D(k) - K, D(k) =
+diag tan((k w - alpha) / 2) and K the Cayley transform of e^-i alpha B+
+(Kostrykin & Schrader, J. Phys. A 32, 595, 1999), with the rotation alpha
+picked per point from 2d + 1 so that no entry comes near a pole
+(``_CayleyCount``).
 
 For the squared operator, whatever its S-part, the count is N(k), the
 number of eigenvalues below k^2, from Friedlander's Dirichlet-to-Neumann
 index identity (Arch. Ration. Mech. Anal. 116, 1991; Behrndt & Luger,
-J. Phys. A 43, 474006, 2010):
-
-    N(k) = sum_e floor(k l_e / pi) + n_-(Q+ Lambda(k) Q - diag(sigma)),
-
-Q and sigma the eigenvectors and eigenvalues of L'' on ran B'+, Lambda(k)
-the per-edge Dirichlet-to-Neumann map k [[cot kl, -csc kl],
-[-csc kl, cot kl]].  It comes from one eigvalsh of a Hermitian matrix in
-which the end-pair eigenvalue d = k cot(delta / 2), delta = kl - n pi,
-of Lambda that diverges at a Dirichlet point k l_e in pi Z sits in a
-border, so the count holds next to those points too (``_PositiveCount``).
-Only the BORDER_SLOTS edges of smallest |delta| at a point are bordered;
-the d of the others, at most 8k, stay in the rank block, and a point
-whose fifth-smallest |delta| is below SLOT_DELTA_MIN takes the full
-border.  Each Dirichlet point p is its own bracket (p - tol/2, p + tol/2]:
-a jump of N across it is a root at p.  The zero eigenvalue is
-characterized by ``zero_mode_test`` from the nullity of
-M(0) = Q+ Lambda(0) Q - diag(sigma), and the negative spectrum -kappa^2
-by the same kind of count with kappa-harmonic maps (``_NegativeCount``).
+J. Phys. A 43, 474006, 2010), N(k) = sum_e floor(k l_e / pi) +
+n_-(Q+ Lambda(k) Q - diag(sigma)), from one eigvalsh of a matrix that
+borders the entries of Lambda diverging at the Dirichlet points k l_e in
+pi Z (``_PositiveCount``); each Dirichlet point p is its own bracket
+(p - tol/2, p + tol/2].  The zero eigenvalue is characterized by
+``zero_mode_test``, and the negative spectrum -kappa^2 by the same kind
+of count with kappa-harmonic maps (``_NegativeCount``).
 
 A grid of two points per mean crossing spacing 2 pi / sum(w) only seeds
-brackets.  Every bracket is refined by Newton steps (on the eigenphase of
-U(k), or on the eigenvalue of the Hermitian matrix, nearest 0, with the
-eigenvector of the slope from one step of shifted inverse iteration,
-``_shifted_solve``) inside a bracket that the count certifies at every
-step; a degenerate level is certified with its multiplicity like a
-simple one.  Inside a simple bracket the count is one of its two end
-counts, and the sign of a determinant tells them apart (``parity``):
-there the certificate probes, and for a constant S the Newton iterates
-after the first (whose step is a Rayleigh quotient of the same solve),
-take one LU and no eigensolve.  The grid, the first step of a bracket,
-multiple levels and unresolved signs take the full count.  Refinement
-runs in rounds: each round takes one Newton step in every open bracket
-and makes at most one stacked call of each kind (eigensolve of the
-iterates, solve, LU of the parity points, eigensolve of the other
-points).
+brackets.  Every bracket is refined by Newton steps inside a bracket that
+the count certifies at every step, a degenerate level with its
+multiplicity: on the eigenphase of U(k) nearest 0, from a Rayleigh
+quotient of shifted inverse iteration, or on the eigenvalue of the
+Hermitian matrix nearest 0.  Inside a simple bracket the count is one of
+its two end counts, and the sign of a determinant tells them apart with
+one LU and no eigensolve (``parity``).  Refinement runs in rounds that
+advance every open bracket and make at most one stacked call of each kind.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,7 +60,7 @@ EPS = float(np.finfo(float).eps)
 #: eigenphase distance (mod 2 pi) that counts as a unit eigenvalue
 MULT_TOL = 1e-8
 
-#: grid points whose U(k) go into one stacked eigvals call
+#: points whose matrices go into one stacked linear-algebra call
 SCAN_BLOCK = 64
 
 #: Newton steps one bracket may take before refinement gives up
@@ -160,6 +143,11 @@ class SecularSystem:
         phases = np.exp(1j * np.multiply.outer(k, self.weights))
         return self.bond_matrix(k) * phases[..., None, :]
 
+    @cached_property
+    def cayley(self) -> "_Cayley":
+        """The ``_Cayley`` rotations of a constant bond matrix, once per system."""
+        return _Cayley(self.bond_matrix(0.0))
+
     @property
     def poles(self) -> np.ndarray:
         """Nonzero eigenvalues of L'': S(k) has poles at k = +- i poles."""
@@ -212,12 +200,6 @@ def secular(sys: SecularSystem, k):
 # Integer counts
 # ---------------------------------------------------------------------------
 
-def _principal_angles(u: np.ndarray) -> np.ndarray:
-    """Eigenphases of a unitary matrix (or a stack of them) mapped to [0, 2 pi)."""
-    ang = np.angle(np.linalg.eigvals(u))
-    return np.mod(ang, TWO_PI)
-
-
 def _unit_count(m: np.ndarray, tol: float) -> int:
     """Eigenvalues of a unitary matrix within eigenphase distance tol of 1.
 
@@ -236,31 +218,26 @@ def _window_floor(k_max: float) -> float:
 
 @lru_cache(maxsize=None)
 def _iteration_start(n: int) -> tuple:
-    """(identity, fixed start vector) of size n for ``_shifted_solve``.  The
+    """(identity, fixed start vector) of size n for inverse iteration.  The
     start vector b_i = sin(i) has no integer linear relation (e^i is
     transcendental), so it is orthogonal to no integer-pattern eigenvector,
     such as (1, -1, -1, 1), of a symmetric graph."""
     return np.eye(n), np.sin(np.arange(1.0, n + 1.0))
 
 
-def _shifted_solve(mats: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """x = (M - shift I)^-1 b per matrix of a stack, b the start vector of
-    ``_iteration_start``: one stacked step of shifted inverse iteration
-    (Ipsen, SIAM Rev. 39, 1997)."""
-    eye, start = _iteration_start(mats.shape[-1])
-    return np.linalg.solve(mats - shift[:, None, None] * eye, start)
-
-
 def _nearest_vector(mats: np.ndarray, vals: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Unit eigenvectors for the eigenvalues vals[i, j[i]] of a stack of
-    normal matrices, from ``_shifted_solve`` at mu_j + eps.
+    normal matrices, from one stacked step x = (M - (mu_j + eps) I)^-1 b of
+    shifted inverse iteration (Ipsen, SIAM Rev. 39, 1997).
 
     eps = NEWTON_SHIFT max|mu| leaves the shifted matrix nonsingular and
     damps the other eigenvectors by eps / |mu_i - mu_j|; a zero matrix
     takes eps = NEWTON_SHIFT 1e-100, so every row stays finite.
     """
+    eye, start = _iteration_start(mats.shape[-1])
     top = np.maximum(abs(vals).max(axis=-1), 1e-100)
-    x = _shifted_solve(mats, vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top)
+    shift = vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top
+    x = np.linalg.solve(mats - shift[:, None, None] * eye, start)
     return x / np.sqrt((abs(x) ** 2).sum(axis=-1, keepdims=True))
 
 
@@ -291,19 +268,65 @@ def _rounding_bound(vals: np.ndarray) -> np.ndarray:
         * np.max(np.abs(vals), axis=-1, initial=0.0, keepdims=True)
 
 
-class _Scan:
-    """M(k) for a constant S-part, evaluated on stacks of U(k).
+class _Cayley:
+    """The rotations of the first-order count of a constant unitary bond
+    matrix B of size d: alpha_i = 2 pi (i + 1/2) / (2d + 1), and the Cayley
+    transform K_i = i (I - V_i)(I + V_i)^-1 of V_i = e^-i alpha_i B+, with
+    the eigenvalues tan(psi_ij / 2), psi_ij = arg e^-i (alpha_i + phi_j).
+    Kept are the rotations with max_j |psi_ij| <= pi - pi / (2 (2d + 1)), as
+    alpha, psi, cos_worst = cos max_j |psi_ij|, minus_kay = -K_i and const
+    c_i = rint((theta0 + d alpha_i + sum_j psi_ij) / (2 pi)), theta0 = arg det B.
 
-    U(k) = B exp(ikw) with the constant bond matrix B, and arg det U(k) =
-    arg det B + k sum(w), so M needs no lift along the scan.  Every stack
-    holds at most SCAN_BLOCK matrices.  ``evals`` counts every U(k) whose
-    eigenvalues are computed, ``lu_evals`` every U(k) that only takes an LU
-    (``parity``).
+    The eigenphases phi_j and eigenvectors W of B, K_i = W diag(tan(psi_i
+    / 2)) W+, come from one eigh of the K of the first alpha_i with no
+    entry above 2 cot(pi / (2 (2d + 1))): V has an eigenvalue -1 at d
+    angles, which leave d + 1 alpha_i pi / (2d + 1) clear (pigeonhole).
+    """
+
+    def __init__(self, bond: np.ndarray):
+        d = len(bond)
+        n_rot = 2 * d + 1
+        alpha = (np.arange(n_rot) + 0.5) * (TWO_PI / n_rot)
+        adj, eye = bond.conj().T, np.eye(d)
+        for beta in alpha.tolist():
+            try:
+                kay = 2j * np.linalg.inv(eye + cmath.exp(-1j * beta) * adj) - 1j * eye
+            except np.linalg.LinAlgError:       # V has the eigenvalue -1 exactly
+                continue
+            if np.abs(kay).max() <= 2.0 / math.tan(0.5 * math.pi / n_rot):
+                break
+        tan, vecs = np.linalg.eigh(0.5 * (kay + kay.conj().T))
+        psi = np.mod(math.pi + beta + 2.0 * np.arctan(tan) - alpha[:, None], TWO_PI) - math.pi
+        worst = np.abs(psi).max(axis=1)
+        keep = worst <= math.pi - 0.5 * math.pi / n_rot
+        theta0 = float(np.angle(np.linalg.det(bond)))
+        self.alpha, self.cos_worst, self.psi = alpha[keep], np.cos(worst[keep]), psi[keep]
+        self.minus_kay = (vecs * -np.tan(0.5 * self.psi)[:, None, :]) @ vecs.conj().T
+        self.const = np.rint((theta0 + d * self.alpha + self.psi.sum(axis=1))
+                             / TWO_PI).astype(int)
+
+
+class _CayleyCount:
+    """M(k) of a constant unitary bond matrix B, U(k) = B exp(ikw), from the
+    negative index of a Hermitian Cayley matrix (Kostrykin & Schrader,
+    J. Phys. A 32, 595, 1999).
+
+    U(k) has the eigenvalue 1 exactly when e^-i alpha (B+ - exp(ikw)) =
+    2i (I - i K)^-1 (K - D) (I - i D)^-1 is singular, D(k) =
+    diag tan((k w - alpha) / 2).  D increases with k, and at a pole of bond
+    b an eigenvalue of D - K passes from +inf to -inf, so with rotation i of
+    ``_Cayley``, M(k) = sum_b floor((k w_b - alpha_i + pi) / (2 pi)) -
+    n_-(D_i(k) - K_i) + c_i steps up by the multiplicity at each root; it
+    is the winding count (theta0 + k sum(w) - sum_j theta_j(k)) / (2 pi)
+    over the principal eigenphases theta_j of U(k).  Each point takes the
+    rotation farthest from the poles of D_i and from max |psi_ij|: one of the
+    2d + 1 is pi / (2d + 1) clear of the 2d excluded angles, so no entry of
+    D_i or K_i exceeds cot(pi / (2 (2d + 1))).  ``evals`` counts the
+    D_i - K_i eigensolved, ``lu_evals`` the U(k) that only take an LU.
     """
 
     newton = True
     use_parity = True
-    rayleigh = True
 
     def __init__(self, sys: SecularSystem):
         self.weights = sys.weights
@@ -311,95 +334,93 @@ class _Scan:
         self.grid_step = _scan_step(self.rate)
         self.bond = sys.bond_matrix(0.0)
         self.theta0 = float(np.angle(np.linalg.det(self.bond)))
+        self.cayley = sys.cayley if len(self.weights) > 1 else None
         self.eye, self.start = _iteration_start(len(self.weights))
         self.evals = self.lu_evals = 0
 
-    def _m(self, k, angles):
-        """M from principal eigenphases; vectorised over leading axes."""
-        return np.rint((self.theta0 + k * self.rate - np.sum(angles, axis=-1))
-                       / TWO_PI).astype(int)
-
-    def _blocks(self, ks):
+    def _u_blocks(self, ks):
         """(slice, stack of U(k)) over ks, SCAN_BLOCK points at a time."""
         for start in range(0, len(ks), SCAN_BLOCK):
             block = slice(start, start + SCAN_BLOCK)
             yield block, self.bond * np.exp(1j * np.multiply.outer(ks[block], self.weights))[:, None, :]
 
+    def _matrices(self, ks):
+        """(D_i(k) - K_i, diag D_i(k), sum_b floor + c_i) per point, with the
+        rotation i picked per point."""
+        cay = self.cayley
+        phase = np.subtract.outer(np.multiply.outer(ks, self.weights), cay.alpha)
+        # cos falls with the distance from +-pi: the rotation farthest from a pole
+        pick = np.argmax(np.minimum(np.cos(phase).min(axis=1), cay.cos_worst), axis=-1)
+        phase = phase[np.arange(len(ks)), :, pick]
+        tan = np.tan(0.5 * phase)
+        h = cay.minus_kay[pick]
+        h.reshape(len(ks), -1)[:, ::len(self.weights) + 1] += tan
+        return h, tan, np.rint(phase * (1.0 / TWO_PI)).sum(axis=-1).astype(int) + cay.const[pick]
+
     def m_many(self, ks):
-        """(M(k), principal eigenphases) over ks, from stacked eigvals calls."""
+        """(M(k), eigenphases in [0, 2 pi)) over ks, from stacked eigh calls:
+        for each eigenvalue mu_j of D_i(k) - K_i, eigenvector u_j and tau_j =
+        u_j+ D_i u_j, 2 arctan(tau_j) - 2 arctan(tau_j - mu_j) is the
+        eigenphase of U(k) that crosses 0 with mu_j, to first order in mu_j."""
         ks = np.asarray(ks, dtype=float)
         self.evals += len(ks)
-        angles = np.empty((len(ks), len(self.weights)))
-        for block, stack in self._blocks(ks):
-            angles[block] = _principal_angles(stack)
-        return self._m(ks, angles), angles
+        if len(self.weights) == 1:      # U(k) = exp(i (theta0 + k w)): M in closed form
+            theta = self.theta0 + ks * self.rate
+            phases = np.mod(theta, TWO_PI)
+            return np.rint((theta - phases) / TWO_PI).astype(int), phases[:, None]
+        counts = np.empty(len(ks), dtype=int)
+        phases = np.empty((len(ks), len(self.weights)))
+        for start in range(0, len(ks), SCAN_BLOCK):
+            block = slice(start, start + SCAN_BLOCK)
+            h, tan, offset = self._matrices(ks[block])
+            mu, u = np.linalg.eigh(h)
+            counts[block] = offset - np.sum(mu < 0.0, axis=-1)
+            tau = np.sum(tan[:, :, None] * np.abs(u) ** 2, axis=1)
+            phases[block] = np.mod(2.0 * (np.arctan(tau) - np.arctan(tau - mu)), TWO_PI)
+        return counts, phases
 
     def parity(self, ks):
-        """(-1)^M(k) over ks, 0 where rounding may hide it, from stacked dets.
-
-        With theta_j the principal eigenphases, 1 - exp(i theta) =
-        2 sin(theta / 2) exp(i (theta - pi) / 2) with sin(theta / 2) >= 0,
-        and sum_j theta_j = theta0 + k sum(w) - 2 pi M, so
-
-            det(I - U(k)) exp(-i (theta0 + k sum(w) - d pi) / 2)
-                = (-1)^M prod_j 2 sin(theta_j / 2)
-
-        is real, with the sign (-1)^M.
+        """(-1)^M(k) over ks, 0 where rounding may hide it, from stacked dets:
+        1 - exp(i theta) = 2 sin(theta / 2) exp(i (theta - pi) / 2) and
+        sum_j theta_j = theta0 + k sum(w) - 2 pi M, so det(I - U(k))
+        exp(-i (theta0 + k sum(w) - d pi) / 2) = (-1)^M prod_j 2 sin(theta_j / 2).
         """
         ks = np.asarray(ks, dtype=float)
         self.lu_evals += len(ks)
         signs = np.empty(len(ks), dtype=int)
-        for block, stack in self._blocks(ks):
+        for block, stack in self._u_blocks(ks):
             phase = 0.5 * (self.theta0 + ks[block] * self.rate - len(self.eye) * math.pi)
             signs[block] = _det_signs(self.eye - stack, phase)
         return signs
 
     @staticmethod
-    def gaps(angles):
-        """(ahead, behind) per point: the eigenphase distance 2 pi - max theta_j
-        to the next crossing of 1 and min theta_j past the last one."""
-        return TWO_PI - np.max(angles, axis=-1), np.min(angles, axis=-1)
+    def gaps(phases):
+        """(ahead, behind) per point: the phase distance 2 pi - max theta_j to
+        the next crossing of 1 and min theta_j past the last one."""
+        return TWO_PI - np.max(phases, axis=-1), np.min(phases, axis=-1)
 
-    def newton_steps(self, ks, rayleigh=None):
-        """(M(k), Newton step) over ks, from stacked eigvals and solve calls.
+    def newton_steps(self, ks):
+        """(None, Newton step) over ks, from stacked inv calls: the count at
+        each iterate is taken with the other points of its round.
 
-        The step -theta / (v+ diag(w) v) moves the eigenphase theta nearest
-        0 to 0 at its Hellmann-Feynman velocity, v its unit eigenvector from
-        ``_shifted_solve`` at the eigenvalue plus NEWTON_SHIFT.  Rows flagged
-        in the boolean array ``rayleigh`` take no eigensolve and carry no
-        count (it is read from ``parity``): their solve is shifted at
-        1 + NEWTON_SHIFT, and theta is the phase of the Rayleigh quotient
-        v+ U v = s + x+ b / |x|^2 of x = (U - s I)^-1 b.  All rows of a
-        block share one solve.
+        The step -theta / (v+ diag(w) v) moves the eigenphase theta of U(k)
+        nearest 0 to 0 at its Hellmann-Feynman velocity, v = z / |z| from
+        three steps x, y, z of inverse iteration (``_iteration_start``) with
+        one inverse of U(k) - s I, s = 1 + NEWTON_SHIFT, and theta the phase
+        of the Rayleigh quotient v+ U v = s + z+ y / |z|^2.
         """
         ks = np.asarray(ks, dtype=float)
-        quick = np.zeros(len(ks), dtype=bool) if rayleigh is None else np.asarray(rayleigh)
-        counts = np.zeros(len(ks), dtype=int)
         steps = np.empty(len(ks))
-        for block, stack in self._blocks(ks):
-            quick_rows = quick[block]
-            # a slice keeps an all-eigensolved block free of masked copies
-            full = slice(None) if not quick_rows.any() else ~quick_rows
-            shift = np.full(len(stack), 1.0 + NEWTON_SHIFT, dtype=complex)
-            theta = np.empty(len(stack))
-            if not quick_rows.all():
-                vals = np.linalg.eigvals(stack[full])
-                self.evals += len(vals)
-                phase = np.angle(vals)
-                j = np.argmin(np.abs(phase), axis=-1)
-                rows = np.arange(len(j))
-                counts[block][full] = self._m(ks[block][full], np.mod(phase, TWO_PI))
-                shift[full] = vals[rows, j] + NEWTON_SHIFT * np.maximum(
-                    abs(vals).max(axis=-1), 1e-100)
-                theta[full] = phase[rows, j]
-            x = _shifted_solve(stack, shift)
-            norm = np.sqrt((abs(x) ** 2).sum(axis=-1))
-            v = x / norm[:, None]
-            if quick_rows.any():
-                theta[quick_rows] = np.angle(shift[quick_rows]
-                                             + (v[quick_rows].conj() @ self.start) / norm[quick_rows])
-            steps[block] = -theta / (np.abs(v) ** 2 @ self.weights)
-        return counts, steps
+        shift = 1.0 + NEWTON_SHIFT
+        for block, stack in self._u_blocks(ks):
+            inv = np.linalg.inv(stack - shift * self.eye)
+            square = inv @ inv
+            y, z = square @ self.start, (square @ inv) @ self.start
+            weight = np.abs(z) ** 2
+            size = weight.sum(axis=-1)
+            theta = np.angle(shift + np.sum(z.conj() * y, axis=-1) / size)
+            steps[block] = -theta * size / (weight @ self.weights)
+        return None, steps
 
 
 class _HermitianCount:
@@ -419,7 +440,6 @@ class _HermitianCount:
 
     newton = True
     use_parity = True
-    rayleigh = False
 
     def __init__(self, sys: SecularSystem):
         q = sys.dec.ran_vectors
@@ -737,7 +757,6 @@ class _Newton:
     mhi: int
     k: float                        # current iterate, inside (lo, hi)
     steps: int = 0
-    stepped: bool = False           # k is the Newton iterate of a step inside the bracket
     last: float = 0.0               # size of the step that gave k, 0 before the first
     probes: list | None = None      # (point, index) of the certificate points of the round
     pending: int | None = None      # index of the round's point of an iterate counted after its step
@@ -770,44 +789,34 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
 
     Refinement runs in rounds, and each round advances every open bracket
     by one step.  When ``scan.newton`` is set, every bracket takes a Newton
-    step from its guess (or midpoint): ``scan.newton_steps`` gives the
-    count at the iterate and the step.  A count equal to M(lo) or M(hi)
+    step from its guess (or midpoint); ``scan.newton_steps`` gives the step
+    and the count at the iterate, or None, and then the iterate is counted
+    with the other points of the round.  A count equal to M(lo) or M(hi)
     moves that end to the iterate; a count strictly between splits the
     bracket there, and both parts go on.  A step that leaves the bracket
-    is replaced by bisection.  Once a step is below tol/4, or an
-    eigensolved step s after a step s' leaves the error |s|^3 / s'^2 of
-    quadratic convergence below the float spacing at k, the count is
-    taken at k* -+ tol/2 around the new iterate k*.  If the whole jump
-    g = |M(hi) - M(lo)| lies between the two, the root is certified
-    g-fold within tol/2 of k*, and k* is returned clamped into the
-    bracket; otherwise the up to three sub-brackets go on.  A split at a converged iterate takes the count at
-    k* -+ tol/2 in the part holding k* at once, so a level at the split
-    point is returned at k*, not at the midpoint of a part closed by
-    bisection.  A count without Newton steps (``scan.newton`` unset) is
-    bisected.  A bracket no wider than tol is a root at its midpoint, of
-    multiplicity g.
+    is replaced by bisection.  Once a step is below tol/4, or a step s
+    after a step s' leaves the error |s|^3 / s'^2 of quadratic convergence
+    below the float spacing at k, the count is taken at k* -+ tol/2 around
+    the new iterate k*.  If the whole jump g = |M(hi) - M(lo)| lies between
+    the two, the root is certified g-fold within tol/2 of k*, and k* is
+    returned clamped into the bracket; otherwise the up to three
+    sub-brackets go on.  Without ``scan.newton`` the count is bisected.  A
+    bracket no wider than tol is a root at its midpoint, of multiplicity g.
 
     In a simple bracket (g = 1) the count is M(lo) or M(hi), and the two
-    differ in parity.  When ``scan.use_parity`` is set, every certificate
-    point and midpoint of a simple bracket reads its count from the sign
-    of a determinant (``scan.parity``), one LU and no eigensolve, and so
-    does every Newton iterate after a simple bracket's first when
-    ``scan.rayleigh`` is set: its step comes from the Rayleigh quotient of
-    one shifted solve.  Grid points, the first step of every bracket, the
-    points of brackets with g >= 2 and every point whose sign is not
-    resolved take the full count.
-
-    Ends move by equality of counts, so a count may increase (``_Scan``,
-    ``_PositiveCount``) or decrease (``_NegativeCount``) across a root.
-    Each round makes at most one batch of stacked calls of each kind: the
-    eigensolve of the Newton iterates that take one, the solve of all
-    Newton iterates, the LU of all parity points, and the eigensolve of
-    the other count points.  Returns (sorted (k, g) list, number of
-    rounds).
+    differ in parity.  With ``scan.use_parity`` every point of a simple
+    bracket that the round counts reads its count from the sign of a
+    determinant (``scan.parity``), one LU and no eigensolve; the other
+    points, and those whose sign is not resolved, take the full count.
+    Ends move by equality of counts, so a count may increase
+    (``_CayleyCount``, ``_PositiveCount``) or decrease (``_NegativeCount``)
+    across a root.  Each round makes at most one batch of stacked calls of
+    each kind: the Newton steps, the LU of all parity points and the
+    eigensolve of the other count points.  Returns (sorted (k, g) list,
+    number of rounds).
     """
     newton = scan.newton
     parity = scan.use_parity
-    rayleigh = newton and parity and scan.rayleigh
     half = 0.5 * tol
     roots: list = []
     iterates: list = []     # _Newton states for the next round
@@ -827,20 +836,16 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
         it.probes = [(x, request(x, it.mlo, it.mhi)) for x in (k - half, k + half)
                      if it.lo < x < it.hi]
 
-    def admit(lo, hi, mlo, mhi, guess, steps=0, converged=False):
+    def admit(lo, hi, mlo, mhi, guess, steps=0):
         """Queue a bracket; a guess with steps > 0 is a Newton iterate."""
         if mhi == mlo:
             return
-        if converged and lo <= guess <= hi:
-            it = _Newton(lo, hi, mlo, mhi, guess, steps)
-            probe(it, guess)
-            live.append(it)
-        elif hi - lo <= tol:
+        if hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
         elif newton:
             inside = guess is not None and lo < guess < hi
             iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi),
-                                    steps, inside and steps > 0))
+                                    steps))
         else:
             halves.append((lo, hi, mlo, mhi))
 
@@ -860,20 +865,17 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
             raise ToleranceTooCoarse("bisection budget exhausted")
 
         if stepping:
-            ks = np.array([it.k for it in stepping])
-            quick = [rayleigh and it.stepped and abs(it.mhi - it.mlo) == 1 for it in stepping]
-            m_k, steps = scan.newton_steps(ks, np.array(quick)) if rayleigh \
-                else scan.newton_steps(ks)
-            for it, q, m, step in zip(stepping, quick, m_k.tolist(), steps.tolist()):
+            m_k, steps = scan.newton_steps(np.array([it.k for it in stepping]))
+            m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
+            for it, m, step in zip(stepping, m_k, steps.tolist()):
                 it.steps += 1
-                # an eigensolved Newton step converges quadratically: after
+                # a Newton step converges quadratically: after
                 # steps s' then s the error is about |s|^3 / s'^2, and once
                 # that is below the float spacing at k no step can improve k
                 converged = abs(step) <= 0.25 * tol or (
-                    not q and abs(step) < it.last
-                    and abs(step) ** 3 <= EPS * abs(it.k) * it.last ** 2)
+                    abs(step) < it.last and abs(step) ** 3 <= EPS * abs(it.k) * it.last ** 2)
                 it.last = abs(step)
-                if q:
+                if m is None:
                     # counted with this round's points; a converged step
                     # needs no count at it.k: both certificate points decide
                     if converged:
@@ -881,14 +883,15 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
                     else:
                         it.pending = request(it.k, it.mlo, it.mhi)
                         it.k += step
-                        it.stepped = True
                     live.append(it)
                     continue
                 if m != it.mlo and m != it.mhi:
-                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps, converged)
-                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps, converged)
-                    continue
-                if m == it.mlo:
+                    if not converged:
+                        admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps)
+                        admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
+                        continue
+                    # a level at it.k: its certificate points take the whole jump
+                elif m == it.mlo:
                     it.lo = it.k
                 else:
                     it.hi = it.k
@@ -896,7 +899,6 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
                     probe(it, min(max(it.k + step, it.lo), it.hi))
                 else:
                     it.k += step
-                    it.stepped = True
                 live.append(it)
         mids = [request(0.5 * (lo + hi), mlo, mhi) for lo, hi, mlo, mhi in splitting]
         counts = _count_points(scan, points, pairs) if points else []
@@ -935,7 +937,7 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
                 roots.append((mid, abs(it.mhi - it.mlo)))
                 continue
             if not it.lo < it.k < it.hi:
-                it.k, it.stepped, it.last = mid, False, 0.0
+                it.k, it.last = mid, 0.0
             if it.steps >= NEWTON_BUDGET:
                 raise ToleranceTooCoarse("Newton refinement budget exhausted")
             iterates.append(it)
@@ -965,14 +967,14 @@ def _dirichlet_points(lengths, k_lo: float, k_hi: float, tol: float) -> np.ndarr
 def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     """Locate all roots in (k_lo, k_hi].
 
-    The count (``_Scan`` for the first-order operator, ``_PositiveCount``
-    for the squared one) is exact at every k, so the grid only seeds
+    The count (``_CayleyCount`` for the first-order operator,
+    ``_PositiveCount`` for the squared one) is exact at every k, so the grid only seeds
     brackets: GRID_DENSITY points per mean crossing spacing 2 pi / sum(w).
     For the squared operator each Dirichlet point p adds the bracket
     (p - tol/2, p + tol/2], and a jump of N across it is a root at p with
     that multiplicity.  Every other step with a jump goes to
     ``_refine_brackets``, with a first Newton iterate interpolated from the
-    distances of the count to its next and last jump.  ``m_lo``, when
+    distances (``gaps``) of the count to its next and last jump.  ``m_lo``, when
     given, replaces the count at k_lo.  All points are evaluated in stacks
     of at most SCAN_BLOCK matrices.
 
@@ -981,7 +983,7 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
         (grid and Dirichlet probes, refinement), the refinement rounds,
         the roots read off at Dirichlet points and the grid step.
     """
-    count = _Scan(sys) if sys.kind == BK else _PositiveCount(sys)
+    count = _CayleyCount(sys) if sys.kind == BK else _PositiveCount(sys)
     step = min(count.grid_step, k_hi - k_lo)
     n = max(1, math.ceil((k_hi - k_lo) / step))
     grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
@@ -1051,29 +1053,21 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     For the squared operator only positive wave numbers are reported
     (lambda = k^2); the zero eigenvalue is characterized separately, as in
     :func:`zero_mode_test`, and attached as ``zero_mode``.  The window then
-    starts at ``_window_floor(k_max)``, where a zero mode sits below
-    rounding in the Hermitian matrix; there the count is the number of
+    starts at ``_window_floor(k_max)`` or above.  A zero mode leaves the
+    Hermitian matrix an eigenvalue that stays below rounding some way above
+    the floor, so a window that starts within one grid step of the floor
+    is scanned from the floor, where the count is the number of
     eigenvalues of M(0) = Q+ Lambda(0) Q - diag(sigma) at or below its
-    rounding bound, the negative eigenvalues plus g0, from the same
-    eigvalsh that gives g0.
+    rounding bound (the negative eigenvalues plus g0, from the eigvalsh
+    that gives g0), and the levels up to k_min are dropped.
 
-    Roots are the jumps of an integer count that is exact at every k: the
-    eigenphase winding count M(k) of U(k) for the first-order operator,
-    and for the squared operator (constant or k-dependent S-part) the
-    number N(k) of eigenvalues below k^2, from one stacked eigvalsh of a
-    bordered Dirichlet-to-Neumann matrix with at most BORDER_SLOTS border
-    rows at most points (``_PositiveCount``).  A grid of
-    two points per mean crossing spacing 2 pi / sum(w) seeds brackets;
-    each Dirichlet point p = n pi / l_e adds the bracket
-    (p - tol/2, p + tol/2], and a jump across it is a root at p.  Every
-    bracket is refined by Newton steps inside a bracket certified by the
-    count, degenerate levels included (``_refine_brackets``).  Refinement
-    runs in rounds that advance every bracket at once, on stacked calls.
-    The grid, the first Newton step of each bracket and every point of a
-    multiple level are eigensolved; in a simple bracket the certificate
-    probes, and for the first-order operator the later Newton iterates,
-    read the count from the sign of one LU (``parity``), falling back to
-    an eigensolve where that sign is not resolved.
+    Roots are the jumps of an integer count that is exact at every k (the
+    winding count M(k) of ``_CayleyCount`` for the first-order operator,
+    N(k) of ``_PositiveCount`` for the squared one), found as the module
+    docstring describes: a grid seeds brackets, each Dirichlet point p is
+    the bracket (p - tol/2, p + tol/2], and ``_refine_brackets`` takes
+    every bracket to its roots with Newton steps, degenerate levels
+    included, in rounds on stacked calls.
 
     Args:
         sys: secular system.
@@ -1088,8 +1082,8 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     certificates.  It is the sum of ``grid_evals`` (grid and Dirichlet
     probes), ``recheck_evals`` (0: no count needs a re-check) and
     ``refine_evals``, which splits into ``refine_eig_evals`` (matrices
-    eigensolved) and ``refine_lu_evals`` (matrices that took only an LU
-    and a solve); ``refine_rounds`` counts refinement rounds,
+    eigensolved) and ``refine_lu_evals`` (counts read off one LU);
+    ``refine_rounds`` counts refinement rounds,
     ``pole_roots`` the roots read off at Dirichlet points, and
     ``scan_step`` is the grid step used.
     """
@@ -1099,18 +1093,23 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     check_tol(tol, (k_lo, k_hi))
 
     zero_mode = m_lo = None
+    start = k_lo
     if sys.kind == BK2:
         g0, n_zero, below = _zero_modes(sys)
         zero_mode = (g0, n_zero)
         floor = _window_floor(k_hi)
-        if k_lo <= floor:
-            k_lo, m_lo = floor, below
+        k_lo = max(k_lo, floor)
         if k_lo >= k_hi:
             return Spectrum(kind=sys.kind, eigenvalues=(), k_window=(k_lo, k_hi),
                             zero_mode=zero_mode)
+        # H resolves a zero mode only some way above the floor (about 3e-4
+        # for Robin rho = 1 on l = 2), so a window starting within one grid
+        # step of the floor is scanned from there, from the count of M(0)
+        if start <= floor or (g0 and start < floor + _scan_step(float(np.sum(sys.weights)))):
+            start, m_lo = floor, below
 
     workers = max(1, int(workers))
-    edges = np.linspace(k_lo, k_hi, workers + 1)
+    edges = np.linspace(start, k_hi, workers + 1)
     chunks = [(lo, hi, m_lo if i == 0 else None)
               for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
     if workers == 1:
@@ -1133,7 +1132,7 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     roots.sort()
 
     merged = []
-    for k, g in roots:
+    for k, g in (r for r in roots if r[0] > k_lo):
         if merged and abs(k - merged[-1][0]) <= 2 * tol:
             merged[-1] = (merged[-1][0], merged[-1][1] + g)
         else:

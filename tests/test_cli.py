@@ -158,6 +158,28 @@ class TestOtherTasks:
         assert report["max_steps"] == 3849
         assert report["n_nodes"] > 0
 
+    @pytest.mark.parametrize("operator, graph, boundary", [
+        ("bk2", EDGE, {"kind": "dirichlet"}),
+        ("bk", RING, {"kind": "ring_phase", "c": 0.3}),
+    ])
+    def test_trace_check_passes_tol(self, tmp_path, monkeypatch, operator, graph, boundary):
+        # numeric.tol reaches the solve of every t; without it the default 1e-10
+        seen = []
+        find_spectrum = cli.spectra.find_spectrum
+
+        def record(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return find_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(cli.spectra, "find_spectrum", record)
+        for numeric, tol in (({"tol": 1e-2}, 1e-2), ({}, 1e-10)):
+            seen.clear()
+            payload = {"task": "trace-check", "operator": operator, "graph": graph,
+                       "boundary": boundary, "numeric": {"t_values": [0.5, 1.0], **numeric}}
+            code, _ = run_config(tmp_path, payload, name=f"tol{tol}")
+            assert code == 0
+            assert seen == [tol, tol]
+
     def test_trace_check_robin_without_negative_spectrum(self, tmp_path, monkeypatch):
         # the trace identity sums real eigenvalues only: no bound-state search
         def refuse(*args, **kwargs):

@@ -139,7 +139,7 @@ def test_newton_root_stays_in_certified_bracket(guess):
     # zero-phase ring of log length 1: levels at 2 pi n; the bracket holds 4 pi only
     g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
     sys_ = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.0)), g)
-    scan = spectra._Scan(sys_)
+    scan = spectra._CayleyCount(sys_)
     lo, hi, tol = 2 * math.pi + 1e-13, 2 * math.pi + 6.5, 1e-12
     mlo, mhi = scan.m_many([lo, hi])[0].tolist()
     assert mhi == mlo + 1
@@ -170,7 +170,7 @@ def test_mixed_batch_in_one_round(monkeypatch):
     g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
                                       vertices=[("c", f"t{i}") for i in range(3)])
     dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
-    scan = spectra._Scan(xg.SecularSystem.bk2(dec, g))
+    scan = spectra._CayleyCount(xg.SecularSystem.bk2(dec, g))
     pi, tol = math.pi, 1e-12
     windows = [(2 * pi - 0.3, 2 * pi + 0.3, 2 * pi + 1e-3),   # Newton converges
                (3 * pi - 0.05, 3 * pi + 1.45, 3 * pi + 1.4),  # step to 3.5 pi leaves
@@ -181,7 +181,7 @@ def test_mixed_batch_in_one_round(monkeypatch):
     assert [b[3] - b[2] for b in brackets] == [1, 1, 2]
 
     stacks = []
-    for name in ("eigvals", "solve", "det"):
+    for name in ("eigvals", "eigh", "eigvalsh", "inv", "det"):
         def record(u, *args, fn=getattr(np.linalg, name), name=name):
             stacks.append((name, np.shape(u)[0]))
             return fn(u, *args)
@@ -190,16 +190,18 @@ def test_mixed_batch_in_one_round(monkeypatch):
     roots, rounds = spectra._refine_brackets(scan, brackets, tol)
     monkeypatch.undo()
 
-    # round one: the three Newton iterates in one eigvals stack and their
-    # eigenvectors in one solve stack.  Every round makes one solve of all
-    # its iterates and at most one det of all its parity points; eigvals
-    # run only for the three first steps, the restart of the second
-    # bracket from its midpoint and the certificate of the double level
+    # round one: the three Newton iterates in one inv stack, the counts at
+    # the two simple iterates in one det stack, and the certificate points
+    # of the double level (its first step from the midpoint, 2.5 pi itself,
+    # has converged) in one eigh stack.  Every round makes one inv of all
+    # its iterates and at most one det and one eigh; no eigvals or eigvalsh
+    # run
     names = [name for name, _ in stacks]
-    assert stacks[:2] == [("eigvals", 3), ("solve", 3)]
-    assert names.count("solve") == rounds
-    assert 0 < names.count("det") <= rounds
-    assert sum(n for name, n in stacks if name == "eigvals") == scan.evals - evals == 5
+    assert stacks[:3] == [("inv", 3), ("det", 2), ("eigh", 2)]
+    assert "eigvals" not in names and "eigvalsh" not in names
+    assert names.count("inv") == rounds
+    assert 0 < names.count("det") <= rounds and names.count("eigh") <= rounds
+    assert sum(n for name, n in stacks if name == "eigh") == scan.evals - evals == 2
     assert sum(n for name, n in stacks if name == "det") == scan.lu_evals - lu_evals
     # no bisection: the double level takes as few rounds as the simple ones
     assert rounds <= 4
@@ -212,7 +214,7 @@ def test_newton_budget_raises(monkeypatch):
     # zero-phase ring of log length 1: one step from the midpoint 4.1 pi
     # does not certify the level at 4 pi
     g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
-    scan = spectra._Scan(
+    scan = spectra._CayleyCount(
         xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.0)), g))
     monkeypatch.setattr(spectra, "NEWTON_BUDGET", 1)
     lo, hi = 3.5 * math.pi, 4.7 * math.pi
@@ -226,7 +228,7 @@ def test_split_budget_raises():
     # to tol, with Newton steps switched off, takes about 40 splits
     g = xg.MetricGraph.from_intervals([(1.0, math.e)])
     spec, _ = xg.squared_extension(np.array([[1.0 + 0j]]), g)
-    scan = spectra._Scan(
+    scan = spectra._CayleyCount(
         xg.SecularSystem.bk2(xg.decompose(spec, xg.DilationMatrices.from_graph(g)), g))
     scan.newton = False
     lo, hi = 3.5 * math.pi, 4.7 * math.pi

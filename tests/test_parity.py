@@ -1,7 +1,7 @@
 """Counts in simple brackets from the sign of one determinant.
 
 Inside a bracket whose count jumps by one, the count at any point is one
-of the two end counts, and the two differ in parity.  ``_Scan.parity``
+of the two end counts, and the two differ in parity.  ``_CayleyCount.parity``
 reads (-1)^M(k) off the sign of det(I - U(k)) exp(-i (theta0 + k sum(w)
 - d pi) / 2), and the Hermitian counts read (-1)^N off the sign of det H
 and the offset.  The checks: parity against the full count at random
@@ -71,7 +71,7 @@ def kirchhoff_star(n_edges, equal=False, seed=0):
 @given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(1, 6), minus_one=st.booleans())
 def test_first_order_parity(seed, n_edges, minus_one):
     sys_ = first_order(seed, n_edges, minus_one)
-    scan = spectra._Scan(sys_)
+    scan = spectra._CayleyCount(sys_)
     ks = np.random.default_rng(seed).uniform(-40.0, 40.0, 40)
     assert_parity_matches(scan, ks, min_resolved=0.9)
     roots = xg.find_spectrum(sys_, (-10.0, 10.0), tol=1e-12).wavenumbers
@@ -82,7 +82,7 @@ def test_ring_with_s_minus_one():
     # ring_phase c = 0.5: S = -1, levels at 2 pi (n + 1/2) / l
     g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
     sys_ = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.5)), g)
-    scan = spectra._Scan(sys_)
+    scan = spectra._CayleyCount(sys_)
     levels = 2.0 * math.pi * (np.arange(-5, 5) + 0.5)
     assert_parity_matches(scan, np.linspace(-30.0, 30.0, 101), min_resolved=0.9)
     assert_parity_matches(scan, near(levels))
@@ -95,7 +95,7 @@ def test_ring_with_s_minus_one():
 def test_equal_length_star_through_scan(n_edges):
     # Kirchhoff star of log length 1: simple levels at pi n, (E - 1)-fold
     # ones at pi (n + 1/2); U(k) of size 2E through the constant-S count
-    scan = spectra._Scan(kirchhoff_star(n_edges, equal=True))
+    scan = spectra._CayleyCount(kirchhoff_star(n_edges, equal=True))
     levels = math.pi * np.arange(1, 7) / 2.0
     assert_parity_matches(scan, np.random.default_rng(n_edges).uniform(0.1, 20.0, 60),
                           min_resolved=0.9)

@@ -208,6 +208,47 @@ def test_near_zero_mode_is_counted_once(rho):
     assert len(negative) == (rho > 0) or len(negative) == (rho < 0)
 
 
+ROBIN_L2_LEVELS = [2.7983860457838867, 4.493409457909064]
+
+
+@pytest.mark.parametrize("k_min, levels", [
+    (0.0, ROBIN_L2_LEVELS), (6e-9, ROBIN_L2_LEVELS), (1e-6, ROBIN_L2_LEVELS),
+    (1e-4, ROBIN_L2_LEVELS), (3e-4, ROBIN_L2_LEVELS), (0.5, ROBIN_L2_LEVELS),
+    (3.0, ROBIN_L2_LEVELS[1:]),
+])
+def test_window_start_above_the_floor(k_min, levels):
+    # Robin rho = 1 on log length 2 has a zero mode (g0 = 1), whose
+    # eigenvalue of H stays below rounding up to k near 3e-4; a window
+    # starting there used to report a spurious level near 3.0e-4.  A start
+    # within one grid step of the floor is scanned from the floor, from the
+    # count of M(0); a start further up is not
+    sys_ = edge("robin", 2.0, rho=1.0)
+    sp = xg.find_spectrum(sys_, (k_min, 5.0), tol=TOL)
+    assert sp.zero_mode == (1, 1)
+    assert sp.k_window == (max(k_min, spectra._window_floor(5.0)), 5.0)
+    assert [g for _, g in sp.eigenvalues] == [1] * len(levels)
+    np.testing.assert_allclose(sp.wavenumbers, levels, rtol=0, atol=TOL)
+    full = xg.find_spectrum(sys_, (0.0, 5.0), tol=TOL).diagnostics["grid_evals"]
+    assert (sp.diagnostics["grid_evals"] < full - 1) == (k_min >= 3.0)
+
+
+def test_unit_eigenvalue_threshold_leaves_a_small_eigenphase_out():
+    # a Neumann condition on span(q), q 2.5e-6 off the symmetric end vector
+    # (1, 1) / sqrt 2: U(0) = S''(0) J0 turns by +-5e-6, no unit eigenvalue,
+    # and the mode that a kernel of M(0) would give sits at k = 5e-6 / l
+    g = xg.MetricGraph.from_intervals([(1.0, math.exp(1.3))])
+    theta = 0.25 * math.pi + 2.5e-6
+    q = np.array([[math.cos(theta)], [math.sin(theta)]])
+    sys_ = system_of(xg.from_interval_conditions(np.eye(2) - q @ q.T, q @ q.T, g), g)
+    phases = np.abs(np.angle(np.linalg.eigvals(sys_.u_matrix(0.0))))
+    assert np.all((phases > 1e-8) & (phases < 1e-3))
+    assert xg.zero_mode_test(sys_) == (0, 0)
+    sp = xg.find_spectrum(sys_, (0.0, 1.0), tol=1e-12)
+    assert sp.zero_mode == (0, 0)
+    assert [g for _, g in sp.eigenvalues] == [1]
+    assert abs(sp.wavenumbers[0] - 5e-6 / 1.3) <= 1e-9
+
+
 def star3():
     g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
                                       vertices=[("c", f"t{i}") for i in range(3)])
@@ -327,10 +368,11 @@ def test_star3_spectrum_refines_with_few_evals():
     assert sp.diagnostics["refine_evals"] <= 4 * len(doubles)
 
 
-def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
+def test_no_solve_calls_eig_or_eigvals(monkeypatch):
     # Newton vectors come from a shifted solve: a squared-operator solve
-    # calls no eig, eigvals or eigh, and a first-order one eigvals and the
-    # det of its parity counts, but no eig
+    # calls no eig, eigvals or eigh, and a first-order one no eig or
+    # eigvals either: eigh on its grid, inv for its Newton steps and det
+    # for its parity counts (a one-bond ring counts in closed form)
     def refuse(*args, **kwargs):
         raise AssertionError("eig, eigvals or eigh called")
 
@@ -343,12 +385,18 @@ def test_squared_solve_uses_no_eig_and_first_order_does(monkeypatch):
             assert xg.find_spectrum(sys_, (0.0, 10.0), workers=2).total_count > 0
 
     calls = []
-    for name in ("eig", "eigvals", "det"):
+    for name in ("eig", "eigvals", "eigh", "inv", "det"):
         def record(u, fn=getattr(np.linalg, name), name=name):
             calls.append(name)
             return fn(u)
         monkeypatch.setattr(np.linalg, name, record)
-    g = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
+    g = xg.MetricGraph.from_intervals([(1.0, math.e), (1.0, math.e ** 1.5)],
+                                      vertices=[("u", "v"), ("v", "u")], directed=True)
     first_order = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", g, c=0.3)), g)
     assert xg.find_spectrum(first_order, (-10.0, 10.0)).total_count > 0
-    assert set(calls) == {"eigvals", "det"}
+    assert set(calls) == {"eigh", "inv", "det"}
+    calls.clear()
+    ring = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
+    ring = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", ring, c=0.3)), ring)
+    assert xg.find_spectrum(ring, (-10.0, 10.0)).total_count > 0
+    assert set(calls) == {"inv", "det"}

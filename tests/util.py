@@ -1,5 +1,6 @@
 """Shared generators for randomized suites, and the oracles kept for
-them: the raw S''(k) formula, the eigenphase scan of the positive axis,
+them: the raw S''(k) formula, the eigenphase winding count of a constant
+bond matrix, the eigenphase scan of the positive axis,
 the eigensolve-only spectrum solve, the sign-change search of the
 negative axis, the two-probe zero-mode count, the walk-based orbit
 enumeration, the orbit-by-orbit trace sums, a test function tabulated on
@@ -125,6 +126,28 @@ class EigenphaseScan:
         return m, angles
 
 
+class WindingScan:
+    """The winding count M(k) of a constant bond matrix B from eigvals of
+    U(k) = B exp(ikw): arg det U(k) = arg det B + k sum(w), so M(k) =
+    (arg det B + k sum(w) - sum_j theta_j(k)) / (2 pi) over the principal
+    eigenphases theta_j in [0, 2 pi).  The oracle of ``spectra._CayleyCount``,
+    whose count is this one in the same absolute convention."""
+
+    def __init__(self, sys):
+        self.bond = sys.bond_matrix(0.0)
+        self.weights = sys.weights
+        self.theta0 = float(np.angle(np.linalg.det(self.bond)))
+
+    def m_many(self, ks):
+        """(M(k), principal eigenphases) over ks."""
+        ks = np.asarray(ks, dtype=float)
+        u = self.bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
+        angles = np.mod(np.angle(np.linalg.eigvals(u)), 2 * math.pi)
+        m = np.rint((self.theta0 + ks * np.sum(self.weights) - np.sum(angles, axis=-1))
+                    / (2 * math.pi)).astype(int)
+        return m, angles
+
+
 def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
     """Sorted (k, g) over (k_lo, k_hi] from ``EigenphaseScan``: eight grid
     points per mean spacing of sum(w) plus the S-matrix phase velocity
@@ -161,7 +184,7 @@ def eigensolve_spectrum(sys, k_range, tol: float):
     """``find_spectrum`` with every count from an eigensolve and every
     Newton step from one: the path without determinant-sign (parity)
     counts and Rayleigh steps, kept as their oracle."""
-    with mock.patch.object(spectra._Scan, "use_parity", False), \
+    with mock.patch.object(spectra._CayleyCount, "use_parity", False), \
             mock.patch.object(spectra._HermitianCount, "use_parity", False):
         return xg.find_spectrum(sys, k_range, tol)
 
