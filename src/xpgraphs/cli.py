@@ -9,7 +9,6 @@ Outputs are deterministic: fixed orders, fixed formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -217,18 +216,15 @@ def build_system(config: JobConfig, graph: MetricGraph):
 # Artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """CSV with CRLF line ends and floats to 17 significant digits, written
+    in one call.  No field holds a comma, quote or line break, so none is
+    quoted."""
+    lines = [",".join(header)]
+    lines += [",".join([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row])
+              for row in rows]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -438,7 +434,7 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("--config", required=True, help="path to a JSON job document")
 _PARSER.add_argument("--out", required=True, help="output directory for artifacts")
 _PARSER.add_argument("--threads", type=int, default=1,
-                     help="worker threads for spectral scans, at most the CPU count")
+                     help="upper bound on the threads of a spectral scan, at most the CPU count")
 
 
 def main(argv=None) -> int:

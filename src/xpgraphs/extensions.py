@@ -464,7 +464,6 @@ def standard_bc(kind: str, graph: MetricGraph, *, c: float | None = None,
     """
     e = graph.n_edges
     dim = 2 * e
-    dil = DilationMatrices.from_graph(graph)
     if kind == "dirichlet":
         return validate_extension(np.eye(dim), np.zeros((dim, dim)), kind=BK2)
     if kind == "neumann":

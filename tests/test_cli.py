@@ -9,6 +9,8 @@ import pytest
 
 import xpgraphs.cli as cli
 
+from util import csv_writer_artifact
+
 RING = {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "v", "to": "v"}],
         "directed": True}
 EDGE = {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "u", "to": "v"}]}
@@ -83,6 +85,20 @@ class TestSpectrumTask:
         for r1, r4 in zip(rows1, rows4):
             assert abs(float(r1[1]) - float(r4[1])) <= 1e-9
 
+    def test_short_scan_threads_byte_identical(self, tmp_path):
+        # a 3-star's count matrix is far below POOL_MIN_ROWS: --threads 2
+        # scans on the calling thread, and every artifact byte is the same
+        star3 = {"edges": [{"id": f"e{i}", "a": 1.0, "b": math.e, "from": "c", "to": f"t{i}"}
+                           for i in range(3)]}
+        payload = {"task": "spectrum", "operator": "bk2", "graph": star3,
+                   "boundary": {"kind": "kirchhoff"},
+                   "numeric": {"k_min": 0.0, "k_max": 20.0}}
+        _, out1 = run_config(tmp_path, payload, "single", threads=1)
+        _, out2 = run_config(tmp_path, payload, "pooled", threads=2)
+        for name in ("spectrum.csv", "spectrum.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert json.loads((out2 / "spectrum.json").read_text())["diagnostics"]["workers"] == 1
+
     def test_negative_eigenvalues_reported(self, tmp_path):
         payload = {"task": "spectrum", "operator": "bk2",
                    "graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.exp(4.0)}]},
@@ -93,6 +109,29 @@ class TestSpectrumTask:
         report = json.loads((out / "spectrum.json").read_text())
         assert len(report["negative"]) == 2
         assert report["zero_mode"] == {"g0": 0, "N": 1}
+
+
+class TestCsvWriter:
+    HEADER = ("n", "k_n", "g_n")
+
+    def assert_matches_csv_module(self, tmp_path, rows):
+        csv_writer_artifact(tmp_path / "oracle.csv", self.HEADER, rows)
+        cli._write_csv(tmp_path / "joined.csv", self.HEADER, rows)
+        assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_mixed_values(self, tmp_path):
+        rows = [(1, 2.0332761039161795, 2), (np.int64(7), np.float64(-0.0), True),
+                (3, math.nan, math.inf), (np.int32(-4), -math.inf, 1e-300),
+                (0, np.float64(1e300), np.float64(math.nan)), (5, 0.1, -1)]
+        self.assert_matches_csv_module(tmp_path, rows)
+        lines = (tmp_path / "joined.csv").read_bytes().split(b"\r\n")
+        assert lines[2] == b"7,-0,True"
+        assert lines[3] == b"3,nan,inf"
+        assert lines[-1] == b""
+
+    def test_no_rows_gives_header_only(self, tmp_path):
+        self.assert_matches_csv_module(tmp_path, [])
+        assert (tmp_path / "joined.csv").read_bytes() == b"n,k_n,g_n\r\n"
 
 
 class TestValidateTask:

@@ -193,6 +193,71 @@ class TestFindSpectrum:
             xg.find_spectrum(sys_, (3.0, 1.0))
 
 
+def kirchhoff_star(n_edges):
+    """Kirchhoff star with incommensurate log lengths in [1, 2)."""
+    logs = np.random.default_rng(0).uniform(1.0, 2.0, n_edges)
+    g = xg.MetricGraph.from_intervals([(1.0, math.exp(ell)) for ell in logs],
+                                      vertices=[("c", f"t{i}") for i in range(n_edges)])
+    dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
+    return xg.SecularSystem.bk2(dec, g)
+
+
+def first_order_e4():
+    """The size of the benchmark's first-order solve: E = 4, +-310 levels."""
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 4, directed=True)
+    k = 310.0 * PI / g.total_length
+    return xg.SecularSystem.bk(random_unitary(rng, 4), g), (-k, k)
+
+
+class TestPoolRule:
+    """A window is split over workers only for count matrices of at least
+    POOL_MIN_ROWS rows and at least SCAN_BLOCK grid points per chunk."""
+
+    @pytest.mark.parametrize("case", ["ring", "star3", "first_order_e4"])
+    def test_short_scans_use_no_thread(self, monkeypatch, case):
+        sys_, window = {"ring": lambda: (ring_system(0.3)[0], (-20.0, 20.0)),
+                        "star3": lambda: (star_system()[0], (0.0, 20.0)),
+                        "first_order_e4": first_order_e4}[case]()
+        single = xg.find_spectrum(sys_, window, workers=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
+        pooled = xg.find_spectrum(sys_, window, workers=2)
+        assert pooled == single
+        assert pooled.diagnostics["workers"] == 1
+
+    def test_count_rows(self):
+        assert xg.spectra._count_rows(first_order_e4()[0]) == 4
+        # rank E + 1 plus BORDER_SLOTS border rows
+        assert xg.spectra._count_rows(kirchhoff_star(18)) == 23
+        assert xg.spectra._count_rows(kirchhoff_star(19)) == xg.spectra.POOL_MIN_ROWS == 24
+
+    def test_rule_edges(self):
+        sys_ = kirchhoff_star(19)
+        rate = float(np.sum(sys_.weights))
+        long_enough = 2 * xg.spectra.SCAN_BLOCK * xg.spectra._scan_step(rate)
+        # a squared-operator window starts at the floor just above 0
+        split = xg.find_spectrum(sys_, (0.0, 1.001 * long_enough), workers=2)
+        assert split.diagnostics["workers"] == 2
+        short = xg.find_spectrum(sys_, (0.0, long_enough), workers=2)
+        assert short.diagnostics["workers"] == 1
+        assert xg.find_spectrum(kirchhoff_star(18), (0.0, 8.0),
+                                workers=2).diagnostics["workers"] == 1
+
+    def test_large_matrices_split_and_agree(self):
+        sys_ = kirchhoff_star(20)
+        sp1 = xg.find_spectrum(sys_, (0.0, 8.0), workers=1)
+        sp2 = xg.find_spectrum(sys_, (0.0, 8.0), workers=2)
+        assert sp2.diagnostics["workers"] == 2
+        assert sp1.total_count > 20
+        assert [g for _, g in sp1.eigenvalues] == [g for _, g in sp2.eigenvalues]
+        np.testing.assert_allclose([k for k, _ in sp2.eigenvalues],
+                                   [k for k, _ in sp1.eigenvalues], rtol=0, atol=1e-10)
+
+
 class TestZeroModes:
     def test_dirichlet(self):
         sys_, _ = bk2_system("dirichlet")

@@ -4,11 +4,13 @@ bond matrix, the eigenphase scan of the positive axis,
 the eigensolve-only spectrum solve, the sign-change search of the
 negative axis, the two-probe zero-mode count, the walk-based orbit
 enumeration, the orbit-by-orbit trace sums, a test function tabulated on
-a grid and the scalar critical-line zeta series."""
+a grid, the scalar critical-line zeta series and the csv.writer form of
+the CLI's CSV artifact writer."""
 
 from __future__ import annotations
 
 import cmath
+import csv
 import math
 from unittest import mock
 
@@ -420,3 +422,13 @@ def amplitude_envelope_sq(k: float) -> float:
     z = xg.zeta_critical(0.5 - 1j * k)
     return ALPHA ** 2 * (3.0 - 2.0 * math.sqrt(2.0) * math.cos(k * math.log(2.0))) \
         * math.exp(-math.pi * abs(k)) * abs(z) ** 2
+
+
+def csv_writer_artifact(path, header, rows) -> None:
+    """The CLI's CSV artifact through csv.writer: floats to 17 significant
+    digits, every other value through str."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row])
