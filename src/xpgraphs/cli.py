@@ -235,7 +235,7 @@ def _write_json(path: Path, payload: dict) -> None:
 # Tasks
 # ---------------------------------------------------------------------------
 
-def _task_validate(config, out_dir, workers):
+def _task_validate(config, out_dir):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
     report = {
@@ -257,11 +257,10 @@ def _task_validate(config, out_dir, workers):
     _write_json(out_dir / "report.json", report)
 
 
-def _spectrum_from_config(config, graph, sys_, workers):
+def _spectrum_from_config(config, graph, sys_):
     num = config.numeric
     k_range = (_numeric(config, "k_min"), _numeric(config, "k_max"))
-    spectrum = spectra.find_spectrum(sys_, k_range, tol=_numeric(config, "tol", 1e-10),
-                                     workers=workers)
+    spectrum = spectra.find_spectrum(sys_, k_range, tol=_numeric(config, "tol", 1e-10))
     if num.get("kappa_max") and sys_.kind == extensions.BK2:
         negative = spectra.find_negative_eigenvalues(sys_, _numeric(config, "kappa_max"))
         spectrum = dataclasses.replace(spectrum, negative=tuple(negative))
@@ -286,17 +285,17 @@ def _write_spectrum(out_dir, spectrum):
     _write_json(out_dir / "spectrum.json", payload)
 
 
-def _task_spectrum(config, out_dir, workers):
+def _task_spectrum(config, out_dir):
     graph = build_graph(config)
     sys_, _, _ = build_system(config, graph)
-    spectrum = _spectrum_from_config(config, graph, sys_, workers)
+    spectrum = _spectrum_from_config(config, graph, sys_)
     _write_spectrum(out_dir, spectrum)
 
 
-def _task_weyl(config, out_dir, workers):
+def _task_weyl(config, out_dir):
     graph = build_graph(config)
     sys_, _, _ = build_system(config, graph)
-    spectrum = _spectrum_from_config(config, graph, sys_, workers)
+    spectrum = _spectrum_from_config(config, graph, sys_)
     side = config.numeric.get("side", "positive")
     fit = spectra.weyl_fit(spectrum, graph, side=side)
     _write_spectrum(out_dir, spectrum)
@@ -311,7 +310,7 @@ def _task_weyl(config, out_dir, workers):
     })
 
 
-def _task_trace_check(config, out_dir, workers):
+def _task_trace_check(config, out_dir):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
     t_values = config.numeric.get("t_values", [0.1, 1.0])
@@ -322,10 +321,10 @@ def _task_trace_check(config, out_dir, workers):
         h = traces.gaussian(float(t))
         k_top = math.sqrt(math.log(1e14) / float(t))
         if spec.kind == extensions.BK:
-            spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), tol=tol, workers=workers)
+            spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), tol=tol)
             report = traces.trace_rhs_bk(graph, sys_.s_bk, h, orbit_cutoff=cutoff)
         else:
-            spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol, workers=workers)
+            spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol)
             report = traces.trace_rhs_bk2(graph, dec, h, orbit_cutoff=cutoff)
         lhs, tail = traces.trace_lhs(spectrum, h, graph.total_length)
         reports.append((float(t), report.with_lhs(lhs, tail)))
@@ -335,7 +334,7 @@ def _task_trace_check(config, out_dir, workers):
                 {"reports": [{"t": t, **r.to_dict()} for t, r in reports]})
 
 
-def _task_heat_trace(config, out_dir, workers):
+def _task_heat_trace(config, out_dir):
     graph = build_graph(config)
     if config.boundary and config.boundary.get("kind") != "dirichlet":
         raise ValidationError("heat-trace compares the single-edge Dirichlet system")
@@ -351,7 +350,7 @@ def _task_heat_trace(config, out_dir, workers):
                 {"max_abs_diff": max_diff, "n_t_values": len(rows)})
 
 
-def _task_halfline_demo(config, out_dir, workers):
+def _task_halfline_demo(config, out_dir):
     k_max = _numeric(config, "k_grid_max", 30.0)
     n_k = _numeric(config, "n_k", 1201, kind=int)
     ks = np.linspace(-k_max, k_max, n_k)
@@ -368,10 +367,10 @@ def _task_halfline_demo(config, out_dir, workers):
                  "normalization": ref, "dip_locations": ks[1:-1][is_dip].tolist()})
 
 
-def _task_counting_compare(config, out_dir, workers):
+def _task_counting_compare(config, out_dir):
     graph = build_graph(config)
     sys_, spec, _ = build_system(config, graph)
-    spectrum = _spectrum_from_config(config, graph, sys_, workers)
+    spectrum = _spectrum_from_config(config, graph, sys_)
     side = config.numeric.get("side",
                               "two_sided" if spec.kind == extensions.BK else "positive")
     k_start = _numeric(config, "k_start", 50.0)
@@ -400,11 +399,15 @@ _RUNNERS = {
 
 
 def run(config: JobConfig, out_dir, workers: int = 1) -> int:
-    """Execute one job; writes artifacts into out_dir and returns exit code."""
+    """Execute one job; writes artifacts into out_dir and returns exit code.
+
+    ``workers`` (the clamped ``--threads``) is accepted and ignored: every
+    spectral scan runs on the calling thread (``spectra.find_spectrum``).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        _RUNNERS[config.task](config, out_dir, workers)
+        _RUNNERS[config.task](config, out_dir)
         return EXIT_OK
     except _VALIDATION_ERRORS as exc:
         _write_error(out_dir, exc)
@@ -434,7 +437,7 @@ _PARSER = argparse.ArgumentParser(
 _PARSER.add_argument("--config", required=True, help="path to a JSON job document")
 _PARSER.add_argument("--out", required=True, help="output directory for artifacts")
 _PARSER.add_argument("--threads", type=int, default=1,
-                     help="upper bound on the threads of a spectral scan, at most the CPU count")
+                     help="accepted and ignored: every spectral scan runs on one thread")
 
 
 def main(argv=None) -> int:

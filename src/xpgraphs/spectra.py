@@ -81,15 +81,6 @@ SLOT_DELTA_MIN = 2.0 * math.atan(1.0 / 8.0)
 #: relative to the largest eigenvalue modulus of its matrix
 NEWTON_SHIFT = 1e-12
 
-#: count-matrix rows from which ``find_spectrum`` splits a window over its
-#: workers.  The threads share the interpreter lock and retake it after each
-#: short LAPACK call, so on smaller matrices two threads run slower than one.
-#: Kirchhoff stars, one thread against two, medians of 7 on a shared 2-core
-#: VM with BLAS on one thread: 15 rows 0.138 s against 0.146 s, 17 rows 0.074
-#: against 0.076 s, 21 rows 0.144 against 0.137 s, 25 rows 0.218 against
-#: 0.168 s, 35 rows 0.612 against 0.416 s
-POOL_MIN_ROWS = 24
-
 
 # ---------------------------------------------------------------------------
 # Secular systems
@@ -1045,14 +1036,6 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
         "refine_rounds": rounds, "pole_roots": pole_roots, "scan_step": step}
 
 
-def _count_rows(sys: SecularSystem) -> int:
-    """Rows of the matrices a scan of sys eigensolves: d for
-    ``_CayleyCount``, rank + min(E, BORDER_SLOTS) for ``_PositiveCount``."""
-    if sys.kind == BK:
-        return sys.dim
-    return sys.dec.ran_vectors.shape[1] + min(len(sys.lengths), BORDER_SLOTS)
-
-
 def check_tol(tol: float, k_range) -> None:
     """Raise ValidationError unless tol >= 4 eps max(1, |k_min|, |k_max|):
     a finer bracket would be below the float spacing of the window, and
@@ -1091,12 +1074,11 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
         k_range: (k_min, k_max) search window.
         tol: certified bracket width; located roots are accurate to tol/2.
             At least 4 eps max(1, |k_min|, |k_max|) (``check_tol``).
-        workers: upper bound on the threads.  The window is split into
-            ``workers`` independent chunks, merged in sorted order, only
-            when the count matrix has at least POOL_MIN_ROWS rows and each
-            chunk gets at least SCAN_BLOCK grid points; otherwise it is
-            scanned as one chunk on the calling thread, and the result is
-            that of ``workers=1`` bit for bit.
+        workers: accepted and ignored; the window is scanned on the
+            calling thread.  Threads contend for the interpreter lock
+            after each short LAPACK call: two ran slower than one below
+            about 21 count-matrix rows, and the jobs this package serves
+            (rings, stars, Dirichlet boxes) stay far below that.
 
     ``diagnostics["matrix_evals"]`` counts the matrices evaluated: grid
     points, Dirichlet probes, Newton and bisection steps, and
@@ -1106,8 +1088,8 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     eigensolved) and ``refine_lu_evals`` (counts read off one LU);
     ``refine_rounds`` counts refinement rounds,
     ``pole_roots`` the roots read off at Dirichlet points,
-    ``scan_step`` is the grid step used, and ``workers`` the number of
-    chunks scanned.
+    ``scan_step`` is the grid step used, and ``workers`` is 1, the number
+    of threads that scanned.
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):
@@ -1130,33 +1112,7 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
         if start <= floor or (g0 and start < floor + _scan_step(float(np.sum(sys.weights)))):
             start, m_lo = floor, below
 
-    workers = max(1, int(workers))
-    if workers > 1:
-        chunk_steps = (k_hi - start) / (workers * _scan_step(float(np.sum(sys.weights))))
-        if _count_rows(sys) < POOL_MIN_ROWS or chunk_steps < SCAN_BLOCK:
-            workers = 1
-    edges = np.linspace(start, k_hi, workers + 1)
-    chunks = [(lo, hi, m_lo if i == 0 else None)
-              for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
-    if workers == 1:
-        results = [_scan(sys, lo, hi, tol, m) for lo, hi, m in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _scan(sys, c[0], c[1], tol, c[2]), chunks))
-
-    roots: list = []
-    stats = dict.fromkeys(("grid_evals", "recheck_evals", "refine_evals", "refine_eig_evals",
-                           "refine_lu_evals", "refine_rounds", "pole_roots"), 0)
-    step = math.inf
-    for rs, st in results:
-        roots.extend(rs)
-        step = min(step, st["scan_step"])
-        for key in stats:
-            stats[key] += st[key]
-    roots.sort()
-
+    roots, stats = _scan(sys, start, k_hi, tol, m_lo)
     merged = []
     for k, g in (r for r in roots if r[0] > k_lo):
         if merged and abs(k - merged[-1][0]) <= 2 * tol:
@@ -1165,11 +1121,11 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             merged.append((k, g))
 
     diag = {
-        "scan_step": step,
+        "scan_step": stats["scan_step"],
         "matrix_evals": stats["grid_evals"] + stats["recheck_evals"] + stats["refine_evals"],
         "n_roots": len(merged),
         "bracket_tol": tol,
-        "workers": workers,
+        "workers": 1,
         **stats,
     }
     return Spectrum(kind=sys.kind, eigenvalues=tuple(merged),

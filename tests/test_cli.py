@@ -86,8 +86,7 @@ class TestSpectrumTask:
             assert abs(float(r1[1]) - float(r4[1])) <= 1e-9
 
     def test_short_scan_threads_byte_identical(self, tmp_path):
-        # a 3-star's count matrix is far below POOL_MIN_ROWS: --threads 2
-        # scans on the calling thread, and every artifact byte is the same
+        # --threads is ignored: every artifact byte is the same
         star3 = {"edges": [{"id": f"e{i}", "a": 1.0, "b": math.e, "from": "c", "to": f"t{i}"}
                            for i in range(3)]}
         payload = {"task": "spectrum", "operator": "bk2", "graph": star3,

@@ -1,6 +1,7 @@
 """Secular functions, eigenvalue solver, zero modes, counting, Weyl fits."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -210,52 +211,24 @@ def first_order_e4():
     return xg.SecularSystem.bk(random_unitary(rng, 4), g), (-k, k)
 
 
-class TestPoolRule:
-    """A window is split over workers only for count matrices of at least
-    POOL_MIN_ROWS rows and at least SCAN_BLOCK grid points per chunk."""
+@pytest.mark.parametrize("case", ["ring", "star3", "first_order_e4", "star20"])
+def test_workers_start_no_thread(monkeypatch, case):
+    # every window is scanned on the calling thread, also for a count
+    # matrix of 25 rows (rank 21 plus 4 border slots), where a pool once split
+    sys_, window = {"ring": lambda: (ring_system(0.3)[0], (-20.0, 20.0)),
+                    "star3": lambda: (star_system()[0], (0.0, 20.0)),
+                    "first_order_e4": first_order_e4,
+                    "star20": lambda: (kirchhoff_star(20), (0.0, 8.0))}[case]()
+    single = xg.find_spectrum(sys_, window, workers=1)
 
-    @pytest.mark.parametrize("case", ["ring", "star3", "first_order_e4"])
-    def test_short_scans_use_no_thread(self, monkeypatch, case):
-        sys_, window = {"ring": lambda: (ring_system(0.3)[0], (-20.0, 20.0)),
-                        "star3": lambda: (star_system()[0], (0.0, 20.0)),
-                        "first_order_e4": first_order_e4}[case]()
-        single = xg.find_spectrum(sys_, window, workers=1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("thread started")
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("thread pool started")
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
-        pooled = xg.find_spectrum(sys_, window, workers=2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for workers in (2, 4):
+        pooled = xg.find_spectrum(sys_, window, workers=workers)
         assert pooled == single
         assert pooled.diagnostics["workers"] == 1
-
-    def test_count_rows(self):
-        assert xg.spectra._count_rows(first_order_e4()[0]) == 4
-        # rank E + 1 plus BORDER_SLOTS border rows
-        assert xg.spectra._count_rows(kirchhoff_star(18)) == 23
-        assert xg.spectra._count_rows(kirchhoff_star(19)) == xg.spectra.POOL_MIN_ROWS == 24
-
-    def test_rule_edges(self):
-        sys_ = kirchhoff_star(19)
-        rate = float(np.sum(sys_.weights))
-        long_enough = 2 * xg.spectra.SCAN_BLOCK * xg.spectra._scan_step(rate)
-        # a squared-operator window starts at the floor just above 0
-        split = xg.find_spectrum(sys_, (0.0, 1.001 * long_enough), workers=2)
-        assert split.diagnostics["workers"] == 2
-        short = xg.find_spectrum(sys_, (0.0, long_enough), workers=2)
-        assert short.diagnostics["workers"] == 1
-        assert xg.find_spectrum(kirchhoff_star(18), (0.0, 8.0),
-                                workers=2).diagnostics["workers"] == 1
-
-    def test_large_matrices_split_and_agree(self):
-        sys_ = kirchhoff_star(20)
-        sp1 = xg.find_spectrum(sys_, (0.0, 8.0), workers=1)
-        sp2 = xg.find_spectrum(sys_, (0.0, 8.0), workers=2)
-        assert sp2.diagnostics["workers"] == 2
-        assert sp1.total_count > 20
-        assert [g for _, g in sp1.eigenvalues] == [g for _, g in sp2.eigenvalues]
-        np.testing.assert_allclose([k for k, _ in sp2.eigenvalues],
-                                   [k for k, _ in sp1.eigenvalues], rtol=0, atol=1e-10)
 
 
 class TestZeroModes:
