@@ -111,8 +111,13 @@ class DilationMatrices:
         d_ab = np.diag(np.concatenate([graph.a_values, graph.b_values]))
         i_pm = np.diag(np.concatenate([np.ones(e), -np.ones(e)]))
         eye = np.eye(e)
-        u = np.block([[1j * eye, eye], [-eye, -1j * eye]]) / np.sqrt(2.0)
-        j = np.block([[np.zeros((e, e)), eye], [-eye, np.zeros((e, e))]])
+        # block by block into preallocated arrays: np.block costs more than
+        # the arithmetic at these sizes, and -eye keeps its signed zeros
+        u = np.empty((2 * e, 2 * e), dtype=complex)
+        u[:e, :e], u[:e, e:], u[e:, :e], u[e:, e:] = 1j * eye, eye, -eye, -1j * eye
+        u /= np.sqrt(2.0)
+        j = np.zeros((2 * e, 2 * e))
+        j[:e, e:], j[e:, :e] = eye, -eye
         return cls(d_ab=d_ab, i_pm=i_pm, u=u, j=j)
 
     @property

@@ -18,7 +18,6 @@ quadrature here needs scipy.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -432,6 +431,26 @@ def length_condition(dec: Decomposition, graph: MetricGraph):
     return sigma, ell(sigma)
 
 
+#: the S-trace integral stops at the first K = 1.5^n whose bound on the
+#: integrand, |h(K)| sum_j 2 / |lam_j|, is at most this, or at the cap
+_S_TRACE_TAIL_TOL = 1e-16
+_S_TRACE_K_CAP = 1e6
+
+#: 16-point Gauss-Legendre rule on [-1, 1], bit for bit
+#: np.polynomial.legendre.leggauss(16); a fixed table, so no trace path
+#: imports numpy.polynomial
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+
+
 def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     """-(1/4pi) int h(k) Im tr S''(k) / k dk, extended continuously to 0.
 
@@ -445,7 +464,8 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     if lam.size == 0:
         return 0.0
     big_k = 1.0
-    while big_k < 1e6 and abs(float(h(big_k))) * float(np.sum(2.0 / np.abs(lam))) > 1e-16:
+    while (big_k < _S_TRACE_K_CAP
+           and abs(float(h(big_k))) * float(np.sum(2.0 / np.abs(lam))) > _S_TRACE_TAIL_TOL):
         big_k *= 1.5
     edges = [0.0, min(0.5 * float(np.min(np.abs(lam))), big_k)]
     while edges[-1] < big_k:
@@ -457,18 +477,12 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     return -2.0 * value / (4.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _gl_grid(edges: np.ndarray, order: int = 16):
-    """Gauss-Legendre nodes and weights on every panel [edges[i], edges[i + 1]]."""
-    nodes, weights = _gauss_legendre(order)
+def _gl_grid(edges: np.ndarray):
+    """16-point Gauss-Legendre nodes and weights on every panel [edges[i], edges[i + 1]]."""
     halves = 0.5 * np.diff(edges)
     mids = edges[:-1] + halves
-    return (mids[:, None] + halves[:, None] * nodes).ravel(), (halves[:, None] * weights).ravel()
+    return ((mids[:, None] + halves[:, None] * _GL_NODES).ravel(),
+            (halves[:, None] * _GL_WEIGHTS).ravel())
 
 
 def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,

@@ -15,6 +15,7 @@ from xpgraphs.errors import (
 from xpgraphs.extensions import s_matrix_bk2_derivative
 
 from util import (
+    dilation_blocks,
     random_bk2_spec,
     random_graph,
     random_invertible,
@@ -65,6 +66,16 @@ class TestDilationMatrices:
         assert np.all(np.diag(dil.d_ab) > 0)
         assert np.max(np.abs(dil.d_ab - np.diag(np.diag(dil.d_ab)))) == 0.0
         assert np.allclose(np.diag(dil.d_ab), [1.0, 0.5, 2.0, 3.0])
+
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_u_and_j_match_block_oracle_bit_for_bit(self, e):
+        # signed zeros included: compare the raw bytes
+        g = xg.MetricGraph.from_intervals([(1.0, 2.0 + i) for i in range(e)])
+        dil = xg.DilationMatrices.from_graph(g)
+        u, j = dilation_blocks(e)
+        assert dil.u.dtype == u.dtype and dil.j.dtype == j.dtype
+        assert np.array_equal(dil.u.view(np.uint64), u.view(np.uint64))
+        assert np.array_equal(dil.j.view(np.uint64), j.view(np.uint64))
 
 
 class TestFirstOrderSMatrix:

@@ -18,7 +18,10 @@ from xpgraphs.errors import ConditionViolated
 from xpgraphs.extensions import s_matrix_bk2_derivative
 from xpgraphs.spectra import _swap_halves
 from xpgraphs.traces import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _default_cutoff,
+    _gl_grid,
     _resolvent_sum,
     _s_trace_integral,
     length_condition,
@@ -52,11 +55,15 @@ print(json.dumps({name: {k: v.hex() if isinstance(v, float) else v for k, v in r
 """
 
 
-# a constant-S squared trace (Kirchhoff 3-star) and a k-dependent one
-# (Robin rho = 1, length-4 edge): does either import scipy?
-SCIPY_INTEGRATE_SCRIPT = """
-import math, sys
+# a fresh interpreter runs a constant-S squared trace (Kirchhoff 3-star), a
+# k-dependent one (Robin rho = 1, length-4 edge) and a Robin trace-check
+# document through the CLI, then lists the scipy and numpy.polynomial
+# modules it loaded
+COLD_START_SCRIPT = """
+import json, math, sys, tempfile
+from pathlib import Path
 import xpgraphs as xg
+from xpgraphs import cli
 g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
                                   vertices=[("c", f"t{i}") for i in range(3)])
 dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
@@ -64,7 +71,16 @@ xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
 g = xg.MetricGraph.from_intervals([(1.0, math.exp(4.0))])
 dec = xg.decompose(xg.standard_bc("robin", g, rho=1.0), xg.DilationMatrices.from_graph(g))
 xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
-print("scipy" in sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "robin.json"
+    config.write_text(json.dumps({
+        "task": "trace-check", "operator": "bk2",
+        "graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.exp(4.0)}]},
+        "boundary": {"kind": "robin", "rho": 1.0}, "numeric": {"t_values": [1.0]}}))
+    code = cli.main(["--config", str(config), "--out", str(Path(tmp) / "out")])
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith(("scipy.", "numpy.polynomial")))
+print(json.dumps({"exit_code": code, "loaded": loaded}))
 """
 
 
@@ -272,9 +288,23 @@ class TestSecondOrderTrace:
         assert reports[0]["first_order"]["n_orbits"] > 0
         assert reports[0] == reports[1]
 
-    def test_constant_s_trace_skips_scipy_integrate(self):
-        # every quadrature of the trace side is numpy: scipy stays unloaded
-        assert run_python(SCIPY_INTEGRATE_SCRIPT).strip() == "False"
+    def test_trace_paths_skip_scipy_and_numpy_polynomial(self):
+        # every quadrature of the trace side is numpy with a fixed
+        # Gauss-Legendre table: a cold process loads neither package
+        result = json.loads(run_python(COLD_START_SCRIPT))
+        assert result == {"exit_code": 0, "loaded": []}
+
+    def test_gauss_legendre_table_is_leggauss_16(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(_GL_NODES.view(np.uint64), nodes.view(np.uint64))
+        assert np.array_equal(_GL_WEIGHTS.view(np.uint64), weights.view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(32))
+    def test_gl_panel_integrates_monomials_exactly(self, n):
+        # 16 points are exact through degree 31: only rounding remains
+        xs, ws = _gl_grid(np.array([0.5, 2.0]))
+        exact = (2.0 ** (n + 1) - 0.5 ** (n + 1)) / (n + 1)
+        assert float(np.sum(ws * xs ** n)) == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 5.0])
     def test_s_integral_matches_erfc_form_on_graded_panels(self, t):

@@ -4,8 +4,9 @@ bond matrix, the eigenphase scan of the positive axis,
 the eigensolve-only spectrum solve, the sign-change search of the
 negative axis, the two-probe zero-mode count, the walk-based orbit
 enumeration, the orbit-by-orbit trace sums, a test function tabulated on
-a grid, the scalar critical-line zeta series and the csv.writer form of
-the CLI's CSV artifact writer."""
+a grid, the scalar critical-line zeta series, the csv.writer form of
+the CLI's CSV artifact writer and the np.block form of the dilation
+matrices."""
 
 from __future__ import annotations
 
@@ -432,3 +433,11 @@ def csv_writer_artifact(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row])
+
+
+def dilation_blocks(e: int):
+    """(U, J) of ``DilationMatrices`` for E edges, built with np.block."""
+    eye = np.eye(e)
+    u = np.block([[1j * eye, eye], [-eye, -1j * eye]]) / np.sqrt(2.0)
+    j = np.block([[np.zeros((e, e)), eye], [-eye, np.zeros((e, e))]])
+    return u, j
