@@ -62,7 +62,6 @@ from .spectra import (
     find_negative_eigenvalues,
     find_spectrum,
     secular,
-    t_matrix,
     weyl_fit,
     zero_mode_test,
 )

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,7 +159,7 @@ def _numeric(config: JobConfig, key: str, default=None, kind=float):
 
 def build_graph(config: JobConfig) -> MetricGraph:
     gd = config.graph
-    if not isinstance(gd, dict) or "edges" not in gd or not gd["edges"]:
+    if not isinstance(gd, dict) or not isinstance(gd.get("edges"), list) or not gd["edges"]:
         raise ValidationError("graph must have a nonempty 'edges' list")
     edges = []
     for i, e in enumerate(gd["edges"]):
@@ -169,13 +168,13 @@ def build_graph(config: JobConfig) -> MetricGraph:
                                     a=float(e["a"]), b=float(e["b"]),
                                     start=str(e.get("from", f"v{i}")),
                                     end=str(e.get("to", f"v{i}"))))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"edge {i}: needs numeric 'a' and 'b'") from exc
     return MetricGraph(edges=tuple(edges), directed=bool(gd.get("directed", False)))
 
 
 def _matrix_from_pairs(data, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = extensions.finite_reals(data, name)
     if arr.shape != (dim, dim, 2):
         raise ValidationError(
             f"{name} must be a {dim}x{dim} matrix of [re, im] pairs, got shape {arr.shape}"
@@ -398,12 +397,8 @@ _RUNNERS = {
 }
 
 
-def run(config: JobConfig, out_dir, workers: int = 1) -> int:
-    """Execute one job; writes artifacts into out_dir and returns exit code.
-
-    ``workers`` (the clamped ``--threads``) is accepted and ignored: every
-    spectral scan runs on the calling thread (``spectra.find_spectrum``).
-    """
+def run(config: JobConfig, out_dir) -> int:
+    """Execute one job; writes artifacts into out_dir and returns exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -461,8 +456,7 @@ def main(argv=None) -> int:
         _write_error(out_dir, exc)
         return EXIT_VALIDATION
 
-    workers = min(max(1, args.threads), os.cpu_count() or 1)
-    return run(config, out_dir, workers=workers)
+    return run(config, out_dir)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ form (projector onto ker B' plus a Hermitian block L'').
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,6 +450,22 @@ def _kirchhoff_interval_pair(graph: MetricGraph):
     return a_t, b_t
 
 
+def finite_reals(data, name: str) -> np.ndarray:
+    """data, a number or nested lists of numbers, as a float array.
+
+    Raises:
+        ValidationError: data holds a string, a boolean, None or a value
+            that is not finite, or its lists are ragged.
+    """
+    try:
+        arr = np.asarray(data)
+    except ValueError:                      # ragged nested lists
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must hold finite numbers only")
+    return arr.astype(float)
+
+
 def standard_bc(kind: str, graph: MetricGraph, *, c: float | None = None,
                 rho=None) -> ExtensionSpec:
     """Boundary matrices for a named condition.
@@ -476,10 +493,13 @@ def standard_bc(kind: str, graph: MetricGraph, *, c: float | None = None,
     if kind == "robin":
         if rho is None:
             raise ValidationError("robin condition needs rho")
-        rho_vec = np.broadcast_to(np.asarray(rho, dtype=float), (dim,)).copy()
+        rho_vec = finite_reals(rho, "robin rho")
+        if rho_vec.ndim > 1 or rho_vec.size not in (1, dim):
+            raise ValidationError(f"robin rho must be one number or {dim} numbers")
+        rho_vec = np.broadcast_to(rho_vec, (dim,)).copy()
         return from_interval_conditions(np.diag(rho_vec), np.eye(dim), graph)
     if kind == "ring_phase":
-        if c is None or not (0.0 <= c < 1.0):
+        if not isinstance(c, numbers.Real) or not 0.0 <= c < 1.0:
             raise ValidationError("ring_phase needs c in [0, 1)")
         shift = np.eye(e)[:, list(range(1, e)) + [0]] if e > 1 else np.eye(1)
         v = np.exp(-2j * np.pi * c) * shift

@@ -173,20 +173,6 @@ def _end_pair(diag, off) -> np.ndarray:
     return out
 
 
-def swap_matrix(n_edges: int) -> np.ndarray:
-    """J0, which exchanges the two ends (b and b + E) of every edge."""
-    return _end_pair(np.zeros(n_edges), np.ones(n_edges))
-
-
-def t_matrix(kind: str, lengths, k: complex) -> np.ndarray:
-    """Diagonal phase matrix exp(ik l) (first order) or its antidiagonal
-    two-block arrangement J0 diag(exp(ik l), exp(ik l)) (second order)."""
-    lengths = np.asarray(lengths, dtype=float)
-    if kind == BK:
-        return np.diag(np.exp(1j * k * lengths))
-    return swap_matrix(len(lengths)) * np.exp(1j * k * np.concatenate([lengths, lengths]))
-
-
 def secular(sys: SecularSystem, k):
     """det(I - S(k) T(k)); real zeros are the spectrum.
 
@@ -325,9 +311,6 @@ class _CayleyCount:
     D_i - K_i eigensolved, ``lu_evals`` the U(k) that only take an LU.
     """
 
-    newton = True
-    use_parity = True
-
     def __init__(self, sys: SecularSystem):
         self.weights = sys.weights
         self.rate = float(np.sum(self.weights))
@@ -437,9 +420,6 @@ class _HermitianCount:
     matrices diagonalised, ``lu_evals`` those that only take an LU
     (``parity``).
     """
-
-    newton = True
-    use_parity = True
 
     def __init__(self, sys: SecularSystem):
         q = sys.dec.ran_vectors
@@ -762,72 +742,67 @@ class _Newton:
     pending: int | None = None      # index of the round's point of an iterate counted after its step
 
 
-def _count_points(scan, points, pairs) -> list:
+def _count_points(count, points, pairs) -> list:
     """The count at every point of a round.
 
     A point with a pair (m_lo, m_hi) lies in a simple bracket, whose count
     is monotone and so one of the two; the two differ in parity, which
-    ``scan.parity`` reads off one stacked LU.  The other points, and those
+    ``count.parity`` reads off one stacked LU.  The other points, and those
     whose sign is not resolved, take one stacked eigensolve (``m_many``).
     """
     counts = [None] * len(points)
     lu = [i for i, pair in enumerate(pairs) if pair is not None]
     if lu:
-        for i, sign in zip(lu, scan.parity(np.array([points[i] for i in lu])).tolist()):
+        for i, sign in zip(lu, count.parity(np.array([points[i] for i in lu])).tolist()):
             if sign:
                 m_lo, m_hi = pairs[i]
                 counts[i] = m_lo if sign == 1 - 2 * (m_lo % 2) else m_hi
     rest = [i for i, m in enumerate(counts) if m is None]
     if rest:
-        for i, m in zip(rest, scan.m_many(np.array([points[i] for i in rest]))[0].tolist()):
+        for i, m in zip(rest, count.m_many(np.array([points[i] for i in rest]))[0].tolist()):
             counts[i] = m
     return counts
 
 
-def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
+def _refine_brackets(count, brackets, tol: float):
     """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
 
-    Refinement runs in rounds, and each round advances every open bracket
-    by one step.  When ``scan.newton`` is set, every bracket takes a Newton
-    step from its guess (or midpoint); ``scan.newton_steps`` gives the step
-    and the count at the iterate, or None, and then the iterate is counted
-    with the other points of the round.  A count equal to M(lo) or M(hi)
-    moves that end to the iterate; a count strictly between splits the
-    bracket there, and both parts go on.  A step that leaves the bracket
-    is replaced by bisection.  Once a step is below tol/4, or a step s
-    after a step s' leaves the error |s|^3 / s'^2 of quadratic convergence
-    below the float spacing at k, the count is taken at k* -+ tol/2 around
-    the new iterate k*.  If the whole jump g = |M(hi) - M(lo)| lies between
-    the two, the root is certified g-fold within tol/2 of k*, and k* is
-    returned clamped into the bracket; otherwise the up to three
-    sub-brackets go on.  Without ``scan.newton`` the count is bisected.  A
-    bracket no wider than tol is a root at its midpoint, of multiplicity g.
+    Refinement runs in rounds, and each round takes one Newton step in
+    every open bracket, from its guess (or midpoint).  ``count.newton_steps``
+    gives the step and the count at the iterate, or None, and then the
+    iterate is counted with the other points of the round.  A count equal
+    to M(lo) or M(hi) moves that end to the iterate; a count strictly
+    between splits the bracket there, and both parts go on.  A step that
+    leaves the bracket restarts from the midpoint.  Once a step is below
+    tol/4, or a step s after a step s' leaves the error |s|^3 / s'^2 of
+    quadratic convergence below the float spacing at k, the count is taken
+    at k* -+ tol/2 around the new iterate k*.  If the whole jump g =
+    |M(hi) - M(lo)| lies between the two, the root is certified g-fold
+    within tol/2 of k*, and k* is returned clamped into the bracket;
+    otherwise the up to three sub-brackets go on.  A bracket no wider than
+    tol is a root at its midpoint, of multiplicity g.
 
     In a simple bracket (g = 1) the count is M(lo) or M(hi), and the two
-    differ in parity.  With ``scan.use_parity`` every point of a simple
-    bracket that the round counts reads its count from the sign of a
-    determinant (``scan.parity``), one LU and no eigensolve; the other
-    points, and those whose sign is not resolved, take the full count.
-    Ends move by equality of counts, so a count may increase
-    (``_CayleyCount``, ``_PositiveCount``) or decrease (``_NegativeCount``)
-    across a root.  Each round makes at most one batch of stacked calls of
-    each kind: the Newton steps, the LU of all parity points and the
-    eigensolve of the other count points.  Returns (sorted (k, g) list,
-    number of rounds).
+    differ in parity: every point of a simple bracket that the round counts
+    reads its count from the sign of a determinant (``count.parity``), one
+    LU and no eigensolve; the other points, and those whose sign is not
+    resolved, take the full count (``count.m_many``).  Ends move by equality
+    of counts, so a count may increase (``_CayleyCount``,
+    ``_PositiveCount``) or decrease (``_NegativeCount``) across a root.
+    Each round makes at most one batch of stacked calls of each kind: the
+    Newton steps, the LU of all parity points and the eigensolve of the
+    other count points.  Returns (sorted (k, g) list, number of rounds).
     """
-    newton = scan.newton
-    parity = scan.use_parity
     half = 0.5 * tol
     roots: list = []
     iterates: list = []     # _Newton states for the next round
-    halves: list = []       # (lo, hi, M(lo), M(hi)) to split in the next round
     points: list = []       # count points of the round
     pairs: list = []        # (M(lo), M(hi)) of a point whose count parity decides, else None
     live: list = []         # _Newton states that wait for the counts of the round
 
     def request(x, mlo, mhi):
         points.append(x)
-        pairs.append((mlo, mhi) if parity and abs(mhi - mlo) == 1 else None)
+        pairs.append((mlo, mhi) if abs(mhi - mlo) == 1 else None)
         return len(points) - 1
 
     def probe(it, k):
@@ -842,66 +817,57 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
             return
         if hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
-        elif newton:
-            inside = guess is not None and lo < guess < hi
-            iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi),
-                                    steps))
-        else:
-            halves.append((lo, hi, mlo, mhi))
+            return
+        inside = guess is not None and lo < guess < hi
+        iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi), steps))
 
     for bracket in brackets:
         admit(*bracket)
-    rounds = splits = 0
-    while iterates or halves:
+    rounds = 0
+    while iterates:
         rounds += 1
-        stepping, splitting = iterates[:], halves[:]
+        stepping = iterates[:]
         iterates.clear()
-        halves.clear()
         points.clear()
         pairs.clear()
         live.clear()
-        splits += len(splitting)
-        if splits > max_splits:
-            raise ToleranceTooCoarse("bisection budget exhausted")
 
-        if stepping:
-            m_k, steps = scan.newton_steps(np.array([it.k for it in stepping]))
-            m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
-            for it, m, step in zip(stepping, m_k, steps.tolist()):
-                it.steps += 1
-                # a Newton step converges quadratically: after
-                # steps s' then s the error is about |s|^3 / s'^2, and once
-                # that is below the float spacing at k no step can improve k
-                converged = abs(step) <= 0.25 * tol or (
-                    abs(step) < it.last and abs(step) ** 3 <= EPS * abs(it.k) * it.last ** 2)
-                it.last = abs(step)
-                if m is None:
-                    # counted with this round's points; a converged step
-                    # needs no count at it.k: both certificate points decide
-                    if converged:
-                        probe(it, it.k + step)
-                    else:
-                        it.pending = request(it.k, it.mlo, it.mhi)
-                        it.k += step
-                    live.append(it)
-                    continue
-                if m != it.mlo and m != it.mhi:
-                    if not converged:
-                        admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps)
-                        admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
-                        continue
-                    # a level at it.k: its certificate points take the whole jump
-                elif m == it.mlo:
-                    it.lo = it.k
-                else:
-                    it.hi = it.k
+        m_k, steps = count.newton_steps(np.array([it.k for it in stepping]))
+        m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
+        for it, m, step in zip(stepping, m_k, steps.tolist()):
+            it.steps += 1
+            # a Newton step converges quadratically: after
+            # steps s' then s the error is about |s|^3 / s'^2, and once
+            # that is below the float spacing at k no step can improve k
+            converged = abs(step) <= 0.25 * tol or (
+                abs(step) < it.last and abs(step) ** 3 <= EPS * abs(it.k) * it.last ** 2)
+            it.last = abs(step)
+            if m is None:
+                # counted with this round's points; a converged step
+                # needs no count at it.k: both certificate points decide
                 if converged:
-                    probe(it, min(max(it.k + step, it.lo), it.hi))
+                    probe(it, it.k + step)
                 else:
+                    it.pending = request(it.k, it.mlo, it.mhi)
                     it.k += step
                 live.append(it)
-        mids = [request(0.5 * (lo + hi), mlo, mhi) for lo, hi, mlo, mhi in splitting]
-        counts = _count_points(scan, points, pairs) if points else []
+                continue
+            if m != it.mlo and m != it.mhi:
+                if not converged:
+                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps)
+                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
+                    continue
+                # a level at it.k: its certificate points take the whole jump
+            elif m == it.mlo:
+                it.lo = it.k
+            else:
+                it.hi = it.k
+            if converged:
+                probe(it, min(max(it.k + step, it.lo), it.hi))
+            else:
+                it.k += step
+            live.append(it)
+        counts = _count_points(count, points, pairs) if points else []
 
         for it in live:
             if it.pending is not None:
@@ -941,9 +907,6 @@ def _refine_brackets(scan, brackets, tol: float, max_splits: int = 200000):
             if it.steps >= NEWTON_BUDGET:
                 raise ToleranceTooCoarse("Newton refinement budget exhausted")
             iterates.append(it)
-        for (lo, hi, mlo, mhi), index in zip(splitting, mids):
-            admit(lo, points[index], mlo, counts[index], None)
-            admit(points[index], hi, counts[index], mhi, None)
     return sorted(roots), rounds
 
 
@@ -1030,7 +993,7 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
 
     refined, rounds = _refine_brackets(count, brackets, tol)
     return sorted(roots + refined), {
-        "grid_evals": grid_evals, "recheck_evals": 0,
+        "grid_evals": grid_evals,
         "refine_evals": count.evals - grid_evals + count.lu_evals,
         "refine_eig_evals": count.evals - grid_evals, "refine_lu_evals": count.lu_evals,
         "refine_rounds": rounds, "pole_roots": pole_roots, "scan_step": step}
@@ -1081,15 +1044,13 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
             (rings, stars, Dirichlet boxes) stay far below that.
 
     ``diagnostics["matrix_evals"]`` counts the matrices evaluated: grid
-    points, Dirichlet probes, Newton and bisection steps, and
-    certificates.  It is the sum of ``grid_evals`` (grid and Dirichlet
-    probes), ``recheck_evals`` (0: no count needs a re-check) and
+    points, Dirichlet probes, Newton steps and certificates.  It is the
+    sum of ``grid_evals`` (grid and Dirichlet probes) and
     ``refine_evals``, which splits into ``refine_eig_evals`` (matrices
     eigensolved) and ``refine_lu_evals`` (counts read off one LU);
     ``refine_rounds`` counts refinement rounds,
-    ``pole_roots`` the roots read off at Dirichlet points,
-    ``scan_step`` is the grid step used, and ``workers`` is 1, the number
-    of threads that scanned.
+    ``pole_roots`` the roots read off at Dirichlet points, and
+    ``scan_step`` is the grid step used.
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):
@@ -1122,10 +1083,9 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     diag = {
         "scan_step": stats["scan_step"],
-        "matrix_evals": stats["grid_evals"] + stats["recheck_evals"] + stats["refine_evals"],
+        "matrix_evals": stats["grid_evals"] + stats["refine_evals"],
         "n_roots": len(merged),
         "bracket_tol": tol,
-        "workers": 1,
         **stats,
     }
     return Spectrum(kind=sys.kind, eigenvalues=tuple(merged),
@@ -1137,7 +1097,7 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 # Zero modes and negative spectrum (squared operator)
 # ---------------------------------------------------------------------------
 
-def _zero_modes(sys: SecularSystem, mult_tol: float = MULT_TOL) -> tuple:
+def _zero_modes(sys: SecularSystem) -> tuple:
     """(g0, N, N(0+)): the zero-mode data of ``zero_mode_test`` and the
     number of eigenvalues <= 0, all from one eigvalsh of M(0)."""
     if sys.kind != BK2:
@@ -1145,11 +1105,11 @@ def _zero_modes(sys: SecularSystem, mult_tol: float = MULT_TOL) -> tuple:
     q, inv = sys.dec.ran_vectors, 1.0 / sys.lengths
     mu = np.linalg.eigvalsh(q.conj().T @ _end_pair(inv, -inv) @ q - np.diag(sys.dec.sigma_l))
     bound = _rounding_bound(mu)
-    return (int(np.sum(np.abs(mu) <= bound)), _unit_count(sys.u_matrix(0.0), mult_tol),
+    return (int(np.sum(np.abs(mu) <= bound)), _unit_count(sys.u_matrix(0.0), MULT_TOL),
             int(np.sum(mu <= bound)))
 
 
-def zero_mode_test(sys: SecularSystem, mult_tol: float = MULT_TOL) -> tuple:
+def zero_mode_test(sys: SecularSystem) -> tuple:
     """Multiplicity data (g0, N) of the zero eigenvalue.
 
     g0 is the dimension of the lambda = 0 eigenspace.  No Dirichlet
@@ -1159,9 +1119,9 @@ def zero_mode_test(sys: SecularSystem, mult_tol: float = MULT_TOL) -> tuple:
     functions: one eigvalsh, whose eigenvalues within the rounding bound
     4 n eps max|mu| of ``_HermitianCount._index`` count as zero.  N is the
     order of the k = 0 zero of the secular function, the unit-eigenvalue
-    multiplicity of S''(0) T(0), from singular values.
+    multiplicity of S''(0) T(0), from singular values within MULT_TOL.
     """
-    return _zero_modes(sys, mult_tol)[:2]
+    return _zero_modes(sys)[:2]
 
 
 def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):

@@ -329,8 +329,7 @@ def _contour(h: TestFunction, weights: np.ndarray, norm_b: float, poles: np.ndar
             (quadrature + truncation) / (2.0 * math.pi))
 
 
-def _orbit_terms(sys: SecularSystem, h: TestFunction, cutoff: float | None,
-                 k_probe: float = 1.0) -> dict:
+def _orbit_terms(sys: SecularSystem, h: TestFunction, cutoff: float | None) -> dict:
     """Orbit-sum fields of a report: the sum over every orbit class, of any
     length, as one contour integral of the resolvent (``_contour``,
     ``_resolvent_sum``).
@@ -340,7 +339,7 @@ def _orbit_terms(sys: SecularSystem, h: TestFunction, cutoff: float | None,
     Phys. 274, 1999), analytic below the first pole.  On Im k = eta the
     series in n converges and sums to the resolvent.  ``n_orbits`` and
     ``max_steps`` describe the orbit classes of at most N = floor(cutoff /
-    w_min) + 1 steps, on the pattern of the bond matrix at ``k_probe``;
+    w_min) + 1 steps, on the pattern of the bond matrix at k = 1;
     the sum does not depend on the cutoff (``_default_cutoff`` when None).
 
     Raises:
@@ -351,7 +350,7 @@ def _orbit_terms(sys: SecularSystem, h: TestFunction, cutoff: float | None,
         raise ValidationError("orbit sums need a Gaussian test function")
     if cutoff is None:
         cutoff = _default_cutoff(h)
-    weights, probe = sys.weights, sys.bond_matrix(k_probe)
+    weights, probe = sys.weights, sys.bond_matrix(1.0)
     n_max = int(cutoff / float(np.min(weights))) + 1
     counts = dict(n_orbits=_orbit_count(probe, n_max), max_steps=n_max)
     if sys.k_independent:
@@ -486,8 +485,7 @@ def _gl_grid(edges: np.ndarray):
 
 
 def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
-                  orbit_cutoff: float | None = None,
-                  k_probe: float = 1.0) -> TraceReport:
+                  orbit_cutoff: float | None = None) -> TraceReport:
     """Geometric side for the squared operator:
 
         L hhat(0) + (g0 - N/2) h(0) - (1/4pi) int h Im tr S''(k)/k dk
@@ -511,7 +509,7 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
     weyl = graph.total_length * float(h.hat(0.0))
     boundary = (g0 - 0.5 * n_order) * float(np.real(h(0.0)))
     s_integral = _s_trace_integral(dec, h)
-    terms = _orbit_terms(sys, h, orbit_cutoff, k_probe)
+    terms = _orbit_terms(sys, h, orbit_cutoff)
 
     rhs = weyl + boundary + s_integral + terms["orbit_sum"]
     return TraceReport(lhs=math.nan, lhs_tail_bound=math.nan, weyl_term=weyl,

@@ -17,8 +17,11 @@ EDGE = {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "u", "to": "v"}]}
 
 
 def run_config(tmp_path, payload, name="job", threads=1):
+    config_path = tmp_path / f"{name}.json"
+    config_path.write_text(json.dumps(payload))
     out = tmp_path / name
-    code = cli.run(cli.parse(json.dumps(payload)), out, workers=threads)
+    code = cli.main(["--config", str(config_path), "--out", str(out),
+                     "--threads", str(threads)])
     return code, out
 
 
@@ -86,17 +89,21 @@ class TestSpectrumTask:
             assert abs(float(r1[1]) - float(r4[1])) <= 1e-9
 
     def test_short_scan_threads_byte_identical(self, tmp_path):
-        # --threads is ignored: every artifact byte is the same
+        # --threads is accepted and ignored, also beyond the CPU count: every
+        # artifact byte is the same
         star3 = {"edges": [{"id": f"e{i}", "a": 1.0, "b": math.e, "from": "c", "to": f"t{i}"}
                            for i in range(3)]}
         payload = {"task": "spectrum", "operator": "bk2", "graph": star3,
                    "boundary": {"kind": "kirchhoff"},
                    "numeric": {"k_min": 0.0, "k_max": 20.0}}
         _, out1 = run_config(tmp_path, payload, "single", threads=1)
-        _, out2 = run_config(tmp_path, payload, "pooled", threads=2)
-        for name in ("spectrum.csv", "spectrum.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        assert json.loads((out2 / "spectrum.json").read_text())["diagnostics"]["workers"] == 1
+        for threads in (0, 2, 10 ** 6):
+            code, out = run_config(tmp_path, payload, f"threads{threads}", threads=threads)
+            assert code == 0
+            for name in ("spectrum.csv", "spectrum.json"):
+                assert (out1 / name).read_bytes() == (out / name).read_bytes()
+        diagnostics = json.loads((out1 / "spectrum.json").read_text())["diagnostics"]
+        assert "workers" not in diagnostics and "recheck_evals" not in diagnostics
 
     def test_negative_eigenvalues_reported(self, tmp_path):
         payload = {"task": "spectrum", "operator": "bk2",
@@ -497,6 +504,33 @@ class TestErrorContract:
     def refuse(*args, **kwargs):
         raise AssertionError("a solve ran")
 
+    @pytest.mark.parametrize("operator, graph, boundary", [
+        ("bk2", {"edges": [1]}, {"kind": "dirichlet"}),
+        ("bk2", {"edges": "abc"}, {"kind": "dirichlet"}),
+        ("bk2", EDGE, {"kind": "robin", "rho": "abc"}),
+        ("bk2", EDGE, {"kind": "robin", "rho": [1, "x"]}),
+        ("bk2", EDGE, {"kind": "robin", "rho": [1.0, 2.0, 3.0]}),
+        ("bk2", EDGE, {"kind": "robin", "rho": [[1.0, 2.0]]}),
+        ("bk2", EDGE, {"kind": "robin", "rho": 1e400}),
+        ("bk2", EDGE, {"kind": "robin", "rho": True}),
+        ("bk", RING, {"kind": "ring_phase", "c": "0.2"}),
+        ("bk", RING, {"kind": "ring_phase", "c": None}),
+        ("bk2", EDGE, {"kind": "matrices", "A": [[[1, 0], [0, 0]], [[0, 0], [1, "x"]]],
+                       "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        ("bk2", EDGE, {"kind": "matrices", "A": [[[1, 0], [0, 0]], [[0, 0], [1e400, 0]]],
+                       "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        ("bk2", EDGE, {"kind": "matrices", "A": [[[1, 0], [0]], [[0, 0], [1, 0]]],
+                       "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+    ], ids=["edges-int", "edges-string", "rho-string", "rho-mixed", "rho-length", "rho-nested",
+            "rho-inf", "rho-bool", "c-string", "c-none", "matrices-string", "matrices-inf",
+            "matrices-ragged"])
+    def test_malformed_graph_or_boundary_entry(self, tmp_path, operator, graph, boundary):
+        payload = {"task": "spectrum", "operator": operator, "graph": graph,
+                   "boundary": boundary, "numeric": {"k_min": 0.0, "k_max": 5.0}}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
     def test_halfline_beyond_amplitude_range(self, tmp_path):
         code, err = self.run_main(tmp_path, {"task": "halfline-demo",
                                              "numeric": {"k_grid_max": 500.0, "n_k": 11}})
@@ -529,22 +563,3 @@ class TestMainEntry:
         out = tmp_path / "nope"
         code = cli.main(["--config", str(tmp_path / "absent.json"), "--out", str(out)])
         assert code == cli.EXIT_PARSE == 2
-
-    @pytest.mark.parametrize("threads, expected", [(1000000, 2), (2, 2), (1, 1), (0, 1)])
-    def test_threads_clamped_to_cpu_count(self, tmp_path, monkeypatch, threads, expected):
-        # cli.run is replaced, so no thread pool is ever started
-        seen = []
-
-        def fake_run(config, out_dir, workers=1):
-            seen.append(workers)
-            return 0
-
-        monkeypatch.setattr(cli, "run", fake_run)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        config_path = tmp_path / "job.json"
-        config_path.write_text(json.dumps({"task": "validate", "operator": "bk2", "graph": EDGE,
-                                           "boundary": {"kind": "dirichlet"}}))
-        code = cli.main(["--config", str(config_path), "--out", str(tmp_path / "out"),
-                         "--threads", str(threads)])
-        assert code == 0
-        assert seen == [expected]

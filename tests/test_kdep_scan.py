@@ -112,7 +112,7 @@ def test_scan_matches_dense_eigenphase_oracle(seed, n_edges, family):
     sp = xg.find_spectrum(sys_, (0.0, 12.0), tol=1e-10)
 
     d = sp.diagnostics
-    assert d["matrix_evals"] == d["grid_evals"] + d["recheck_evals"] + d["refine_evals"]
+    assert d["matrix_evals"] == d["grid_evals"] + d["refine_evals"]
     for k, mult in sp.eigenvalues:
         sv = np.linalg.svd(np.eye(sys_.dim) - sys_.u_matrix(k), compute_uv=False)
         assert sv[-mult] <= 1e-8, (k, mult, sv)

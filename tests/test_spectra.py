@@ -9,7 +9,7 @@ import pytest
 import xpgraphs as xg
 from xpgraphs.errors import InsufficientData, RangeExceeded
 
-from util import probe_zero_mode_count, random_graph, random_unitary
+from util import probe_zero_mode_count, random_graph, random_unitary, t_matrix
 
 PI = math.pi
 
@@ -38,12 +38,12 @@ def star_system(n_edges=3, b=math.e):
 
 class TestTMatrix:
     def test_first_order_values(self):
-        t = xg.t_matrix(xg.BK, [1.0], PI)
+        t = t_matrix(xg.BK, [1.0], PI)
         assert complex(t[0, 0]) == pytest.approx(-1.0, abs=1e-14)
-        assert np.allclose(xg.t_matrix(xg.BK, [1.0, 2.0], 0.0), np.eye(2))
+        assert np.allclose(t_matrix(xg.BK, [1.0, 2.0], 0.0), np.eye(2))
 
     def test_second_order_block(self):
-        t = xg.t_matrix(xg.BK2, [1.0], PI)
+        t = t_matrix(xg.BK2, [1.0], PI)
         expected = np.array([[0.0, -1.0], [-1.0, 0.0]])
         assert np.max(np.abs(t - expected)) <= 1e-14
 
@@ -228,7 +228,7 @@ def test_workers_start_no_thread(monkeypatch, case):
     for workers in (2, 4):
         pooled = xg.find_spectrum(sys_, window, workers=workers)
         assert pooled == single
-        assert pooled.diagnostics["workers"] == 1
+        assert "workers" not in pooled.diagnostics
 
 
 class TestZeroModes:

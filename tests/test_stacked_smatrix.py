@@ -18,7 +18,8 @@ from xpgraphs import spectra, traces
 from xpgraphs.errors import SingularAtK
 from xpgraphs.extensions import s_matrix_bk2_derivative
 
-from util import KDEP_FAMILIES, random_graph, random_kdep_spec, s_matrix_bk2_direct
+from util import (KDEP_FAMILIES, random_graph, random_kdep_spec, s_matrix_bk2_direct,
+                  swap_matrix)
 
 BASE_SEED = 20261019
 N_PER_FAMILY = 3
@@ -81,7 +82,7 @@ def test_stack_matches_raw_formula_and_differences(case):
     for k, m in zip(ks, stack):
         assert np.max(np.abs(m - s_matrix_bk2_direct(dec, k))) <= 1e-12
     # bond_matrix is S''(k) J0
-    j0 = spectra.swap_matrix(len(sys_.lengths))
+    j0 = swap_matrix(len(sys_.lengths))
     assert np.max(np.abs(sys_.bond_matrix(ks) - stack @ j0)) <= 1e-15
 
     dk = 1e-6

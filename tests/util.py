@@ -1,7 +1,8 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the eigenphase winding count of a constant
-bond matrix, the eigenphase scan of the positive axis,
-the eigensolve-only spectrum solve, the sign-change search of the
+bond matrix, the eigenphase scan of the positive axis and its bisection,
+the eigensolve-only spectrum solve, the phase and end-swap matrices T(k)
+and J0, the sign-change search of the
 negative axis, the two-probe zero-mode count, the walk-based orbit
 enumeration, the orbit-by-orbit trace sums, a test function tabulated on
 a grid, the scalar critical-line zeta series, the csv.writer form of
@@ -100,12 +101,8 @@ class EigenphaseScan:
     S''(k) has eigenvalue -1 on ker B' and -(lam - ik)/(lam + ik) for each
     nonzero eigenvalue lam of L'', so arg det U(k) = theta0 + k sum(w)
     - 2 sum_lam arctan(k / lam) in closed form, and M(k) is that lift minus
-    the principal eigenphases over 2 pi.  Only bisected by
-    ``spectra._refine_brackets``.
+    the principal eigenphases over 2 pi.  Refined by ``bisect_brackets``.
     """
-
-    newton = False
-    use_parity = False
 
     def __init__(self, sys):
         self.sys = sys
@@ -151,11 +148,36 @@ class WindingScan:
         return m, angles
 
 
+def bisect_brackets(scan, brackets, tol: float) -> list:
+    """Sorted (k, g) from count-carrying brackets (lo, hi, M(lo), M(hi)),
+    each halved until it is no wider than tol, with one ``scan.m_many`` per
+    round; a bracket no wider than tol is a root at its midpoint, of
+    multiplicity |M(hi) - M(lo)|."""
+    roots, open_ = [], brackets
+    while open_:
+        halving = []
+        for lo, hi, mlo, mhi in open_:
+            if mhi == mlo:
+                continue
+            if hi - lo <= tol:
+                roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
+            else:
+                halving.append((lo, hi, mlo, mhi))
+        if not halving:
+            break
+        mids = [0.5 * (lo + hi) for lo, hi, _, _ in halving]
+        counts = scan.m_many(np.array(mids))[0].tolist()
+        open_ = [part for (lo, hi, mlo, mhi), x, m in zip(halving, mids, counts)
+                 for part in ((lo, x, mlo, m), (x, hi, m, mhi))]
+    return sorted(roots)
+
+
 def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
     """Sorted (k, g) over (k_lo, k_hi] from ``EigenphaseScan``: eight grid
     points per mean spacing of sum(w) plus the S-matrix phase velocity
     bound, a nine-point re-check of every step with an eigenphase within
-    the step's phase motion of 1 at both ends, and bisection to width tol.
+    the step's phase motion of 1 at both ends, and ``bisect_brackets`` to
+    width tol.
     """
     scan = EigenphaseScan(sys)
     points = [k_lo]
@@ -170,7 +192,7 @@ def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
     for i in range(len(grid) - 1):
         lo, hi = float(grid[i]), float(grid[i + 1])
         if m_vals[i + 1] != m_vals[i]:
-            brackets.append((lo, hi, int(m_vals[i]), int(m_vals[i + 1]), None))
+            brackets.append((lo, hi, int(m_vals[i]), int(m_vals[i + 1])))
             continue
         motion = (scan.rate + s_phase_rate_bound(sys, min(abs(lo), abs(hi)))) * (hi - lo)
         if max(near[i], near[i + 1]) <= motion:
@@ -179,20 +201,39 @@ def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
                                     m_vals[i + 1:i + 2]])
             for j in np.flatnonzero(np.diff(sub_m)):
                 brackets.append((float(sub[j]), float(sub[j + 1]),
-                                 int(sub_m[j]), int(sub_m[j + 1]), None))
-    return spectra._refine_brackets(scan, brackets, tol)[0]
+                                 int(sub_m[j]), int(sub_m[j + 1])))
+    return bisect_brackets(scan, brackets, tol)
+
+
+def _unresolved_parity(self, ks):
+    """A ``parity`` that resolves no sign, so every count takes ``m_many``."""
+    return np.zeros(len(ks), dtype=int)
 
 
 def eigensolve_spectrum(sys, k_range, tol: float):
-    """``find_spectrum`` with every count from an eigensolve and every
-    Newton step from one: the path without determinant-sign (parity)
-    counts and Rayleigh steps, kept as their oracle."""
-    with mock.patch.object(spectra._CayleyCount, "use_parity", False), \
-            mock.patch.object(spectra._HermitianCount, "use_parity", False):
+    """``find_spectrum`` with every refinement count from an eigensolve:
+    the determinant-sign (parity) counts are replaced by ones that resolve
+    nothing, so this is their oracle."""
+    with mock.patch.object(spectra._CayleyCount, "parity", _unresolved_parity), \
+            mock.patch.object(spectra._HermitianCount, "parity", _unresolved_parity):
         return xg.find_spectrum(sys, k_range, tol)
 
 
-def probe_zero_mode_count(sys, k_probe: float = 1.0, mult_tol: float = spectra.MULT_TOL) -> int:
+def swap_matrix(n_edges: int) -> np.ndarray:
+    """J0, which exchanges the two ends (b and b + E) of every edge."""
+    return spectra._end_pair(np.zeros(n_edges), np.ones(n_edges))
+
+
+def t_matrix(kind: str, lengths, k: complex) -> np.ndarray:
+    """Diagonal phase matrix exp(ik l) (first order) or its antidiagonal
+    two-block arrangement J0 diag(exp(ik l), exp(ik l)) (second order)."""
+    lengths = np.asarray(lengths, dtype=float)
+    if kind == xg.BK:
+        return np.diag(np.exp(1j * k * lengths))
+    return swap_matrix(len(lengths)) * np.exp(1j * k * np.concatenate([lengths, lengths]))
+
+
+def probe_zero_mode_count(sys, k_probe: float = 1.0) -> int:
     """g0 as the unit-eigenvalue multiplicity of S''(k') C(k') at the probe
     k' = k_probe, with C(k') = [[D, O], [O, D]], D = diag(l / (z + l)) and
     O = diag(z / (z + l)), z = 2i / k', the unitary comparison matrix of the
@@ -202,7 +243,7 @@ def probe_zero_mode_count(sys, k_probe: float = 1.0, mult_tol: float = spectra.M
     for kp in (k_probe, k_probe * math.sqrt(2.0)):
         z = 2j / kp
         c = spectra._end_pair(sys.lengths / (z + sys.lengths), z / (z + sys.lengths))
-        counts.append(spectra._unit_count(sys.s_part(kp) @ c, mult_tol))
+        counts.append(spectra._unit_count(sys.s_part(kp) @ c, spectra.MULT_TOL))
     assert counts[0] == counts[1], f"zero-mode count probe-dependent: {counts}"
     return counts[0]
 
