@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -563,3 +564,25 @@ class TestMainEntry:
         out = tmp_path / "nope"
         code = cli.main(["--config", str(tmp_path / "absent.json"), "--out", str(out)])
         assert code == cli.EXIT_PARSE == 2
+
+    @pytest.mark.parametrize("threads, cpus", [(1000000, 2), (2, 2), (1, 1), (0, 1)])
+    def test_threads_clamped_to_cpu_count(self, tmp_path, monkeypatch, threads, cpus):
+        # --threads is no longer clamped to the CPU count but ignored: whatever
+        # the pair, run receives only the parsed config and the output directory
+        # (cli.run is replaced, so no solve runs)
+        seen = []
+
+        def fake_run(config, out_dir):
+            seen.append((config, out_dir))
+            return 0
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        payload = {"task": "validate", "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"}}
+        config_path = tmp_path / "job.json"
+        config_path.write_text(json.dumps(payload))
+        code = cli.main(["--config", str(config_path), "--out", str(tmp_path / "out"),
+                         "--threads", str(threads)])
+        assert code == 0
+        assert seen == [(cli.parse(json.dumps(payload)), tmp_path / "out")]
