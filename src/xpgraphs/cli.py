@@ -126,8 +126,9 @@ def _validate_config(config: JobConfig) -> None:
     if "t_values" in num:
         ts = num["t_values"]
         if (not isinstance(ts, list) or not ts
-                or any(not _is_number(t) or t <= 0 for t in ts)):
-            raise ValidationError("numeric.t_values must be a nonempty list of positive numbers")
+                or any(not _is_number(t) or not 0 < t < math.inf for t in ts)):
+            raise ValidationError(
+                "numeric.t_values must be a nonempty list of positive finite numbers")
     if config.task in ("spectrum", "weyl", "counting-compare"):
         if "k_min" not in num or "k_max" not in num:
             raise ValidationError(f"task {config.task!r} needs numeric.k_min and numeric.k_max")
@@ -161,16 +162,17 @@ def build_graph(config: JobConfig) -> MetricGraph:
     gd = config.graph
     if not isinstance(gd, dict) or not isinstance(gd.get("edges"), list) or not gd["edges"]:
         raise ValidationError("graph must have a nonempty 'edges' list")
+    directed = gd.get("directed", False)
+    if not isinstance(directed, bool):
+        raise ValidationError(f"graph.directed must be true or false, got {directed!r}")
     edges = []
     for i, e in enumerate(gd["edges"]):
-        try:
-            edges.append(MetricEdge(id=str(e.get("id", f"e{i}")),
-                                    a=float(e["a"]), b=float(e["b"]),
-                                    start=str(e.get("from", f"v{i}")),
-                                    end=str(e.get("to", f"v{i}"))))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"edge {i}: needs numeric 'a' and 'b'") from exc
-    return MetricGraph(edges=tuple(edges), directed=bool(gd.get("directed", False)))
+        ends = (e.get("a"), e.get("b")) if isinstance(e, dict) else (None, None)
+        if not all(_is_number(x) and math.isfinite(x) for x in ends):
+            raise ValidationError(f"edge {i}: 'a' and 'b' must be finite numbers")
+        edges.append(MetricEdge(id=str(e.get("id", f"e{i}")), a=float(ends[0]), b=float(ends[1]),
+                                start=str(e.get("from", f"v{i}")), end=str(e.get("to", f"v{i}"))))
+    return MetricGraph(edges=tuple(edges), directed=directed)
 
 
 def _matrix_from_pairs(data, dim: int, name: str) -> np.ndarray:

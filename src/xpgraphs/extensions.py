@@ -257,7 +257,7 @@ def decompose(spec: ExtensionSpec, dil: DilationMatrices,
         lam, w = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
         # snap numerical-noise eigenvalues to exact zeros, else they act
         # like spurious tiny Robin parameters near k = 0
-        lam[np.abs(lam) < 1e-11 * max(1.0, np.max(np.abs(lam)))] = 0.0
+        lam[np.abs(lam) < LAMBDA_FLOOR * max(1.0, np.max(np.abs(lam)))] = 0.0
         vecs = q @ w
     else:
         lam = np.zeros(0)

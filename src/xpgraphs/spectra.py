@@ -18,10 +18,17 @@ For the squared operator, whatever its S-part, the count is N(k), the
 number of eigenvalues below k^2, from Friedlander's Dirichlet-to-Neumann
 index identity (Arch. Ration. Mech. Anal. 116, 1991; Behrndt & Luger,
 J. Phys. A 43, 474006, 2010), N(k) = sum_e floor(k l_e / pi) +
-n_-(Q+ Lambda(k) Q - diag(sigma)), from one eigvalsh of a matrix that
-borders the entries of Lambda diverging at the Dirichlet points k l_e in
-pi Z (``_PositiveCount``); each Dirichlet point p is its own bracket
-(p - tol/2, p + tol/2].  The zero eigenvalue is characterized by
+n_-(Q+ Lambda(k) Q - diag(sigma)), read off a matrix that borders the
+entries of Lambda diverging at the Dirichlet points k l_e in pi Z; each
+Dirichlet point p is its own bracket (p - tol/2, p + tol/2].  A pair that
+couples only the ends at one vertex, with rank at most one there (every
+named condition: Kirchhoff, Neumann, Dirichlet, Robin), on a graph
+without cycles gives that matrix the pattern of a forest, and N(k) is the
+number of negative pivots of an elimination from the leaves, with no
+fill and no eigensolve (``_TreeCount``; Jacobs & Trevisan, Linear Algebra
+Appl. 434, 2011).  Every other pair (a cycle, a non-local pair, rank
+above one at a vertex) takes one eigvalsh of the dense bordered matrix
+(``_PositiveCount``).  The zero eigenvalue is characterized by
 ``zero_mode_test``, and the negative spectrum -kappa^2 by the same kind
 of count with kappa-harmonic maps (``_NegativeCount``).
 
@@ -32,7 +39,8 @@ multiplicity: on the eigenphase of U(k) nearest 0, from a Rayleigh
 quotient of shifted inverse iteration, or on the eigenvalue of the
 Hermitian matrix nearest 0.  Inside a simple bracket the count is one of
 its two end counts, and the sign of a determinant tells them apart with
-one LU and no eigensolve (``parity``).  Refinement runs in rounds that
+one LU and no eigensolve (``parity``; the elimination count reads it off
+its pivots).  Refinement runs in rounds that
 advance every open bracket and make at most one stacked call of each kind.
 """
 
@@ -51,8 +59,8 @@ from .errors import (
     ToleranceTooCoarse,
     ValidationError,
 )
-from .extensions import BK, BK2, Decomposition, s_matrix_bk2
-from .graph import MetricGraph
+from .extensions import BK, BK2, LAMBDA_FLOOR, Decomposition, s_matrix_bk2
+from .graph import PATTERN_TOL, MetricGraph
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -69,6 +77,11 @@ NEWTON_BUDGET = 100
 #: scan grid points per mean crossing spacing 2 pi / sum(w); every count is
 #: exact at every k, so the grid only seeds brackets
 GRID_DENSITY = 2
+
+#: points per elimination sweep of ``_TreeCount``: a sweep costs little per
+#: point next to its fixed cost, so one takes a whole grid, and the block
+#: only bounds its memory
+SWEEP_BLOCK = 1024
 
 #: edges per point that get a border row in the squared-operator count
 BORDER_SLOTS = 4
@@ -147,6 +160,13 @@ class SecularSystem:
     def cayley(self) -> "_Cayley":
         """The ``_Cayley`` rotations of a constant bond matrix, once per system."""
         return _Cayley(self.bond_matrix(0.0))
+
+    @cached_property
+    def forest(self) -> "_Forest | None":
+        """The ``_TreeCount`` layout of a squared-operator pair, once per
+        system; None for the first-order operator and where the count of
+        the squared one stays dense (``_local_forest``)."""
+        return None if self.kind == BK else _local_forest(self.dec)
 
     @property
     def poles(self) -> np.ndarray:
@@ -310,6 +330,8 @@ class _CayleyCount:
     D_i or K_i exceeds cot(pi / (2 (2d + 1))).  ``evals`` counts the
     D_i - K_i eigensolved, ``lu_evals`` the U(k) that only take an LU.
     """
+
+    name = "cayley"
 
     def __init__(self, sys: SecularSystem):
         self.weights = sys.weights
@@ -546,6 +568,8 @@ class _PositiveCount(_HermitianCount):
     itself it counts the eigenvalues below k^2 only.
     """
 
+    name = "dense"
+
     def __init__(self, sys: SecularSystem):
         super().__init__(sys)
         e, rank = len(self.lengths), self.q.shape[1]
@@ -686,6 +710,308 @@ class _PositiveCount(_HermitianCount):
                 rate * np.abs(bottom) ** 2 + 2.0 * (x_l.conj() * bottom).real, axis=-1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps[rows] = -vals[np.arange(len(vals)), j] / slope
+        return counts, steps
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """Node layout of ``_TreeCount``: a node per set of ends of rank one
+    and a node per edge, numbered by depth from the centre of each tree."""
+
+    n_comps: int
+    levels: tuple           # (lo, hi) node range per depth, the roots at depth 0
+    ups: tuple              # per depth d: (n_(d+1), n_d) 0/1 map of each child to its parent
+    parent: np.ndarray      # parent node, 0 at a root
+    mix: np.ndarray         # (2E, n): node diagonal -k [tan(delta / 2), sin delta] @ mix - sigma
+    sigma: np.ndarray       # u+ L'' u on a set node, 0 on an edge node
+    gain: np.ndarray        # |H[v, parent]| / k, the |u| of the end that links them; 0 at a root
+
+
+def _local_forest(dec: Decomposition) -> _Forest | None:
+    """The ``_TreeCount`` layout of a pair, or None where the count stays dense.
+
+    Ends i and j are coupled where |p_perp_ij| > PATTERN_TOL or |L''_ij| >
+    PATTERN_TOL max(1, max|L''|).  The layout exists when every connected
+    set of coupled ends carries rank (the trace of p_perp on it) at most
+    one, and the graph of the sets of rank one, joined by the edges whose
+    two ends they hold, is a forest: no cycle and no edge with both ends in
+    one set.  Kirchhoff, Neumann, Dirichlet and Robin conditions, and any
+    mix of them vertex by vertex, qualify on a tree; a graph with a cycle,
+    or a pair that couples ends at different vertices, does not.
+    """
+    dim = dec.dim
+    n_edges = dim // 2
+    p, l2 = dec.p_perp, dec.l_dprime
+    coupled = (np.abs(p) > PATTERN_TOL) \
+        | (np.abs(l2) > PATTERN_TOL * max(1.0, float(np.abs(l2).max())))
+    head = list(range(dim))
+
+    def find(i):
+        while head[i] != i:
+            i = head[i]
+        return i
+
+    for i, j in zip(*(ends.tolist() for ends in np.nonzero(np.triu(coupled, 1)))):
+        head[find(i)] = find(j)
+    label = [find(end) for end in range(dim)]
+    weight = np.real(np.diagonal(p)).tolist()
+    rank: dict = {}
+    for root, w in zip(label, weight):
+        rank[root] = rank.get(root, 0.0) + w
+    if max(round(r) for r in rank.values()) > 1:
+        return None
+    sets = {root: c for c, root in enumerate(r for r, w in rank.items() if round(w) == 1)}
+    member = [sets.get(root, -1) for root in label]
+    m = len(sets)
+    # per set, the column of p_perp with the largest diagonal spans it
+    spans = [-1] * m
+    for end, c in enumerate(member):
+        if c >= 0 and (spans[c] < 0 or weight[end] > weight[spans[c]]):
+            spans[c] = end
+    u = p[:, spans] * (np.array(member)[:, None] == np.arange(m)) \
+        / np.sqrt([weight[end] for end in spans])
+    sigma = np.real(np.sum(u.conj() * (l2 @ u), axis=0))
+    # the snap of ``decompose``: rounding noise is no Robin parameter
+    snap = LAMBDA_FLOOR * max(1.0, float(np.max(np.abs(dec.sigma_l), initial=0.0)))
+    sigma[np.abs(sigma) < snap] = 0.0
+    end_of = {end: (c, size) for end, (c, size)
+              in enumerate(zip(member, np.abs(u).sum(axis=1).tolist())) if c >= 0}
+
+    n = m + n_edges
+    links: list = [[] for _ in range(n)]        # (neighbour, |u_end|)
+    head = list(range(n))                       # ``find`` now joins nodes: a cycle check
+    for end, (c, size) in end_of.items():
+        edge = m + end % n_edges
+        if find(c) == find(edge):
+            return None
+        head[find(c)] = find(edge)
+        links[c].append((edge, size))
+        links[edge].append((c, size))
+
+    def bfs(start):
+        seen = {start: (None, 0.0, 0)}          # node -> (parent, |u_end| of the link, depth)
+        order = [start]
+        for v in order:
+            for w, size in links[v]:
+                if w not in seen:
+                    seen[w] = (v, size, seen[v][2] + 1)
+                    order.append(w)
+        return order, seen
+
+    placed: dict = {}
+    for v in range(n):
+        if v not in placed:
+            # the centre of a tree is the middle of a longest path
+            order, seen = bfs(bfs(v)[0][-1])
+            path = [order[-1]]
+            while seen[path[-1]][0] is not None:
+                path.append(seen[path[-1]][0])
+            placed.update(bfs(path[len(path) // 2])[1])
+    nodes = sorted(placed, key=lambda v: placed[v][2])
+    pos = {v: i for i, v in enumerate(nodes)}
+    depth = [placed[v][2] for v in nodes]
+    levels = tuple((depth.index(d), len(depth) - depth[::-1].index(d))
+                   for d in range(depth[-1] + 1))
+
+    mix, sigma_nodes = np.zeros((dim, n)), np.zeros(n)
+    for end, (c, size) in end_of.items():
+        mix[end % n_edges, pos[c]] += size * size
+    parent, gain = np.zeros(n, dtype=int), np.zeros(n)
+    for i, v in enumerate(nodes):
+        if v < m:
+            sigma_nodes[i] = sigma[v]
+        else:
+            mix[n_edges + v - m, i] = 1.0
+        above, size, _ = placed[v]
+        if above is not None:
+            parent[i], gain[i] = pos[above], size
+    ups = []
+    for (lo, hi), (c_lo, c_hi) in zip(levels, levels[1:]):
+        up = np.zeros((c_hi - c_lo, hi - lo))
+        up[np.arange(c_hi - c_lo), parent[c_lo:c_hi] - lo] = 1.0
+        ups.append(up)
+    return _Forest(n_comps=m, levels=levels, ups=tuple(ups), parent=parent, mix=mix,
+                   sigma=sigma_nodes, gain=gain)
+
+
+class _TreeCount:
+    """N(k) of ``_PositiveCount`` for a pair that is local on a forest
+    (``_local_forest``), from the signs of pivots in place of an eigensolve.
+
+    Sylvester's law of inertia lets any basis P of ran B'+ stand for Q:
+    P+ Lambda P - P+ L'' P is congruent to Q+ Lambda Q - diag(sigma).  Here
+    P holds one unit vector u per set of coupled ends of rank one, the
+    range of p_perp on those ends.  Per edge, with n = rint(kl / pi), the
+    reduced argument delta = kl - n pi, t = -k tan(delta / 2) and w =
+    -k sin delta, Lambda(k) is the Schur complement over an edge node of
+
+        [[t, 0, k], [0, t, -(-1)^n k], [k, -(-1)^n k, w]]
+
+    on (a-end, b-end, edge node).  So H(k) has t |u_end|^2 summed over the
+    ends of a set, minus u+ L'' u, on the diagonal at each set node, w at
+    each edge node, and k u_end (times -(-1)^n at a b-end) between an edge
+    node and the set of each of its ends: the pattern of a forest.  w < 0
+    exactly where delta > 0, so as for the full border of
+    ``_PositiveCount``,
+
+        N(k) = sum_e (n_e - 1) + n_-(H(k)),
+
+    with every entry below about k + max|sigma|, also next to a Dirichlet
+    point.  Eliminating each node into its parent, from the leaves to the
+    centre of each tree, makes no fill, and n_-(H) is the number of
+    negative pivots (Jacobs & Trevisan, Linear Algebra Appl. 434, 2011).
+    A pivot within 4 n eps of the sum of the moduli of the terms that
+    formed it (plus eps k) counts as zero, as ``_index`` counts an
+    eigenvalue within its rounding bound, and is replaced by that bound: a
+    zero pivot of a child makes its parent negative and cuts the parent off
+    from the grandparent, as in exact arithmetic.
+
+    On a tree the spectrum of H depends on the link entries through their
+    moduli only (a diagonal of signs is a similarity), so the solves that
+    give the Newton steps and the grid gaps take k |u_end| for each link,
+    with the pivots of the count.  ``evals`` counts the points eliminated
+    by ``m_many`` and ``newton_steps``, ``lu_evals`` those by ``parity``.
+    """
+
+    name = "elimination"
+
+    def __init__(self, sys: SecularSystem):
+        self.forest = f = sys.forest
+        self.lengths = sys.lengths
+        # N(k) = sum_e floor(kl / pi) without a set of rank one: no roots between Dirichlet points
+        self.grid_step = _scan_step(float(np.sum(sys.weights))) if f.n_comps else math.inf
+        n = len(f.sigma)
+        self.round = 4 * n * EPS
+        # start vectors of inverse iteration, b_i = sin(i) as in ``_iteration_start``
+        self.starts = np.sin(np.arange(1.0, 2 * n + 1.0)).reshape(2, n)
+        self.gain_sq, self.two_gain = f.gain ** 2, 2.0 * f.gain
+        # per depth from the deepest: (lo, hi, map of its children into it, None at the deepest)
+        self.sweep = [(*f.levels[d], f.ups[d] if d < len(f.ups) else None)
+                      for d in reversed(range(len(f.levels)))]
+        # solves: (children, parents, map) from the deepest, (children, their parents) back
+        self.rise = [(lo, hi, *f.levels[d], f.ups[d])
+                     for d, (lo, hi) in reversed(list(enumerate(f.levels[1:])))]
+        self.fall = [(lo, hi, f.parent[lo:hi]) for lo, hi in f.levels[1:]]
+        self.evals = self.lu_evals = 0
+
+    def _eliminate(self, k):
+        """(N(k), factors) over points k: pivots from the leaves to the
+        roots, factors = (k, pivots, kl, [tan(delta / 2), sin delta], delta)."""
+        kc = k[:, None]
+        kl = kc * self.lengths
+        turns = np.rint(kl * (1.0 / math.pi))
+        delta = kl - turns * math.pi
+        ends = np.concatenate([np.tan(0.5 * delta), np.sin(delta)], axis=1)
+        pivots = (ends @ self.forest.mix) * -kc - self.forest.sigma
+        slack = self.round * np.abs(pivots) + EPS * kc
+        weight = (kc * kc) * self.gain_sq
+        for lo, hi, up in self.sweep:
+            a, bound = pivots[:, lo:hi], slack[:, lo:hi]
+            if up is not None:
+                a -= terms @ up
+                bound = bound + self.round * (np.abs(terms) @ up)
+            np.copyto(a, bound, where=np.abs(a) <= bound)
+            if lo:                              # the roots, from node 0, feed no parent
+                terms = weight[:, lo:hi] / a
+        counts = (turns.sum(axis=1) + (pivots < 0.0).sum(axis=1)).astype(int) - len(self.lengths)
+        return counts, (k, pivots, kl, ends, delta)
+
+    def _counts(self, ks):
+        """N(k) over ks, SWEEP_BLOCK points per elimination."""
+        counts = np.empty(len(ks), dtype=int)
+        for start in range(0, len(ks), SWEEP_BLOCK):
+            counts[start:start + SWEEP_BLOCK] = self._eliminate(ks[start:start + SWEEP_BLOCK])[0]
+        return counts
+
+    def _solve(self, down, pivots, z):
+        """H^-1 z in place per point, for z of shape (points, vectors,
+        nodes): eliminate towards the roots, then substitute back, with
+        down = |H[v, parent]| / pivot_v."""
+        for lo, hi, p_lo, p_hi, up in self.rise:
+            z[..., p_lo:p_hi] -= (down[..., lo:hi] * z[..., lo:hi]) @ up
+        z /= pivots
+        for lo, hi, above in self.fall:
+            z[..., lo:hi] -= down[..., lo:hi] * z[..., above]
+        return z
+
+    def _iterate(self, factors, starts, steps):
+        """(x, y): steps of inverse iteration at shift 0 from starts, one
+        vector (nodes,) or a stack (vectors, nodes), with the factors of the
+        count; y = H^-1 x is the last step."""
+        k, pivots = factors[:2]
+        down = (k[:, None] * self.forest.gain) / pivots
+        if starts.ndim == 2:
+            down, pivots = down[:, None, :], pivots[:, None, :]
+        y = np.empty((len(k),) + starts.shape)
+        y[...] = starts
+        for _ in range(steps - 1):
+            y = self._solve(down, pivots, y)
+        return y, self._solve(down, pivots, y.copy())
+
+    def _nearest(self, factors):
+        """(mu, v): the eigenvalue of H nearest 0 and its unit vector, from
+        the Rayleigh quotient mu = y+ x / y+ y of two steps x = H^-1 b,
+        y = H^-1 x (``_iteration_start``)."""
+        x, y = self._iterate(factors, self.starts[0], 2)
+        size = (y * y).sum(axis=1)
+        return (x * y).sum(axis=1) / size, y / np.sqrt(size)[:, None]
+
+    def m_many(self, ks):
+        """(N(k), ks) over ks: ``gaps`` takes the points, not eigenvalues."""
+        ks = np.asarray(ks, dtype=float)
+        self.evals += len(ks)
+        return self._counts(ks), ks
+
+    def parity(self, ks):
+        """(-1)^N(k) over ks, from the same elimination as the count."""
+        ks = np.asarray(ks, dtype=float)
+        self.lu_evals += len(ks)
+        return 1 - 2 * (self._counts(ks) % 2)
+
+    def gaps(self, ks):
+        """(ahead, behind) per point: the smallest nonnegative Ritz value of
+        H and the distance of the largest negative one below 0, inf where
+        there is none.  The Ritz values are the two roots theta of
+        det(Y+ X - theta Y+ Y) = 0 for three steps Y = H^-1 X of inverse
+        iteration from two start vectors: one vector finds only the
+        eigenvalue nearest 0, which often lies on the wrong side of 0."""
+        theta = [np.zeros((0, 2))]
+        for start in range(0, len(ks), SWEEP_BLOCK):
+            x, y = self._iterate(self._eliminate(ks[start:start + SWEEP_BLOCK])[1], self.starts, 3)
+            size = np.sqrt((y * y).sum(axis=-1, keepdims=True))
+            x, y = x / size, y / size
+            a, g = y @ np.swapaxes(x, 1, 2), y @ np.swapaxes(y, 1, 2)
+            a11, a12, a22 = a[:, 0, 0], 0.5 * (a[:, 0, 1] + a[:, 1, 0]), a[:, 1, 1]
+            g11, g12, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+            c2, c0 = g11 * g22 - g12 * g12, a11 * a22 - a12 * a12
+            c1 = a11 * g22 + a22 * g11 - 2.0 * a12 * g12
+            big = c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)), c1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta.append(np.stack([2.0 * c0 / big, 0.5 * big / c2], axis=-1))
+        theta = np.concatenate(theta)
+        return (np.min(np.where(theta >= 0.0, theta, np.inf), axis=-1),
+                np.min(np.where(theta < 0.0, -theta, np.inf), axis=-1))
+
+    def newton_steps(self, ks):
+        """(N(k), Newton step) over ks: the step -mu / (v+ H'(k) v) moves the
+        eigenvalue mu of H nearest 0 to 0, v its unit vector (``_nearest``).
+        H' has t' = -tan(delta / 2) - kl / (1 + cos delta) in place of t,
+        w' = -sin delta - kl cos delta in place of w and the link entries
+        over k."""
+        ks = np.asarray(ks, dtype=float)
+        self.evals += len(ks)
+        f = self.forest
+        counts, steps = np.empty(len(ks), dtype=int), np.empty(len(ks))
+        for start in range(0, len(ks), SWEEP_BLOCK):
+            block = slice(start, start + SWEEP_BLOCK)
+            counts[block], factors = self._eliminate(ks[block])
+            _, _, kl, ends, delta = factors
+            mu, v = self._nearest(factors)
+            cos = np.cos(delta)
+            rate = -ends - np.concatenate([kl / (1.0 + cos), kl * cos], axis=1)
+            slope = ((rate @ f.mix) * v + self.two_gain * v[:, f.parent]) * v
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps[block] = -mu / slope.sum(axis=1)
         return counts, steps
 
 
@@ -930,23 +1256,29 @@ def _dirichlet_points(lengths, k_lo: float, k_hi: float, tol: float) -> np.ndarr
 def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     """Locate all roots in (k_lo, k_hi].
 
-    The count (``_CayleyCount`` for the first-order operator,
-    ``_PositiveCount`` for the squared one) is exact at every k, so the grid only seeds
-    brackets: GRID_DENSITY points per mean crossing spacing 2 pi / sum(w).
+    The count is exact at every k, so the grid only seeds brackets:
+    GRID_DENSITY points per mean crossing spacing 2 pi / sum(w).  It is
+    picked once per system: ``_CayleyCount`` for the first-order operator,
+    and for the squared one ``_TreeCount`` where the pair has a forest
+    layout (``SecularSystem.forest``), else ``_PositiveCount``.
     For the squared operator each Dirichlet point p adds the bracket
     (p - tol/2, p + tol/2], and a jump of N across it is a root at p with
     that multiplicity.  Every other step with a jump goes to
     ``_refine_brackets``, with a first Newton iterate interpolated from the
     distances (``gaps``) of the count to its next and last jump.  ``m_lo``, when
     given, replaces the count at k_lo.  All points are evaluated in stacks
-    of at most SCAN_BLOCK matrices.
+    of at most SCAN_BLOCK matrices, or SWEEP_BLOCK points of ``_TreeCount``.
 
     Returns:
         (sorted (k, g) list, stats) with stats the eval counts per stage
         (grid and Dirichlet probes, refinement), the refinement rounds,
-        the roots read off at Dirichlet points and the grid step.
+        the roots read off at Dirichlet points, the grid step and the
+        ``name`` of the count: "cayley", "elimination" or "dense".
     """
-    count = _CayleyCount(sys) if sys.kind == BK else _PositiveCount(sys)
+    if sys.kind == BK:
+        count = _CayleyCount(sys)
+    else:
+        count = _PositiveCount(sys) if sys.forest is None else _TreeCount(sys)
     step = min(count.grid_step, k_hi - k_lo)
     n = max(1, math.ceil((k_hi - k_lo) / step))
     grid = np.minimum(k_lo + step * np.arange(n + 1), k_hi)
@@ -974,29 +1306,30 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
         m_vals = np.concatenate([m_vals[keep], m_probes])[order]
         vals = np.concatenate([vals[keep], vals_probes])[order]
     grid_evals = count.evals
-    ahead, behind = count.gaps(vals)
 
     pole_at = np.full(len(points) - 1, np.nan)       # p of each Dirichlet bracket
     if poles.size:
         pole_at[np.searchsorted(points, p_lo)] = poles
-    with np.errstate(divide="ignore", invalid="ignore"):
-        guesses = points[:-1] + np.diff(points) * ahead[:-1] / (ahead[:-1] + behind[1:])
-    roots, brackets = [], []
-    for i in np.flatnonzero(np.diff(m_vals)):
-        jump = int(m_vals[i + 1] - m_vals[i])
-        if not np.isnan(pole_at[i]):
-            roots.append((float(pole_at[i]), abs(jump)))
-        else:
-            brackets.append((float(points[i]), float(points[i + 1]),
-                             int(m_vals[i]), int(m_vals[i + 1]), float(guesses[i])))
+    steps = np.flatnonzero(np.diff(m_vals))
+    roots = [(float(pole_at[i]), abs(int(m_vals[i + 1] - m_vals[i])))
+             for i in steps if not np.isnan(pole_at[i])]
     pole_roots = len(roots)
+    # gaps only at the two ends of each step that is refined
+    steps = steps[np.isnan(pole_at[steps])]
+    ahead, behind = count.gaps(vals[np.concatenate([steps, steps + 1])])
+    ahead, behind = ahead[:len(steps)], behind[len(steps):]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guesses = points[steps] + (points[steps + 1] - points[steps]) * ahead / (ahead + behind)
+    brackets = [(float(points[i]), float(points[i + 1]), int(m_vals[i]), int(m_vals[i + 1]),
+                 float(guess)) for i, guess in zip(steps, guesses)]
 
     refined, rounds = _refine_brackets(count, brackets, tol)
     return sorted(roots + refined), {
         "grid_evals": grid_evals,
         "refine_evals": count.evals - grid_evals + count.lu_evals,
         "refine_eig_evals": count.evals - grid_evals, "refine_lu_evals": count.lu_evals,
-        "refine_rounds": rounds, "pole_roots": pole_roots, "scan_step": step}
+        "refine_rounds": rounds, "pole_roots": pole_roots, "scan_step": step,
+        "count": count.name}
 
 
 def check_tol(tol: float, k_range) -> None:
@@ -1026,7 +1359,7 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
 
     Roots are the jumps of an integer count that is exact at every k (the
     winding count M(k) of ``_CayleyCount`` for the first-order operator,
-    N(k) of ``_PositiveCount`` for the squared one), found as the module
+    N(k) of ``_TreeCount`` or ``_PositiveCount`` for the squared one), found as the module
     docstring describes: a grid seeds brackets, each Dirichlet point p is
     the bracket (p - tol/2, p + tol/2], and ``_refine_brackets`` takes
     every bracket to its roots with Newton steps, degenerate levels
@@ -1049,8 +1382,10 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
     ``refine_evals``, which splits into ``refine_eig_evals`` (matrices
     eigensolved) and ``refine_lu_evals`` (counts read off one LU);
     ``refine_rounds`` counts refinement rounds,
-    ``pole_roots`` the roots read off at Dirichlet points, and
-    ``scan_step`` is the grid step used.
+    ``pole_roots`` the roots read off at Dirichlet points,
+    ``scan_step`` is the grid step used, and ``count`` names the count:
+    "cayley" (first order), "elimination" (``_TreeCount``) or "dense"
+    (``_PositiveCount``).
     """
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (k_lo < k_hi):

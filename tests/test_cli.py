@@ -68,6 +68,25 @@ class TestSpectrumTask:
         ks = [float(r[1]) for r in rows]
         assert np.allclose(ks, [-2 * math.pi, 0.0, 2 * math.pi], atol=1e-9)
 
+    @pytest.mark.parametrize("operator, graph, boundary, count", [
+        ("bk", RING, {"kind": "ring_phase", "c": 0.25}, "cayley"),
+        ("bk2", EDGE, {"kind": "robin", "rho": 0.7}, "elimination"),
+        ("bk2", {"edges": [{"id": f"e{i}", "a": 1.0, "b": math.exp(1.0 + 0.1 * i),
+                            "from": "c", "to": f"t{i}"} for i in range(3)]},
+         {"kind": "kirchhoff"}, "elimination"),
+        ("bk2", {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "u", "to": "v"},
+                           {"id": "e1", "a": 1.0, "b": math.e ** 2, "from": "v", "to": "u"}]},
+         {"kind": "kirchhoff"}, "dense"),
+    ], ids=["ring-phase", "robin-edge", "kirchhoff-star", "kirchhoff-ring"])
+    def test_spectrum_json_names_the_count(self, tmp_path, operator, graph, boundary, count):
+        # a vertex-local pair on a forest is eliminated, a Kirchhoff cycle is not
+        payload = {"task": "spectrum", "operator": operator, "graph": graph,
+                   "boundary": boundary, "numeric": {"k_min": -5.0 if operator == "bk" else 0.0,
+                                                     "k_max": 5.0}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        assert json.loads((out / "spectrum.json").read_text())["diagnostics"]["count"] == count
+
     def test_idempotent_outputs(self, tmp_path):
         payload = {"task": "spectrum", "operator": "bk2", "graph": EDGE,
                    "boundary": {"kind": "dirichlet"},
@@ -522,12 +541,27 @@ class TestErrorContract:
                        "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
         ("bk2", EDGE, {"kind": "matrices", "A": [[[1, 0], [0]], [[0, 0], [1, 0]]],
                        "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        ("bk2", {"edges": [dict(EDGE["edges"][0], a="1.0")]}, {"kind": "dirichlet"}),
+        ("bk2", {"edges": [dict(EDGE["edges"][0], b="2.5")]}, {"kind": "dirichlet"}),
+        ("bk2", {"edges": [dict(EDGE["edges"][0], a=True)]}, {"kind": "dirichlet"}),
+        ("bk2", dict(EDGE, directed="no"), {"kind": "dirichlet"}),
+        ("bk2", dict(EDGE, directed=0), {"kind": "dirichlet"}),
     ], ids=["edges-int", "edges-string", "rho-string", "rho-mixed", "rho-length", "rho-nested",
             "rho-inf", "rho-bool", "c-string", "c-none", "matrices-string", "matrices-inf",
-            "matrices-ragged"])
+            "matrices-ragged", "a-string", "b-string", "a-bool", "directed-string",
+            "directed-int"])
     def test_malformed_graph_or_boundary_entry(self, tmp_path, operator, graph, boundary):
         payload = {"task": "spectrum", "operator": operator, "graph": graph,
                    "boundary": boundary, "numeric": {"k_min": 0.0, "k_max": 5.0}}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
+    @pytest.mark.parametrize("t_values", [[1e400], [1.0, 1e400]])
+    def test_non_finite_heat_trace_time(self, tmp_path, t_values):
+        # 1e400 parses as infinity; the heat trace used to divide by zero (exit 4)
+        payload = {"task": "heat-trace", "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"}, "numeric": {"t_values": t_values}}
         code, err = self.run_main(tmp_path, payload)
         assert code == cli.EXIT_VALIDATION == 3
         assert err["code"] == "VALIDATION_ERROR"

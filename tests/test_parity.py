@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import (KDEP_FAMILIES, eigensolve_spectrum, random_graph, random_kdep_spec,
-                  random_unitary)
+from util import (KDEP_FAMILIES, dense_count, eigensolve_spectrum, random_graph,
+                  random_kdep_spec, random_unitary)
 
 EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -132,10 +132,14 @@ def test_hermitian_parity_next_to_roots_and_poles(seed, n_edges, family):
     kirchhoff_star(3), kirchhoff_star(6), kirchhoff_star(3, equal=True),
 ], ids=["fo2", "fo4", "fo6", "fo3-minus-one", "star3", "star6", "star3-equal"])
 def test_roots_match_eigensolve_path(sys_):
+    # the squared-operator systems run the dense count, whose LU parity
+    # this checks against its eigensolves
     tol = 1e-10
     window = (-15.0, 15.0) if sys_.kind == xg.BK else (0.0, 15.0)
-    sp = xg.find_spectrum(sys_, window, tol=tol)
-    oracle = eigensolve_spectrum(sys_, window, tol)
+    with dense_count():
+        sp = xg.find_spectrum(sys_, window, tol=tol)
+        oracle = eigensolve_spectrum(sys_, window, tol)
+    assert sp.diagnostics["count"] == ("cayley" if sys_.kind == xg.BK else "dense")
     assert [g for _, g in sp.eigenvalues] == [g for _, g in oracle.eigenvalues]
     assert np.max(np.abs(sp.wavenumbers - oracle.wavenumbers)) <= tol
     d, d_ref = sp.diagnostics, oracle.diagnostics
@@ -171,9 +175,12 @@ def test_split_at_converged_iterate_returns_the_iterate():
     # a bracket holding three levels splits at a Newton iterate that sits on
     # the level near 0.9995; the part above it used to close by bisection
     # and report its midpoint, 4.9e-11 off; the count bisection that places
-    # the level is itself good to about 1e-14 (eigvalsh rounding)
+    # the level is itself good to about 1e-14 (eigvalsh rounding).  The
+    # solve runs the dense count, whose Newton vectors resolve the cluster
     sys_ = star_of_seed_53()
-    sp = xg.find_spectrum(sys_, (0.0, 20.0), tol=1e-10)
+    with dense_count():
+        sp = xg.find_spectrum(sys_, (0.0, 20.0), tol=1e-10)
+    assert sp.diagnostics["count"] == "dense"
     count = spectra._PositiveCount(sys_)
     lo, hi = 0.99952471354, 0.99952471356
     n_lo = count.m_many([lo])[0][0]

@@ -1,7 +1,8 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the eigenphase winding count of a constant
 bond matrix, the eigenphase scan of the positive axis and its bisection,
-the eigensolve-only spectrum solve, the phase and end-swap matrices T(k)
+the eigensolve-only spectrum solve, the switch to the dense squared-operator
+count, the phase and end-swap matrices T(k)
 and J0, the sign-change search of the
 negative axis, the two-probe zero-mode count, the walk-based orbit
 enumeration, the orbit-by-orbit trace sums, a test function tabulated on
@@ -217,6 +218,12 @@ def eigensolve_spectrum(sys, k_range, tol: float):
     with mock.patch.object(spectra._CayleyCount, "parity", _unresolved_parity), \
             mock.patch.object(spectra._HermitianCount, "parity", _unresolved_parity):
         return xg.find_spectrum(sys, k_range, tol)
+
+
+def dense_count():
+    """A context in which every squared-operator scan takes the dense
+    ``_PositiveCount``: no system has a forest layout."""
+    return mock.patch.object(spectra.SecularSystem, "forest", property(lambda self: None))
 
 
 def swap_matrix(n_edges: int) -> np.ndarray:
