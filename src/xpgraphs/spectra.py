@@ -870,7 +870,9 @@ class _TreeCount:
     moduli only (a diagonal of signs is a similarity), so the solves that
     give the Newton steps and the grid gaps take k |u_end| for each link,
     with the pivots of the count.  ``evals`` counts the points eliminated
-    by ``m_many`` and ``newton_steps``, ``lu_evals`` those by ``parity``.
+    by ``m_many`` and ``newton_steps``, ``lu_evals`` those by ``parity``;
+    ``gaps`` solves with the pivots that ``m_many`` returns and eliminates
+    nothing.
     """
 
     name = "elimination"
@@ -917,11 +919,15 @@ class _TreeCount:
         return counts, (k, pivots, kl, ends, delta)
 
     def _counts(self, ks):
-        """N(k) over ks, SWEEP_BLOCK points per elimination."""
+        """(N(k), [k, pivots]) over ks, SWEEP_BLOCK points per elimination."""
         counts = np.empty(len(ks), dtype=int)
+        pivots = np.empty((len(ks), 1 + len(self.forest.sigma)))
+        pivots[:, 0] = ks
         for start in range(0, len(ks), SWEEP_BLOCK):
-            counts[start:start + SWEEP_BLOCK] = self._eliminate(ks[start:start + SWEEP_BLOCK])[0]
-        return counts
+            block = slice(start, start + SWEEP_BLOCK)
+            counts[block], factors = self._eliminate(ks[block])
+            pivots[block, 1:] = factors[1]
+        return counts, pivots
 
     def _solve(self, down, pivots, z):
         """H^-1 z in place per point, for z of shape (points, vectors,
@@ -957,27 +963,28 @@ class _TreeCount:
         return (x * y).sum(axis=1) / size, y / np.sqrt(size)[:, None]
 
     def m_many(self, ks):
-        """(N(k), ks) over ks: ``gaps`` takes the points, not eigenvalues."""
+        """(N(k), [k, pivots]) over ks: ``gaps`` takes the pivots, not eigenvalues."""
         ks = np.asarray(ks, dtype=float)
         self.evals += len(ks)
-        return self._counts(ks), ks
+        return self._counts(ks)
 
     def parity(self, ks):
         """(-1)^N(k) over ks, from the same elimination as the count."""
         ks = np.asarray(ks, dtype=float)
         self.lu_evals += len(ks)
-        return 1 - 2 * (self._counts(ks) % 2)
+        return 1 - 2 * (self._counts(ks)[0] % 2)
 
-    def gaps(self, ks):
-        """(ahead, behind) per point: the smallest nonnegative Ritz value of
-        H and the distance of the largest negative one below 0, inf where
-        there is none.  The Ritz values are the two roots theta of
-        det(Y+ X - theta Y+ Y) = 0 for three steps Y = H^-1 X of inverse
-        iteration from two start vectors: one vector finds only the
-        eigenvalue nearest 0, which often lies on the wrong side of 0."""
+    def gaps(self, vals):
+        """(ahead, behind) per row [k, pivots] of ``m_many``: the smallest
+        nonnegative Ritz value of H and the distance of the largest negative
+        one below 0, inf where there is none.  The Ritz values are the two
+        roots theta of det(Y+ X - theta Y+ Y) = 0 for three steps Y = H^-1 X
+        of inverse iteration from two start vectors: one vector finds only
+        the eigenvalue nearest 0, which often lies on the wrong side of 0."""
         theta = [np.zeros((0, 2))]
-        for start in range(0, len(ks), SWEEP_BLOCK):
-            x, y = self._iterate(self._eliminate(ks[start:start + SWEEP_BLOCK])[1], self.starts, 3)
+        for start in range(0, len(vals), SWEEP_BLOCK):
+            block = vals[start:start + SWEEP_BLOCK]
+            x, y = self._iterate((block[:, 0], block[:, 1:]), self.starts, 3)
             size = np.sqrt((y * y).sum(axis=-1, keepdims=True))
             x, y = x / size, y / size
             a, g = y @ np.swapaxes(x, 1, 2), y @ np.swapaxes(y, 1, 2)
@@ -1105,8 +1112,10 @@ def _refine_brackets(count, brackets, tol: float):
     at k* -+ tol/2 around the new iterate k*.  If the whole jump g =
     |M(hi) - M(lo)| lies between the two, the root is certified g-fold
     within tol/2 of k*, and k* is returned clamped into the bracket;
-    otherwise the up to three sub-brackets go on.  A bracket no wider than
-    tol is a root at its midpoint, of multiplicity g.
+    otherwise the up to three sub-brackets go on, except one whose two
+    ends lie within tol/2 of k*: its jump is certified within tol/2 of k*,
+    and k* is returned clamped into it.  A bracket no wider than tol is a
+    root at its midpoint, of multiplicity g.
 
     In a simple bracket (g = 1) the count is M(lo) or M(hi), and the two
     differ in parity: every point of a simple bracket that the round counts
@@ -1213,8 +1222,12 @@ def _refine_brackets(count, brackets, tol: float):
                 if any(m != it.mlo and m != it.mhi for _, m in probes):
                     ends = [it.lo, *(x for x, _ in probes), it.hi]
                     ms = [it.mlo, *(m for _, m in probes), it.mhi]
-                    for i in range(len(ends) - 1):
-                        admit(ends[i], ends[i + 1], ms[i], ms[i + 1], it.k, it.steps)
+                    for lo, hi, mlo, mhi in zip(ends, ends[1:], ms, ms[1:]):
+                        if mlo != mhi and lo >= it.k - half and hi <= it.k + half:
+                            # the part around k* places its levels within tol/2 of k*
+                            roots.append((min(max(it.k, lo), hi), abs(mhi - mlo)))
+                        else:
+                            admit(lo, hi, mlo, mhi, it.k, it.steps)
                     continue
                 for x, m in probes:
                     if m == it.mlo:

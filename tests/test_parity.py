@@ -12,6 +12,7 @@ point returned at the converged Newton iterate; and the smallest tol a
 window admits.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -171,18 +172,9 @@ def star_of_seed_53():
     return squared(xg.standard_bc("kirchhoff", g), g)
 
 
-def test_split_at_converged_iterate_returns_the_iterate():
-    # a bracket holding three levels splits at a Newton iterate that sits on
-    # the level near 0.9995; the part above it used to close by bisection
-    # and report its midpoint, 4.9e-11 off; the count bisection that places
-    # the level is itself good to about 1e-14 (eigvalsh rounding).  The
-    # solve runs the dense count, whose Newton vectors resolve the cluster
-    sys_ = star_of_seed_53()
-    with dense_count():
-        sp = xg.find_spectrum(sys_, (0.0, 20.0), tol=1e-10)
-    assert sp.diagnostics["count"] == "dense"
-    count = spectra._PositiveCount(sys_)
-    lo, hi = 0.99952471354, 0.99952471356
+def level_by_bisection(count, lo=0.99952471354, hi=0.99952471356):
+    """The level in (lo, hi], bisected on ``count`` (by default the level
+    of the seed-53 star near 0.9995)."""
     n_lo = count.m_many([lo])[0][0]
     while hi - lo > 2e-16 * hi:
         mid = 0.5 * (lo + hi)
@@ -190,8 +182,44 @@ def test_split_at_converged_iterate_returns_the_iterate():
             lo = mid
         else:
             hi = mid
+    return hi
+
+
+def test_split_at_converged_iterate_returns_the_iterate():
+    # a bracket holding three levels splits at a Newton iterate that sits on
+    # the level near 0.9995; the part above it used to close by bisection
+    # and report its midpoint, 4.9e-11 off; the count bisection that places
+    # the level is itself good to about 1e-14 (eigvalsh rounding)
+    sys_ = star_of_seed_53()
+    sp = xg.find_spectrum(sys_, (0.0, 20.0), tol=1e-10)
+    assert sp.diagnostics["count"] == "elimination"
+    hi = level_by_bisection(spectra._PositiveCount(sys_))
     k = min(sp.wavenumbers, key=lambda x: abs(x - hi))
     assert abs(k - hi) <= 1e-13
+
+
+SEED_1_LEVEL = (kirchhoff_star(10, seed=1), (0.0, 25.0), (23.3490129868, 23.349012987))
+
+
+@pytest.mark.parametrize("sys_, window, level, count", [
+    (star_of_seed_53(), (0.0, 20.0), (0.99952471354, 0.99952471356), "dense"),
+    (*SEED_1_LEVEL, "elimination"), (*SEED_1_LEVEL, "dense"),
+], ids=["star10-seed53-dense", "star10-seed1", "star10-seed1-dense"])
+def test_certificate_split_returns_the_iterate(sys_, window, level, count):
+    # a certificate point k* - tol/2 that splits a bracket whose top lies
+    # below k* + tol/2 leaves the level within tol/2 of the converged
+    # iterate k*; that part used to close at its midpoint (2.5e-11 off on
+    # the seed-1 star, with either count); the seed-53 level of the test
+    # above, on the dense count
+    with contextlib.ExitStack() as stack:
+        if count == "dense":
+            stack.enter_context(dense_count())
+        sp = xg.find_spectrum(sys_, window, tol=1e-10)
+    assert sp.diagnostics["count"] == count
+    hi = level_by_bisection(spectra._PositiveCount(sys_), *level)
+    k = min(sp.wavenumbers, key=lambda x: abs(x - hi))
+    assert abs(k - hi) <= 1e-13
+    assert abs(level_by_bisection(spectra._TreeCount(sys_), *level) - hi) <= 1e-13
 
 
 @pytest.mark.parametrize("k_range, tol", [
