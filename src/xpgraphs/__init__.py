@@ -43,7 +43,6 @@ from .graph import (
     orbit_amplitude,
 )
 from .halfline import (
-    HalflineState,
     evolve_bk,
     fermi_amplitude_closed,
     fermi_packet,

@@ -31,9 +31,6 @@ from .errors import (
 )
 from .graph import MetricEdge, MetricGraph
 
-_TASKS = ("validate", "spectrum", "weyl", "trace-check", "heat-trace",
-          "halfline-demo", "counting-compare")
-
 _VALIDATION_ERRORS = (ValidationError, GraphError, HermiticityViolation,
                       RankDeficient, RankAmbiguous)
 
@@ -41,6 +38,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_COMPUTE = 4
+
+#: largest numeric.n_k: a grid of 10**6 points takes about 7 s and 0.5 GB
+N_K_MAX = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,9 @@ def serialize(config: JobConfig) -> str:
 def parse(text: str) -> JobConfig:
     """Parse and validate a job document.
 
+    Every numeric option present passes its check of ``_OPTIONS``; a key
+    the table does not name is refused.
+
     Raises:
         ParseError: not JSON, or structurally not a job.
         ValidationError: fields present but semantically invalid.
@@ -89,69 +92,95 @@ def parse(text: str) -> JobConfig:
     config = JobConfig(task=raw["task"], operator=raw.get("operator", "bk2"),
                        graph=raw.get("graph"), boundary=raw.get("boundary"),
                        numeric=raw.get("numeric", {}))
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: JobConfig) -> None:
-    if config.task not in _TASKS:
-        raise ValidationError(f"unknown task {config.task!r}; expected one of {_TASKS}")
+    if not isinstance(config.task, str) or config.task not in _TASKS:
+        raise ValidationError(f"unknown task {config.task!r}; expected one of {tuple(_TASKS)}")
     if config.operator not in (extensions.BK, extensions.BK2):
         raise ValidationError(f"operator must be 'bk' or 'bk2', got {config.operator!r}")
     if not isinstance(config.numeric, dict):
         raise ValidationError("'numeric' must be an object")
+    _, parts, required = _TASKS[config.task]
+    for part, name in (("graph", "a graph"), ("boundary", "a boundary condition")):
+        value = getattr(config, part)
+        if part in parts and not value:
+            raise ValidationError(f"task {config.task!r} needs {name}")
+        if value is not None and not isinstance(value, dict):
+            raise ValidationError(f"{part} must be an object")
 
-    needs_graph = config.task not in ("halfline-demo",)
-    if needs_graph and not config.graph:
-        raise ValidationError(f"task {config.task!r} needs a graph")
-    needs_boundary = config.task in ("validate", "spectrum", "weyl",
-                                     "trace-check", "counting-compare")
-    if needs_boundary and not config.boundary:
-        raise ValidationError(f"task {config.task!r} needs a boundary condition")
-
-    num = config.numeric
-    for key in ("k_min", "k_max", "tol", "orbit_cutoff", "kappa_max", "k_grid_max"):
-        if key in num and not _is_number(num[key]):
-            raise ValidationError(f"numeric.{key} must be a number")
+    unknown = sorted(set(config.numeric) - set(_OPTIONS))
+    if unknown:
+        raise ValidationError(f"unknown numeric keys {unknown}; known: {sorted(_OPTIONS)}")
+    num = {key: _option(config, key) for key in config.numeric}
     if "tol" in num:
         spectra.check_tol(num["tol"], [num[key] for key in ("k_min", "k_max") if key in num])
-    if "side" in num:
-        # only a Weyl fit refuses two_sided counting of the squared operator
-        spectra.check_side(num["side"], config.operator if config.task == "weyl"
-                           else extensions.BK)
-    if "orbit_cutoff" in num and not 0 < num["orbit_cutoff"] < math.inf:
-        raise ValidationError("numeric.orbit_cutoff must be positive and finite")
     if "k_min" in num and "k_max" in num and not num["k_min"] < num["k_max"]:
         raise ValidationError("need numeric.k_min < numeric.k_max")
-    if "t_values" in num:
-        ts = num["t_values"]
-        if (not isinstance(ts, list) or not ts
-                or any(not _is_number(t) or not 0 < t < math.inf for t in ts)):
-            raise ValidationError(
-                "numeric.t_values must be a nonempty list of positive finite numbers")
-    if config.task in ("spectrum", "weyl", "counting-compare"):
-        if "k_min" not in num or "k_max" not in num:
-            raise ValidationError(f"task {config.task!r} needs numeric.k_min and numeric.k_max")
+    if config.task == "weyl" and "side" in num:
+        # only a Weyl fit refuses two_sided counting of the squared operator
+        spectra.check_side(num["side"], config.operator)
+    if any(key not in num for key in required):
+        raise ValidationError(f"task {config.task!r} needs "
+                              + " and ".join(f"numeric.{key}" for key in required))
+    return config
 
 
-def _is_number(value) -> bool:
-    """A JSON number; booleans are ints in Python but not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# ---------------------------------------------------------------------------
+# Numeric options: one check and one default each
+# ---------------------------------------------------------------------------
+
+def _number(name: str, value) -> float:
+    """A finite JSON number as a float.  Booleans are ints in Python but
+    not numbers here, and json.loads accepts NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
-def _numeric(config: JobConfig, key: str, default=None, kind=float):
-    """numeric.<key> (or ``default`` when absent) as a ``kind``.
+def _positive(name: str, value) -> float:
+    if not _number(name, value) > 0.0:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
-    Raises:
-        ValidationError: the value is not a JSON number (a string or a
-            boolean), or a count (``kind=int``) is not a whole number.
-    """
-    value = config.numeric.get(key, default)
-    if not _is_number(value):
-        raise ValidationError(f"numeric.{key} must be a number, got {value!r}")
-    if kind is int and not (math.isfinite(value) and value == math.floor(value)):
-        raise ValidationError(f"numeric.{key} must be a whole number, got {value!r}")
-    return kind(value)
+
+def _count(name: str, value) -> int:
+    n = _number(name, value)
+    if n != math.floor(n) or not 0 <= n <= N_K_MAX:
+        raise ValidationError(f"{name} must be a whole number in [0, {N_K_MAX}], got {value!r}")
+    return int(n)
+
+
+def _times(name: str, value) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{name} must be a nonempty list of positive finite numbers")
+    return [_positive(name, t) for t in value]
+
+
+def _side(name: str, value) -> str:
+    spectra.check_side(value, extensions.BK)
+    return value
+
+
+#: numeric option -> (check that converts it, default when absent); the
+#: defaults of t_values (per task) and side (per operator) are set where read
+_OPTIONS = {
+    "k_min": (_number, None),
+    "k_max": (_number, None),
+    "k_grid_max": (_number, 30.0),
+    "k_start": (_number, 50.0),
+    "tol": (_positive, spectra.DEFAULT_TOL),
+    "kappa_max": (_positive, None),
+    "orbit_cutoff": (_positive, None),
+    "n_k": (_count, 1201),
+    "t_values": (_times, None),
+    "side": (_side, None),
+}
+
+
+def _option(config: JobConfig, key: str):
+    """numeric.<key> through its check, or its default when absent."""
+    check, default = _OPTIONS[key]
+    return check(f"numeric.{key}", config.numeric[key]) if key in config.numeric else default
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +196,10 @@ def build_graph(config: JobConfig) -> MetricGraph:
         raise ValidationError(f"graph.directed must be true or false, got {directed!r}")
     edges = []
     for i, e in enumerate(gd["edges"]):
-        ends = (e.get("a"), e.get("b")) if isinstance(e, dict) else (None, None)
-        if not all(_is_number(x) and math.isfinite(x) for x in ends):
-            raise ValidationError(f"edge {i}: 'a' and 'b' must be finite numbers")
-        edges.append(MetricEdge(id=str(e.get("id", f"e{i}")), a=float(ends[0]), b=float(ends[1]),
+        if not isinstance(e, dict):
+            raise ValidationError(f"graph.edges[{i}] must be an object, got {e!r}")
+        a, b = (_number(f"graph.edges[{i}].{end}", e.get(end)) for end in ("a", "b"))
+        edges.append(MetricEdge(id=str(e.get("id", f"e{i}")), a=a, b=b,
                                 start=str(e.get("from", f"v{i}")), end=str(e.get("to", f"v{i}"))))
     return MetricGraph(edges=tuple(edges), directed=directed)
 
@@ -179,8 +208,7 @@ def _matrix_from_pairs(data, dim: int, name: str) -> np.ndarray:
     arr = extensions.finite_reals(data, name)
     if arr.shape != (dim, dim, 2):
         raise ValidationError(
-            f"{name} must be a {dim}x{dim} matrix of [re, im] pairs, got shape {arr.shape}"
-        )
+            f"{name} must be a {dim}x{dim} matrix of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -239,13 +267,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _task_validate(config, out_dir):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
-    report = {
-        "valid": True,
-        "operator": spec.kind,
-        "matrix_size": spec.m,
-        "graph_connected": graph.is_connected(),
-        "total_length": graph.total_length,
-    }
+    report = {"valid": True, "operator": spec.kind, "matrix_size": spec.m,
+              "graph_connected": graph.is_connected(), "total_length": graph.total_length}
     if dec is None:
         s = extensions.s_matrix_bk(spec)
         report["s_unitarity_defect"] = float(np.max(np.abs(
@@ -258,26 +281,27 @@ def _task_validate(config, out_dir):
     _write_json(out_dir / "report.json", report)
 
 
-def _spectrum_from_config(config, graph, sys_):
-    num = config.numeric
-    k_range = (_numeric(config, "k_min"), _numeric(config, "k_max"))
-    spectrum = spectra.find_spectrum(sys_, k_range, tol=_numeric(config, "tol", 1e-10))
-    if num.get("kappa_max") and sys_.kind == extensions.BK2:
-        negative = spectra.find_negative_eigenvalues(sys_, _numeric(config, "kappa_max"))
+def _solve(config):
+    """(graph, spectrum) of the document, bound states up to numeric.kappa_max
+    included for the squared operator."""
+    graph = build_graph(config)
+    sys_, _, _ = build_system(config, graph)
+    k_range = (_option(config, "k_min"), _option(config, "k_max"))
+    spectrum = spectra.find_spectrum(sys_, k_range, tol=_option(config, "tol"))
+    kappa_max = _option(config, "kappa_max")
+    if kappa_max is not None and sys_.kind == extensions.BK2:
+        negative = spectra.find_negative_eigenvalues(sys_, kappa_max)
         spectrum = dataclasses.replace(spectrum, negative=tuple(negative))
-    return spectrum
+    return graph, spectrum
 
 
 def _write_spectrum(out_dir, spectrum):
     rows = [(n, k, g) for n, (k, g) in enumerate(spectrum.eigenvalues)]
     _write_csv(out_dir / "spectrum.csv", ("n", "k_n", "g_n"), rows)
-    payload = {
-        "kind": spectrum.kind,
-        "k_window": list(spectrum.k_window),
-        "n_eigenvalues": spectrum.total_count,
-        "diagnostics": {k: (float(v) if isinstance(v, float) else v)
-                        for k, v in spectrum.diagnostics.items()},
-    }
+    payload = {"kind": spectrum.kind, "k_window": list(spectrum.k_window),
+               "n_eigenvalues": spectrum.total_count,
+               "diagnostics": {k: (float(v) if isinstance(v, float) else v)
+                               for k, v in spectrum.diagnostics.items()}}
     if spectrum.zero_mode is not None:
         payload["zero_mode"] = {"g0": spectrum.zero_mode[0], "N": spectrum.zero_mode[1]}
     if spectrum.negative:
@@ -287,48 +311,36 @@ def _write_spectrum(out_dir, spectrum):
 
 
 def _task_spectrum(config, out_dir):
-    graph = build_graph(config)
-    sys_, _, _ = build_system(config, graph)
-    spectrum = _spectrum_from_config(config, graph, sys_)
-    _write_spectrum(out_dir, spectrum)
+    _write_spectrum(out_dir, _solve(config)[1])
 
 
 def _task_weyl(config, out_dir):
-    graph = build_graph(config)
-    sys_, _, _ = build_system(config, graph)
-    spectrum = _spectrum_from_config(config, graph, sys_)
-    side = config.numeric.get("side", "positive")
-    fit = spectra.weyl_fit(spectrum, graph, side=side)
+    graph, spectrum = _solve(config)
+    fit = spectra.weyl_fit(spectrum, graph, side=_option(config, "side") or "positive")
     _write_spectrum(out_dir, spectrum)
     _write_json(out_dir / "weyl.json", {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "side": fit.side,
-        "expected_slope": fit.expected_slope,
-        "weyl_slope": graph.total_length / math.pi,
-        "rel_error_vs_weyl": fit.rel_error_vs_weyl,
-        "n_points": fit.n_points,
-    })
+        "slope": fit.slope, "intercept": fit.intercept, "side": fit.side,
+        "expected_slope": fit.expected_slope, "weyl_slope": graph.total_length / math.pi,
+        "rel_error_vs_weyl": fit.rel_error_vs_weyl, "n_points": fit.n_points})
 
 
 def _task_trace_check(config, out_dir):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
-    t_values = config.numeric.get("t_values", [0.1, 1.0])
-    cutoff = config.numeric.get("orbit_cutoff")
-    tol = _numeric(config, "tol", 1e-10)
+    cutoff, tol = _option(config, "orbit_cutoff"), _option(config, "tol")
     reports = []
-    for t in t_values:
-        h = traces.gaussian(float(t))
-        k_top = math.sqrt(math.log(1e14) / float(t))
+    for t in _option(config, "t_values") or [0.1, 1.0]:
+        h = traces.gaussian(t)
+        k_top = math.sqrt(math.log(1e14) / t)
+        # the geometric side first: its size bounds refuse a t before the solve
         if spec.kind == extensions.BK:
-            spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), tol=tol)
             report = traces.trace_rhs_bk(graph, sys_.s_bk, h, orbit_cutoff=cutoff)
+            spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), tol=tol)
         else:
-            spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol)
             report = traces.trace_rhs_bk2(graph, dec, h, orbit_cutoff=cutoff)
+            spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol)
         lhs, tail = traces.trace_lhs(spectrum, h, graph.total_length)
-        reports.append((float(t), report.with_lhs(lhs, tail)))
+        reports.append((t, report.with_lhs(lhs, tail)))
     _write_csv(out_dir / "trace.csv", ("t", "lhs", "rhs_total", "discrepancy"),
                [(t, r.lhs, r.rhs_total, r.discrepancy) for t, r in reports])
     _write_json(out_dir / "trace.json",
@@ -339,12 +351,11 @@ def _task_heat_trace(config, out_dir):
     graph = build_graph(config)
     if config.boundary and config.boundary.get("kind") != "dirichlet":
         raise ValidationError("heat-trace compares the single-edge Dirichlet system")
-    t_values = config.numeric.get("t_values", [0.01, 0.1, 1.0, 10.0])
     rows = []
     max_diff = 0.0
-    for t in t_values:
-        pair = traces.heat_trace_pair(graph, float(t))
-        rows.append((float(t), pair.spectral, pair.theta, pair.difference))
+    for t in _option(config, "t_values") or [0.01, 0.1, 1.0, 10.0]:
+        pair = traces.heat_trace_pair(graph, t)
+        rows.append((t, pair.spectral, pair.theta, pair.difference))
         max_diff = max(max_diff, pair.difference)
     _write_csv(out_dir / "heat_trace.csv", ("t", "spectral", "theta", "abs_diff"), rows)
     _write_json(out_dir / "heat_trace.json",
@@ -352,8 +363,7 @@ def _task_heat_trace(config, out_dir):
 
 
 def _task_halfline_demo(config, out_dir):
-    k_max = _numeric(config, "k_grid_max", 30.0)
-    n_k = _numeric(config, "n_k", 1201, kind=int)
+    k_max, n_k = _option(config, "k_grid_max"), _option(config, "n_k")
     ks = np.linspace(-k_max, k_max, n_k)
     amps = halfline.fermi_amplitude_closed(ks)
     mags = np.abs(amps) ** 2
@@ -369,33 +379,26 @@ def _task_halfline_demo(config, out_dir):
 
 
 def _task_counting_compare(config, out_dir):
-    graph = build_graph(config)
-    sys_, spec, _ = build_system(config, graph)
-    spectrum = _spectrum_from_config(config, graph, sys_)
-    side = config.numeric.get("side",
-                              "two_sided" if spec.kind == extensions.BK else "positive")
-    k_start = _numeric(config, "k_start", 50.0)
-    rows, monotone = traces.counting_comparison(spectrum, graph,
-                                                k_start=k_start, side=side)
-    _write_csv(out_dir / "counting.csv",
-               ("k", "n_graph", "n_riemann", "ratio"), rows)
+    graph, spectrum = _solve(config)
+    side = _option(config, "side") or ("two_sided" if spectrum.kind == extensions.BK
+                                       else "positive")
+    k_start = _option(config, "k_start")
+    rows, monotone = traces.counting_comparison(spectrum, graph, k_start=k_start, side=side)
+    _write_csv(out_dir / "counting.csv", ("k", "n_graph", "n_riemann", "ratio"), rows)
     _write_json(out_dir / "counting.json", {
-        "ratio_monotone_decreasing": monotone,
-        "side": side,
-        "k_start": k_start,
-        "first_ratio": rows[0][3],
-        "last_ratio": rows[-1][3],
-    })
+        "ratio_monotone_decreasing": monotone, "side": side, "k_start": k_start,
+        "first_ratio": rows[0][3], "last_ratio": rows[-1][3]})
 
 
-_RUNNERS = {
-    "validate": _task_validate,
-    "spectrum": _task_spectrum,
-    "weyl": _task_weyl,
-    "trace-check": _task_trace_check,
-    "heat-trace": _task_heat_trace,
-    "halfline-demo": _task_halfline_demo,
-    "counting-compare": _task_counting_compare,
+#: task -> (runner, document parts it needs, numeric options it requires)
+_TASKS = {
+    "validate": (_task_validate, ("graph", "boundary"), ()),
+    "spectrum": (_task_spectrum, ("graph", "boundary"), ("k_min", "k_max")),
+    "weyl": (_task_weyl, ("graph", "boundary"), ("k_min", "k_max")),
+    "trace-check": (_task_trace_check, ("graph", "boundary"), ()),
+    "heat-trace": (_task_heat_trace, ("graph",), ()),
+    "halfline-demo": (_task_halfline_demo, (), ()),
+    "counting-compare": (_task_counting_compare, ("graph", "boundary"), ("k_min", "k_max")),
 }
 
 
@@ -404,26 +407,27 @@ def run(config: JobConfig, out_dir) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        _RUNNERS[config.task](config, out_dir)
-        return EXIT_OK
-    except _VALIDATION_ERRORS as exc:
-        _write_error(out_dir, exc)
-        return EXIT_VALIDATION
+        _TASKS[config.task][0](config, out_dir)
     except XpGraphsError as exc:
-        _write_error(out_dir, exc)
-        return EXIT_COMPUTE
+        return _fail(out_dir, exc)
     except Exception as exc:  # keep the exit-code contract for unforeseen failures
         import traceback  # imported here: only this rare path needs it
 
         traceback.print_exc(file=sys.stderr)
-        _write_error(out_dir, ComputeError(f"{type(exc).__name__}: {exc}"))
-        return EXIT_COMPUTE
+        return _fail(out_dir, ComputeError(f"{type(exc).__name__}: {exc}"))
+    return EXIT_OK
 
 
-def _write_error(out_dir: Path, exc: XpGraphsError) -> None:
+def _fail(out_dir: Path, exc: XpGraphsError) -> int:
+    """Write error.json for exc into out_dir, made if missing, and return
+    the exit code of its class."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"error": {"code": exc.code, "message": str(exc)}}
     _write_json(out_dir / "error.json", payload)
     print(json.dumps(payload), file=sys.stderr)
+    if isinstance(exc, ParseError):
+        return EXIT_PARSE
+    return EXIT_VALIDATION if isinstance(exc, _VALIDATION_ERRORS) else EXIT_COMPUTE
 
 
 #: built once per process; parse_args keeps no state between calls
@@ -439,26 +443,13 @@ _PARSER.add_argument("--threads", type=int, default=1,
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-
-    out_dir = Path(args.out)
     try:
-        text = Path(args.config).read_text()
+        config = parse(Path(args.config).read_text())
     except OSError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_error(out_dir, ParseError(f"cannot read config: {exc}"))
-        return EXIT_PARSE
-    try:
-        config = parse(text)
-    except ParseError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_error(out_dir, exc)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_error(out_dir, exc)
-        return EXIT_VALIDATION
-
-    return run(config, out_dir)
+        return _fail(Path(args.out), ParseError(f"cannot read config: {exc}"))
+    except XpGraphsError as exc:
+        return _fail(Path(args.out), exc)
+    return run(config, Path(args.out))
 
 
 if __name__ == "__main__":

@@ -51,8 +51,9 @@ class ToleranceTooCoarse(XpGraphsError):
 
 
 class RangeExceeded(XpGraphsError):
-    """Counting function outside the computed spectral window, or the
-    half-line amplitude beyond ``halfline.AMPLITUDE_K_MAX``."""
+    """Counting function outside the computed spectral window, half-line
+    amplitude beyond ``halfline.AMPLITUDE_K_MAX``, or a trace sum beyond
+    its size bound (``traces.ORBIT_STEPS_MAX`` and the like)."""
 
     code = "RANGE_EXCEEDED"
 

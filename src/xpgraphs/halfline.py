@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +27,6 @@ ALPHA = 1.0 / math.sqrt(math.log(2.0) - 0.5)
 #: largest |k| of the closed-form amplitude, checked against mpmath up to
 #: here; the eta series overflows a double near |k| = 400
 AMPLITUDE_K_MAX = 200.0
-
-
-@dataclass(frozen=True)
-class HalflineState:
-    """A square-integrable packet on the half-line with its computed norm.
-
-    ``norm_tail`` reports the quadrature remainder beyond the truncation
-    point, so callers can see how much of the norm the window missed.
-    """
-
-    phi: callable
-    norm: float
-    norm_tail: float
-
-    @classmethod
-    def from_callable(cls, phi, x_max: float = 80.0) -> "HalflineState":
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: abs(phi(x)) ** 2, 0.0, x_max, limit=400)
-        tail, _ = quad(lambda x: abs(phi(x)) ** 2, x_max, 4.0 * x_max, limit=200)
-        return cls(phi=phi, norm=math.sqrt(val), norm_tail=tail)
-
-    def __call__(self, x):
-        return self.phi(x)
 
 
 def fermi_packet(x):

@@ -68,6 +68,9 @@ EPS = float(np.finfo(float).eps)
 #: eigenphase distance (mod 2 pi) that counts as a unit eigenvalue
 MULT_TOL = 1e-8
 
+#: certified bracket width of ``find_spectrum`` unless the caller sets one
+DEFAULT_TOL = 1e-10
+
 #: points whose matrices go into one stacked linear-algebra call
 SCAN_BLOCK = 64
 
@@ -1355,7 +1358,7 @@ def check_tol(tol: float, k_range) -> None:
                               f"{floor:.3g} on this window, got {tol!r}")
 
 
-def find_spectrum(sys: SecularSystem, k_range, tol: float = 1e-10,
+def find_spectrum(sys: SecularSystem, k_range, tol: float = DEFAULT_TOL,
                   workers: int = 1) -> Spectrum:
     """All real eigenvalues in k_range with multiplicities.
 
@@ -1476,24 +1479,29 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
     """Eigenvalues lambda = -kappa^2 of the squared operator, kappa <= kappa_max.
 
     Returns the sorted list of (kappa, multiplicity) over kappa in
-    (kappa_lo, kappa_max], kappa_lo = ``_window_floor(kappa_max)``.  They
-    are the jumps of the integer count N(kappa) of eigenvalues below
-    -kappa^2 (see ``_NegativeCount``), located by ``_refine_brackets``
-    with Newton steps from the one bracket (kappa_lo, kappa_max], to
-    width 1e-13 max(1, kappa_max); the size of a jump is the
+    (kappa_lo, top], kappa_lo = ``_window_floor(top)``.  Per edge the
+    smallest eigenvalue of Lambda(kappa) is kappa tanh(kappa l/2) > kappa
+    - 2/l, and Q has orthonormal columns, so no bound state lies above
+    top = min(kappa_max, max sigma + 2 / l_min), and none at all when max
+    sigma <= 0; a large kappa_max coarsens neither the floor nor the
+    width.  They are the jumps of the integer count N(kappa) of
+    eigenvalues below -kappa^2 (see ``_NegativeCount``), located by
+    ``_refine_brackets`` with Newton steps from the one bracket
+    (kappa_lo, top], to width 1e-13 max(1, top); the size of a jump is the
     multiplicity, so roots of even order are found like simple ones.
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
     if kappa_max <= 0:
         raise ValidationError("kappa_max must be positive")
-    lo = _window_floor(kappa_max)
-    if lo >= kappa_max:
+    sigma_max = float(np.max(sys.dec.sigma_l, initial=-math.inf))
+    top = min(kappa_max, sigma_max + 2.0 / float(np.min(sys.lengths)))
+    lo = _window_floor(top)
+    if sigma_max <= 0.0 or lo >= top:
         return []
     count = _NegativeCount(sys)
-    n_lo, n_hi = count.m_many([lo, kappa_max])[0].tolist()
-    roots, _ = _refine_brackets(count, [(lo, kappa_max, n_lo, n_hi, None)],
-                                1e-13 * max(1.0, kappa_max))
+    n_lo, n_hi = count.m_many([lo, top])[0].tolist()
+    roots, _ = _refine_brackets(count, [(lo, top, n_lo, n_hi, None)], 1e-13 * max(1.0, top))
     return roots
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ConditionViolated,
+    RangeExceeded,
     TailBoundExceeded,
     ValidationError,
 )
@@ -229,6 +230,10 @@ def _orbit_count(bond: np.ndarray, n_max: int) -> int:
 #: orbit sum, before its factor 1 / 2pi
 ORBIT_SUM_TOL = 1e-13
 
+#: most steps N of an orbit count (N = 191,942 at t = 1e8 and w_min = 1
+#: takes 2 s) and most nodes of an orbit sum; a larger job is refused
+ORBIT_STEPS_MAX = CONTOUR_NODES_MAX = 10 ** 6
+
 
 def _resolvent_sum(bond, weights: np.ndarray, h: TestFunction, eta: float,
                    step: float, big_k: float, d_bond=None):
@@ -279,11 +284,14 @@ def _contour(h: TestFunction, weights: np.ndarray, norm_b: float, poles: np.ndar
     fewest nodes is taken whose integral of |h| G stays below 0.1
     ORBIT_SUM_TOL / eps, which holds rounding near 1e-14.
 
+    Lines keep eta w_min <= 700, so that beta stays a normal float.
+
     Returns:
         (eta, step, K, bound), the bound divided by 2pi like the sum.
 
     Raises:
         ConditionViolated: ||B|| > 1, or beta reaches 1 below every line.
+        RangeExceeded: the chosen line needs more than CONTOUR_NODES_MAX nodes.
     """
     t, tol = h.gaussian_width, ORBIT_SUM_TOL
     w_min, w_max, d = float(np.min(weights)), float(np.max(weights)), len(weights)
@@ -291,7 +299,8 @@ def _contour(h: TestFunction, weights: np.ndarray, norm_b: float, poles: np.ndar
         raise ConditionViolated(f"||B|| = {norm_b:.6g} > 1: I - U may be singular "
                                 "just above the real axis")
     top = float(np.min(poles[poles > 0.0], initial=math.inf))
-    eta = 10.0 ** np.linspace(-3.0, 0.0, 32) * min(0.5 * top, math.sqrt(10.0 / t))
+    eta = 10.0 ** np.linspace(-3.0, 0.0, 32) * min(0.5 * top, math.sqrt(10.0 / t),
+                                                   700.0 / w_min)
     y = np.multiply.outer((0.1, 1.0, 1.9), eta)        # strip bottom, line, strip top
     lam = poles[:, None, None]
     ratio = np.max(np.where(lam > 0.0, (lam + y) / (lam - y), 1.0), axis=0, initial=1.0)
@@ -323,6 +332,8 @@ def _contour(h: TestFunction, weights: np.ndarray, norm_b: float, poles: np.ndar
     nodes = 2 * np.ceil(np.array(big_k)[j] / step) + 1
     rounding = np.maximum(np.finfo(float).eps * line * mass, 0.1 * tol)
     i = np.lexsort((nodes, rounding))[0]
+    if nodes[i] > CONTOUR_NODES_MAX:
+        raise RangeExceeded(f"the orbit sum takes {nodes[i]:.3g} nodes, over {CONTOUR_NODES_MAX}")
     quadrature = 2.0 * strip[i] / math.expm1(2.0 * math.pi * 0.9 * eta[i] / step[i])
     truncation = 2.0 * line[i] * tails[j[i]]
     return (float(eta[i]), float(step[i]), big_k[j[i]],
@@ -345,13 +356,18 @@ def _orbit_terms(sys: SecularSystem, h: TestFunction, cutoff: float | None) -> d
     Raises:
         ValidationError: h is not a Gaussian, so its growth off the real
             axis is unknown.
+        RangeExceeded: N above ORBIT_STEPS_MAX, or the contour needs more
+            than CONTOUR_NODES_MAX nodes.
     """
     if h.gaussian_width is None:
         raise ValidationError("orbit sums need a Gaussian test function")
     if cutoff is None:
         cutoff = _default_cutoff(h)
-    weights, probe = sys.weights, sys.bond_matrix(1.0)
-    n_max = int(cutoff / float(np.min(weights))) + 1
+    weights = sys.weights
+    steps = cutoff / float(np.min(weights))
+    if not steps < ORBIT_STEPS_MAX:
+        raise RangeExceeded(f"the orbit count takes {steps:.3g} steps, over {ORBIT_STEPS_MAX}")
+    n_max, probe = int(steps) + 1, sys.bond_matrix(1.0)
     counts = dict(n_orbits=_orbit_count(probe, n_max), max_steps=n_max)
     if sys.k_independent:
         if not np.any(probe):
@@ -521,6 +537,10 @@ def trace_rhs_bk2(graph: MetricGraph, dec: Decomposition, h: TestFunction,
 # Heat trace on a single Dirichlet edge
 # ---------------------------------------------------------------------------
 
+#: most terms either side of ``heat_trace_pair`` may sum (9e7 take 2 s)
+HEAT_TERMS_MAX = 10 ** 8
+
+
 @dataclass(frozen=True)
 class HeatTracePair:
     spectral: float
@@ -543,15 +563,22 @@ def heat_trace_pair(graph: MetricGraph, t: float) -> HeatTracePair:
             exp(-(n l_p)^2 / 4t),      l_p = 2 l.
 
     Both truncations carry explicit geometric remainder bounds.
+
+    Raises:
+        RangeExceeded: either side needs more than HEAT_TERMS_MAX terms.
     """
     if t <= 0:
         raise ValidationError("t must be positive")
     if graph.n_edges != 1:
         raise ValidationError("heat_trace_pair is defined on a single edge")
     ell = graph.total_length
+    lp = 2.0 * ell
+    base, base2 = (math.pi / ell) ** 2 * t, lp ** 2 / (4.0 * t)
+    # sqrt(80 / base) + 2 terms a side, counted before any is allocated
+    if not min(base, base2) * (HEAT_TERMS_MAX - 1) ** 2 >= 80.0:
+        raise RangeExceeded(f"the heat trace at t = {t:g} needs more than {HEAT_TERMS_MAX} terms")
 
     # spectral side
-    base = (math.pi / ell) ** 2 * t
     n_max = int(math.ceil(math.sqrt(80.0 / base))) + 1
     ns = np.arange(1, n_max + 1)
     spectral = float(np.sum(np.exp(-base * ns ** 2)))
@@ -559,9 +586,7 @@ def heat_trace_pair(graph: MetricGraph, t: float) -> HeatTracePair:
     spectral_tail = math.exp(-base * (n_max + 1) ** 2) / max(1.0 - r, 0.5)
 
     # theta side
-    lp = 2.0 * ell
     pref = lp / (2.0 * math.sqrt(math.pi * t))
-    base2 = lp ** 2 / (4.0 * t)
     m_max = int(math.ceil(math.sqrt(80.0 / base2))) + 1
     ms = np.arange(1, m_max + 1)
     theta = ell / (2.0 * math.sqrt(math.pi * t)) - 0.5 \

@@ -137,6 +137,22 @@ class TestSpectrumTask:
         assert report["zero_mode"] == {"g0": 0, "N": 1}
 
 
+    @pytest.mark.parametrize("kappa_max", [1e9, 1e10, 1e300])
+    def test_large_kappa_max_reports_every_bound_state(self, tmp_path, kappa_max):
+        # the bound-state search stops where none can lie, so kappa_max 4 and
+        # 1e10 give the same two states
+        payload = {"task": "spectrum", "operator": "bk2",
+                   "graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.exp(4.0)}]},
+                   "boundary": {"kind": "robin", "rho": 1.0},
+                   "numeric": {"k_min": 0.0, "k_max": 8.0, "kappa_max": 4.0}}
+        _, small = run_config(tmp_path, payload, "small")
+        payload["numeric"]["kappa_max"] = kappa_max
+        code, large = run_config(tmp_path, payload, "large")
+        assert code == 0
+        assert (large / "spectrum.json").read_bytes() == (small / "spectrum.json").read_bytes()
+        assert len(json.loads((large / "spectrum.json").read_text())["negative"]) == 2
+
+
 class TestCsvWriter:
     HEADER = ("n", "k_n", "g_n")
 
@@ -228,7 +244,9 @@ class TestOtherTasks:
         ("bk", RING, {"kind": "ring_phase", "c": 0.3}),
     ])
     def test_trace_check_passes_tol(self, tmp_path, monkeypatch, operator, graph, boundary):
-        # numeric.tol reaches the solve of every t; without it the default 1e-10
+        # numeric.tol reaches the solve of every t; without it the default 1e-10.
+        # At t <= 1e-5 the widest contour lines have exp(-eta w_min) below the
+        # smallest float; they used to end in a division by zero (exit 4)
         seen = []
         find_spectrum = cli.spectra.find_spectrum
 
@@ -237,13 +255,17 @@ class TestOtherTasks:
             return find_spectrum(*args, **kwargs)
 
         monkeypatch.setattr(cli.spectra, "find_spectrum", record)
+        t_values = [0.5, 1.0, 1e-5, 1e-8]
         for numeric, tol in (({"tol": 1e-2}, 1e-2), ({}, 1e-10)):
             seen.clear()
             payload = {"task": "trace-check", "operator": operator, "graph": graph,
-                       "boundary": boundary, "numeric": {"t_values": [0.5, 1.0], **numeric}}
-            code, _ = run_config(tmp_path, payload, name=f"tol{tol}")
+                       "boundary": boundary, "numeric": {"t_values": t_values, **numeric}}
+            code, out = run_config(tmp_path, payload, name=f"tol{tol}")
             assert code == 0
-            assert seen == [tol, tol]
+            assert seen == [tol] * len(t_values)
+        reports = json.loads((out / "trace.json").read_text())["reports"]
+        assert [r["t"] for r in reports] == t_values
+        assert all(r["discrepancy"] <= 1e-8 for r in reports)
 
     def test_trace_check_robin_without_negative_spectrum(self, tmp_path, monkeypatch):
         # the trace identity sums real eigenvalues only: no bound-state search
@@ -566,16 +588,80 @@ class TestErrorContract:
         assert code == cli.EXIT_VALIDATION == 3
         assert err["code"] == "VALIDATION_ERROR"
 
+    @pytest.mark.parametrize("task, numeric, boundary", [
+        ("spectrum", {"k_min": 0.0, "k_max": 5.0, "tol_": 1e-3}, None),
+        ("spectrum", {"k_min": 0.0, "k_max": 5.0, "kappa_max": math.nan}, None),
+        ("spectrum", {"k_min": 0.0, "k_max": 5.0, "kappa_max": math.inf}, None),
+        ("spectrum", {"k_min": 0.0, "k_max": 5.0, "kappa_max": 0}, None),
+        ("spectrum", {"k_min": 0.0, "k_max": 5.0, "tol": math.inf}, None),
+        ("halfline-demo", {"k_grid_max": math.nan}, None),
+        ("counting-compare", {"k_min": 0.0, "k_max": 60.0, "k_start": math.nan}, None),
+        ("halfline-demo", {"n_k": -5}, None),
+        ("halfline-demo", {"n_k": -1}, None),
+        ("halfline-demo", {"n_k": 1e12}, None),
+        ("heat-trace", {}, [1]),
+    ], ids=["unknown-key", "kappa-max-nan", "kappa-max-inf", "kappa-max-zero", "tol-inf",
+            "k-grid-max-nan", "k-start-nan", "n-k-negative", "n-k-minus-one", "n-k-huge",
+            "boundary-list"])
+    def test_refused_at_parse(self, tmp_path, task, numeric, boundary):
+        # each of these used to run: exit 0 (a key or a value silently ignored)
+        # or exit 4 (RANGE_EXCEEDED, ValueError, MemoryError, AttributeError)
+        payload = {"task": task, "numeric": numeric}
+        if task != "halfline-demo":
+            payload.update(operator="bk2", graph=EDGE, boundary=boundary or {"kind": "dirichlet"})
+        with pytest.raises(cli.ValidationError):
+            cli.parse(json.dumps(payload))
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+
+    @pytest.mark.parametrize("task, numeric", [
+        ("trace-check", {"t_values": [1e12]}),
+        ("trace-check", {"t_values": [1e20]}),
+        ("trace-check", {"t_values": [1e300]}),
+        ("trace-check", {"orbit_cutoff": 1e9}),
+        ("heat-trace", {"t_values": [1e-20]}),
+        ("heat-trace", {"t_values": [1e20]}),
+        ("heat-trace", {"t_values": [1e300]}),
+    ])
+    def test_oversized_trace_job_is_refused(self, tmp_path, monkeypatch, task, numeric):
+        # refused before the orbit count, the contour or the heat-trace sums
+        # allocate; these used to run for minutes or fail with MemoryError
+        monkeypatch.setattr(cli.traces, "_orbit_count", self.refuse)
+        payload = {"task": task, "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"}, "numeric": numeric}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_COMPUTE == 4
+        assert err["code"] == "RANGE_EXCEEDED"
+
+    @pytest.mark.parametrize("task, t", [("trace-check", 1e8), ("heat-trace", 1e-14)])
+    def test_largest_admitted_trace_jobs(self, tmp_path, task, t):
+        # N = 191,942 orbit steps at t = 1e8, and 2.8e7 heat-trace terms at 1e-14
+        payload = {"task": task, "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"}, "numeric": {"t_values": [t]}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        if task == "trace-check":
+            (report,) = json.loads((out / "trace.json").read_text())["reports"]
+            assert report["max_steps"] == 191942
+            assert report["discrepancy"] <= 1e-8
+
     def test_halfline_beyond_amplitude_range(self, tmp_path):
         code, err = self.run_main(tmp_path, {"task": "halfline-demo",
                                              "numeric": {"k_grid_max": 500.0, "n_k": 11}})
         assert code == cli.EXIT_COMPUTE == 4
         assert err["code"] == "RANGE_EXCEEDED"
 
-    def test_foreign_exception_is_compute_error(self, tmp_path):
-        # numpy rejects a negative sample count with a plain ValueError
+    def test_foreign_exception_is_compute_error(self, tmp_path, monkeypatch):
+        # a plain ValueError from a callee ends in error.json and exit 4, not
+        # in a traceback out of main (a negative n_k, which used to reach
+        # numpy, is now refused at parse)
+        def reject(ks):
+            raise ValueError("rejected by the callee")
+
+        monkeypatch.setattr(cli.halfline, "fermi_amplitude_closed", reject)
         code, err = self.run_main(tmp_path, {"task": "halfline-demo",
-                                             "numeric": {"k_grid_max": 10.0, "n_k": -1}})
+                                             "numeric": {"k_grid_max": 10.0, "n_k": 11}})
         assert code == cli.EXIT_COMPUTE == 4
         assert err["code"] == "COMPUTE_ERROR"
         assert err["message"].startswith("ValueError: ")

@@ -86,6 +86,33 @@ def test_doubled_robin_edge_has_double_roots():
     assert sign_change_negative_roots(sys_, 5.68) == []
 
 
+@pytest.mark.parametrize("kappa_max", [4.0, 1e9, 1e10, 1e12, 1e300])
+def test_large_kappa_max_keeps_every_bound_state(kappa_max):
+    # the search stops at max sigma + 2 / l_min, where M(kappa) > 0, so a large
+    # kappa_max coarsens neither its window floor nor its bracket width
+    roots = xg.find_negative_eigenvalues(robin_system([4.0], 1.0), kappa_max)
+    expected = robin_bound_states(1.0, 4.0)
+    assert [m for _, m in roots] == [1, 1]
+    for (kappa, _), exact in zip(roots, expected):
+        assert abs(kappa - exact) <= ROOT_TOL
+
+
+@EXAMPLES
+@given(seed=st.integers(0, 2 ** 32 - 1), n_edges=st.integers(1, 3),
+       family=st.sampled_from(KDEP_FAMILIES), kappa_max=st.sampled_from([1e10, 1e300]))
+def test_clipped_search_matches_a_wide_unclipped_one(seed, n_edges, family, kappa_max):
+    # reference: one bracket up to 4 max(1, max |sigma|) + 4, refined to its own width
+    sys_ = kdep_system(seed, n_edges, family)
+    top = 4.0 * max(1.0, float(np.max(np.abs(sys_.dec.sigma_l), initial=0.0))) + 4.0
+    count, lo = spectra._NegativeCount(sys_), spectra._window_floor(top)
+    n_lo, n_hi = count.m_many([lo, top])[0].tolist()
+    reference, _ = spectra._refine_brackets(count, [(lo, top, n_lo, n_hi, None)], 1e-13 * top)
+    roots = xg.find_negative_eigenvalues(sys_, kappa_max)
+    assert [m for _, m in roots] == [m for _, m in reference]
+    for (kappa, _), (ref, _) in zip(roots, reference):
+        assert abs(kappa - ref) <= 1e-9
+
+
 @pytest.mark.parametrize("rho", [-1.0, 0.0])
 def test_count_is_zero_without_binding(rho):
     count = spectra._NegativeCount(robin_system([4.0, 1.0], rho))

@@ -55,13 +55,14 @@ print(json.dumps({name: {k: v.hex() if isinstance(v, float) else v for k, v in r
 """
 
 
-# a fresh interpreter runs a constant-S squared trace (Kirchhoff 3-star), a
-# k-dependent one (Robin rho = 1, length-4 edge) and a Robin trace-check
-# document through the CLI, then lists the scipy and numpy.polynomial
-# modules it loaded
+# a fresh interpreter in which scipy cannot be imported runs a constant-S
+# squared trace (Kirchhoff 3-star), a k-dependent one (Robin rho = 1,
+# length-4 edge) and one document of every task through the CLI, then lists
+# the scipy and numpy.polynomial modules it loaded
 COLD_START_SCRIPT = """
 import json, math, sys, tempfile
 from pathlib import Path
+sys.modules["scipy"] = None
 import xpgraphs as xg
 from xpgraphs import cli
 g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
@@ -71,16 +72,30 @@ xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
 g = xg.MetricGraph.from_intervals([(1.0, math.exp(4.0))])
 dec = xg.decompose(xg.standard_bc("robin", g, rho=1.0), xg.DilationMatrices.from_graph(g))
 xg.trace_rhs_bk2(g, dec, xg.gaussian(1.0))
+edge = {"edges": [{"id": "e0", "a": 1.0, "b": math.e}]}
+robin = {"graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.exp(4.0)}]},
+         "boundary": {"kind": "robin", "rho": 1.0}}
+ring = {"operator": "bk", "boundary": {"kind": "ring_phase", "c": 0.25},
+        "graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "v", "to": "v"}],
+                  "directed": True}}
+documents = {
+    "validate": {"graph": edge, "boundary": {"kind": "neumann"}},
+    "spectrum": {**robin, "numeric": {"k_min": 0.0, "k_max": 8.0, "kappa_max": 4.0}},
+    "weyl": {**ring, "numeric": {"k_min": -150.0, "k_max": 150.0, "side": "two_sided"}},
+    "trace-check": {**robin, "numeric": {"t_values": [1.0]}},
+    "heat-trace": {"graph": edge, "numeric": {"t_values": [0.1, 1.0]}},
+    "halfline-demo": {"numeric": {"k_grid_max": 20.0, "n_k": 101}},
+    "counting-compare": {**ring, "numeric": {"k_min": -80.0, "k_max": 80.0}},
+}
+codes = {}
 with tempfile.TemporaryDirectory() as tmp:
-    config = Path(tmp) / "robin.json"
-    config.write_text(json.dumps({
-        "task": "trace-check", "operator": "bk2",
-        "graph": {"edges": [{"id": "e0", "a": 1.0, "b": math.exp(4.0)}]},
-        "boundary": {"kind": "robin", "rho": 1.0}, "numeric": {"t_values": [1.0]}}))
-    code = cli.main(["--config", str(config), "--out", str(Path(tmp) / "out")])
-loaded = sorted(m for m in sys.modules
-                if m == "scipy" or m.startswith(("scipy.", "numpy.polynomial")))
-print(json.dumps({"exit_code": code, "loaded": loaded}))
+    for task, document in documents.items():
+        config = Path(tmp) / f"{task}.json"
+        config.write_text(json.dumps({"task": task, "operator": "bk2", **document}))
+        codes[task] = cli.main(["--config", str(config), "--out", str(Path(tmp) / task)])
+loaded = sorted(m for m, module in sys.modules.items() if module is not None
+                and (m == "scipy" or m.startswith(("scipy.", "numpy.polynomial"))))
+print(json.dumps({"exit_codes": codes, "loaded": loaded}))
 """
 
 
@@ -290,9 +305,12 @@ class TestSecondOrderTrace:
 
     def test_trace_paths_skip_scipy_and_numpy_polynomial(self):
         # every quadrature of the trace side is numpy with a fixed
-        # Gauss-Legendre table: a cold process loads neither package
+        # Gauss-Legendre table: a cold process loads neither package, and
+        # every task runs where scipy cannot be imported
         result = json.loads(run_python(COLD_START_SCRIPT))
-        assert result == {"exit_code": 0, "loaded": []}
+        tasks = ("validate", "spectrum", "weyl", "trace-check", "heat-trace",
+                 "halfline-demo", "counting-compare")
+        assert result == {"exit_codes": dict.fromkeys(tasks, 0), "loaded": []}
 
     def test_gauss_legendre_table_is_leggauss_16(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
