@@ -71,8 +71,9 @@ MULT_TOL = 1e-8
 #: certified bracket width of ``find_spectrum`` unless the caller sets one
 DEFAULT_TOL = 1e-10
 
-#: points whose matrices go into one stacked linear-algebra call
-SCAN_BLOCK = 64
+#: entries of one stacked linear-algebra call: points x rows^2 of a matrix
+#: count, points x nodes of ``_TreeCount``; 2**16 complex entries are 1 MB
+STACK_ENTRIES = 2 ** 16
 
 #: Newton steps one bracket may take before refinement gives up
 NEWTON_BUDGET = 100
@@ -80,11 +81,6 @@ NEWTON_BUDGET = 100
 #: scan grid points per mean crossing spacing 2 pi / sum(w); every count is
 #: exact at every k, so the grid only seeds brackets
 GRID_DENSITY = 2
-
-#: points per elimination sweep of ``_TreeCount``: a sweep costs little per
-#: point next to its fixed cost, so one takes a whole grid, and the block
-#: only bounds its memory
-SWEEP_BLOCK = 1024
 
 #: edges per point that get a border row in the squared-operator count
 BORDER_SLOTS = 4
@@ -96,6 +92,18 @@ SLOT_DELTA_MIN = 2.0 * math.atan(1.0 / 8.0)
 #: shift of the inverse-iteration step that gives a Newton eigenvector,
 #: relative to the largest eigenvalue modulus of its matrix
 NEWTON_SHIFT = 1e-12
+
+#: eigenvalue modulus that ``_nearest_vector`` scales its shift by when a
+#: whole matrix is zero, so every shifted matrix stays nonsingular
+SHIFT_FLOOR = 1e-100
+
+#: lower end of a squared-operator window, relative to max(1, |k_max|):
+#: below it a zero mode is not told from rounding (``_window_floor``)
+WINDOW_FLOOR = 1e-9
+
+#: certified width of a bound-state bracket, relative to max(1, top)
+#: (``find_negative_eigenvalues``)
+NEGATIVE_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +229,25 @@ def _unit_count(m: np.ndarray, tol: float) -> int:
 
 def _window_floor(k_max: float) -> float:
     """Lower end of a squared-operator search window reaching k_max:
-    1e-9 max(1, |k_max|), below which a zero mode is not told from rounding."""
-    return 1e-9 * max(1.0, abs(k_max))
+    WINDOW_FLOOR max(1, |k_max|), below which a zero mode is not told from
+    rounding."""
+    return WINDOW_FLOOR * max(1.0, abs(k_max))
+
+
+def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a of shape (points, n), row by row: one (1, n) product per
+    point, so that the bits of a row do not depend on the rows beside it,
+    as those of a 2-D gemm do through its blocking."""
+    return np.matmul(a[:, None, :], b)[:, 0]
+
+
+def _stacks(n_points: int, entries: int):
+    """Slices of 0..n_points, each the points of one stacked call whose
+    per-point matrix (or elimination) has the given number of entries:
+    max(1, STACK_ENTRIES // entries) points a slice."""
+    size = max(1, STACK_ENTRIES // max(1, entries))
+    for start in range(0, n_points, size):
+        yield slice(start, start + size)
 
 
 @lru_cache(maxsize=None)
@@ -241,10 +266,10 @@ def _nearest_vector(mats: np.ndarray, vals: np.ndarray, j: np.ndarray) -> np.nda
 
     eps = NEWTON_SHIFT max|mu| leaves the shifted matrix nonsingular and
     damps the other eigenvectors by eps / |mu_i - mu_j|; a zero matrix
-    takes eps = NEWTON_SHIFT 1e-100, so every row stays finite.
+    takes eps = NEWTON_SHIFT SHIFT_FLOOR, so every row stays finite.
     """
     eye, start = _iteration_start(mats.shape[-1])
-    top = np.maximum(abs(vals).max(axis=-1), 1e-100)
+    top = np.maximum(abs(vals).max(axis=-1), SHIFT_FLOOR)
     shift = vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top
     x = np.linalg.solve(mats - shift[:, None, None] * eye, start)
     return x / np.sqrt((abs(x) ** 2).sum(axis=-1, keepdims=True))
@@ -347,9 +372,8 @@ class _CayleyCount:
         self.evals = self.lu_evals = 0
 
     def _u_blocks(self, ks):
-        """(slice, stack of U(k)) over ks, SCAN_BLOCK points at a time."""
-        for start in range(0, len(ks), SCAN_BLOCK):
-            block = slice(start, start + SCAN_BLOCK)
+        """(slice, stack of U(k)) over ks, one per ``_stacks`` slice."""
+        for block in _stacks(len(ks), len(self.weights) ** 2):
             yield block, self.bond * np.exp(1j * np.multiply.outer(ks[block], self.weights))[:, None, :]
 
     def _matrices(self, ks):
@@ -378,8 +402,7 @@ class _CayleyCount:
             return np.rint((theta - phases) / TWO_PI).astype(int), phases[:, None]
         counts = np.empty(len(ks), dtype=int)
         phases = np.empty((len(ks), len(self.weights)))
-        for start in range(0, len(ks), SCAN_BLOCK):
-            block = slice(start, start + SCAN_BLOCK)
+        for block in _stacks(len(ks), len(self.weights) ** 2):
             h, tan, offset = self._matrices(ks[block])
             mu, u = np.linalg.eigh(h)
             counts[block] = offset - np.sum(mu < 0.0, axis=-1)
@@ -413,21 +436,26 @@ class _CayleyCount:
 
         The step -theta / (v+ diag(w) v) moves the eigenphase theta of U(k)
         nearest 0 to 0 at its Hellmann-Feynman velocity, v = z / |z| from
-        three steps x, y, z of inverse iteration (``_iteration_start``) with
-        one inverse of U(k) - s I, s = 1 + NEWTON_SHIFT, and theta the phase
-        of the Rayleigh quotient v+ U v = s + z+ y / |z|^2.
+        three steps x, y, z of inverse iteration (``_iteration_start``), each
+        a product with one inverse of U(k) - s I, s = 1 + NEWTON_SHIFT, and
+        theta the phase of the Rayleigh quotient v+ U v = s + z+ y / |z|^2.
+        At d = 1, U(k) = exp(i (theta0 + k w)) gives theta in closed form.
         """
         ks = np.asarray(ks, dtype=float)
+        if len(self.weights) == 1:
+            theta = np.mod(self.theta0 + ks * self.rate + math.pi, TWO_PI) - math.pi
+            return None, -theta / self.rate
         steps = np.empty(len(ks))
         shift = 1.0 + NEWTON_SHIFT
         for block, stack in self._u_blocks(ks):
             inv = np.linalg.inv(stack - shift * self.eye)
-            square = inv @ inv
-            y, z = square @ self.start, (square @ inv) @ self.start
+            x = inv @ self.start
+            y = (inv @ x[..., None])[..., 0]
+            z = (inv @ y[..., None])[..., 0]
             weight = np.abs(z) ** 2
             size = weight.sum(axis=-1)
             theta = np.angle(shift + np.sum(z.conj() * y, axis=-1) / size)
-            steps[block] = -theta * size / (weight @ self.weights)
+            steps[block] = -theta * size / _rows(weight, self.weights)
         return None, steps
 
 
@@ -473,7 +501,7 @@ class _HermitianCount:
     def parity(self, ks):
         """(-1)^N over ks, 0 where rounding may hide it: the sign of det H
         is (-1)^(n_-(H)), and N = offset + n_-(H) (see ``_blocks``).  One
-        stacked LU per block."""
+        stacked LU per stack."""
         ks = np.asarray(ks, dtype=float)
         self.lu_evals += len(ks)
         signs = np.empty(len(ks), dtype=int)
@@ -505,34 +533,45 @@ class _NegativeCount(_HermitianCount):
         return self.q.conj().T @ lam @ self.q - np.diag(self.sigma)
 
     def _blocks(self, kappas):
-        """All points as one block (rows, M(kappa), offset 0, None)."""
-        _, coth, csch = self._maps(kappas)
-        yield slice(None), self._matrices(kappas, coth, csch), 0, None
+        """(rows, M(kappa), offset 0, (kappa l, coth, csch)) per ``_stacks``
+        slice of kappas."""
+        for rows in _stacks(len(kappas), self.q.shape[1] ** 2):
+            kappa = kappas[rows]
+            x, coth, csch = self._maps(kappa)
+            yield rows, self._matrices(kappa, coth, csch), 0, (x, coth, csch)
 
     def m_many(self, kappas):
-        """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from one
-        stacked eigvalsh call."""
-        (_, mats, _, _), = self._blocks(kappas)
-        return self._eigvalsh_count(mats)
+        """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from stacked
+        eigvalsh calls."""
+        kappas = np.asarray(kappas, dtype=float)
+        counts = np.empty(len(kappas), dtype=int)
+        vals = np.empty((len(kappas), self.q.shape[1]))
+        for rows, mats, _, _ in self._blocks(kappas):
+            counts[rows], vals[rows] = self._eigvalsh_count(mats)
+        return counts, vals
 
     def newton_steps(self, kappas):
-        """(N(kappa), Newton step) over kappas, from one stacked eigh call.
+        """(N(kappa), Newton step) over kappas, from stacked eigh calls.
 
         The step -mu / (v+ Q+ Lambda'(kappa) Q v) moves the eigenvalue mu of
         M(kappa) nearest 0 to 0, v its unit eigenvector.  Per edge Lambda'
         has the entries coth - kappa l csch^2 and -csch + kappa l csch coth.
         """
-        x, coth, csch = self._maps(kappas)
-        self.evals += len(x)
-        vals, vecs = np.linalg.eigh(self._matrices(kappas, coth, csch))
-        rows = np.arange(len(vals))
-        j = np.argmin(np.abs(vals), axis=-1)
-        u = vecs[rows, :, j] @ self.q.T
-        ua, ub = np.split(u, 2, axis=-1)
-        slope = np.sum((coth - x * csch ** 2) * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
-                       + 2.0 * (x * csch * coth - csch) * (ua.conj() * ub).real, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._index(vals), -vals[rows, j] / slope
+        kappas = np.asarray(kappas, dtype=float)
+        self.evals += len(kappas)
+        counts, steps = np.empty(len(kappas), dtype=int), np.empty(len(kappas))
+        for rows, mats, _, (x, coth, csch) in self._blocks(kappas):
+            vals, vecs = np.linalg.eigh(mats)
+            points = np.arange(len(vals))
+            j = np.argmin(np.abs(vals), axis=-1)
+            u = _rows(vecs[points, :, j], self.q.T)
+            ua, ub = np.split(u, 2, axis=-1)
+            slope = np.sum((coth - x * csch ** 2) * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
+                           + 2.0 * (x * csch * coth - csch) * (ua.conj() * ub).real, axis=-1)
+            counts[rows] = self._index(vals)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps[rows] = -vals[points, j] / slope
+        return counts, steps
 
 
 class _PositiveCount(_HermitianCount):
@@ -606,7 +645,7 @@ class _PositiveCount(_HermitianCount):
             low = self.qa[edges] - sign[points, edges][..., None] * self.qb[edges]
         n = rank + t_b.shape[-1]
         h = np.empty((len(k), n, n), dtype=self.q.dtype)
-        h[:, :rank, :rank] = (w_even @ self.even + w_odd @ self.odd).reshape(
+        h[:, :rank, :rank] = (_rows(w_even, self.even) + _rows(w_odd, self.odd)).reshape(
             len(k), rank, rank) + self.minus_sigma
         low = k[:, None, None] * low
         h[:, rank:, :rank] = low
@@ -618,39 +657,36 @@ class _PositiveCount(_HermitianCount):
 
     def _blocks(self, ks):
         """(rows, H(k), offset, (k, (-1)^n, tan(delta / 2), edges, cot)) per
-        group of points, SCAN_BLOCK points at a time, with offset
-        sum_e (n_e - 1) + #{e in U : delta_e > 0}.  A block yields its
-        full-border points and its slot points apart; edges and cot are as
-        in ``_matrices``."""
+        stack of points, with offset sum_e (n_e - 1) + #{e in U : delta_e >
+        0}.  The full-border points and the slot points go into stacks
+        apart, each cut by ``_stacks`` at its own matrix size; edges and cot
+        are as in ``_matrices``."""
         e = len(self.lengths)
-        for start in range(0, len(ks), SCAN_BLOCK):
-            block = slice(start, start + SCAN_BLOCK)
-            k = ks[block]
-            x = np.multiply.outer(k, self.lengths)
-            turns = np.rint(x / math.pi)
-            delta = x - turns * math.pi
-            tan = np.tan(0.5 * delta)
-            sign = 1.0 - 2.0 * np.mod(turns, 2.0)
-            offset = np.sum(turns, axis=-1).astype(int) - e
-            if e <= BORDER_SLOTS:
-                yield block, self._matrices(k, sign, tan), offset, (k, sign, tan, None, None)
-                continue
+        x = np.multiply.outer(ks, self.lengths)
+        turns = np.rint(x / math.pi)
+        delta = x - turns * math.pi
+        tan = np.tan(0.5 * delta)
+        sign = 1.0 - 2.0 * np.mod(turns, 2.0)
+        offset = np.sum(turns, axis=-1).astype(int) - e
+        full = rows = np.arange(len(ks))
+        if e > BORDER_SLOTS:
             size = np.abs(delta)
             order = np.argpartition(size, BORDER_SLOTS, axis=-1)
-            full = size[np.arange(len(k)), order[:, BORDER_SLOTS]] < SLOT_DELTA_MIN
-            rows = np.arange(start, start + len(k))
-            if np.any(full):
-                kf, sf, tf = k[full], sign[full], tan[full]
-                yield rows[full], self._matrices(kf, sf, tf), offset[full], (kf, sf, tf, None, None)
-            slot = ~full
-            if np.any(slot):
-                k, sign, tan = k[slot], sign[slot], tan[slot]
-                edges = order[slot, :BORDER_SLOTS]
-                free = tan.copy()
-                free[np.arange(len(k))[:, None], edges] = np.inf
-                cot = 1.0 / free            # |cot| >= 1 on U, 0 on the bordered edges
-                yield (rows[slot], self._matrices(k, sign, tan, edges, cot),
-                       offset[slot] + np.sum(cot > 0.0, axis=-1), (k, sign, tan, edges, cot))
+            cut = size[rows, order[:, BORDER_SLOTS]] < SLOT_DELTA_MIN
+            full, slot = rows[cut], rows[~cut]
+            edges = order[slot, :BORDER_SLOTS]
+            free = tan[slot]
+            free[np.arange(len(slot))[:, None], edges] = np.inf
+            cot = 1.0 / free                # |cot| >= 1 on U, 0 on the bordered edges
+            offset[slot] += np.sum(cot > 0.0, axis=-1)
+            for part in _stacks(len(slot), (self.rank + BORDER_SLOTS) ** 2):
+                r = slot[part]
+                factors = (ks[r], sign[r], tan[r], edges[part], cot[part])
+                yield r, self._matrices(*factors), offset[r], factors
+        for part in _stacks(len(full), (self.rank + e) ** 2):
+            r = full[part]
+            factors = (ks[r], sign[r], tan[r], None, None)
+            yield r, self._matrices(*factors[:3]), offset[r], factors
 
     def m_many(self, ks):
         """(N(k), eigenvalues of H(k)) over ks, from stacked eigvalsh calls.
@@ -699,7 +735,7 @@ class _PositiveCount(_HermitianCount):
             j = np.argmin(np.abs(vals), axis=-1)
             v = _nearest_vector(h, vals, j)
             top, bottom = v[:, :rank], v[:, rank:]
-            ua, ub = top @ self.qa.T, top @ self.qb.T
+            ua, ub = _rows(top, self.qa.T), _rows(top, self.qb.T)
             x_l = ua - sign * ub
             kl = k[:, None] * self.lengths
             rate = -tan - 0.5 * kl * (1.0 + tan ** 2)
@@ -907,14 +943,14 @@ class _TreeCount:
         turns = np.rint(kl * (1.0 / math.pi))
         delta = kl - turns * math.pi
         ends = np.concatenate([np.tan(0.5 * delta), np.sin(delta)], axis=1)
-        pivots = (ends @ self.forest.mix) * -kc - self.forest.sigma
+        pivots = _rows(ends, self.forest.mix) * -kc - self.forest.sigma
         slack = self.round * np.abs(pivots) + EPS * kc
         weight = (kc * kc) * self.gain_sq
         for lo, hi, up in self.sweep:
             a, bound = pivots[:, lo:hi], slack[:, lo:hi]
             if up is not None:
-                a -= terms @ up
-                bound = bound + self.round * (np.abs(terms) @ up)
+                a -= _rows(terms, up)
+                bound = bound + self.round * _rows(np.abs(terms), up)
             np.copyto(a, bound, where=np.abs(a) <= bound)
             if lo:                              # the roots, from node 0, feed no parent
                 terms = weight[:, lo:hi] / a
@@ -922,12 +958,11 @@ class _TreeCount:
         return counts, (k, pivots, kl, ends, delta)
 
     def _counts(self, ks):
-        """(N(k), [k, pivots]) over ks, SWEEP_BLOCK points per elimination."""
+        """(N(k), [k, pivots]) over ks, one elimination per ``_stacks`` slice."""
         counts = np.empty(len(ks), dtype=int)
         pivots = np.empty((len(ks), 1 + len(self.forest.sigma)))
         pivots[:, 0] = ks
-        for start in range(0, len(ks), SWEEP_BLOCK):
-            block = slice(start, start + SWEEP_BLOCK)
+        for block in _stacks(len(ks), len(self.forest.sigma)):
             counts[block], factors = self._eliminate(ks[block])
             pivots[block, 1:] = factors[1]
         return counts, pivots
@@ -944,13 +979,13 @@ class _TreeCount:
         return z
 
     def _iterate(self, factors, starts, steps):
-        """(x, y): steps of inverse iteration at shift 0 from starts, one
-        vector (nodes,) or a stack (vectors, nodes), with the factors of the
-        count; y = H^-1 x is the last step."""
+        """(x, y): steps of inverse iteration at shift 0 from starts, a
+        stack (vectors, nodes), with the factors of the count; y = H^-1 x is
+        the last step.  Each point solves on its own (points, vectors, nodes)
+        slice, so its bits do not depend on the other points."""
         k, pivots = factors[:2]
-        down = (k[:, None] * self.forest.gain) / pivots
-        if starts.ndim == 2:
-            down, pivots = down[:, None, :], pivots[:, None, :]
+        down = ((k[:, None] * self.forest.gain) / pivots)[:, None, :]
+        pivots = pivots[:, None, :]
         y = np.empty((len(k),) + starts.shape)
         y[...] = starts
         for _ in range(steps - 1):
@@ -961,7 +996,7 @@ class _TreeCount:
         """(mu, v): the eigenvalue of H nearest 0 and its unit vector, from
         the Rayleigh quotient mu = y+ x / y+ y of two steps x = H^-1 b,
         y = H^-1 x (``_iteration_start``)."""
-        x, y = self._iterate(factors, self.starts[0], 2)
+        x, y = (v[:, 0] for v in self._iterate(factors, self.starts[:1], 2))
         size = (y * y).sum(axis=1)
         return (x * y).sum(axis=1) / size, y / np.sqrt(size)[:, None]
 
@@ -985,8 +1020,8 @@ class _TreeCount:
         of inverse iteration from two start vectors: one vector finds only
         the eigenvalue nearest 0, which often lies on the wrong side of 0."""
         theta = [np.zeros((0, 2))]
-        for start in range(0, len(vals), SWEEP_BLOCK):
-            block = vals[start:start + SWEEP_BLOCK]
+        for rows in _stacks(len(vals), len(self.forest.sigma)):
+            block = vals[rows]
             x, y = self._iterate((block[:, 0], block[:, 1:]), self.starts, 3)
             size = np.sqrt((y * y).sum(axis=-1, keepdims=True))
             x, y = x / size, y / size
@@ -1012,14 +1047,13 @@ class _TreeCount:
         self.evals += len(ks)
         f = self.forest
         counts, steps = np.empty(len(ks), dtype=int), np.empty(len(ks))
-        for start in range(0, len(ks), SWEEP_BLOCK):
-            block = slice(start, start + SWEEP_BLOCK)
+        for block in _stacks(len(ks), len(f.sigma)):
             counts[block], factors = self._eliminate(ks[block])
             _, _, kl, ends, delta = factors
             mu, v = self._nearest(factors)
             cos = np.cos(delta)
             rate = -ends - np.concatenate([kl / (1.0 + cos), kl * cos], axis=1)
-            slope = ((rate @ f.mix) * v + self.two_gain * v[:, f.parent]) * v
+            slope = (_rows(rate, f.mix) * v + self.two_gain * v[:, f.parent]) * v
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps[block] = -mu / slope.sum(axis=1)
         return counts, steps
@@ -1220,8 +1254,13 @@ def _refine_brackets(count, brackets, tol: float):
                 else:
                     it.hi = x
             if it.probes is not None:
-                probes = [(x, counts[i]) for x, i in it.probes if it.lo < x < it.hi]
-                it.probes = None
+                probes, it.probes = it.probes, None
+                if (len(probes) == 2 and counts[probes[0][1]] == it.mlo
+                        and counts[probes[1][1]] == it.mhi):
+                    # the whole jump lies between k* -+ tol/2
+                    roots.append((it.k, abs(it.mhi - it.mlo)))
+                    continue
+                probes = [(x, counts[i]) for x, i in probes if it.lo < x < it.hi]
                 if any(m != it.mlo and m != it.mhi for _, m in probes):
                     ends = [it.lo, *(x for x, _ in probes), it.hi]
                     ms = [it.mlo, *(m for _, m in probes), it.mhi]
@@ -1282,8 +1321,12 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     that multiplicity.  Every other step with a jump goes to
     ``_refine_brackets``, with a first Newton iterate interpolated from the
     distances (``gaps``) of the count to its next and last jump.  ``m_lo``, when
-    given, replaces the count at k_lo.  All points are evaluated in stacks
-    of at most SCAN_BLOCK matrices, or SWEEP_BLOCK points of ``_TreeCount``.
+    given, replaces the count at k_lo.  Every count evaluates its points in
+    stacks of at most STACK_ENTRIES matrix entries (``_stacks``): points
+    times rows^2 of a matrix count, points times nodes of ``_TreeCount``.
+    So the grid and each refinement round take one stacked call of each
+    kind unless a stack would pass about 1 MB, and the grid hands its counts
+    to the brackets as whole arrays.
 
     Returns:
         (sorted (k, g) list, stats) with stats the eval counts per stage
@@ -1326,18 +1369,20 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     pole_at = np.full(len(points) - 1, np.nan)       # p of each Dirichlet bracket
     if poles.size:
         pole_at[np.searchsorted(points, p_lo)] = poles
-    steps = np.flatnonzero(np.diff(m_vals))
-    roots = [(float(pole_at[i]), abs(int(m_vals[i + 1] - m_vals[i])))
-             for i in steps if not np.isnan(pole_at[i])]
+    jumps = np.diff(m_vals)
+    steps = np.flatnonzero(jumps)
+    at_pole = ~np.isnan(pole_at[steps])
+    roots = list(zip(pole_at[steps[at_pole]].tolist(), np.abs(jumps[steps[at_pole]]).tolist()))
     pole_roots = len(roots)
     # gaps only at the two ends of each step that is refined
-    steps = steps[np.isnan(pole_at[steps])]
+    steps = steps[~at_pole]
     ahead, behind = count.gaps(vals[np.concatenate([steps, steps + 1])])
     ahead, behind = ahead[:len(steps)], behind[len(steps):]
+    lo, hi = points[steps], points[steps + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        guesses = points[steps] + (points[steps + 1] - points[steps]) * ahead / (ahead + behind)
-    brackets = [(float(points[i]), float(points[i + 1]), int(m_vals[i]), int(m_vals[i + 1]),
-                 float(guess)) for i, guess in zip(steps, guesses)]
+        guesses = lo + (hi - lo) * ahead / (ahead + behind)
+    brackets = list(zip(lo.tolist(), hi.tolist(), m_vals[steps].tolist(),
+                        m_vals[steps + 1].tolist(), guesses.tolist()))
 
     refined, rounds = _refine_brackets(count, brackets, tol)
     return sorted(roots + refined), {
@@ -1487,8 +1532,8 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
     width.  They are the jumps of the integer count N(kappa) of
     eigenvalues below -kappa^2 (see ``_NegativeCount``), located by
     ``_refine_brackets`` with Newton steps from the one bracket
-    (kappa_lo, top], to width 1e-13 max(1, top); the size of a jump is the
-    multiplicity, so roots of even order are found like simple ones.
+    (kappa_lo, top], to width NEGATIVE_TOL max(1, top); the size of a jump
+    is the multiplicity, so roots of even order are found like simple ones.
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
@@ -1501,7 +1546,8 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
         return []
     count = _NegativeCount(sys)
     n_lo, n_hi = count.m_many([lo, top])[0].tolist()
-    roots, _ = _refine_brackets(count, [(lo, top, n_lo, n_hi, None)], 1e-13 * max(1.0, top))
+    roots, _ = _refine_brackets(count, [(lo, top, n_lo, n_hi, None)],
+                                NEGATIVE_TOL * max(1.0, top))
     return roots
 
 

@@ -201,13 +201,14 @@ def _orbit_count(bond: np.ndarray, n_max: int) -> int:
     (1/n) sum_{j=1}^{n} tr A^gcd(j, n), grouped here by the divisor
     m = gcd(j, n) as (1/n) sum_{m | n} phi(n/m) tr A^m.  The matrix powers
     are taken in int64 while the largest row sum r has r^(N+1) below 2^63,
-    else in Python ints, so the count is exact.
+    else in Python ints, so the count is exact; the test compares exponents,
+    (N + 1) log2 r >= 63, as r^(N+1) itself leaves the float range.
     """
     scale = float(np.max(np.abs(bond)))
     if scale == 0.0:
         return 0
     pattern = (np.abs(bond) > PATTERN_TOL * scale).astype(np.int64)
-    if float(np.max(np.sum(pattern, axis=1))) ** (n_max + 1) >= 2.0 ** 63:
+    if (n_max + 1) * math.log2(int(np.max(np.sum(pattern, axis=1)))) >= 63:
         pattern = pattern.astype(object)    # entries of A^m may leave int64
     traces_a = [0]
     power = pattern
@@ -472,17 +473,21 @@ def _s_trace_integral(dec: Decomposition, h: TestFunction) -> float:
     Im tr S''(k)/k equals sum_j 2 lam_j / (lam_j^2 + k^2) over the nonzero
     eigenvalues of L'', an even smooth function of k.  16-point
     Gauss-Legendre panels (``_gl_grid``) on [0, K] resolve its Lorentzian peaks by
-    grading: [0, lam_min / 2], then panels of doubling width, each at
-    least its own width from the poles +-i lam.
+    grading: [0, min(lam_min / 2, 2 w)], then panels of doubling width,
+    each at least its own width from the poles +-i lam.  w = 1 / sqrt(t) is
+    the width of a Gaussian h (1 otherwise): the search for K starts at
+    min(1, w), and the first panel ends where h has fallen to exp(-4) or
+    before, so a narrow Gaussian (large t) is not missed by every node.
     """
     lam = dec.poles
     if lam.size == 0:
         return 0.0
-    big_k = 1.0
+    width = 1.0 if h.gaussian_width is None else 1.0 / math.sqrt(h.gaussian_width)
+    big_k = min(1.0, width)
     while (big_k < _S_TRACE_K_CAP
            and abs(float(h(big_k))) * float(np.sum(2.0 / np.abs(lam))) > _S_TRACE_TAIL_TOL):
         big_k *= 1.5
-    edges = [0.0, min(0.5 * float(np.min(np.abs(lam))), big_k)]
+    edges = [0.0, min(0.5 * float(np.min(np.abs(lam))), 2.0 * width, big_k)]
     while edges[-1] < big_k:
         edges.append(min(2.0 * edges[-1], big_k))
     xs, ws = _gl_grid(np.array(edges))

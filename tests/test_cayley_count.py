@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import WindingScan, random_graph, random_unitary
+from util import WindingScan, assert_stacks_do_not_leak, random_graph, random_unitary
 
 EXAMPLES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -165,3 +165,13 @@ def test_first_order_solve_jumps_are_winding_count_jumps():
     np.testing.assert_array_equal(jumps, sp.multiplicities)
     total = oracle.m_many([60.0])[0][0] - oracle.m_many([-60.0])[0][0]
     assert sp.total_count == total
+
+
+@pytest.mark.parametrize("d, family", [(1, "random"), (2, "random"), (3, "minus_one"),
+                                       (4, "random"), (8, "permutation"), (20, "random")])
+def test_stacks_do_not_leak(monkeypatch, d, family):
+    # a point's count, eigenphases, parity, Newton step and gaps do not
+    # depend on the points beside it in its stacked call
+    count = spectra._CayleyCount(first_order(d, d, family, False))
+    ks = np.random.default_rng(d).uniform(-30.0, 30.0, 25)
+    assert_stacks_do_not_leak(monkeypatch, count, ks, d * d)

@@ -15,6 +15,8 @@ from util import csv_writer_artifact
 RING = {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "v", "to": "v"}],
         "directed": True}
 EDGE = {"edges": [{"id": "e0", "a": 1.0, "b": math.e, "from": "u", "to": "v"}]}
+STAR3 = {"edges": [{"id": f"e{i}", "a": 1.0, "b": math.e, "from": "c", "to": f"t{i}"}
+                   for i in range(3)]}
 
 
 def run_config(tmp_path, payload, name="job", threads=1):
@@ -111,9 +113,7 @@ class TestSpectrumTask:
     def test_short_scan_threads_byte_identical(self, tmp_path):
         # --threads is accepted and ignored, also beyond the CPU count: every
         # artifact byte is the same
-        star3 = {"edges": [{"id": f"e{i}", "a": 1.0, "b": math.e, "from": "c", "to": f"t{i}"}
-                           for i in range(3)]}
-        payload = {"task": "spectrum", "operator": "bk2", "graph": star3,
+        payload = {"task": "spectrum", "operator": "bk2", "graph": STAR3,
                    "boundary": {"kind": "kirchhoff"},
                    "numeric": {"k_min": 0.0, "k_max": 20.0}}
         _, out1 = run_config(tmp_path, payload, "single", threads=1)
@@ -634,16 +634,25 @@ class TestErrorContract:
         assert code == cli.EXIT_COMPUTE == 4
         assert err["code"] == "RANGE_EXCEEDED"
 
-    @pytest.mark.parametrize("task, t", [("trace-check", 1e8), ("heat-trace", 1e-14)])
-    def test_largest_admitted_trace_jobs(self, tmp_path, task, t):
-        # N = 191,942 orbit steps at t = 1e8, and 2.8e7 heat-trace terms at 1e-14
-        payload = {"task": task, "operator": "bk2", "graph": EDGE,
-                   "boundary": {"kind": "dirichlet"}, "numeric": {"t_values": [t]}}
+    @pytest.mark.parametrize("task, graph, boundary, t, steps", [
+        ("trace-check", EDGE, "dirichlet", 1e8, 191942),
+        ("heat-trace", EDGE, "dirichlet", 1e-14, None),
+        ("trace-check", STAR3, "kirchhoff", 3e3, 1052),
+        ("trace-check", STAR3, "kirchhoff", 1e4, 1920),
+    ], ids=["trace-check-100000000.0", "heat-trace-1e-14",
+            "trace-check-star3-3000.0", "trace-check-star3-10000.0"])
+    def test_largest_admitted_trace_jobs(self, tmp_path, task, graph, boundary, t, steps):
+        # N = 191,942 orbit steps at t = 1e8, and 2.8e7 heat-trace terms at
+        # 1e-14.  The star's pattern has rows of three entries, so its orbit
+        # count passes 2^(N + 1) > 1.8e308; the overflow test of the count
+        # raised OverflowError there (exit 4)
+        payload = {"task": task, "operator": "bk2", "graph": graph,
+                   "boundary": {"kind": boundary}, "numeric": {"t_values": [t]}}
         code, out = run_config(tmp_path, payload)
         assert code == 0
         if task == "trace-check":
             (report,) = json.loads((out / "trace.json").read_text())["reports"]
-            assert report["max_steps"] == 191942
+            assert report["max_steps"] == steps
             assert report["discrepancy"] <= 1e-8
 
     def test_halfline_beyond_amplitude_range(self, tmp_path):

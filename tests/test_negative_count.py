@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import KDEP_FAMILIES, random_graph, random_kdep_spec, sign_change_negative_roots
+from util import (KDEP_FAMILIES, assert_stacks_do_not_leak, random_graph, random_kdep_spec,
+                  sign_change_negative_roots)
 
 #: largest m-th smallest singular value of I - U(i kappa) at a root of multiplicity m
 SV_TOL = 1e-10
@@ -192,3 +193,17 @@ def test_decreasing_count_refines_by_newton_steps():
     assert count.evals - 2 <= 8 * len(roots)
     for (kappa, _), (ref, _) in zip(roots, xg.find_negative_eigenvalues(sys_, hi)):
         assert abs(kappa - ref) <= ROOT_TOL
+
+
+@pytest.mark.parametrize("make", [
+    lambda: robin_system([4.0], 1.0),
+    lambda: kdep_system(2, 2, "hermitian_full"),
+    lambda: kdep_system(3, 3, "robin"),
+    lambda: robin_system(np.linspace(1.0, 3.0, 10), [1.0, -0.5] * 10),
+], ids=["robin-1", "hermitian-2", "robin-3", "robin-10"])
+def test_stacks_do_not_leak(monkeypatch, make):
+    # a point's count, eigenvalues, parity and Newton step do not depend on
+    # the points beside it in its stacked call
+    count = spectra._NegativeCount(make())
+    kappas = np.random.default_rng(7).uniform(0.01, 3.0, 25)
+    assert_stacks_do_not_leak(monkeypatch, count, kappas, count.q.shape[1] ** 2)

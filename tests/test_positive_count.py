@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import (KDEP_FAMILIES, eigenphase_roots, random_graph, random_kdep_spec,
-                  random_unitary)
+from util import (KDEP_FAMILIES, assert_stacks_do_not_leak, eigenphase_roots, random_graph,
+                  random_kdep_spec, random_unitary)
 
 TOL = 1e-10
 K_MAX = 12.0
@@ -372,7 +372,7 @@ def test_no_solve_calls_eig_or_eigvals(monkeypatch):
     # Newton vectors come from a shifted solve: a squared-operator solve
     # calls no eig, eigvals or eigh, and a first-order one no eig or
     # eigvals either: eigh on its grid, inv for its Newton steps and det
-    # for its parity counts (a one-bond ring counts in closed form)
+    # for its parity counts (a one-bond ring counts and steps in closed form)
     def refuse(*args, **kwargs):
         raise AssertionError("eig, eigvals or eigh called")
 
@@ -399,4 +399,21 @@ def test_no_solve_calls_eig_or_eigvals(monkeypatch):
     ring = xg.MetricGraph.from_intervals([(1.0, math.e)], directed=True)
     ring = xg.SecularSystem.bk(xg.s_matrix_bk(xg.standard_bc("ring_phase", ring, c=0.3)), ring)
     assert xg.find_spectrum(ring, (-10.0, 10.0)).total_count > 0
-    assert set(calls) == {"inv", "det"}
+    assert set(calls) == {"det"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: drawn_system(1, 1, "robin"),
+    lambda: drawn_system(2, 2, "hermitian_full"),
+    lambda: drawn_system(3, 3, "squared_unitary"),
+    lambda: drawn_system(4, 6, "hermitian_partial"),
+    lambda: kirchhoff_star(10),
+], ids=["robin-1", "hermitian-2", "squared-3", "hermitian-6", "star-10"])
+def test_stacks_do_not_leak(monkeypatch, make):
+    # a point's count, eigenvalues, parity, Newton step and gaps do not
+    # depend on the points beside it in its stacked call; the 10-star
+    # (d = 20) mixes full-border and slot points
+    count = spectra._PositiveCount(make())
+    ks = np.random.default_rng(7).uniform(0.01, 20.0, 25)
+    rows = count.rank + min(len(count.lengths), spectra.BORDER_SLOTS)
+    assert_stacks_do_not_leak(monkeypatch, count, ks, rows * rows)

@@ -272,6 +272,18 @@ class TestSecondOrderTrace:
             lhs_imag, _ = xg.trace_lhs(sp, h, g.total_length, include_imaginary=True)
             assert abs(lhs_imag - report.rhs_total) > 1.0
 
+    @pytest.mark.parametrize("t", [1e3, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("rho, ell", [(1.0, 4.0), (-0.3, 2.0)])
+    def test_robin_identity_with_a_narrow_gaussian(self, rho, ell, t):
+        # at large t h is narrower than lam_min / 2, the first panel of the
+        # S-trace integral, whose nodes all missed it (|lhs - rhs| 5.6e-4 at
+        # t = 1e6 on rho = 1, and the integral 5e-308 at t = 1e8)
+        g, dec, sys_ = bk2_setup("robin", b=math.exp(ell), rho=rho)
+        h = xg.gaussian(t)
+        sp = xg.find_spectrum(sys_, (0.0, math.sqrt(math.log(1e14) / t)))
+        lhs, _ = xg.trace_lhs(sp, h, g.total_length)
+        assert abs(lhs - xg.trace_rhs_bk2(g, dec, h).rhs_total) <= 1e-8
+
     def test_robin_identity_with_every_orbit_beyond_the_cutoff(self):
         # the shortest orbit, 9.4, is longer than the Gaussian cutoff 8.6 at
         # t = 0.2, yet the poles keep its term near 1e-3

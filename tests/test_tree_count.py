@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import dense_count, random_graph, random_kdep_spec, random_unitary
+from util import (assert_stacks_do_not_leak, dense_count, random_graph, random_kdep_spec,
+                  random_unitary)
 
 TOL = 1e-10
 K_MAX = 12.0
@@ -310,3 +311,15 @@ def test_elimination_path_calls_no_eigensolve_det_or_solve(monkeypatch):
         count.parity(ks)
         count.newton_steps(ks)
     assert len(roots) > 0
+
+
+@pytest.mark.parametrize("seed, shape, n_edges, family", [
+    (1, "path", 1, "robin"), (2, "star", 3, "kirchhoff"), (3, "tree", 6, "mixed"),
+    (4, "path", 5, "neumann"), (5, "star", 10, "kirchhoff"),
+])
+def test_stacks_do_not_leak(monkeypatch, seed, shape, n_edges, family):
+    # a point's count, pivots, parity, Newton step and gaps do not depend
+    # on the points beside it in its elimination
+    count = spectra._TreeCount(drawn_system(seed, shape, n_edges, family))
+    ks = np.random.default_rng(seed).uniform(0.01, 20.0, 25)
+    assert_stacks_do_not_leak(monkeypatch, count, ks, len(count.forest.sigma))

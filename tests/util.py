@@ -2,13 +2,12 @@
 them: the raw S''(k) formula, the eigenphase winding count of a constant
 bond matrix, the eigenphase scan of the positive axis and its bisection,
 the eigensolve-only spectrum solve, the switch to the dense squared-operator
-count, the phase and end-swap matrices T(k)
-and J0, the sign-change search of the
-negative axis, the two-probe zero-mode count, the walk-based orbit
-enumeration, the orbit-by-orbit trace sums, a test function tabulated on
-a grid, the scalar critical-line zeta series, the csv.writer form of
-the CLI's CSV artifact writer and the np.block form of the dilation
-matrices."""
+count, the stack-size check of a count's outputs, the phase and end-swap
+matrices T(k) and J0, the sign-change search of the negative axis, the
+two-probe zero-mode count, the walk-based orbit enumeration, the
+orbit-by-orbit trace sums, a test function tabulated on a grid, the
+scalar critical-line zeta series, the csv.writer form of the CLI's CSV
+artifact writer and the np.block form of the dilation matrices."""
 
 from __future__ import annotations
 
@@ -224,6 +223,29 @@ def dense_count():
     """A context in which every squared-operator scan takes the dense
     ``_PositiveCount``: no system has a forest layout."""
     return mock.patch.object(spectra.SecularSystem, "forest", property(lambda self: None))
+
+
+def count_outputs(count, ks) -> list:
+    """Every output of a count over ks: m_many, parity, newton_steps and,
+    where the count has them, the gaps of the m_many data."""
+    counts, vals = count.m_many(ks)
+    out = [counts, vals, count.parity(ks)]
+    out += [x for x in count.newton_steps(ks) if x is not None]
+    if hasattr(count, "gaps"):
+        out += list(count.gaps(vals))
+    return out
+
+
+def assert_stacks_do_not_leak(monkeypatch, count, ks, entries: int) -> None:
+    """The outputs of count over ks are the same to the bit with one and
+    with two points (of the smallest per-point size, ``entries``) per
+    stacked call as with all of ks in one stack."""
+    assert len(ks) * entries <= spectra.STACK_ENTRIES      # the default takes one stack
+    reference = count_outputs(count, ks)
+    for points in (1, 2):
+        monkeypatch.setattr(spectra, "STACK_ENTRIES", points * entries)
+        for want, got in zip(reference, count_outputs(count, ks), strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def swap_matrix(n_edges: int) -> np.ndarray:
