@@ -2,8 +2,10 @@
 
 A job is one JSON document: graph, boundary condition, task, numeric
 options.  Data goes to CSV, reports to JSON; every failure exits with a
-stable code (2 parse, 3 validation, 4 compute) and an error.json artifact.
-Outputs are deterministic: fixed orders, fixed formatting, no timestamps.
+stable code (2 parse, 3 validation, 4 compute) and an error.json artifact
+alone, since a task returns its artifacts as texts and ``run`` writes them
+only after the task has returned.  Outputs are deterministic: fixed
+orders, fixed formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -242,29 +244,27 @@ def build_system(config: JobConfig, graph: MetricGraph):
 
 
 # ---------------------------------------------------------------------------
-# Artifact writers
+# Artifact texts
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header, rows) -> None:
-    """CSV with CRLF line ends and floats to 17 significant digits, written
-    in one call.  No field holds a comma, quote or line break, so none is
-    quoted."""
+def _csv(header, rows) -> str:
+    """CSV with CRLF line ends and floats to 17 significant digits.  No
+    field holds a comma, quote or line break, so none is quoted."""
     lines = [",".join(header)]
     lines += [",".join([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row])
               for row in rows]
-    with path.open("w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    return "\r\n".join(lines) + "\r\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Tasks
+# Tasks: each returns its artifacts, file name -> text
 # ---------------------------------------------------------------------------
 
-def _task_validate(config, out_dir):
+def _task_validate(config):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
     report = {"valid": True, "operator": spec.kind, "matrix_size": spec.m,
@@ -278,7 +278,7 @@ def _task_validate(config, out_dir):
         report["k_independent"] = dec.k_independent
         report["squared_form"] = (dec.k_independent and
                                   extensions.is_squared_form(sys_.s_part(1.0)))
-    _write_json(out_dir / "report.json", report)
+    return {"report.json": _json(report)}
 
 
 def _solve(config):
@@ -295,9 +295,8 @@ def _solve(config):
     return graph, spectrum
 
 
-def _write_spectrum(out_dir, spectrum):
+def _spectrum_artifacts(spectrum) -> dict:
     rows = [(n, k, g) for n, (k, g) in enumerate(spectrum.eigenvalues)]
-    _write_csv(out_dir / "spectrum.csv", ("n", "k_n", "g_n"), rows)
     payload = {"kind": spectrum.kind, "k_window": list(spectrum.k_window),
                "n_eigenvalues": spectrum.total_count,
                "diagnostics": {k: (float(v) if isinstance(v, float) else v)
@@ -307,24 +306,23 @@ def _write_spectrum(out_dir, spectrum):
     if spectrum.negative:
         payload["negative"] = [{"kappa": k, "multiplicity": g}
                                for k, g in spectrum.negative]
-    _write_json(out_dir / "spectrum.json", payload)
+    return {"spectrum.csv": _csv(("n", "k_n", "g_n"), rows), "spectrum.json": _json(payload)}
 
 
-def _task_spectrum(config, out_dir):
-    _write_spectrum(out_dir, _solve(config)[1])
+def _task_spectrum(config):
+    return _spectrum_artifacts(_solve(config)[1])
 
 
-def _task_weyl(config, out_dir):
+def _task_weyl(config):
     graph, spectrum = _solve(config)
     fit = spectra.weyl_fit(spectrum, graph, side=_option(config, "side") or "positive")
-    _write_spectrum(out_dir, spectrum)
-    _write_json(out_dir / "weyl.json", {
+    return {**_spectrum_artifacts(spectrum), "weyl.json": _json({
         "slope": fit.slope, "intercept": fit.intercept, "side": fit.side,
         "expected_slope": fit.expected_slope, "weyl_slope": graph.total_length / math.pi,
-        "rel_error_vs_weyl": fit.rel_error_vs_weyl, "n_points": fit.n_points})
+        "rel_error_vs_weyl": fit.rel_error_vs_weyl, "n_points": fit.n_points})}
 
 
-def _task_trace_check(config, out_dir):
+def _task_trace_check(config):
     graph = build_graph(config)
     sys_, spec, dec = build_system(config, graph)
     cutoff, tol = _option(config, "orbit_cutoff"), _option(config, "tol")
@@ -341,13 +339,12 @@ def _task_trace_check(config, out_dir):
             spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol)
         lhs, tail = traces.trace_lhs(spectrum, h, graph.total_length)
         reports.append((t, report.with_lhs(lhs, tail)))
-    _write_csv(out_dir / "trace.csv", ("t", "lhs", "rhs_total", "discrepancy"),
-               [(t, r.lhs, r.rhs_total, r.discrepancy) for t, r in reports])
-    _write_json(out_dir / "trace.json",
-                {"reports": [{"t": t, **r.to_dict()} for t, r in reports]})
+    return {"trace.csv": _csv(("t", "lhs", "rhs_total", "discrepancy"),
+                              [(t, r.lhs, r.rhs_total, r.discrepancy) for t, r in reports]),
+            "trace.json": _json({"reports": [{"t": t, **r.to_dict()} for t, r in reports]})}
 
 
-def _task_heat_trace(config, out_dir):
+def _task_heat_trace(config):
     graph = build_graph(config)
     if config.boundary and config.boundary.get("kind") != "dirichlet":
         raise ValidationError("heat-trace compares the single-edge Dirichlet system")
@@ -357,37 +354,34 @@ def _task_heat_trace(config, out_dir):
         pair = traces.heat_trace_pair(graph, t)
         rows.append((t, pair.spectral, pair.theta, pair.difference))
         max_diff = max(max_diff, pair.difference)
-    _write_csv(out_dir / "heat_trace.csv", ("t", "spectral", "theta", "abs_diff"), rows)
-    _write_json(out_dir / "heat_trace.json",
-                {"max_abs_diff": max_diff, "n_t_values": len(rows)})
+    return {"heat_trace.csv": _csv(("t", "spectral", "theta", "abs_diff"), rows),
+            "heat_trace.json": _json({"max_abs_diff": max_diff, "n_t_values": len(rows)})}
 
 
-def _task_halfline_demo(config, out_dir):
+def _task_halfline_demo(config):
     k_max, n_k = _option(config, "k_grid_max"), _option(config, "n_k")
     ks = np.linspace(-k_max, k_max, n_k)
     amps = halfline.fermi_amplitude_closed(ks)
     mags = np.abs(amps) ** 2
-    _write_csv(out_dir / "amplitude.csv", ("k", "re_a", "im_a", "abs_a_sq"),
-               zip(ks.tolist(), amps.real.tolist(), amps.imag.tolist(), mags.tolist()))
-
     ref = abs(halfline.fermi_amplitude_closed(0.0)) ** 2
     mid = mags[1:-1]
     is_dip = (mid < mags[:-2]) & (mid < mags[2:]) & (mid < 1e-8 * ref)
-    _write_json(out_dir / "halfline.json",
-                {"k_grid_max": k_max, "n_k": n_k,
-                 "normalization": ref, "dip_locations": ks[1:-1][is_dip].tolist()})
+    return {"amplitude.csv": _csv(("k", "re_a", "im_a", "abs_a_sq"), zip(
+                ks.tolist(), amps.real.tolist(), amps.imag.tolist(), mags.tolist())),
+            "halfline.json": _json({"k_grid_max": k_max, "n_k": n_k, "normalization": ref,
+                                    "dip_locations": ks[1:-1][is_dip].tolist()})}
 
 
-def _task_counting_compare(config, out_dir):
+def _task_counting_compare(config):
     graph, spectrum = _solve(config)
     side = _option(config, "side") or ("two_sided" if spectrum.kind == extensions.BK
                                        else "positive")
     k_start = _option(config, "k_start")
     rows, monotone = traces.counting_comparison(spectrum, graph, k_start=k_start, side=side)
-    _write_csv(out_dir / "counting.csv", ("k", "n_graph", "n_riemann", "ratio"), rows)
-    _write_json(out_dir / "counting.json", {
-        "ratio_monotone_decreasing": monotone, "side": side, "k_start": k_start,
-        "first_ratio": rows[0][3], "last_ratio": rows[-1][3]})
+    return {"counting.csv": _csv(("k", "n_graph", "n_riemann", "ratio"), rows),
+            "counting.json": _json({
+                "ratio_monotone_decreasing": monotone, "side": side, "k_start": k_start,
+                "first_ratio": rows[0][3], "last_ratio": rows[-1][3]})}
 
 
 #: task -> (runner, document parts it needs, numeric options it requires)
@@ -403,11 +397,13 @@ _TASKS = {
 
 
 def run(config: JobConfig, out_dir) -> int:
-    """Execute one job; writes artifacts into out_dir and returns exit code."""
+    """Execute one job; writes its artifacts into out_dir once the task has
+    returned them all, or error.json alone, and returns the exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        _TASKS[config.task][0](config, out_dir)
+        for name, text in _TASKS[config.task][0](config).items():
+            (out_dir / name).write_text(text, newline="")   # no line-end translation
     except XpGraphsError as exc:
         return _fail(out_dir, exc)
     except Exception as exc:  # keep the exit-code contract for unforeseen failures
@@ -423,7 +419,7 @@ def _fail(out_dir: Path, exc: XpGraphsError) -> int:
     the exit code of its class."""
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"error": {"code": exc.code, "message": str(exc)}}
-    _write_json(out_dir / "error.json", payload)
+    (out_dir / "error.json").write_text(_json(payload), newline="")
     print(json.dumps(payload), file=sys.stderr)
     if isinstance(exc, ParseError):
         return EXIT_PARSE

@@ -27,6 +27,18 @@ from .graph import MetricGraph
 #: default relative singular-value threshold for numerical rank decisions
 RANK_TOL = 1e-10
 
+#: largest entry of A B+ - B A+, relative to max(1, max|A| max|B|), of a
+#: self-adjoint pair (``validate_extension``)
+HERM_TOL = 1e-12
+
+#: largest Hermiticity defect of L'', relative to max(1, max|L''|)
+#: (``decompose``)
+L_DPRIME_HERM_TOL = 1e-9
+
+#: relative distance |lam + ik| / (|lam| + |k|) at or below which k is a pole of
+#: S''(k) (``_denominators``)
+POLE_TOL = 1e-12
+
 #: width (in decades, each side) of the ambiguity band around the threshold
 _RANK_BAND = 1e2
 
@@ -50,15 +62,14 @@ class ExtensionSpec:
         return self.a.shape[0]
 
 
-def validate_extension(a, b, kind: str = BK, herm_tol: float = 1e-12,
-                       rank_tol: float = RANK_TOL) -> ExtensionSpec:
+def validate_extension(a, b, kind: str = BK) -> ExtensionSpec:
     """Check the self-adjointness conditions on a boundary pair.
 
     Raises:
         HermiticityViolation: A B+ differs from B A+ entrywise beyond
-            ``herm_tol`` (scaled by the matrix magnitudes).
+            HERM_TOL (scaled by the matrix magnitudes).
         RankDeficient: the m x 2m concatenation (A, B) has numerical
-            rank below m.
+            rank below m, relative to RANK_TOL.
     """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     b = np.atleast_2d(np.asarray(b, dtype=complex))
@@ -72,13 +83,13 @@ def validate_extension(a, b, kind: str = BK, herm_tol: float = 1e-12,
 
     scale = max(1.0, float(np.max(np.abs(a)) * np.max(np.abs(b))))
     defect = np.max(np.abs(a @ b.conj().T - b @ a.conj().T))
-    if defect > herm_tol * scale:
+    if defect > HERM_TOL * scale:
         raise HermiticityViolation(
-            f"A B+ - B A+ has max entry {defect:.3e} (tolerance {herm_tol * scale:.3e})"
+            f"A B+ - B A+ has max entry {defect:.3e} (tolerance {HERM_TOL * scale:.3e})"
         )
 
     sv = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
-    if sv[m - 1] < rank_tol * sv[0]:
+    if sv[m - 1] < RANK_TOL * sv[0]:
         raise RankDeficient(
             f"rank(A, B) < {m}: singular values span {sv[0]:.3e}..{sv[m-1]:.3e}"
         )
@@ -87,7 +98,7 @@ def validate_extension(a, b, kind: str = BK, herm_tol: float = 1e-12,
     # checked anyway to catch inconsistent input early
     for sgn in (+1.0, -1.0):
         s = np.linalg.svd(a + sgn * 1j * b, compute_uv=False)
-        if s[-1] < rank_tol * max(s[0], 1e-300):
+        if s[-1] < RANK_TOL * max(s[0], 1e-300):
             raise ValidationError("A +- iB numerically singular for a valid pair")
 
     return ExtensionSpec(a=a, b=b, kind=kind)
@@ -243,7 +254,7 @@ def decompose(spec: ExtensionSpec, dil: DilationMatrices,
 
     l_dprime = p_perp @ (l_prime - 0.5 * dil.i_pm) @ p_perp
     herm_defect = np.max(np.abs(l_dprime - l_dprime.conj().T))
-    if herm_defect > 1e-9 * max(1.0, np.max(np.abs(l_dprime))):
+    if herm_defect > L_DPRIME_HERM_TOL * max(1.0, np.max(np.abs(l_dprime))):
         raise ValidationError(
             f"L'' not Hermitian (defect {herm_defect:.3e}); inconsistent boundary pair"
         )
@@ -273,13 +284,13 @@ def _denominators(dec: Decomposition, k):
     eigenvalues lam of L'' on ran B'+.
 
     Raises:
-        SingularAtK: some nonzero k within ~1e-12 (relative) of a pole;
+        SingularAtK: some nonzero k within POLE_TOL (relative) of a pole;
             k = 0 is exempt, its value is a continuous limit.
     """
     kk = np.asarray(k, dtype=complex)[..., None]
     lam = dec.sigma_l
     denom = lam + 1j * kk
-    bad = (np.abs(denom) <= 1e-12 * (np.abs(lam) + np.abs(kk))) & (kk != 0)
+    bad = (np.abs(denom) <= POLE_TOL * (np.abs(lam) + np.abs(kk))) & (kk != 0)
     if np.any(bad):
         *at, j = np.argwhere(bad)[0]
         raise SingularAtK(
@@ -313,7 +324,7 @@ def s_matrix_bk2(dec: Decomposition, k) -> np.ndarray:
     k = +- i sigma(L'') on the imaginary axis; real k is always regular.
 
     Raises:
-        SingularAtK: some k within ~1e-12 (relative) of a pole.
+        SingularAtK: some k within POLE_TOL (relative) of a pole.
     """
     if dec.rank == 0:
         return np.broadcast_to(-dec.p_ker, np.shape(k) + dec.p_ker.shape).astype(complex)

@@ -28,6 +28,13 @@ ALPHA = 1.0 / math.sqrt(math.log(2.0) - 0.5)
 #: here; the eta series overflows a double near |k| = 400
 AMPLITUDE_K_MAX = 200.0
 
+#: change of the Mellin quadrature, absolute plus relative, below which two
+#: consecutive halvings of its step stop the refinement
+MELLIN_TOL = 1e-10
+
+#: most step halvings of the Mellin quadrature
+MELLIN_LEVELS = 14
+
 
 def fermi_packet(x):
     """Normalized reference packet alpha / (e^x + 1) on the half-line."""
@@ -110,24 +117,20 @@ def _auto_window(phi) -> tuple:
     return y_lo, y_hi
 
 
-def mellin_amplitude(phi, k: float, y_window: tuple | None = None,
-                     tol: float = 1e-10, max_levels: int = 14) -> complex:
+def mellin_amplitude(phi, k: float) -> complex:
     """Wave-number amplitude A(k) = (1/sqrt(2pi)) int_0^inf x^(-1/2-ik) phi(x) dx.
 
     The substitution x = e^y turns the integral into a Fourier integral of
     the smooth, exponentially decaying g(y) = e^(y/2) phi(e^y), which the
     refined trapezoid rule resolves to near machine precision for packets
-    analytic in a strip.  Refinement stops when two consecutive halvings
-    move the result by less than ``tol`` (absolute, plus relative).
+    analytic in a strip, on the window of ``_auto_window``.  Refinement
+    stops when two consecutive halvings move the result by less than
+    MELLIN_TOL (absolute, plus relative).
 
     Raises:
         ConvergenceFailure: refinement budget exhausted.
     """
-    if y_window is None:
-        y_window = _auto_window(phi)
-    y_lo, y_hi = map(float, y_window)
-    if not y_lo < y_hi:
-        raise ValidationError("empty quadrature window")
+    y_lo, y_hi = _auto_window(phi)
 
     def total(n: int) -> complex:
         ys = np.linspace(y_lo, y_hi, n)
@@ -137,19 +140,19 @@ def mellin_amplitude(phi, k: float, y_window: tuple | None = None,
     n = 513
     prev = total(n)
     small_steps = 0
-    for _ in range(max_levels):
+    for _ in range(MELLIN_LEVELS):
         n = 2 * n - 1
         cur = total(n)
         delta = abs(cur - prev)
         prev = cur
-        if delta < tol * max(1.0, abs(cur)):
+        if delta < MELLIN_TOL * max(1.0, abs(cur)):
             small_steps += 1
             if small_steps >= 2:
                 return cur
         else:
             small_steps = 0
     raise ConvergenceFailure(
-        f"Mellin quadrature did not reach tol={tol} within {max_levels} refinements"
+        f"Mellin quadrature did not reach tol={MELLIN_TOL} within {MELLIN_LEVELS} refinements"
     )
 
 

@@ -42,6 +42,14 @@ its two end counts, and the sign of a determinant tells them apart with
 one LU and no eigensolve (``parity``; the elimination count reads it off
 its pivots).  Refinement runs in rounds that
 advance every open bracket and make at most one stacked call of each kind.
+
+Every count keeps only its matrix; ``_Count`` owns the rest.  It cuts the
+points into stacks of at most STACK_ENTRIES entries (``_stacks``), reads
+each stack as counts (``m_many``), parities or Newton steps, and puts the
+outputs back in point order.  ``m_many`` tallies its points in ``evals``
+and ``parity`` in ``lu_evals``; ``newton_steps`` tallies in ``evals`` only
+when it gives counts, so the Newton inverses of the first-order count are
+not tallied.
 """
 
 from __future__ import annotations
@@ -244,19 +252,24 @@ def _rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _stacks(n_points: int, entries: int):
     """Slices of 0..n_points, each the points of one stacked call whose
     per-point matrix (or elimination) has the given number of entries:
-    max(1, STACK_ENTRIES // entries) points a slice."""
+    max(1, STACK_ENTRIES // entries) points a slice, and one empty slice
+    for no points, so that a count still gives its outputs' shapes."""
     size = max(1, STACK_ENTRIES // max(1, entries))
-    for start in range(0, n_points, size):
+    for start in range(0, max(1, n_points), size):
         yield slice(start, start + size)
 
 
 @lru_cache(maxsize=None)
-def _iteration_start(n: int) -> tuple:
-    """(identity, fixed start vector) of size n for inverse iteration.  The
-    start vector b_i = sin(i) has no integer linear relation (e^i is
-    transcendental), so it is orthogonal to no integer-pattern eigenvector,
-    such as (1, -1, -1, 1), of a symmetric graph."""
-    return np.eye(n), np.sin(np.arange(1.0, n + 1.0))
+def _iteration_start(n: int) -> np.ndarray:
+    """Fixed start vector b_i = sin(i), i = 1..n, of inverse iteration.  It
+    has no integer linear relation (e^i is transcendental), so it is
+    orthogonal to no integer-pattern eigenvector, such as (1, -1, -1, 1),
+    of a symmetric graph."""
+    return np.sin(np.arange(1.0, n + 1.0))
+
+
+#: the identity of each size, built once
+_identity = lru_cache(maxsize=None)(np.eye)
 
 
 def _nearest_vector(mats: np.ndarray, vals: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -268,7 +281,7 @@ def _nearest_vector(mats: np.ndarray, vals: np.ndarray, j: np.ndarray) -> np.nda
     damps the other eigenvectors by eps / |mu_i - mu_j|; a zero matrix
     takes eps = NEWTON_SHIFT SHIFT_FLOOR, so every row stays finite.
     """
-    eye, start = _iteration_start(mats.shape[-1])
+    eye, start = _identity(mats.shape[-1]), _iteration_start(mats.shape[-1])
     top = np.maximum(abs(vals).max(axis=-1), SHIFT_FLOOR)
     shift = vals[np.arange(len(vals)), j] + NEWTON_SHIFT * top
     x = np.linalg.solve(mats - shift[:, None, None] * eye, start)
@@ -300,6 +313,59 @@ def _rounding_bound(vals: np.ndarray) -> np.ndarray:
     (last axis kept): an eigenvalue this close to 0 is not told from 0."""
     return 4 * vals.shape[-1] * EPS \
         * np.max(np.abs(vals), axis=-1, initial=0.0, keepdims=True)
+
+
+class _Count:
+    """The protocol of every count (see the module docstring).
+
+    A count supplies ``_parts(ks)``, (rows, factors) per stacked call, by
+    default one ``_stacks`` slice of ``entries`` per point with its k as
+    the factors, and three readings of the factors: ``_read`` (count, what
+    ``gaps`` takes), ``_signs`` ((-1)^count, 0 where rounding may hide it)
+    and ``_step`` (count or None, Newton step).  A lone stack's outputs are
+    returned as they are.  ``grid_step`` is the scan step of
+    ``_scan_step``, inf for a count with no roots between Dirichlet points.
+    """
+
+    def __init__(self, sys: SecularSystem, entries: int, roots: bool = True):
+        self.grid_step = _scan_step(float(np.sum(sys.weights))) if roots else math.inf
+        self.entries = entries
+        self.evals = self.lu_evals = 0
+
+    def _parts(self, ks):
+        for rows in _stacks(len(ks), self.entries):
+            yield rows, ks[rows]
+
+    def _gather(self, ks, read) -> tuple:
+        """The outputs of read(factors) over every stack of ks, in point order."""
+        ks = np.asarray(ks, dtype=float)
+        runs = [(rows, read(factors)) for rows, factors in self._parts(ks)]
+        if len(runs) == 1:
+            return runs[0][1]
+        outs = [None if out is None else np.empty((len(ks),) + out.shape[1:], out.dtype)
+                for out in runs[0][1]]
+        for rows, got in runs:
+            for buf, out in zip(outs, got):
+                if buf is not None:
+                    buf[rows] = out
+        return tuple(outs)
+
+    def m_many(self, ks):
+        """(count, what ``gaps`` takes) over ks."""
+        self.evals += len(ks)
+        return self._gather(ks, self._read)
+
+    def parity(self, ks):
+        """(-1)^count over ks, 0 where rounding may hide it."""
+        self.lu_evals += len(ks)
+        return self._gather(ks, lambda factors: (self._signs(factors),))[0]
+
+    def newton_steps(self, ks):
+        """(count or None, Newton step) over ks."""
+        counts, steps = self._gather(ks, self._step)
+        if counts is not None:
+            self.evals += len(ks)
+        return counts, steps
 
 
 class _Cayley:
@@ -340,7 +406,7 @@ class _Cayley:
                              / TWO_PI).astype(int)
 
 
-class _CayleyCount:
+class _CayleyCount(_Count):
     """M(k) of a constant unitary bond matrix B, U(k) = B exp(ikw), from the
     negative index of a Hermitian Cayley matrix (Kostrykin & Schrader,
     J. Phys. A 32, 595, 1999).
@@ -356,25 +422,25 @@ class _CayleyCount:
     rotation farthest from the poles of D_i and from max |psi_ij|: one of the
     2d + 1 is pi / (2d + 1) clear of the 2d excluded angles, so no entry of
     D_i or K_i exceeds cot(pi / (2 (2d + 1))).  ``evals`` counts the
-    D_i - K_i eigensolved, ``lu_evals`` the U(k) that only take an LU.
+    D_i - K_i eigensolved, ``lu_evals`` the U(k) that only take an LU, and
+    the Newton inverses are not counted.
     """
 
     name = "cayley"
 
     def __init__(self, sys: SecularSystem):
         self.weights = sys.weights
+        d = len(self.weights)
+        super().__init__(sys, d * d)
         self.rate = float(np.sum(self.weights))
-        self.grid_step = _scan_step(self.rate)
         self.bond = sys.bond_matrix(0.0)
         self.theta0 = float(np.angle(np.linalg.det(self.bond)))
-        self.cayley = sys.cayley if len(self.weights) > 1 else None
-        self.eye, self.start = _iteration_start(len(self.weights))
-        self.evals = self.lu_evals = 0
+        self.cayley = sys.cayley if d > 1 else None
+        self.eye, self.start = _identity(d), _iteration_start(d)
 
-    def _u_blocks(self, ks):
-        """(slice, stack of U(k)) over ks, one per ``_stacks`` slice."""
-        for block in _stacks(len(ks), len(self.weights) ** 2):
-            yield block, self.bond * np.exp(1j * np.multiply.outer(ks[block], self.weights))[:, None, :]
+    def _u(self, ks):
+        """The stack of U(k) over ks."""
+        return self.bond * np.exp(1j * np.multiply.outer(ks, self.weights))[:, None, :]
 
     def _matrices(self, ks):
         """(D_i(k) - K_i, diag D_i(k), sum_b floor + c_i) per point, with the
@@ -386,43 +452,31 @@ class _CayleyCount:
         phase = phase[np.arange(len(ks)), :, pick]
         tan = np.tan(0.5 * phase)
         h = cay.minus_kay[pick]
-        h.reshape(len(ks), -1)[:, ::len(self.weights) + 1] += tan
+        h.reshape(len(ks), self.entries)[:, ::len(self.weights) + 1] += tan
         return h, tan, np.rint(phase * (1.0 / TWO_PI)).sum(axis=-1).astype(int) + cay.const[pick]
 
-    def m_many(self, ks):
-        """(M(k), eigenphases in [0, 2 pi)) over ks, from stacked eigh calls:
-        for each eigenvalue mu_j of D_i(k) - K_i, eigenvector u_j and tau_j =
+    def _read(self, ks):
+        """(M(k), eigenphases in [0, 2 pi)) from one eigh: for each
+        eigenvalue mu_j of D_i(k) - K_i, eigenvector u_j and tau_j =
         u_j+ D_i u_j, 2 arctan(tau_j) - 2 arctan(tau_j - mu_j) is the
         eigenphase of U(k) that crosses 0 with mu_j, to first order in mu_j."""
-        ks = np.asarray(ks, dtype=float)
-        self.evals += len(ks)
-        if len(self.weights) == 1:      # U(k) = exp(i (theta0 + k w)): M in closed form
+        if self.cayley is None:     # U(k) = exp(i (theta0 + k w)): M in closed form
             theta = self.theta0 + ks * self.rate
             phases = np.mod(theta, TWO_PI)
             return np.rint((theta - phases) / TWO_PI).astype(int), phases[:, None]
-        counts = np.empty(len(ks), dtype=int)
-        phases = np.empty((len(ks), len(self.weights)))
-        for block in _stacks(len(ks), len(self.weights) ** 2):
-            h, tan, offset = self._matrices(ks[block])
-            mu, u = np.linalg.eigh(h)
-            counts[block] = offset - np.sum(mu < 0.0, axis=-1)
-            tau = np.sum(tan[:, :, None] * np.abs(u) ** 2, axis=1)
-            phases[block] = np.mod(2.0 * (np.arctan(tau) - np.arctan(tau - mu)), TWO_PI)
-        return counts, phases
+        h, tan, offset = self._matrices(ks)
+        mu, u = np.linalg.eigh(h)
+        tau = np.sum(tan[:, :, None] * np.abs(u) ** 2, axis=1)
+        return (offset - np.sum(mu < 0.0, axis=-1),
+                np.mod(2.0 * (np.arctan(tau) - np.arctan(tau - mu)), TWO_PI))
 
-    def parity(self, ks):
-        """(-1)^M(k) over ks, 0 where rounding may hide it, from stacked dets:
-        1 - exp(i theta) = 2 sin(theta / 2) exp(i (theta - pi) / 2) and
-        sum_j theta_j = theta0 + k sum(w) - 2 pi M, so det(I - U(k))
-        exp(-i (theta0 + k sum(w) - d pi) / 2) = (-1)^M prod_j 2 sin(theta_j / 2).
-        """
-        ks = np.asarray(ks, dtype=float)
-        self.lu_evals += len(ks)
-        signs = np.empty(len(ks), dtype=int)
-        for block, stack in self._u_blocks(ks):
-            phase = 0.5 * (self.theta0 + ks[block] * self.rate - len(self.eye) * math.pi)
-            signs[block] = _det_signs(self.eye - stack, phase)
-        return signs
+    def _signs(self, ks):
+        """(-1)^M(k) from one det: 1 - exp(i theta) = 2 sin(theta / 2)
+        exp(i (theta - pi) / 2) and sum_j theta_j = theta0 + k sum(w) -
+        2 pi M, so det(I - U(k)) exp(-i (theta0 + k sum(w) - d pi) / 2) =
+        (-1)^M prod_j 2 sin(theta_j / 2)."""
+        phase = 0.5 * (self.theta0 + ks * self.rate - len(self.eye) * math.pi)
+        return _det_signs(self.eye - self._u(ks), phase)
 
     @staticmethod
     def gaps(phases):
@@ -430,9 +484,9 @@ class _CayleyCount:
         the next crossing of 1 and min theta_j past the last one."""
         return TWO_PI - np.max(phases, axis=-1), np.min(phases, axis=-1)
 
-    def newton_steps(self, ks):
-        """(None, Newton step) over ks, from stacked inv calls: the count at
-        each iterate is taken with the other points of its round.
+    def _step(self, ks):
+        """(None, Newton step) from one inv: the count at each iterate is
+        taken with the other points of its round.
 
         The step -theta / (v+ diag(w) v) moves the eigenphase theta of U(k)
         nearest 0 to 0 at its Hellmann-Feynman velocity, v = z / |z| from
@@ -441,35 +495,33 @@ class _CayleyCount:
         theta the phase of the Rayleigh quotient v+ U v = s + z+ y / |z|^2.
         At d = 1, U(k) = exp(i (theta0 + k w)) gives theta in closed form.
         """
-        ks = np.asarray(ks, dtype=float)
-        if len(self.weights) == 1:
+        if self.cayley is None:
             theta = np.mod(self.theta0 + ks * self.rate + math.pi, TWO_PI) - math.pi
             return None, -theta / self.rate
-        steps = np.empty(len(ks))
         shift = 1.0 + NEWTON_SHIFT
-        for block, stack in self._u_blocks(ks):
-            inv = np.linalg.inv(stack - shift * self.eye)
-            x = inv @ self.start
-            y = (inv @ x[..., None])[..., 0]
-            z = (inv @ y[..., None])[..., 0]
-            weight = np.abs(z) ** 2
-            size = weight.sum(axis=-1)
-            theta = np.angle(shift + np.sum(z.conj() * y, axis=-1) / size)
-            steps[block] = -theta * size / _rows(weight, self.weights)
-        return None, steps
+        inv = np.linalg.inv(self._u(ks) - shift * self.eye)
+        x = inv @ self.start
+        y = (inv @ x[..., None])[..., 0]
+        z = (inv @ y[..., None])[..., 0]
+        weight = np.abs(z) ** 2
+        size = weight.sum(axis=-1)
+        theta = np.angle(shift + np.sum(z.conj() * y, axis=-1) / size)
+        return None, -theta * size / _rows(weight, self.weights)
 
 
-class _HermitianCount:
+class _HermitianCount(_Count):
     """What the two counts of the squared operator share: Q = dec.ran_vectors
     (real when its entries are), sigma = dec.sigma_l, the edge log lengths,
-    and the negative index of a stack of Hermitian boundary matrices.
+    and the readings of a stack of Hermitian boundary matrices H with the
+    offsets that N = offset + n_-(H) adds to them.
 
     The substitution y = ln x maps the operator onto -d^2/dy^2 on edges of
     log length l, with the boundary form -<L'' u, u> on ran B'+ and
     Dirichlet conditions on ker B'.  Restricted to solutions of
     -u'' = lambda u, the quadratic form of the operator minus lambda is
     <(Q+ Lambda Q - diag(sigma)) f, f> on the boundary values f, Lambda the
-    per-edge Dirichlet-to-Neumann map at lambda.  ``evals`` counts the
+    per-edge Dirichlet-to-Neumann map at lambda.  ``_parts`` gives (H,
+    offset, the factors of ``_step``) per stack; ``evals`` counts the
     matrices diagonalised, ``lu_evals`` those that only take an LU
     (``parity``).
     """
@@ -479,7 +531,9 @@ class _HermitianCount:
         self.q = q if np.any(q.imag) else q.real
         self.sigma = sys.dec.sigma_l
         self.lengths = sys.lengths
-        self.evals = self.lu_evals = 0
+        self.width = rank = self.q.shape[1]         # eigenvalues of a point in ``_read``
+        # N(k) = sum_e floor(kl / pi) at rank 0: no roots between Dirichlet points
+        super().__init__(sys, rank ** 2, roots=rank > 0)
 
     @staticmethod
     def _index(vals: np.ndarray) -> np.ndarray:
@@ -491,23 +545,22 @@ class _HermitianCount:
         """
         return np.sum(vals < -_rounding_bound(vals), axis=-1)
 
-    def _eigvalsh_count(self, mats):
-        """(negative index, ascending eigenvalues) of a stack of Hermitian
-        matrices, from one eigvalsh call."""
-        self.evals += len(mats)
-        vals = np.linalg.eigvalsh(mats)
-        return self._index(vals), vals
+    def _read(self, factors):
+        """(N, eigenvalues of H) from one eigvalsh.  A row shorter than
+        ``width`` is padded with its largest |mu|, which leaves ``_index``
+        and ``gaps`` as they are."""
+        mu = np.linalg.eigvalsh(factors[0])
+        counts, pad = factors[1] + self._index(mu), self.width - mu.shape[-1]
+        if pad:
+            top = np.max(np.abs(mu), axis=-1, keepdims=True)
+            mu = np.concatenate([mu, np.broadcast_to(top, (len(mu), pad))], axis=-1)
+        return counts, mu
 
-    def parity(self, ks):
-        """(-1)^N over ks, 0 where rounding may hide it: the sign of det H
-        is (-1)^(n_-(H)), and N = offset + n_-(H) (see ``_blocks``).  One
-        stacked LU per stack."""
-        ks = np.asarray(ks, dtype=float)
-        self.lu_evals += len(ks)
-        signs = np.empty(len(ks), dtype=int)
-        for rows, h, offset, _ in self._blocks(ks):
-            signs[rows] = _det_signs(h) * (1 - 2 * (offset % 2))
-        return signs
+    @staticmethod
+    def _signs(factors):
+        """(-1)^N from one LU: the sign of det H is (-1)^(n_-(H))."""
+        h, offset, _ = factors
+        return _det_signs(h) * (1 - 2 * (offset % 2))
 
 
 class _NegativeCount(_HermitianCount):
@@ -521,57 +574,33 @@ class _NegativeCount(_HermitianCount):
     at most #{sigma > 0}, and drops at each root by its multiplicity.
     """
 
-    def _maps(self, kappas):
-        """kappa l, coth kappa l and csch kappa l per point and edge."""
-        x = np.multiply.outer(np.asarray(kappas, dtype=float), self.lengths)
-        den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
-        return x, (2.0 - den) / den, 2.0 * np.exp(-x) / den
-
-    def _matrices(self, kappas, coth, csch):
-        kappa = np.asarray(kappas, dtype=float)[:, None]
-        lam = _end_pair(kappa * coth, -kappa * csch)
-        return self.q.conj().T @ lam @ self.q - np.diag(self.sigma)
-
-    def _blocks(self, kappas):
-        """(rows, M(kappa), offset 0, (kappa l, coth, csch)) per ``_stacks``
-        slice of kappas."""
-        for rows in _stacks(len(kappas), self.q.shape[1] ** 2):
+    def _parts(self, kappas):
+        """(rows, (M(kappa), offset 0, (kappa l, coth, csch))) per stack."""
+        for rows in _stacks(len(kappas), self.entries):
             kappa = kappas[rows]
-            x, coth, csch = self._maps(kappa)
-            yield rows, self._matrices(kappa, coth, csch), 0, (x, coth, csch)
+            x = np.multiply.outer(kappa, self.lengths)
+            den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
+            coth, csch = (2.0 - den) / den, 2.0 * np.exp(-x) / den
+            lam = _end_pair(kappa[:, None] * coth, -kappa[:, None] * csch)
+            yield rows, (self.q.conj().T @ lam @ self.q - np.diag(self.sigma), 0, (x, coth, csch))
 
-    def m_many(self, kappas):
-        """(N(kappa), eigenvalues of M(kappa)) over kappas > 0, from stacked
-        eigvalsh calls."""
-        kappas = np.asarray(kappas, dtype=float)
-        counts = np.empty(len(kappas), dtype=int)
-        vals = np.empty((len(kappas), self.q.shape[1]))
-        for rows, mats, _, _ in self._blocks(kappas):
-            counts[rows], vals[rows] = self._eigvalsh_count(mats)
-        return counts, vals
-
-    def newton_steps(self, kappas):
-        """(N(kappa), Newton step) over kappas, from stacked eigh calls.
+    def _step(self, factors):
+        """(N(kappa), Newton step) from one eigh.
 
         The step -mu / (v+ Q+ Lambda'(kappa) Q v) moves the eigenvalue mu of
         M(kappa) nearest 0 to 0, v its unit eigenvector.  Per edge Lambda'
         has the entries coth - kappa l csch^2 and -csch + kappa l csch coth.
         """
-        kappas = np.asarray(kappas, dtype=float)
-        self.evals += len(kappas)
-        counts, steps = np.empty(len(kappas), dtype=int), np.empty(len(kappas))
-        for rows, mats, _, (x, coth, csch) in self._blocks(kappas):
-            vals, vecs = np.linalg.eigh(mats)
-            points = np.arange(len(vals))
-            j = np.argmin(np.abs(vals), axis=-1)
-            u = _rows(vecs[points, :, j], self.q.T)
-            ua, ub = np.split(u, 2, axis=-1)
-            slope = np.sum((coth - x * csch ** 2) * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
-                           + 2.0 * (x * csch * coth - csch) * (ua.conj() * ub).real, axis=-1)
-            counts[rows] = self._index(vals)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps[rows] = -vals[points, j] / slope
-        return counts, steps
+        mats, _, (x, coth, csch) = factors
+        vals, vecs = np.linalg.eigh(mats)
+        points = np.arange(len(vals))
+        j = np.argmin(np.abs(vals), axis=-1)
+        u = _rows(vecs[points, :, j], self.q.T)
+        ua, ub = np.split(u, 2, axis=-1)
+        slope = np.sum((coth - x * csch ** 2) * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
+                       + 2.0 * (x * csch * coth - csch) * (ua.conj() * ub).real, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._index(vals), -vals[points, j] / slope
 
 
 class _PositiveCount(_HermitianCount):
@@ -615,9 +644,7 @@ class _PositiveCount(_HermitianCount):
     def __init__(self, sys: SecularSystem):
         super().__init__(sys)
         e, rank = len(self.lengths), self.q.shape[1]
-        # N(k) = sum_e floor(kl / pi) at rank 0: no roots between Dirichlet points
-        self.grid_step = _scan_step(float(np.sum(sys.weights))) if rank else math.inf
-        self.rank = rank
+        self.rank, self.width = rank, rank + e
         qa, qb = self.q[:e] / math.sqrt(2.0), self.q[e:] / math.sqrt(2.0)
         self.qa, self.qb = qa, qb
         # X_S+ diag(t) X_S = sum_e t_e (even_e + (-1)^n_e odd_e), flattened
@@ -655,12 +682,12 @@ class _PositiveCount(_HermitianCount):
         h[:, ends, ends] = t_b
         return h
 
-    def _blocks(self, ks):
-        """(rows, H(k), offset, (k, (-1)^n, tan(delta / 2), edges, cot)) per
-        stack of points, with offset sum_e (n_e - 1) + #{e in U : delta_e >
-        0}.  The full-border points and the slot points go into stacks
-        apart, each cut by ``_stacks`` at its own matrix size; edges and cot
-        are as in ``_matrices``."""
+    def _parts(self, ks):
+        """(rows, (H(k), offset, (k, (-1)^n, tan(delta / 2), edges, cot)))
+        per stack of points, with offset sum_e (n_e - 1) + #{e in U :
+        delta_e > 0}.  The full-border points and the slot points go into
+        stacks apart, each cut by ``_stacks`` at its own matrix size; edges
+        and cot are as in ``_matrices``."""
         e = len(self.lengths)
         x = np.multiply.outer(ks, self.lengths)
         turns = np.rint(x / math.pi)
@@ -679,32 +706,15 @@ class _PositiveCount(_HermitianCount):
             free[np.arange(len(slot))[:, None], edges] = np.inf
             cot = 1.0 / free                # |cot| >= 1 on U, 0 on the bordered edges
             offset[slot] += np.sum(cot > 0.0, axis=-1)
-            for part in _stacks(len(slot), (self.rank + BORDER_SLOTS) ** 2):
+            for part in _stacks(len(slot), (self.rank + BORDER_SLOTS) ** 2) if len(slot) else ():
                 r = slot[part]
                 factors = (ks[r], sign[r], tan[r], edges[part], cot[part])
-                yield r, self._matrices(*factors), offset[r], factors
-        for part in _stacks(len(full), (self.rank + e) ** 2):
+                yield r, (self._matrices(*factors), offset[r], factors)
+        # an empty group takes no stack, unless there are no points at all
+        for part in _stacks(len(full), (self.rank + e) ** 2) if len(full) or not len(ks) else ():
             r = full[part]
             factors = (ks[r], sign[r], tan[r], None, None)
-            yield r, self._matrices(*factors[:3]), offset[r], factors
-
-    def m_many(self, ks):
-        """(N(k), eigenvalues of H(k)) over ks, from stacked eigvalsh calls.
-
-        A row of a slot point, rank + BORDER_SLOTS eigenvalues, is padded to
-        rank + E with its largest |mu|, which leaves ``_index`` and
-        ``gaps`` as they are."""
-        ks = np.asarray(ks, dtype=float)
-        counts = np.empty(len(ks), dtype=int)
-        vals = np.empty((len(ks), self.rank + len(self.lengths)))
-        for rows, h, offset, _ in self._blocks(ks):
-            neg, mu = self._eigvalsh_count(h)
-            counts[rows] = offset + neg
-            n = mu.shape[-1]
-            vals[rows, :n] = mu
-            if n < vals.shape[-1]:
-                vals[rows, n:] = np.max(np.abs(mu), axis=-1, keepdims=True)
-        return counts, vals
+            yield r, (self._matrices(*factors), offset[r], factors)
 
     def gaps(self, vals):
         """(ahead, behind) per point: the smallest eigenvalue of H counted as
@@ -715,8 +725,8 @@ class _PositiveCount(_HermitianCount):
         ahead = np.where(neg < n, vals[rows, np.minimum(neg, n - 1)], np.inf)
         return np.maximum(ahead, 0.0), np.where(neg > 0, -vals[rows, neg - 1], np.inf)
 
-    def newton_steps(self, ks):
-        """(N(k), Newton step) over ks, from stacked eigvalsh and solve calls.
+    def _step(self, factors):
+        """(N(k), Newton step) from one eigvalsh and one solve.
 
         The step -mu / (v+ H'(k) v) moves the eigenvalue mu of H(k) nearest
         0 to 0, v its unit eigenvector from ``_nearest_vector``.  H' has the
@@ -724,32 +734,26 @@ class _PositiveCount(_HermitianCount):
         diag(t'_B), with t' = -tan(delta / 2) - kl / (2 cos^2(delta / 2))
         and d' = cot(delta / 2) - (kl / 2)(1 + cot^2(delta / 2)).
         """
-        ks = np.asarray(ks, dtype=float)
-        counts = np.empty(len(ks), dtype=int)
-        steps = np.empty(len(ks))
+        h, offset, (k, sign, tan, edges, cot) = factors
         rank = self.rank
-        self.evals += len(ks)
-        for rows, h, offset, (k, sign, tan, edges, cot) in self._blocks(ks):
-            vals = np.linalg.eigvalsh(h)
-            counts[rows] = offset + self._index(vals)
-            j = np.argmin(np.abs(vals), axis=-1)
-            v = _nearest_vector(h, vals, j)
-            top, bottom = v[:, :rank], v[:, rank:]
-            ua, ub = _rows(top, self.qa.T), _rows(top, self.qb.T)
-            x_l = ua - sign * ub
-            kl = k[:, None] * self.lengths
-            rate = -tan - 0.5 * kl * (1.0 + tan ** 2)
-            terms = rate * np.abs(ua + sign * ub) ** 2
-            if edges is not None:
-                terms += np.where(cot != 0.0, cot - 0.5 * kl * (1.0 + cot ** 2), 0.0) \
-                    * np.abs(x_l) ** 2
-                points = np.arange(len(k))[:, None]
-                rate, x_l = rate[points, edges], x_l[points, edges]
-            slope = np.sum(terms, axis=-1) + np.sum(
-                rate * np.abs(bottom) ** 2 + 2.0 * (x_l.conj() * bottom).real, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps[rows] = -vals[np.arange(len(vals)), j] / slope
-        return counts, steps
+        vals = np.linalg.eigvalsh(h)
+        j = np.argmin(np.abs(vals), axis=-1)
+        v = _nearest_vector(h, vals, j)
+        top, bottom = v[:, :rank], v[:, rank:]
+        ua, ub = _rows(top, self.qa.T), _rows(top, self.qb.T)
+        x_l = ua - sign * ub
+        kl = k[:, None] * self.lengths
+        rate = -tan - 0.5 * kl * (1.0 + tan ** 2)
+        terms = rate * np.abs(ua + sign * ub) ** 2
+        if edges is not None:
+            terms += np.where(cot != 0.0, cot - 0.5 * kl * (1.0 + cot ** 2), 0.0) \
+                * np.abs(x_l) ** 2
+            points = np.arange(len(k))[:, None]
+            rate, x_l = rate[points, edges], x_l[points, edges]
+        slope = np.sum(terms, axis=-1) + np.sum(
+            rate * np.abs(bottom) ** 2 + 2.0 * (x_l.conj() * bottom).real, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return offset + self._index(vals), -vals[np.arange(len(vals)), j] / slope
 
 
 @dataclass(frozen=True)
@@ -873,7 +877,7 @@ def _local_forest(dec: Decomposition) -> _Forest | None:
                    sigma=sigma_nodes, gain=gain)
 
 
-class _TreeCount:
+class _TreeCount(_Count):
     """N(k) of ``_PositiveCount`` for a pair that is local on a forest
     (``_local_forest``), from the signs of pivots in place of an eigensolve.
 
@@ -908,23 +912,22 @@ class _TreeCount:
     On a tree the spectrum of H depends on the link entries through their
     moduli only (a diagonal of signs is a similarity), so the solves that
     give the Newton steps and the grid gaps take k |u_end| for each link,
-    with the pivots of the count.  ``evals`` counts the points eliminated
-    by ``m_many`` and ``newton_steps``, ``lu_evals`` those by ``parity``;
-    ``gaps`` solves with the pivots that ``m_many`` returns and eliminates
-    nothing.
+    with the pivots of the count.  A stack holds the nodes of each point;
+    ``evals`` counts the points eliminated by ``m_many`` and
+    ``newton_steps``, ``lu_evals`` those by ``parity``; ``gaps`` solves
+    with the pivots that ``m_many`` returns and eliminates nothing.
     """
 
     name = "elimination"
 
     def __init__(self, sys: SecularSystem):
         self.forest = f = sys.forest
-        self.lengths = sys.lengths
-        # N(k) = sum_e floor(kl / pi) without a set of rank one: no roots between Dirichlet points
-        self.grid_step = _scan_step(float(np.sum(sys.weights))) if f.n_comps else math.inf
         n = len(f.sigma)
+        # N(k) = sum_e floor(kl / pi) without a set of rank one: no roots between Dirichlet points
+        super().__init__(sys, n, roots=f.n_comps > 0)
+        self.lengths = sys.lengths
         self.round = 4 * n * EPS
-        # start vectors of inverse iteration, b_i = sin(i) as in ``_iteration_start``
-        self.starts = np.sin(np.arange(1.0, 2 * n + 1.0)).reshape(2, n)
+        self.starts = _iteration_start(2 * n).reshape(2, n)
         self.gain_sq, self.two_gain = f.gain ** 2, 2.0 * f.gain
         # per depth from the deepest: (lo, hi, map of its children into it, None at the deepest)
         self.sweep = [(*f.levels[d], f.ups[d] if d < len(f.ups) else None)
@@ -933,39 +936,30 @@ class _TreeCount:
         self.rise = [(lo, hi, *f.levels[d], f.ups[d])
                      for d, (lo, hi) in reversed(list(enumerate(f.levels[1:])))]
         self.fall = [(lo, hi, f.parent[lo:hi]) for lo, hi in f.levels[1:]]
-        self.evals = self.lu_evals = 0
 
-    def _eliminate(self, k):
-        """(N(k), factors) over points k: pivots from the leaves to the
-        roots, factors = (k, pivots, kl, [tan(delta / 2), sin delta], delta)."""
-        kc = k[:, None]
-        kl = kc * self.lengths
-        turns = np.rint(kl * (1.0 / math.pi))
-        delta = kl - turns * math.pi
-        ends = np.concatenate([np.tan(0.5 * delta), np.sin(delta)], axis=1)
-        pivots = _rows(ends, self.forest.mix) * -kc - self.forest.sigma
-        slack = self.round * np.abs(pivots) + EPS * kc
-        weight = (kc * kc) * self.gain_sq
-        for lo, hi, up in self.sweep:
-            a, bound = pivots[:, lo:hi], slack[:, lo:hi]
-            if up is not None:
-                a -= _rows(terms, up)
-                bound = bound + self.round * _rows(np.abs(terms), up)
-            np.copyto(a, bound, where=np.abs(a) <= bound)
-            if lo:                              # the roots, from node 0, feed no parent
-                terms = weight[:, lo:hi] / a
-        counts = (turns.sum(axis=1) + (pivots < 0.0).sum(axis=1)).astype(int) - len(self.lengths)
-        return counts, (k, pivots, kl, ends, delta)
-
-    def _counts(self, ks):
-        """(N(k), [k, pivots]) over ks, one elimination per ``_stacks`` slice."""
-        counts = np.empty(len(ks), dtype=int)
-        pivots = np.empty((len(ks), 1 + len(self.forest.sigma)))
-        pivots[:, 0] = ks
-        for block in _stacks(len(ks), len(self.forest.sigma)):
-            counts[block], factors = self._eliminate(ks[block])
-            pivots[block, 1:] = factors[1]
-        return counts, pivots
+    def _parts(self, ks):
+        """(rows, (N(k), (k, pivots, kl, [tan(delta / 2), sin delta],
+        delta))) per stack: pivots from the leaves to the roots."""
+        for rows in _stacks(len(ks), self.entries):
+            k = ks[rows]
+            kc = k[:, None]
+            kl = kc * self.lengths
+            turns = np.rint(kl * (1.0 / math.pi))
+            delta = kl - turns * math.pi
+            ends = np.concatenate([np.tan(0.5 * delta), np.sin(delta)], axis=1)
+            pivots = _rows(ends, self.forest.mix) * -kc - self.forest.sigma
+            slack = self.round * np.abs(pivots) + EPS * kc
+            weight = (kc * kc) * self.gain_sq
+            for lo, hi, up in self.sweep:
+                a, bound = pivots[:, lo:hi], slack[:, lo:hi]
+                if up is not None:
+                    a -= _rows(terms, up)
+                    bound = bound + self.round * _rows(np.abs(terms), up)
+                np.copyto(a, bound, where=np.abs(a) <= bound)
+                if lo:                          # the roots, from node 0, feed no parent
+                    terms = weight[:, lo:hi] / a
+            counts = (turns.sum(axis=1) + (pivots < 0.0).sum(axis=1)).astype(int) - kl.shape[1]
+            yield rows, (counts, (k, pivots, kl, ends, delta))
 
     def _solve(self, down, pivots, z):
         """H^-1 z in place per point, for z of shape (points, vectors,
@@ -978,12 +972,12 @@ class _TreeCount:
             z[..., lo:hi] -= down[..., lo:hi] * z[..., above]
         return z
 
-    def _iterate(self, factors, starts, steps):
+    def _iterate(self, k, pivots, starts, steps):
         """(x, y): steps of inverse iteration at shift 0 from starts, a
-        stack (vectors, nodes), with the factors of the count; y = H^-1 x is
-        the last step.  Each point solves on its own (points, vectors, nodes)
-        slice, so its bits do not depend on the other points."""
-        k, pivots = factors[:2]
+        stack (vectors, nodes), with the pivots of the count at k; y =
+        H^-1 x is the last step.  Each point solves on its own (points,
+        vectors, nodes) slice, so its bits do not depend on the other
+        points."""
         down = ((k[:, None] * self.forest.gain) / pivots)[:, None, :]
         pivots = pivots[:, None, :]
         y = np.empty((len(k),) + starts.shape)
@@ -992,25 +986,16 @@ class _TreeCount:
             y = self._solve(down, pivots, y)
         return y, self._solve(down, pivots, y.copy())
 
-    def _nearest(self, factors):
-        """(mu, v): the eigenvalue of H nearest 0 and its unit vector, from
-        the Rayleigh quotient mu = y+ x / y+ y of two steps x = H^-1 b,
-        y = H^-1 x (``_iteration_start``)."""
-        x, y = (v[:, 0] for v in self._iterate(factors, self.starts[:1], 2))
-        size = (y * y).sum(axis=1)
-        return (x * y).sum(axis=1) / size, y / np.sqrt(size)[:, None]
+    @staticmethod
+    def _read(factors):
+        """(N(k), [k, pivots]): ``gaps`` takes the pivots, not eigenvalues."""
+        counts, (k, pivots, *_) = factors
+        return counts, np.concatenate((k[:, None], pivots), axis=1)
 
-    def m_many(self, ks):
-        """(N(k), [k, pivots]) over ks: ``gaps`` takes the pivots, not eigenvalues."""
-        ks = np.asarray(ks, dtype=float)
-        self.evals += len(ks)
-        return self._counts(ks)
-
-    def parity(self, ks):
-        """(-1)^N(k) over ks, from the same elimination as the count."""
-        ks = np.asarray(ks, dtype=float)
-        self.lu_evals += len(ks)
-        return 1 - 2 * (self._counts(ks)[0] % 2)
+    @staticmethod
+    def _signs(factors):
+        """(-1)^N(k), from the same elimination as the count."""
+        return 1 - 2 * (factors[0] % 2)
 
     def gaps(self, vals):
         """(ahead, behind) per row [k, pivots] of ``m_many``: the smallest
@@ -1019,10 +1004,10 @@ class _TreeCount:
         roots theta of det(Y+ X - theta Y+ Y) = 0 for three steps Y = H^-1 X
         of inverse iteration from two start vectors: one vector finds only
         the eigenvalue nearest 0, which often lies on the wrong side of 0."""
-        theta = [np.zeros((0, 2))]
-        for rows in _stacks(len(vals), len(self.forest.sigma)):
+        theta = []
+        for rows in _stacks(len(vals), self.entries):
             block = vals[rows]
-            x, y = self._iterate((block[:, 0], block[:, 1:]), self.starts, 3)
+            x, y = self._iterate(block[:, 0], block[:, 1:], self.starts, 3)
             size = np.sqrt((y * y).sum(axis=-1, keepdims=True))
             x, y = x / size, y / size
             a, g = y @ np.swapaxes(x, 1, 2), y @ np.swapaxes(y, 1, 2)
@@ -1037,26 +1022,23 @@ class _TreeCount:
         return (np.min(np.where(theta >= 0.0, theta, np.inf), axis=-1),
                 np.min(np.where(theta < 0.0, -theta, np.inf), axis=-1))
 
-    def newton_steps(self, ks):
-        """(N(k), Newton step) over ks: the step -mu / (v+ H'(k) v) moves the
-        eigenvalue mu of H nearest 0 to 0, v its unit vector (``_nearest``).
-        H' has t' = -tan(delta / 2) - kl / (1 + cos delta) in place of t,
-        w' = -sin delta - kl cos delta in place of w and the link entries
-        over k."""
-        ks = np.asarray(ks, dtype=float)
-        self.evals += len(ks)
+    def _step(self, factors):
+        """(N(k), Newton step): the step -mu / (v+ H'(k) v) moves the
+        eigenvalue mu of H nearest 0 to 0, v its unit vector, from the
+        Rayleigh quotient mu = y+ x / y+ y of two steps x = H^-1 b, y =
+        H^-1 x (``_iteration_start``).  H' has t' = -tan(delta / 2) -
+        kl / (1 + cos delta) in place of t, w' = -sin delta - kl cos delta
+        in place of w and the link entries over k."""
         f = self.forest
-        counts, steps = np.empty(len(ks), dtype=int), np.empty(len(ks))
-        for block in _stacks(len(ks), len(f.sigma)):
-            counts[block], factors = self._eliminate(ks[block])
-            _, _, kl, ends, delta = factors
-            mu, v = self._nearest(factors)
-            cos = np.cos(delta)
-            rate = -ends - np.concatenate([kl / (1.0 + cos), kl * cos], axis=1)
-            slope = (_rows(rate, f.mix) * v + self.two_gain * v[:, f.parent]) * v
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps[block] = -mu / slope.sum(axis=1)
-        return counts, steps
+        counts, (k, pivots, kl, ends, delta) = factors
+        x, y = (v[:, 0] for v in self._iterate(k, pivots, self.starts[:1], 2))
+        size = (y * y).sum(axis=1)
+        mu, v = (x * y).sum(axis=1) / size, y / np.sqrt(size)[:, None]
+        cos = np.cos(delta)
+        rate = -ends - np.concatenate([kl / (1.0 + cos), kl * cos], axis=1)
+        slope = (_rows(rate, f.mix) * v + self.two_gain * v[:, f.parent]) * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return counts, -mu / slope.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,6 +1092,13 @@ class _Newton:
     last: float = 0.0               # size of the step that gave k, 0 before the first
     probes: list | None = None      # (point, index) of the certificate points of the round
     pending: int | None = None      # index of the round's point of an iterate counted after its step
+
+    def move(self, x: float, m: int) -> None:
+        """Move the end whose count is m (mlo or mhi) to x."""
+        if m == self.mlo:
+            self.lo = x
+        else:
+            self.hi = x
 
 
 def _count_points(count, points, pairs) -> list:
@@ -1230,10 +1219,8 @@ def _refine_brackets(count, brackets, tol: float):
                     admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
                     continue
                 # a level at it.k: its certificate points take the whole jump
-            elif m == it.mlo:
-                it.lo = it.k
             else:
-                it.hi = it.k
+                it.move(it.k, m)
             if converged:
                 probe(it, min(max(it.k + step, it.lo), it.hi))
             else:
@@ -1249,10 +1236,7 @@ def _refine_brackets(count, brackets, tol: float):
                     admit(it.lo, x, it.mlo, m, it.k, it.steps)
                     admit(x, it.hi, m, it.mhi, it.k, it.steps)
                     continue
-                if m == it.mlo:
-                    it.lo = x
-                else:
-                    it.hi = x
+                it.move(x, m)
             if it.probes is not None:
                 probes, it.probes = it.probes, None
                 if (len(probes) == 2 and counts[probes[0][1]] == it.mlo
@@ -1272,10 +1256,7 @@ def _refine_brackets(count, brackets, tol: float):
                             admit(lo, hi, mlo, mhi, it.k, it.steps)
                     continue
                 for x, m in probes:
-                    if m == it.mlo:
-                        it.lo = x
-                    else:
-                        it.hi = x
+                    it.move(x, m)
                 if it.lo >= it.k - half and it.hi <= it.k + half:
                     roots.append((min(max(it.k, it.lo), it.hi), abs(it.mhi - it.mlo)))
                     continue
@@ -1321,12 +1302,8 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     that multiplicity.  Every other step with a jump goes to
     ``_refine_brackets``, with a first Newton iterate interpolated from the
     distances (``gaps``) of the count to its next and last jump.  ``m_lo``, when
-    given, replaces the count at k_lo.  Every count evaluates its points in
-    stacks of at most STACK_ENTRIES matrix entries (``_stacks``): points
-    times rows^2 of a matrix count, points times nodes of ``_TreeCount``.
-    So the grid and each refinement round take one stacked call of each
-    kind unless a stack would pass about 1 MB, and the grid hands its counts
-    to the brackets as whole arrays.
+    given, replaces the count at k_lo.  The grid and each refinement round
+    take one stacked call of each kind unless a stack passes STACK_ENTRIES.
 
     Returns:
         (sorted (k, g) list, stats) with stats the eval counts per stage
@@ -1438,8 +1415,9 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = DEFAULT_TOL,
             (rings, stars, Dirichlet boxes) stay far below that.
 
     ``diagnostics["matrix_evals"]`` counts the matrices evaluated: grid
-    points, Dirichlet probes, Newton steps and certificates.  It is the
-    sum of ``grid_evals`` (grid and Dirichlet probes) and
+    points, Dirichlet probes, Newton steps and certificates, but not the
+    Newton inverses of the first-order count.  It is the sum of
+    ``grid_evals`` (grid and Dirichlet probes) and
     ``refine_evals``, which splits into ``refine_eig_evals`` (matrices
     eigensolved) and ``refine_lu_evals`` (counts read off one LU);
     ``refine_rounds`` counts refinement rounds,

@@ -235,6 +235,9 @@ ORBIT_SUM_TOL = 1e-13
 #: takes 2 s) and most nodes of an orbit sum; a larger job is refused
 ORBIT_STEPS_MAX = CONTOUR_NODES_MAX = 10 ** 6
 
+#: ||B|| - 1 that an orbit sum takes for rounding of a unitary B
+NORM_TOL = 1e-12
+
 
 def _resolvent_sum(bond, weights: np.ndarray, h: TestFunction, eta: float,
                    step: float, big_k: float, d_bond=None):
@@ -296,7 +299,7 @@ def _contour(h: TestFunction, weights: np.ndarray, norm_b: float, poles: np.ndar
     """
     t, tol = h.gaussian_width, ORBIT_SUM_TOL
     w_min, w_max, d = float(np.min(weights)), float(np.max(weights)), len(weights)
-    if norm_b > 1.0 + 1e-12:
+    if norm_b > 1.0 + NORM_TOL:
         raise ConditionViolated(f"||B|| = {norm_b:.6g} > 1: I - U may be singular "
                                 "just above the real axis")
     top = float(np.min(poles[poles > 0.0], initial=math.inf))
@@ -410,6 +413,11 @@ def trace_rhs_bk(graph: MetricGraph, s_matrix: np.ndarray, h: TestFunction,
 # Geometric side, squared operator
 # ---------------------------------------------------------------------------
 
+#: golden-section search of ``length_condition`` on (LENGTH_LO lam+, (1 -
+#: LENGTH_GAP) lam+), to a width of LENGTH_TOL lam+ or for LENGTH_STEPS steps
+LENGTH_LO, LENGTH_GAP, LENGTH_TOL, LENGTH_STEPS = 1e-9, 1e-12, 1e-13, 200
+
+
 def length_condition(dec: Decomposition, graph: MetricGraph):
     """Minimum of l(kappa) = ln(2E)/kappa + (2/kappa) artanh(kappa/lam+).
 
@@ -428,11 +436,11 @@ def length_condition(dec: Decomposition, graph: MetricGraph):
 
     # golden-section search on the open interval (0, lam_plus)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-9 * lam_plus, (1.0 - 1e-12) * lam_plus
+    lo, hi = LENGTH_LO * lam_plus, (1.0 - LENGTH_GAP) * lam_plus
     c = hi - gr * (hi - lo)
     d = lo + gr * (hi - lo)
     fc, fd = ell(c), ell(d)
-    for _ in range(200):
+    for _ in range(LENGTH_STEPS):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - gr * (hi - lo)
@@ -441,7 +449,7 @@ def length_condition(dec: Decomposition, graph: MetricGraph):
             lo, c, fc = c, d, fd
             d = lo + gr * (hi - lo)
             fd = ell(d)
-        if hi - lo < 1e-13 * lam_plus:
+        if hi - lo < LENGTH_TOL * lam_plus:
             break
     sigma = 0.5 * (lo + hi)
     return sigma, ell(sigma)

@@ -158,7 +158,7 @@ class TestCsvWriter:
 
     def assert_matches_csv_module(self, tmp_path, rows):
         csv_writer_artifact(tmp_path / "oracle.csv", self.HEADER, rows)
-        cli._write_csv(tmp_path / "joined.csv", self.HEADER, rows)
+        (tmp_path / "joined.csv").write_text(cli._csv(self.HEADER, rows), newline="")
         assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_mixed_values(self, tmp_path):
@@ -420,6 +420,55 @@ class TestMalformedCorpus:
 
     def test_corpus_size(self):
         assert len(MALFORMED) == 20
+
+
+#: one small document per task that writes more than one artifact
+MULTI_ARTIFACT = {
+    "spectrum": {"task": "spectrum", "operator": "bk2", "graph": EDGE,
+                 "boundary": {"kind": "dirichlet"}, "numeric": {"k_min": 0.0, "k_max": 10.0}},
+    "weyl": {"task": "weyl", "operator": "bk2", "graph": EDGE,
+             "boundary": {"kind": "dirichlet"}, "numeric": {"k_min": 0.0, "k_max": 150.0}},
+    "trace-check": {"task": "trace-check", "operator": "bk2", "graph": EDGE,
+                    "boundary": {"kind": "dirichlet"}, "numeric": {"t_values": [0.5]}},
+    "heat-trace": {"task": "heat-trace", "graph": EDGE, "numeric": {"t_values": [0.1]}},
+    "halfline-demo": {"task": "halfline-demo", "numeric": {"k_grid_max": 16.0, "n_k": 41}},
+    "counting-compare": {"task": "counting-compare", "operator": "bk", "graph": RING,
+                         "boundary": {"kind": "ring_phase", "c": 0.0},
+                         "numeric": {"k_min": -60.0, "k_max": 60.0}},
+}
+
+
+class TestArtifactsAfterTheTask:
+    @pytest.mark.parametrize("task", sorted(MULTI_ARTIFACT))
+    def test_failure_at_the_last_artifact_leaves_error_json_alone(
+            self, tmp_path, monkeypatch, task):
+        # every artifact text is built before the first file is written
+        assert set(MULTI_ARTIFACT) == set(cli._TASKS) - {"validate"}
+        built, fail_at = [], [None]
+        for name in ("_csv", "_json"):
+            def text(*args, build=getattr(cli, name)):
+                built.append(build)
+                if len(built) == fail_at[0]:
+                    raise OSError("the last artifact failed")
+                return build(*args)
+            monkeypatch.setattr(cli, name, text)
+        code, out = run_config(tmp_path, MULTI_ARTIFACT[task], "whole")
+        assert code == 0
+        assert len(os.listdir(out)) == len(built) >= 2
+        fail_at[0], built[:] = len(built), []
+        code, out = run_config(tmp_path, MULTI_ARTIFACT[task], "failed")
+        assert code == cli.EXIT_COMPUTE == 4
+        assert os.listdir(out) == ["error.json"]
+
+    def test_star_at_large_t_leaves_error_json_alone(self, tmp_path):
+        # the exact orbit count of the 3-star at t = 1e6 passes the
+        # 4,300-digit limit of int to str when trace.json is built; the
+        # trace.csv built before it is no longer written
+        payload = {"task": "trace-check", "operator": "bk2", "graph": STAR3,
+                   "boundary": {"kind": "kirchhoff"}, "numeric": {"t_values": [1e6]}}
+        code, out = run_config(tmp_path, payload)
+        assert code == cli.EXIT_COMPUTE == 4
+        assert os.listdir(out) == ["error.json"]
 
 
 class TestErrorContract:

@@ -128,6 +128,55 @@ def test_hermitian_parity_next_to_roots_and_poles(seed, n_edges, family):
         assert_parity_matches(negative, points[points > 0])
 
 
+def robin_edges(n_edges, rho):
+    g = random_graph(np.random.default_rng(n_edges), n_edges)
+    return squared(xg.standard_bc("robin", g, rho=rho), g)
+
+
+def outputs(count, ks):
+    """m_many, parity, newton_steps and gaps of count over ks, with the
+    tallies each call adds, (evals, lu_evals)."""
+    calls = []
+    for call in (count.m_many, count.parity, count.newton_steps):
+        before = (count.evals, count.lu_evals)
+        out = call(ks)
+        calls.append((out, (count.evals - before[0], count.lu_evals - before[1])))
+    return calls + [(count.gaps(calls[0][0][1]), (0, 0))] if hasattr(count, "gaps") else calls
+
+
+@pytest.mark.parametrize("make, lo, hi", [
+    (lambda: spectra._CayleyCount(first_order(7, 1)), -30.0, 30.0),
+    (lambda: spectra._CayleyCount(first_order(8, 5)), -30.0, 30.0),
+    (lambda: spectra._TreeCount(kirchhoff_star(6, seed=2)), 0.05, 20.0),
+    (lambda: spectra._PositiveCount(kirchhoff_star(3, seed=3)), 0.05, 20.0),
+    (lambda: spectra._PositiveCount(kirchhoff_star(8, equal=True)), 0.05, 20.0),
+    (lambda: spectra._NegativeCount(robin_edges(4, 1.5)), 0.01, 4.0),
+], ids=["cayley-d1", "cayley-d5", "elimination", "dense-e3", "dense-e8-slots", "negative"])
+def test_count_contract(make, lo, hi):
+    # the protocol every count keeps: parity is (-1)^count where resolved,
+    # newton_steps counts (where given) are the m_many counts, m_many
+    # tallies evals, parity lu_evals, newton_steps evals only with counts,
+    # and no points give empty outputs of the one-point shapes
+    count = make()
+    ks = np.random.default_rng(int(hi)).uniform(lo, hi, 60)
+    if isinstance(count, spectra._PositiveCount):      # full-border points next to poles
+        ks = np.concatenate([ks, spectra._dirichlet_points(count.lengths, lo, hi, 1e-9) + 1e-9])
+    ((counts, _), m_tally), (signs, p_tally), ((newton, _), n_tally), *_ = outputs(count, ks)
+    resolved = signs != 0
+    assert resolved.mean() >= 0.9
+    np.testing.assert_array_equal(signs[resolved], 1 - 2 * (counts[resolved] % 2))
+    if newton is not None:
+        np.testing.assert_array_equal(newton, counts)
+    assert (m_tally, p_tally) == ((len(ks), 0), (0, len(ks)))
+    assert n_tally == ((0 if newton is None else len(ks)), 0)
+    one, empty = outputs(count, ks[:1]), outputs(count, ks[:0])
+    assert [tally for _, tally in empty] == [(0, 0)] * len(one)
+    for (want, _), (got, _) in zip(one, empty, strict=True):
+        want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
+        for w, g in zip(want, got, strict=True):
+            assert (g is None) if w is None else (g.shape, g.dtype) == ((0,) + w.shape[1:], w.dtype)
+
+
 @pytest.mark.parametrize("sys_", [
     first_order(3, 2), first_order(4, 4), first_order(5, 6), first_order(6, 3, minus_one=True),
     kirchhoff_star(3), kirchhoff_star(6), kirchhoff_star(3, equal=True),
