@@ -189,6 +189,14 @@ def _option(config: JobConfig, key: str):
 # Model construction from config
 # ---------------------------------------------------------------------------
 
+def _name(edge: dict, i: int, key: str, default: str) -> str:
+    """graph.edges[i].<key>: a JSON string, or default when absent."""
+    value = edge.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"graph.edges[{i}].{key} must be a string, got {value!r}")
+    return value
+
+
 def build_graph(config: JobConfig) -> MetricGraph:
     gd = config.graph
     if not isinstance(gd, dict) or not isinstance(gd.get("edges"), list) or not gd["edges"]:
@@ -201,8 +209,8 @@ def build_graph(config: JobConfig) -> MetricGraph:
         if not isinstance(e, dict):
             raise ValidationError(f"graph.edges[{i}] must be an object, got {e!r}")
         a, b = (_number(f"graph.edges[{i}].{end}", e.get(end)) for end in ("a", "b"))
-        edges.append(MetricEdge(id=str(e.get("id", f"e{i}")), a=a, b=b,
-                                start=str(e.get("from", f"v{i}")), end=str(e.get("to", f"v{i}"))))
+        edges.append(MetricEdge(id=_name(e, i, "id", f"e{i}"), a=a, b=b,
+                                start=_name(e, i, "from", f"v{i}"), end=_name(e, i, "to", f"v{i}")))
     return MetricGraph(edges=tuple(edges), directed=directed)
 
 

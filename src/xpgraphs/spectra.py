@@ -113,6 +113,11 @@ WINDOW_FLOOR = 1e-9
 #: (``find_negative_eigenvalues``)
 NEGATIVE_TOL = 1e-13
 
+#: sigma_j l_min above which the bound-state search starts at a half-line
+#: bound state kappa = sigma_j: an edge with sigma_j at both ends then binds
+#: a state on each side of sigma_j (``find_negative_eigenvalues``)
+SEED_BINDING = 2.0
+
 
 # ---------------------------------------------------------------------------
 # Secular systems
@@ -322,7 +327,8 @@ class _Count:
     default one ``_stacks`` slice of ``entries`` per point with its k as
     the factors, and three readings of the factors: ``_read`` (count, what
     ``gaps`` takes), ``_signs`` ((-1)^count, 0 where rounding may hide it)
-    and ``_step`` (count or None, Newton step).  A lone stack's outputs are
+    and ``_step`` (count or None, Newton step, the step from the other side
+    of 0 or None; see ``_NegativeCount._step``).  A lone stack's outputs are
     returned as they are.  ``grid_step`` is the scan step of
     ``_scan_step``, inf for a count with no roots between Dirichlet points.
     """
@@ -361,11 +367,11 @@ class _Count:
         return self._gather(ks, lambda factors: (self._signs(factors),))[0]
 
     def newton_steps(self, ks):
-        """(count or None, Newton step) over ks."""
-        counts, steps = self._gather(ks, self._step)
+        """(count or None, Newton step, other-side step or None) over ks."""
+        counts, steps, others = self._gather(ks, self._step)
         if counts is not None:
             self.evals += len(ks)
-        return counts, steps
+        return counts, steps, others
 
 
 class _Cayley:
@@ -485,7 +491,7 @@ class _CayleyCount(_Count):
         return TWO_PI - np.max(phases, axis=-1), np.min(phases, axis=-1)
 
     def _step(self, ks):
-        """(None, Newton step) from one inv: the count at each iterate is
+        """(None, Newton step, None) from one inv: the count at each iterate is
         taken with the other points of its round.
 
         The step -theta / (v+ diag(w) v) moves the eigenphase theta of U(k)
@@ -497,7 +503,7 @@ class _CayleyCount(_Count):
         """
         if self.cayley is None:
             theta = np.mod(self.theta0 + ks * self.rate + math.pi, TWO_PI) - math.pi
-            return None, -theta / self.rate
+            return None, -theta / self.rate, None
         shift = 1.0 + NEWTON_SHIFT
         inv = np.linalg.inv(self._u(ks) - shift * self.eye)
         x = inv @ self.start
@@ -506,7 +512,7 @@ class _CayleyCount(_Count):
         weight = np.abs(z) ** 2
         size = weight.sum(axis=-1)
         theta = np.angle(shift + np.sum(z.conj() * y, axis=-1) / size)
-        return None, -theta * size / _rows(weight, self.weights)
+        return None, -theta * size / _rows(weight, self.weights), None
 
 
 class _HermitianCount(_Count):
@@ -572,6 +578,9 @@ class _NegativeCount(_HermitianCount):
     [-csch kappa l, coth kappa l]] maps kappa-harmonic functions.  Lambda
     is positive definite and increasing in kappa, so N is nonincreasing,
     at most #{sigma > 0}, and drops at each root by its multiplicity.
+    Its Newton reading also gives the step from the other side of 0
+    (``_step``), so each part of a bracket that its count splits has a seed
+    of its own (``_refine_brackets``).
     """
 
     def _parts(self, kappas):
@@ -585,22 +594,39 @@ class _NegativeCount(_HermitianCount):
             yield rows, (self.q.conj().T @ lam @ self.q - np.diag(self.sigma), 0, (x, coth, csch))
 
     def _step(self, factors):
-        """(N(kappa), Newton step) from one eigh.
+        """(N(kappa), Newton step, Newton step from the other side of 0) from
+        one eigh.
 
-        The step -mu / (v+ Q+ Lambda'(kappa) Q v) moves the eigenvalue mu of
-        M(kappa) nearest 0 to 0, v its unit eigenvector.  Per edge Lambda'
-        has the entries coth - kappa l csch^2 and -csch + kappa l csch coth.
+        The step -mu / (v+ Q+ Lambda'(kappa) Q v) moves an eigenvalue mu of
+        M(kappa) to 0, v its unit eigenvector; per edge Lambda' has the
+        entries coth - kappa l csch^2 and -csch + kappa l csch coth.  The
+        first step is that of the eigenvalue nearest 0, the second that of
+        the eigenvalue nearest 0 on the other side of 0 (counted as
+        ``_index`` counts), nan where there is none.  Eigenvalues rise with
+        kappa, so a negative one steps up to a root above kappa and a
+        nonnegative one down to a root below it: when the count at kappa
+        splits a bracket, each part has a step of its own.
         """
         mats, _, (x, coth, csch) = factors
         vals, vecs = np.linalg.eigh(mats)
-        points = np.arange(len(vals))
+        n = vals.shape[-1]
+        neg = self._index(vals)
         j = np.argmin(np.abs(vals), axis=-1)
-        u = _rows(vecs[points, :, j], self.q.T)
+        # across 0 from j: the first nonnegative or the last negative one,
+        # outside 0..n-1 where that side is empty
+        other = np.where(j < neg, neg, neg - 1)
+        pick = np.stack([j, other % n], axis=-1)
+        rows = np.arange(len(vals))[:, None]
+        v = vecs[rows, :, pick]                         # (points, 2, n), row by row
+        u = _rows(v.reshape(-1, n), self.q.T).reshape(v.shape[:2] + self.q.shape[:1])
         ua, ub = np.split(u, 2, axis=-1)
-        slope = np.sum((coth - x * csch ** 2) * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
-                       + 2.0 * (x * csch * coth - csch) * (ua.conj() * ub).real, axis=-1)
+        slope = np.sum((coth - x * csch ** 2)[:, None] * (np.abs(ua) ** 2 + np.abs(ub) ** 2)
+                       + 2.0 * (x * csch * coth - csch)[:, None] * (ua.conj() * ub).real,
+                       axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._index(vals), -vals[points, j] / slope
+            steps = -vals[rows, pick] / slope
+        steps[(other < 0) | (other >= n), 1] = np.nan
+        return neg, steps[:, 0], steps[:, 1]
 
 
 class _PositiveCount(_HermitianCount):
@@ -726,7 +752,7 @@ class _PositiveCount(_HermitianCount):
         return np.maximum(ahead, 0.0), np.where(neg > 0, -vals[rows, neg - 1], np.inf)
 
     def _step(self, factors):
-        """(N(k), Newton step) from one eigvalsh and one solve.
+        """(N(k), Newton step, None) from one eigvalsh and one solve.
 
         The step -mu / (v+ H'(k) v) moves the eigenvalue mu of H(k) nearest
         0 to 0, v its unit eigenvector from ``_nearest_vector``.  H' has the
@@ -753,7 +779,7 @@ class _PositiveCount(_HermitianCount):
         slope = np.sum(terms, axis=-1) + np.sum(
             rate * np.abs(bottom) ** 2 + 2.0 * (x_l.conj() * bottom).real, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return offset + self._index(vals), -vals[np.arange(len(vals)), j] / slope
+            return offset + self._index(vals), -vals[np.arange(len(vals)), j] / slope, None
 
 
 @dataclass(frozen=True)
@@ -1023,7 +1049,7 @@ class _TreeCount(_Count):
                 np.min(np.where(theta < 0.0, -theta, np.inf), axis=-1))
 
     def _step(self, factors):
-        """(N(k), Newton step): the step -mu / (v+ H'(k) v) moves the
+        """(N(k), Newton step, None): the step -mu / (v+ H'(k) v) moves the
         eigenvalue mu of H nearest 0 to 0, v its unit vector, from the
         Rayleigh quotient mu = y+ x / y+ y of two steps x = H^-1 b, y =
         H^-1 x (``_iteration_start``).  H' has t' = -tan(delta / 2) -
@@ -1038,7 +1064,7 @@ class _TreeCount(_Count):
         rate = -ends - np.concatenate([kl / (1.0 + cos), kl * cos], axis=1)
         slope = (_rows(rate, f.mix) * v + self.two_gain * v[:, f.parent]) * v
         with np.errstate(divide="ignore", invalid="ignore"):
-            return counts, -mu / slope.sum(axis=1)
+            return counts, -mu / slope.sum(axis=1), None
 
 
 # ---------------------------------------------------------------------------
@@ -1131,8 +1157,12 @@ def _refine_brackets(count, brackets, tol: float):
     gives the step and the count at the iterate, or None, and then the
     iterate is counted with the other points of the round.  A count equal
     to M(lo) or M(hi) moves that end to the iterate; a count strictly
-    between splits the bracket there, and both parts go on.  A step that
-    leaves the bracket restarts from the midpoint.  Once a step is below
+    between splits the bracket there, and both parts go on from the
+    iterate of the step.  A count that also gives the step from the other
+    side of 0 (``_NegativeCount``) seeds a part with one root from
+    whichever of the two steps lands inside it, and a part with several
+    roots from its midpoint, which halves them.  A part or a step that
+    leaves its bracket restarts from the midpoint.  Once a step is below
     tol/4, or a step s after a step s' leaves the error |s|^3 / s'^2 of
     quadratic convergence below the float spacing at k, the count is taken
     at k* -+ tol/2 around the new iterate k*.  If the whole jump g =
@@ -1172,13 +1202,21 @@ def _refine_brackets(count, brackets, tol: float):
         it.probes = [(x, request(x, it.mlo, it.mhi)) for x in (k - half, k + half)
                      if it.lo < x < it.hi]
 
-    def admit(lo, hi, mlo, mhi, guess, steps=0):
-        """Queue a bracket; a guess with steps > 0 is a Newton iterate."""
+    def admit(lo, hi, mlo, mhi, guess, steps=0, other=None):
+        """Queue a bracket from guess if it lies inside, else from its
+        midpoint; a guess with steps > 0 is a Newton iterate.  Given other,
+        the step from the other side of 0, a simple part starts from
+        whichever of the two lies inside it, and a part of several roots
+        from its midpoint."""
         if mhi == mlo:
             return
         if hi - lo <= tol:
             roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
             return
+        if other is not None and abs(mhi - mlo) > 1:
+            guess = None            # a step would peel off only the root next to an end
+        elif other is not None and not lo < guess < hi:
+            guess = other
         inside = guess is not None and lo < guess < hi
         iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi), steps))
 
@@ -1193,9 +1231,10 @@ def _refine_brackets(count, brackets, tol: float):
         pairs.clear()
         live.clear()
 
-        m_k, steps = count.newton_steps(np.array([it.k for it in stepping]))
+        m_k, steps, others = count.newton_steps(np.array([it.k for it in stepping]))
         m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
-        for it, m, step in zip(stepping, m_k, steps.tolist()):
+        others = [None] * len(stepping) if others is None else others.tolist()
+        for it, m, step, other in zip(stepping, m_k, steps.tolist(), others):
             it.steps += 1
             # a Newton step converges quadratically: after
             # steps s' then s the error is about |s|^3 / s'^2, and once
@@ -1215,8 +1254,9 @@ def _refine_brackets(count, brackets, tol: float):
                 continue
             if m != it.mlo and m != it.mhi:
                 if not converged:
-                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps)
-                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps)
+                    other = None if other is None else it.k + other
+                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps, other)
+                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps, other)
                     continue
                 # a level at it.k: its certificate points take the whole jump
             else:
@@ -1512,6 +1552,15 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
     ``_refine_brackets`` with Newton steps from the one bracket
     (kappa_lo, top], to width NEGATIVE_TOL max(1, top); the size of a jump
     is the multiplicity, so roots of even order are found like simple ones.
+
+    For kappa l >> 1, Lambda(kappa) -> kappa I and M(kappa) -> kappa I -
+    diag(sigma): each sigma_j > 0 is the bound state kappa = sigma_j of a
+    Robin half-line.  The first iterate is the lower median of the sigma_j
+    with sigma_j l_min > SEED_BINDING, where an edge with sigma_j at both
+    ends binds a state on each side of sigma_j; without one it is the
+    midpoint, which lies above the one bound state of such an edge when
+    sigma l <= SEED_BINDING.  After that each part of a split takes the
+    Newton step from its own side of 0 (``_NegativeCount._step``).
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
@@ -1524,7 +1573,9 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
         return []
     count = _NegativeCount(sys)
     n_lo, n_hi = count.m_many([lo, top])[0].tolist()
-    roots, _ = _refine_brackets(count, [(lo, top, n_lo, n_hi, None)],
+    seeds = np.sort(sys.dec.sigma_l[sys.dec.sigma_l * np.min(sys.lengths) > SEED_BINDING])
+    seed = float(seeds[(len(seeds) - 1) // 2]) if len(seeds) else None
+    roots, _ = _refine_brackets(count, [(lo, top, n_lo, n_hi, seed)],
                                 NEGATIVE_TOL * max(1.0, top))
     return roots
 

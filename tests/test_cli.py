@@ -185,6 +185,17 @@ class TestValidateTask:
         report = json.loads((out / "report.json").read_text())
         assert report["valid"] and report["k_independent"]
 
+    def test_valid_bk(self, tmp_path):
+        # a first-order document reports the unitarity defect of its S
+        payload = {"task": "validate", "operator": "bk", "graph": RING,
+                   "boundary": {"kind": "ring_phase", "c": 0.25}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["valid"] and report["operator"] == "bk"
+        assert 0.0 <= report["s_unitarity_defect"] <= 1e-12
+        assert "sigma_l" not in report and "k_independent" not in report
+
     def test_hermiticity_violation_exit_code(self, tmp_path):
         eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         i_eye = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
@@ -356,6 +367,19 @@ class TestOtherTasks:
         assert code == 0
         report = json.loads((out / "counting.json").read_text())
         assert report["ratio_monotone_decreasing"] is True
+
+    def test_counting_compare_squared_operator_counts_positive_side(self, tmp_path):
+        # with no numeric.side the squared operator counts 0 < k_n <= k
+        payload = {"task": "counting-compare", "operator": "bk2", "graph": EDGE,
+                   "boundary": {"kind": "dirichlet"},
+                   "numeric": {"k_min": 0.0, "k_max": 100.0, "k_start": 20.0}}
+        code, out = run_config(tmp_path, payload)
+        assert code == 0
+        report = json.loads((out / "counting.json").read_text())
+        assert report["side"] == "positive" and report["k_start"] == 20.0
+        header, rows = read_csv(out / "counting.csv")
+        # Dirichlet levels on log length 1 are n pi: N(k) = floor(k / pi)
+        assert all(int(n) == math.floor(float(k) / math.pi + 1e-9) for k, n, *_ in rows)
 
 
 MALFORMED = [
@@ -627,6 +651,29 @@ class TestErrorContract:
         code, err = self.run_main(tmp_path, payload)
         assert code == cli.EXIT_VALIDATION == 3
         assert err["code"] == "VALIDATION_ERROR"
+
+    @pytest.mark.parametrize("key", ["id", "from", "to"])
+    @pytest.mark.parametrize("value", [None, 3, 2.5, ["c"], {"name": "c"}, True],
+                             ids=["null", "int", "float", "list", "object", "bool"])
+    def test_edge_name_that_is_not_a_string(self, tmp_path, key, value):
+        # two edges "to": null once both ended at a vertex named "None": a
+        # 2-cycle, solved at exit 0
+        edges = [dict(edge, **{key: value}) for edge in STAR3["edges"][:2]]
+        payload = {"task": "spectrum", "operator": "bk2", "graph": {"edges": edges},
+                   "boundary": {"kind": "kirchhoff"}, "numeric": {"k_min": 0.0, "k_max": 5.0}}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+        assert f"graph.edges[0].{key}" in err["message"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["error.json"]
+
+    def test_absent_edge_names_take_their_defaults(self):
+        config = cli.JobConfig(task="validate", operator="bk2",
+                               graph={"edges": [{"a": 1.0, "b": math.e}, {"a": 1.0, "b": 2.0}]},
+                               boundary={"kind": "dirichlet"}, numeric={})
+        graph = cli.build_graph(config)
+        assert [(e.id, e.start, e.end) for e in graph.edges] == [("e0", "v0", "v0"),
+                                                                  ("e1", "v1", "v1")]
 
     @pytest.mark.parametrize("t_values", [[1e400], [1.0, 1e400]])
     def test_non_finite_heat_trace_time(self, tmp_path, t_values):

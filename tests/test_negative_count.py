@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import xpgraphs as xg
 from xpgraphs import spectra
@@ -166,18 +167,37 @@ def test_roots_are_zeros_of_the_secular_matrix(seed, n_edges, family):
 
 
 def test_newton_step_matches_the_eigenvalue_slope():
-    # the step -mu / slope against a central difference of the eigenvalue
-    # of M(kappa) nearest 0, on two edges with mixed-sign Robin ends
+    # both steps -mu / slope against a central difference of their
+    # eigenvalue of M(kappa): the one nearest 0, and the one nearest 0 on
+    # the other side of 0, on two edges with mixed-sign Robin ends (bound
+    # states at 0.748, 1.000 and 1.501; at 1.6 no eigenvalue is negative)
     count = spectra._NegativeCount(robin_system([4.0, 3.0], [1.0, 0.8, -0.5, 1.5]))
-    kappas = np.array([0.3, 0.7, 1.1, 1.6])
-    _, steps = count.newton_steps(kappas)
+    kappas = np.array([0.3, 0.7, 1.1, 1.3, 1.6])
+    _, steps, others = count.newton_steps(kappas)
     vals = count.m_many(kappas)[1]
     rows, j = np.arange(len(kappas)), np.argmin(np.abs(vals), axis=-1)
+    neg = np.sum(vals < 0.0, axis=-1)
+    far = np.where(j == neg, neg - 1, neg)
+    assert np.isnan(others[-1]) and far[-1] == -1
     delta = 1e-6
-    slope = (count.m_many(kappas + delta)[1][rows, j]
-             - count.m_many(kappas - delta)[1][rows, j]) / (2.0 * delta)
-    assert np.all(slope > 0.0)
-    np.testing.assert_allclose(steps, -vals[rows, j] / slope, rtol=1e-6)
+    for got, pick, at in ((steps, j, rows), (others, far, rows[:-1])):
+        slope = (count.m_many(kappas[at] + delta)[1][at, pick[at]]
+                 - count.m_many(kappas[at] - delta)[1][at, pick[at]]) / (2.0 * delta)
+        assert np.all(slope > 0.0)
+        np.testing.assert_allclose(got[at], -vals[at, pick[at]] / slope, rtol=1e-6)
+        # a negative eigenvalue steps up to a root above kappa, a positive one down
+        assert np.all(np.sign(got[at]) == -np.sign(vals[at, pick[at]]))
+    assert np.all(np.sign(vals[rows[:-1], j[:-1]]) != np.sign(vals[rows[:-1], far[:-1]]))
+
+
+def test_other_side_step_is_nan_without_an_eigenvalue_there():
+    # the Robin rho = 1 edge of log length 4 binds at 0.9575 and 1.0327: below
+    # both every eigenvalue of M(kappa) is negative, above both nonnegative
+    count = spectra._NegativeCount(robin_system([4.0], 1.0))
+    counts, steps, others = count.newton_steps(np.array([0.5, 1.0, 3.0]))
+    assert counts.tolist() == [2, 1, 0]
+    assert np.all(np.isfinite(steps))
+    assert np.isnan(others[0]) and np.isfinite(others[1]) and np.isnan(others[2])
 
 
 def test_decreasing_count_refines_by_newton_steps():
@@ -193,6 +213,88 @@ def test_decreasing_count_refines_by_newton_steps():
     assert count.evals - 2 <= 8 * len(roots)
     for (kappa, _), (ref, _) in zip(roots, xg.find_negative_eigenvalues(sys_, hi)):
         assert abs(kappa - ref) <= ROOT_TOL
+
+
+def count_calls(monkeypatch) -> list:
+    """The names of the count calls (m_many, parity, newton_steps) made
+    from now on, in order."""
+    calls = []
+    for name in ("m_many", "parity", "newton_steps"):
+        def wrapped(self, ks, call=getattr(spectra._Count, name), name=name):
+            calls.append(name)
+            return call(self, ks)
+        monkeypatch.setattr(spectra._Count, name, wrapped)
+    return calls
+
+
+def test_long_robin_edge_takes_five_count_calls(monkeypatch):
+    # sigma l = 4 > SEED_BINDING: the search starts at the half-line bound
+    # state kappa = sigma = 1, whose count splits the bracket between the two
+    # states; each part takes the Newton step from its own side of 0, and the
+    # four certificate points share one parity call: m_many, then three
+    # Newton rounds and one parity call (a midpoint start and one-sided
+    # split seeds took 9 calls and 6 rounds)
+    calls = count_calls(monkeypatch)
+    roots = xg.find_negative_eigenvalues(robin_system([4.0], 1.0), 5.0)
+    assert [m for _, m in roots] == [1, 1]
+    for (kappa, _), exact in zip(roots, robin_bound_states(1.0, 4.0)):
+        assert abs(kappa - exact) <= ROOT_TOL
+    assert len(calls) <= 5 and calls.count("newton_steps") <= 3, calls
+
+
+@pytest.mark.parametrize("ells, rho, seed", [
+    ([4.0], 1.0, 1.0),
+    ([1.0], 0.3, None),                                 # sigma l = 0.3: midpoint
+    ([1.0], 2.0, None),                                 # sigma l = 2 is not above it
+    ([2.0, 3.0], [2.5, 0.8, 1.2, 1.5], 1.5),            # 1.2, 1.5, 2.5 qualify
+    ([4.0, 0.5], [3.0, -1.0, 0.5, 3.0], None),          # l_min = 0.5: 3 l_min < 2
+])
+def test_first_iterate_is_the_median_binding_sigma(monkeypatch, ells, rho, seed):
+    # the lower median of the sigma_j with sigma_j l_min > SEED_BINDING, else
+    # the midpoint of the bracket
+    brackets = []
+
+    def refine(count, given, tol):
+        brackets.extend(given)
+        return [], 0
+    monkeypatch.setattr(spectra, "_refine_brackets", refine)
+    xg.find_negative_eigenvalues(robin_system(ells, rho), 10.0)
+    assert [b[4] for b in brackets] == [seed]
+
+
+def edge_bound_states(ell, rho_a, rho_b, top):
+    """Bound states of one edge with Robin ends rho_a, rho_b below top: the
+    roots of the two eigenvalues of Lambda(kappa) - diag(rho_a, rho_b), each
+    increasing in kappa, by brentq on the closed-form 2 x 2 eigenvalues."""
+    def branch(sign):
+        def f(kappa):
+            x = kappa * ell
+            den = -math.expm1(-2.0 * x)
+            coth, csch = (2.0 - den) / den, 2.0 * math.exp(-x) / den
+            return (kappa * coth - 0.5 * (rho_a + rho_b)
+                    + sign * math.hypot(0.5 * (rho_a - rho_b), kappa * csch))
+        return f
+    lo = 1e-12
+    return [brentq(f, lo, top, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            for f in (branch(-1.0), branch(1.0)) if f(lo) < 0.0 < f(top)]
+
+
+def test_drawn_robin_systems_match_their_edges():
+    # 300 fixed draws: single edges, and 2 to 5 edges with a rho per end,
+    # rho in [-1, 3], log lengths in [0.3, 5]; every edge is on its own, so
+    # the bound states are those of its 2 x 2 problem
+    rng = np.random.default_rng(2026)
+    for i in range(300):
+        n_edges = 1 if i % 2 == 0 else int(rng.integers(2, 6))
+        ells = rng.uniform(0.3, 5.0, size=n_edges)
+        rho = rng.uniform(-1.0, 3.0, size=1 if n_edges == 1 else 2 * n_edges)
+        ends = np.broadcast_to(rho, (2 * n_edges,))
+        roots = xg.find_negative_eigenvalues(robin_system(ells, rho), 10.0)
+        expected = sorted(k for ell, a, b in zip(ells, ends[:n_edges], ends[n_edges:])
+                          for k in edge_bound_states(ell, a, b, 10.0))
+        assert [m for _, m in roots] == [1] * len(expected), i
+        for (kappa, _), exact in zip(roots, expected):
+            assert abs(kappa - exact) <= ROOT_TOL * max(1.0, exact), (i, kappa, exact)
 
 
 @pytest.mark.parametrize("make", [

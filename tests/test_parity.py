@@ -156,17 +156,23 @@ def test_count_contract(make, lo, hi):
     # the protocol every count keeps: parity is (-1)^count where resolved,
     # newton_steps counts (where given) are the m_many counts, m_many
     # tallies evals, parity lu_evals, newton_steps evals only with counts,
-    # and no points give empty outputs of the one-point shapes
+    # and no points give empty outputs of the one-point shapes; only the
+    # bound-state count gives steps from the other side of 0
     count = make()
     ks = np.random.default_rng(int(hi)).uniform(lo, hi, 60)
     if isinstance(count, spectra._PositiveCount):      # full-border points next to poles
         ks = np.concatenate([ks, spectra._dirichlet_points(count.lengths, lo, hi, 1e-9) + 1e-9])
-    ((counts, _), m_tally), (signs, p_tally), ((newton, _), n_tally), *_ = outputs(count, ks)
+    ((counts, _), m_tally), (signs, p_tally), ((newton, steps, others), n_tally), *_ = \
+        outputs(count, ks)
     resolved = signs != 0
     assert resolved.mean() >= 0.9
     np.testing.assert_array_equal(signs[resolved], 1 - 2 * (counts[resolved] % 2))
     if newton is not None:
         np.testing.assert_array_equal(newton, counts)
+    if isinstance(count, spectra._NegativeCount):
+        assert others.shape == steps.shape and np.isfinite(others).any()
+    else:
+        assert others is None
     assert (m_tally, p_tally) == ((len(ks), 0), (0, len(ks)))
     assert n_tally == ((0 if newton is None else len(ks)), 0)
     one, empty = outputs(count, ks[:1]), outputs(count, ks[:0])

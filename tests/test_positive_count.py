@@ -155,7 +155,7 @@ def test_slot_newton_step_matches_the_eigenvalue_slope():
             & (sizes[:, slots] - sizes[:, slots - 1] > 1e-3)][::10]
     assert len(ks) >= 8
     count = spectra._PositiveCount(sys_)
-    _, steps = count.newton_steps(ks)
+    _, steps, _ = count.newton_steps(ks)
     vals = count.m_many(ks)[1]
     rows, j = np.arange(len(ks)), np.argmin(np.abs(vals), axis=-1)
     delta = 1e-6

@@ -243,6 +243,16 @@ class TestZeroModes:
         assert g0 >= 1
         assert (g0, n) == (1, 1)
 
+    @pytest.mark.parametrize("k_max", [1e-10, 1e-9])
+    def test_window_below_the_floor_is_empty(self, k_max):
+        # the floor is WINDOW_FLOOR max(1, k_max) = 1e-9: nothing above it
+        # to scan, but the zero mode is still characterized
+        sys_, _ = bk2_system("neumann")
+        sp = xg.find_spectrum(sys_, (0.0, k_max))
+        assert sp.eigenvalues == () and sp.diagnostics == {}
+        assert sp.k_window == (xg.spectra._window_floor(k_max), k_max)
+        assert sp.zero_mode == xg.zero_mode_test(sys_) == (1, 1)
+
     def test_probe_independence(self):
         # g0 from M(0) against the two-probe oracle at probes 1, 2 (and sqrt 2 times each)
         sys_, _ = bk2_system("neumann")
