@@ -538,6 +538,17 @@ class _HermitianCount(_Count):
         self.sigma = sys.dec.sigma_l
         self.lengths = sys.lengths
         self.width = rank = self.q.shape[1]         # eigenvalues of a point in ``_read``
+        e = len(self.lengths)
+        qa, qb = self.q[:e] / math.sqrt(2.0), self.q[e:] / math.sqrt(2.0)
+        self.qa, self.qb = qa, qb
+        # per edge, flattened: a map [[d, o], [o, d]] on the two ends of each
+        # edge gives Q+ Lambda Q = 2 sum_e (d_e even_e + o_e odd_e), and
+        # X_S+ diag(t) X_S = sum_e t_e (even_e + (-1)^n_e odd_e)
+        self.even = (qa.conj()[:, :, None] * qa[:, None, :]
+                     + qb.conj()[:, :, None] * qb[:, None, :]).reshape(e, rank * rank)
+        self.odd = (qa.conj()[:, :, None] * qb[:, None, :]
+                    + qb.conj()[:, :, None] * qa[:, None, :]).reshape(e, rank * rank)
+        self.minus_sigma = -np.diag(self.sigma)
         # N(k) = sum_e floor(kl / pi) at rank 0: no roots between Dirichlet points
         super().__init__(sys, rank ** 2, roots=rank > 0)
 
@@ -590,8 +601,10 @@ class _NegativeCount(_HermitianCount):
             x = np.multiply.outer(kappa, self.lengths)
             den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
             coth, csch = (2.0 - den) / den, 2.0 * np.exp(-x) / den
-            lam = _end_pair(kappa[:, None] * coth, -kappa[:, None] * csch)
-            yield rows, (self.q.conj().T @ lam @ self.q - np.diag(self.sigma), 0, (x, coth, csch))
+            two_kappa = 2.0 * kappa[:, None]
+            m = _rows(two_kappa * coth, self.even) - _rows(two_kappa * csch, self.odd)
+            yield rows, (m.reshape(len(kappa), *self.minus_sigma.shape) + self.minus_sigma,
+                         0, (x, coth, csch))
 
     def _step(self, factors):
         """(N(kappa), Newton step, Newton step from the other side of 0) from
@@ -671,14 +684,6 @@ class _PositiveCount(_HermitianCount):
         super().__init__(sys)
         e, rank = len(self.lengths), self.q.shape[1]
         self.rank, self.width = rank, rank + e
-        qa, qb = self.q[:e] / math.sqrt(2.0), self.q[e:] / math.sqrt(2.0)
-        self.qa, self.qb = qa, qb
-        # X_S+ diag(t) X_S = sum_e t_e (even_e + (-1)^n_e odd_e), flattened
-        self.even = (qa.conj()[:, :, None] * qa[:, None, :]
-                     + qb.conj()[:, :, None] * qb[:, None, :]).reshape(e, rank * rank)
-        self.odd = (qa.conj()[:, :, None] * qb[:, None, :]
-                    + qb.conj()[:, :, None] * qa[:, None, :]).reshape(e, rank * rank)
-        self.minus_sigma = -np.diag(self.sigma)
 
     def _matrices(self, k, sign, tan, edges=None, cot=None):
         """H(k) over points k.  edges (points, BORDER_SLOTS) holds the
