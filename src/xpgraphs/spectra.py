@@ -518,8 +518,9 @@ class _CayleyCount(_Count):
 class _HermitianCount(_Count):
     """What the two counts of the squared operator share: Q = dec.ran_vectors
     (real when its entries are), sigma = dec.sigma_l, the edge log lengths,
-    and the readings of a stack of Hermitian boundary matrices H with the
-    offsets that N = offset + n_-(H) adds to them.
+    the per-edge products of the rows of Q that sum Q+ Lambda Q, and the
+    readings of a stack of Hermitian boundary matrices H with the offsets
+    that N = offset + n_-(H) adds to them.
 
     The substitution y = ln x maps the operator onto -d^2/dy^2 on edges of
     log length l, with the boundary form -<L'' u, u> on ran B'+ and
@@ -1562,10 +1563,11 @@ def find_negative_eigenvalues(sys: SecularSystem, kappa_max: float):
     diag(sigma): each sigma_j > 0 is the bound state kappa = sigma_j of a
     Robin half-line.  The first iterate is the lower median of the sigma_j
     with sigma_j l_min > SEED_BINDING, where an edge with sigma_j at both
-    ends binds a state on each side of sigma_j; without one it is the
-    midpoint, which lies above the one bound state of such an edge when
-    sigma l <= SEED_BINDING.  After that each part of a split takes the
-    Newton step from its own side of 0 (``_NegativeCount._step``).
+    ends binds a state on each side of sigma_j.  Below that product such
+    an edge binds one state only, above sigma_j, and the search starts at
+    the midpoint, which takes fewer count calls there than sigma_j.  After
+    that each part of a split takes the Newton step from its own side of 0
+    (``_NegativeCount._step``).
     """
     if sys.kind != BK2:
         raise ValidationError("negative eigenvalues exist only for the squared operator")
