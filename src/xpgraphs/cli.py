@@ -243,12 +243,12 @@ def build_extension(config: JobConfig, graph: MetricGraph) -> extensions.Extensi
     raise ValidationError(f"unknown boundary kind {kind!r}")
 
 
-def build_system(config: JobConfig, graph: MetricGraph):
+def build_system(config: JobConfig, graph: MetricGraph) -> spectra.SecularSystem:
     spec = build_extension(config, graph)
     if spec.kind == extensions.BK:
-        return spectra.SecularSystem.bk(extensions.s_matrix_bk(spec), graph), spec, None
+        return spectra.SecularSystem.bk(extensions.s_matrix_bk(spec), graph)
     dec = extensions.decompose(spec, extensions.DilationMatrices.from_graph(graph))
-    return spectra.SecularSystem.bk2(dec, graph), spec, dec
+    return spectra.SecularSystem.bk2(dec, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +274,17 @@ def _json(payload: dict) -> str:
 
 def _task_validate(config):
     graph = build_graph(config)
-    sys_, spec, dec = build_system(config, graph)
-    report = {"valid": True, "operator": spec.kind, "matrix_size": spec.m,
+    sys_ = build_system(config, graph)
+    report = {"valid": True, "operator": sys_.kind, "matrix_size": sys_.dim,
               "graph_connected": graph.is_connected(), "total_length": graph.total_length}
-    if dec is None:
-        s = extensions.s_matrix_bk(spec)
+    if sys_.kind == extensions.BK:
+        s = sys_.s_bk
         report["s_unitarity_defect"] = float(np.max(np.abs(
             s.conj().T @ s - np.eye(s.shape[0]))))
     else:
-        report["sigma_l"] = [float(v) for v in dec.sigma_l]
-        report["k_independent"] = dec.k_independent
-        report["squared_form"] = (dec.k_independent and
+        report["sigma_l"] = [float(v) for v in sys_.dec.sigma_l]
+        report["k_independent"] = sys_.dec.k_independent
+        report["squared_form"] = (sys_.dec.k_independent and
                                   extensions.is_squared_form(sys_.s_part(1.0)))
     return {"report.json": _json(report)}
 
@@ -293,7 +293,7 @@ def _solve(config):
     """(graph, spectrum) of the document, bound states up to numeric.kappa_max
     included for the squared operator."""
     graph = build_graph(config)
-    sys_, _, _ = build_system(config, graph)
+    sys_ = build_system(config, graph)
     k_range = (_option(config, "k_min"), _option(config, "k_max"))
     spectrum = spectra.find_spectrum(sys_, k_range, tol=_option(config, "tol"))
     kappa_max = _option(config, "kappa_max")
@@ -332,18 +332,18 @@ def _task_weyl(config):
 
 def _task_trace_check(config):
     graph = build_graph(config)
-    sys_, spec, dec = build_system(config, graph)
+    sys_ = build_system(config, graph)
     cutoff, tol = _option(config, "orbit_cutoff"), _option(config, "tol")
     reports = []
     for t in _option(config, "t_values") or [0.1, 1.0]:
         h = traces.gaussian(t)
         k_top = math.sqrt(math.log(1e14) / t)
         # the geometric side first: its size bounds refuse a t before the solve
-        if spec.kind == extensions.BK:
+        if sys_.kind == extensions.BK:
             report = traces.trace_rhs_bk(graph, sys_.s_bk, h, orbit_cutoff=cutoff)
             spectrum = spectra.find_spectrum(sys_, (-k_top, k_top), tol=tol)
         else:
-            report = traces.trace_rhs_bk2(graph, dec, h, orbit_cutoff=cutoff)
+            report = traces.trace_rhs_bk2(graph, sys_.dec, h, orbit_cutoff=cutoff)
             spectrum = spectra.find_spectrum(sys_, (0.0, k_top), tol=tol)
         lhs, tail = traces.trace_lhs(spectrum, h, graph.total_length)
         reports.append((t, report.with_lhs(lhs, tail)))

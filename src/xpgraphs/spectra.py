@@ -204,19 +204,6 @@ def _swap_halves(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m[..., e:], m[..., :e]], axis=-1)
 
 
-def _end_pair(diag, off) -> np.ndarray:
-    """[[D, O], [O, D]] with D = diag(diag) and O = diag(off): a map that
-    couples only the two ends (b and b + E) of each edge.  Leading axes of
-    diag and off give a stack."""
-    diag, off = np.broadcast_arrays(diag, off)
-    e = diag.shape[-1]
-    out = np.zeros(diag.shape[:-1] + (2 * e, 2 * e), dtype=np.result_type(diag, off))
-    a, b = np.arange(e), np.arange(e, 2 * e)
-    out[..., a, a] = out[..., b, b] = diag
-    out[..., a, b] = out[..., b, a] = off
-    return out
-
-
 def secular(sys: SecularSystem, k):
     """det(I - S(k) T(k)); real zeros are the spectrum.
 
@@ -553,6 +540,12 @@ class _HermitianCount(_Count):
         # N(k) = sum_e floor(kl / pi) at rank 0: no roots between Dirichlet points
         super().__init__(sys, rank ** 2, roots=rank > 0)
 
+    def _block(self, w_even: np.ndarray, w_odd: np.ndarray) -> np.ndarray:
+        """sum_e (w_even_e even_e + w_odd_e odd_e) - diag(sigma) per point,
+        for per-edge weights of shape (points, E)."""
+        return (_rows(w_even, self.even) + _rows(w_odd, self.odd)).reshape(
+            len(w_even), *self.minus_sigma.shape) + self.minus_sigma
+
     @staticmethod
     def _index(vals: np.ndarray) -> np.ndarray:
         """Negative index per row of a stack of ascending eigenvalues.
@@ -603,9 +596,7 @@ class _NegativeCount(_HermitianCount):
             den = -np.expm1(-2.0 * x)                  # 1 - exp(-2 kappa l)
             coth, csch = (2.0 - den) / den, 2.0 * np.exp(-x) / den
             two_kappa = 2.0 * kappa[:, None]
-            m = _rows(two_kappa * coth, self.even) - _rows(two_kappa * csch, self.odd)
-            yield rows, (m.reshape(len(kappa), *self.minus_sigma.shape) + self.minus_sigma,
-                         0, (x, coth, csch))
+            yield rows, (self._block(two_kappa * coth, -two_kappa * csch), 0, (x, coth, csch))
 
     def _step(self, factors):
         """(N(kappa), Newton step, Newton step from the other side of 0) from
@@ -704,8 +695,7 @@ class _PositiveCount(_HermitianCount):
             low = self.qa[edges] - sign[points, edges][..., None] * self.qb[edges]
         n = rank + t_b.shape[-1]
         h = np.empty((len(k), n, n), dtype=self.q.dtype)
-        h[:, :rank, :rank] = (_rows(w_even, self.even) + _rows(w_odd, self.odd)).reshape(
-            len(k), rank, rank) + self.minus_sigma
+        h[:, :rank, :rank] = self._block(w_even, w_odd)
         low = k[:, None, None] * low
         h[:, rank:, :rank] = low
         h[:, :rank, rank:] = np.swapaxes(low, 1, 2).conj()
@@ -1125,13 +1115,6 @@ class _Newton:
     probes: list | None = None      # (point, index) of the certificate points of the round
     pending: int | None = None      # index of the round's point of an iterate counted after its step
 
-    def move(self, x: float, m: int) -> None:
-        """Move the end whose count is m (mlo or mhi) to x."""
-        if m == self.mlo:
-            self.lo = x
-        else:
-            self.hi = x
-
 
 def _count_points(count, points, pairs) -> list:
     """The count at every point of a round.
@@ -1177,7 +1160,8 @@ def _refine_brackets(count, brackets, tol: float):
     otherwise the up to three sub-brackets go on, except one whose two
     ends lie within tol/2 of k*: its jump is certified within tol/2 of k*,
     and k* is returned clamped into it.  A bracket no wider than tol is a
-    root at its midpoint, of multiplicity g.
+    root at its midpoint, of multiplicity g.  No bracket takes more than
+    NEWTON_BUDGET steps.
 
     In a simple bracket (g = 1) the count is M(lo) or M(hi), and the two
     differ in parity: every point of a simple bracket that the round counts
@@ -1226,6 +1210,21 @@ def _refine_brackets(count, brackets, tol: float):
         inside = guess is not None and lo < guess < hi
         iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi), steps))
 
+    def cut(it, x, m, guess, other=None):
+        """Apply the count m at x inside the bracket of it.  A count strictly
+        between the end counts splits the bracket at x, queues both parts
+        from guess and returns True; any other moves the end whose count is
+        m to x."""
+        if m != it.mlo and m != it.mhi:
+            admit(it.lo, x, it.mlo, m, guess, it.steps, other)
+            admit(x, it.hi, m, it.mhi, guess, it.steps, other)
+            return True
+        if m == it.mlo:
+            it.lo = x
+        else:
+            it.hi = x
+        return False
+
     for bracket in brackets:
         admit(*bracket)
     rounds = 0
@@ -1241,6 +1240,8 @@ def _refine_brackets(count, brackets, tol: float):
         m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
         others = [None] * len(stepping) if others is None else others.tolist()
         for it, m, step, other in zip(stepping, m_k, steps.tolist(), others):
+            if it.steps >= NEWTON_BUDGET:
+                raise ToleranceTooCoarse("Newton refinement budget exhausted")
             it.steps += 1
             # a Newton step converges quadratically: after
             # steps s' then s the error is about |s|^3 / s'^2, and once
@@ -1251,69 +1252,48 @@ def _refine_brackets(count, brackets, tol: float):
             if m is None:
                 # counted with this round's points; a converged step
                 # needs no count at it.k: both certificate points decide
-                if converged:
-                    probe(it, it.k + step)
-                else:
-                    it.pending = request(it.k, it.mlo, it.mhi)
-                    it.k += step
-                live.append(it)
-                continue
-            if m != it.mlo and m != it.mhi:
                 if not converged:
-                    other = None if other is None else it.k + other
-                    admit(it.lo, it.k, it.mlo, m, it.k + step, it.steps, other)
-                    admit(it.k, it.hi, m, it.mhi, it.k + step, it.steps, other)
+                    it.pending = request(it.k, it.mlo, it.mhi)
+            elif not converged or m == it.mlo or m == it.mhi:
+                # (at a converged it.k a count strictly between the end
+                # counts leaves the bracket whole: its certificate points
+                # take the jump)
+                if cut(it, it.k, m, it.k + step, None if other is None else it.k + other):
                     continue
-                # a level at it.k: its certificate points take the whole jump
-            else:
-                it.move(it.k, m)
-            if converged:
-                probe(it, min(max(it.k + step, it.lo), it.hi))
-            else:
+            if not converged:
                 it.k += step
+            else:
+                probe(it, it.k + step if m is None else min(max(it.k + step, it.lo), it.hi))
             live.append(it)
         counts = _count_points(count, points, pairs) if points else []
 
         for it in live:
             if it.pending is not None:
-                x, m = points[it.pending], counts[it.pending]
-                it.pending = None
-                if m != it.mlo and m != it.mhi:
-                    admit(it.lo, x, it.mlo, m, it.k, it.steps)
-                    admit(x, it.hi, m, it.mhi, it.k, it.steps)
+                i, it.pending = it.pending, None
+                if cut(it, points[i], counts[i], it.k):
                     continue
-                it.move(x, m)
             if it.probes is not None:
-                probes, it.probes = it.probes, None
-                if (len(probes) == 2 and counts[probes[0][1]] == it.mlo
-                        and counts[probes[1][1]] == it.mhi):
+                ms = [counts[i] for _, i in it.probes]
+                if ms == [it.mlo, it.mhi]:
                     # the whole jump lies between k* -+ tol/2
                     roots.append((it.k, abs(it.mhi - it.mlo)))
                     continue
-                probes = [(x, counts[i]) for x, i in probes if it.lo < x < it.hi]
-                if any(m != it.mlo and m != it.mhi for _, m in probes):
-                    ends = [it.lo, *(x for x, _ in probes), it.hi]
-                    ms = [it.mlo, *(m for _, m in probes), it.mhi]
-                    for lo, hi, mlo, mhi in zip(ends, ends[1:], ms, ms[1:]):
-                        if mlo != mhi and lo >= it.k - half and hi <= it.k + half:
-                            # the part around k* places its levels within tol/2 of k*
-                            roots.append((min(max(it.k, lo), hi), abs(mhi - mlo)))
-                        else:
-                            admit(lo, hi, mlo, mhi, it.k, it.steps)
-                    continue
-                for x, m in probes:
-                    it.move(x, m)
-                if it.lo >= it.k - half and it.hi <= it.k + half:
-                    roots.append((min(max(it.k, it.lo), it.hi), abs(it.mhi - it.mlo)))
-                    continue
+                # the parts that the certificate points cut: one around k*
+                # places its levels within tol/2 of k*, the others go on
+                ends = [it.lo, *(x for x, _ in it.probes), it.hi]
+                ms = [it.mlo, *ms, it.mhi]
+                for lo, hi, mlo, mhi in zip(ends, ends[1:], ms, ms[1:]):
+                    if mlo != mhi and lo >= it.k - half and hi <= it.k + half:
+                        roots.append((min(max(it.k, lo), hi), abs(mhi - mlo)))
+                    else:
+                        admit(lo, hi, mlo, mhi, it.k, it.steps)
+                continue
             mid = 0.5 * (it.lo + it.hi)
             if it.hi - it.lo <= tol or not it.lo < mid < it.hi:
                 roots.append((mid, abs(it.mhi - it.mlo)))
                 continue
             if not it.lo < it.k < it.hi:
                 it.k, it.last = mid, 0.0
-            if it.steps >= NEWTON_BUDGET:
-                raise ToleranceTooCoarse("Newton refinement budget exhausted")
             iterates.append(it)
     return sorted(roots), rounds
 
@@ -1494,21 +1474,14 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = DEFAULT_TOL,
             start, m_lo = floor, below
 
     roots, stats = _scan(sys, start, k_hi, tol, m_lo)
-    merged = []
-    for k, g in (r for r in roots if r[0] > k_lo):
-        if merged and abs(k - merged[-1][0]) <= 2 * tol:
-            merged[-1] = (merged[-1][0], merged[-1][1] + g)
-        else:
-            merged.append((k, g))
-
+    roots = tuple(r for r in roots if r[0] > k_lo)
     diag = {
-        "scan_step": stats["scan_step"],
         "matrix_evals": stats["grid_evals"] + stats["refine_evals"],
-        "n_roots": len(merged),
+        "n_roots": len(roots),
         "bracket_tol": tol,
         **stats,
     }
-    return Spectrum(kind=sys.kind, eigenvalues=tuple(merged),
+    return Spectrum(kind=sys.kind, eigenvalues=roots,
                     k_window=(k_lo, k_hi), zero_mode=zero_mode,
                     diagnostics=diag)
 
@@ -1519,11 +1492,15 @@ def find_spectrum(sys: SecularSystem, k_range, tol: float = DEFAULT_TOL,
 
 def _zero_modes(sys: SecularSystem) -> tuple:
     """(g0, N, N(0+)): the zero-mode data of ``zero_mode_test`` and the
-    number of eigenvalues <= 0, all from one eigvalsh of M(0)."""
+    number of eigenvalues <= 0, all from one eigvalsh of M(0).  Lambda_e(0)
+    = (1/l_e) [[1, -1], [-1, 1]] has rank one, so M(0) = D+ diag(1/l) D -
+    diag(sigma) with D = Q_a - Q_b, the a-end rows of Q minus its b-end
+    rows."""
     if sys.kind != BK2:
         raise ValidationError("zero_mode_test applies to the squared operator")
-    q, inv = sys.dec.ran_vectors, 1.0 / sys.lengths
-    mu = np.linalg.eigvalsh(q.conj().T @ _end_pair(inv, -inv) @ q - np.diag(sys.dec.sigma_l))
+    q, e = sys.dec.ran_vectors, len(sys.lengths)
+    d = q[:e] - q[e:]
+    mu = np.linalg.eigvalsh((d.conj().T / sys.lengths) @ d - np.diag(sys.dec.sigma_l))
     bound = _rounding_bound(mu)
     return (int(np.sum(np.abs(mu) <= bound)), _unit_count(sys.u_matrix(0.0), MULT_TOL),
             int(np.sum(mu <= bound)))

@@ -566,6 +566,17 @@ class HeatTracePair:
         return abs(self.spectral - self.theta)
 
 
+def _gaussian_sum(b: float) -> tuple:
+    """(sum_{n>=1} exp(-b n^2), bound on its remainder): the sum stops at
+    n_max = ceil(sqrt(80 / b)) + 1, and the remainder is bounded by a
+    geometric series from its first term."""
+    n_max = int(math.ceil(math.sqrt(80.0 / b))) + 1
+    ns = np.arange(1, n_max + 1)
+    r = math.exp(-b * (2 * n_max + 1))
+    return (float(np.sum(np.exp(-b * ns ** 2))),
+            math.exp(-b * (n_max + 1) ** 2) / max(1.0 - r, 0.5))
+
+
 def heat_trace_pair(graph: MetricGraph, t: float) -> HeatTracePair:
     """Two evaluations of tr exp(-t H) for the single-edge Dirichlet system.
 
@@ -591,21 +602,11 @@ def heat_trace_pair(graph: MetricGraph, t: float) -> HeatTracePair:
     if not min(base, base2) * (HEAT_TERMS_MAX - 1) ** 2 >= 80.0:
         raise RangeExceeded(f"the heat trace at t = {t:g} needs more than {HEAT_TERMS_MAX} terms")
 
-    # spectral side
-    n_max = int(math.ceil(math.sqrt(80.0 / base))) + 1
-    ns = np.arange(1, n_max + 1)
-    spectral = float(np.sum(np.exp(-base * ns ** 2)))
-    r = math.exp(-base * (2 * n_max + 1))
-    spectral_tail = math.exp(-base * (n_max + 1) ** 2) / max(1.0 - r, 0.5)
-
-    # theta side
+    spectral, spectral_tail = _gaussian_sum(base)
     pref = lp / (2.0 * math.sqrt(math.pi * t))
-    m_max = int(math.ceil(math.sqrt(80.0 / base2))) + 1
-    ms = np.arange(1, m_max + 1)
-    theta = ell / (2.0 * math.sqrt(math.pi * t)) - 0.5 \
-        + float(pref * np.sum(np.exp(-base2 * ms ** 2)))
-    r2 = math.exp(-base2 * (2 * m_max + 1))
-    theta_tail = pref * math.exp(-base2 * (m_max + 1) ** 2) / max(1.0 - r2, 0.5)
+    series, tail = _gaussian_sum(base2)
+    theta = ell / (2.0 * math.sqrt(math.pi * t)) - 0.5 + pref * series
+    theta_tail = pref * tail
 
     return HeatTracePair(spectral=spectral, theta=theta,
                          spectral_tail=spectral_tail, theta_tail=theta_tail)

@@ -652,6 +652,21 @@ class TestErrorContract:
         assert code == cli.EXIT_VALIDATION == 3
         assert err["code"] == "VALIDATION_ERROR"
 
+    @pytest.mark.parametrize("operator, graph, boundary, numeric, message", [
+        ("bk", RING, {"kind": "ring_phase", "c": 0.0}, [], "'numeric' must be an object"),
+        ("bk2", EDGE, {"rho": 1.0}, {"k_min": 0.0, "k_max": 5.0}, "with a 'kind'"),
+        ("bk", RING, {"kind": "robin", "rho": 1.0}, {"k_min": 0.0, "k_max": 5.0},
+         "robin is a second-order"),
+    ], ids=["numeric-list", "boundary-without-kind", "robin-first-order"])
+    def test_document_check(self, tmp_path, operator, graph, boundary, numeric, message):
+        payload = {"task": "spectrum", "operator": operator, "graph": graph,
+                   "boundary": boundary, "numeric": numeric}
+        code, err = self.run_main(tmp_path, payload)
+        assert code == cli.EXIT_VALIDATION == 3
+        assert err["code"] == "VALIDATION_ERROR"
+        assert message in err["message"]
+        assert os.listdir(tmp_path / "out") == ["error.json"]
+
     @pytest.mark.parametrize("key", ["id", "from", "to"])
     @pytest.mark.parametrize("value", [None, 3, 2.5, ["c"], {"name": "c"}, True],
                              ids=["null", "int", "float", "list", "object", "bool"])

@@ -81,17 +81,31 @@ def test_random_first_order(case):
 
 
 def test_commensurate_star():
-    g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 3,
-                                      vertices=[("c", f"t{i}") for i in range(3)])
-    dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
-    sys_ = xg.SecularSystem.bk2(dec, g)
-    sp = xg.find_spectrum(sys_, (0.0, 30.0), tol=ROOT_TOL)
-    check_spectrum(sys_, sp)
-    # symmetric modes at pi n are simple, difference modes at pi (n + 1/2) double
-    for k, g in sp.eigenvalues:
-        n2 = round(2 * k / math.pi)
-        assert abs(k - n2 * math.pi / 2) <= ROOT_TOL
-        assert g == (1 if n2 % 2 == 0 else 2)
+    for n_edges in (3, 4, 5):
+        g = xg.MetricGraph.from_intervals([(1.0, math.e)] * n_edges,
+                                          vertices=[("c", f"t{i}") for i in range(n_edges)])
+        dec = xg.decompose(xg.standard_bc("kirchhoff", g), xg.DilationMatrices.from_graph(g))
+        sys_ = xg.SecularSystem.bk2(dec, g)
+        sp = xg.find_spectrum(sys_, (0.0, 30.0), tol=ROOT_TOL)
+        check_spectrum(sys_, sp)
+        # symmetric modes at pi n are simple, difference modes at pi (n + 1/2)
+        # of multiplicity E - 1, and each level is listed once
+        n2 = np.rint(2 * sp.wavenumbers / math.pi).astype(int)
+        assert n2.tolist() == list(range(1, 20))
+        assert np.max(np.abs(sp.wavenumbers - n2 * math.pi / 2)) <= ROOT_TOL
+        assert sp.multiplicities.tolist() == [1 if n % 2 == 0 else n_edges - 1 for n in n2]
+
+
+def test_close_simple_levels_stay_apart():
+    # two loops of log length 1 and phases c_j hold simple levels at
+    # 2 pi (1 - c_j), 1.5 tol apart: each is certified within tol/2
+    c = np.array([0.3, 0.3 + 1.5 * ROOT_TOL / (2 * math.pi)])
+    g = xg.MetricGraph.from_intervals([(1.0, math.e)] * 2, directed=True)
+    sys_ = xg.SecularSystem.bk(np.diag(np.exp(2j * math.pi * c)), g)
+    sp = xg.find_spectrum(sys_, (4.0, 5.0), tol=ROOT_TOL)
+    exact = np.sort(2 * math.pi * (1 - c))
+    assert sp.multiplicities.tolist() == [1, 1]
+    assert np.all(np.abs(sp.wavenumbers - exact) <= 0.5 * ROOT_TOL)
 
 
 def test_degenerate_ring():

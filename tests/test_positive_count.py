@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import xpgraphs as xg
 from xpgraphs import spectra
 
-from util import (KDEP_FAMILIES, assert_stacks_do_not_leak, eigenphase_roots, random_graph,
-                  random_kdep_spec, random_unitary)
+from util import (KDEP_FAMILIES, assert_stacks_do_not_leak, eigenphase_roots, end_pair,
+                  random_graph, random_kdep_spec, random_unitary)
 
 TOL = 1e-10
 K_MAX = 12.0
@@ -59,7 +59,7 @@ def start_count(sys_, k):
 def plain_matrix(sys_, k):
     """Q+ Lambda(k) Q - diag(sigma) with Lambda = k [[cot kl, -csc kl], [-csc kl, cot kl]]."""
     x = k * sys_.lengths
-    lam = spectra._end_pair(k / np.tan(x), -k / np.sin(x))
+    lam = end_pair(k / np.tan(x), -k / np.sin(x))
     q = sys_.dec.ran_vectors
     return q.conj().T @ lam @ q - np.diag(sys_.dec.sigma_l)
 

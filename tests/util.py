@@ -2,9 +2,9 @@
 them: the raw S''(k) formula, the eigenphase winding count of a constant
 bond matrix, the eigenphase scan of the positive axis and its bisection,
 the eigensolve-only spectrum solve, the switch to the dense squared-operator
-count, the stack-size check of a count's outputs, the phase and end-swap
-matrices T(k) and J0, the sign-change search of the negative axis, the
-two-probe zero-mode count, the walk-based orbit enumeration, the
+count, the stack-size check of a count's outputs, the per-edge end-pair
+matrices and from them T(k) and J0, the sign-change search of the negative
+axis, the two-probe zero-mode count, the walk-based orbit enumeration, the
 orbit-by-orbit trace sums, a test function tabulated on a grid, the
 scalar critical-line zeta series, the csv.writer form of the CLI's CSV
 artifact writer and the np.block form of the dilation matrices."""
@@ -248,9 +248,22 @@ def assert_stacks_do_not_leak(monkeypatch, count, ks, entries: int) -> None:
             np.testing.assert_array_equal(got, want)
 
 
+def end_pair(diag, off) -> np.ndarray:
+    """[[D, O], [O, D]] with D = diag(diag) and O = diag(off): a map that
+    couples only the two ends (b and b + E) of each edge.  Leading axes of
+    diag and off give a stack."""
+    diag, off = np.broadcast_arrays(diag, off)
+    e = diag.shape[-1]
+    out = np.zeros(diag.shape[:-1] + (2 * e, 2 * e), dtype=np.result_type(diag, off))
+    a, b = np.arange(e), np.arange(e, 2 * e)
+    out[..., a, a] = out[..., b, b] = diag
+    out[..., a, b] = out[..., b, a] = off
+    return out
+
+
 def swap_matrix(n_edges: int) -> np.ndarray:
     """J0, which exchanges the two ends (b and b + E) of every edge."""
-    return spectra._end_pair(np.zeros(n_edges), np.ones(n_edges))
+    return end_pair(np.zeros(n_edges), np.ones(n_edges))
 
 
 def t_matrix(kind: str, lengths, k: complex) -> np.ndarray:
@@ -271,7 +284,7 @@ def probe_zero_mode_count(sys, k_probe: float = 1.0) -> int:
     counts = []
     for kp in (k_probe, k_probe * math.sqrt(2.0)):
         z = 2j / kp
-        c = spectra._end_pair(sys.lengths / (z + sys.lengths), z / (z + sys.lengths))
+        c = end_pair(sys.lengths / (z + sys.lengths), z / (z + sys.lengths))
         counts.append(spectra._unit_count(sys.s_part(kp) @ c, spectra.MULT_TOL))
     assert counts[0] == counts[1], f"zero-mode count probe-dependent: {counts}"
     return counts[0]
