@@ -32,8 +32,9 @@ AMPLITUDE_K_MAX = 200.0
 #: consecutive halvings of its step stop the refinement
 MELLIN_TOL = 1e-10
 
-#: most step halvings of the Mellin quadrature
-MELLIN_LEVELS = 14
+#: most step halvings of the Mellin quadrature: its grid grows from 513 to at
+#: most 131,073 points; the reference packet settles by 4,097 for |k| <= 40
+MELLIN_LEVELS = 8
 
 
 def fermi_packet(x):

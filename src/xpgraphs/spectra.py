@@ -40,8 +40,9 @@ quotient of shifted inverse iteration, or on the eigenvalue of the
 Hermitian matrix nearest 0.  Inside a simple bracket the count is one of
 its two end counts, and the sign of a determinant tells them apart with
 one LU and no eigensolve (``parity``; the elimination count reads it off
-its pivots).  Refinement runs in rounds that
-advance every open bracket and make at most one stacked call of each kind.
+its pivots).  Refinement runs in rounds that advance every open bracket
+at once, as columns of one array under masked rules, and make at most one
+stacked call of each kind.
 
 Every count keeps only its matrix; ``_Count`` owns the rest.  It cuts the
 points into stacks of at most STACK_ENTRIES entries (``_stacks``), reads
@@ -1101,201 +1102,201 @@ class Spectrum:
 # Root search
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class _Newton:
-    """A bracket (lo, hi] with counts mlo at lo and mhi at hi, under Newton steps."""
-
-    lo: float
-    hi: float
-    mlo: int
-    mhi: int
-    k: float                        # current iterate, inside (lo, hi)
-    steps: int = 0
-    last: float = 0.0               # size of the step that gave k, 0 before the first
-    probes: list | None = None      # (point, index) of the certificate points of the round
-    pending: int | None = None      # index of the round's point of an iterate counted after its step
-
-
-def _count_points(count, points, pairs) -> list:
-    """The count at every point of a round.
-
-    A point with a pair (m_lo, m_hi) lies in a simple bracket, whose count
-    is monotone and so one of the two; the two differ in parity, which
-    ``count.parity`` reads off one stacked LU.  The other points, and those
-    whose sign is not resolved, take one stacked eigensolve (``m_many``).
-    """
-    counts = [None] * len(points)
-    lu = [i for i, pair in enumerate(pairs) if pair is not None]
-    if lu:
-        for i, sign in zip(lu, count.parity(np.array([points[i] for i in lu])).tolist()):
-            if sign:
-                m_lo, m_hi = pairs[i]
-                counts[i] = m_lo if sign == 1 - 2 * (m_lo % 2) else m_hi
-    rest = [i for i, m in enumerate(counts) if m is None]
-    if rest:
-        for i, m in zip(rest, count.m_many(np.array([points[i] for i in rest]))[0].tolist()):
-            counts[i] = m
-    return counts
-
-
 def _refine_brackets(count, brackets, tol: float):
     """Split count-carrying brackets (lo, hi, M(lo), M(hi), guess) into roots.
 
-    Refinement runs in rounds, and each round takes one Newton step in
-    every open bracket, from its guess (or midpoint).  ``count.newton_steps``
-    gives the step and the count at the iterate, or None, and then the
-    iterate is counted with the other points of the round.  A count equal
-    to M(lo) or M(hi) moves that end to the iterate; a count strictly
-    between splits the bracket there, and both parts go on from the
-    iterate of the step.  A count that also gives the step from the other
-    side of 0 (``_NegativeCount``) seeds a part with one root from
-    whichever of the two steps lands inside it, and a part with several
-    roots from its midpoint, which halves them.  A part or a step that
-    leaves its bracket restarts from the midpoint.  Once a step is below
-    tol/4, or a step s after a step s' leaves the error |s|^3 / s'^2 of
-    quadratic convergence below the float spacing at k, the count is taken
-    at k* -+ tol/2 around the new iterate k*.  If the whole jump g =
-    |M(hi) - M(lo)| lies between the two, the root is certified g-fold
-    within tol/2 of k*, and k* is returned clamped into the bracket;
-    otherwise the up to three sub-brackets go on, except one whose two
-    ends lie within tol/2 of k*: its jump is certified within tol/2 of k*,
-    and k* is returned clamped into it.  A bracket no wider than tol is a
-    root at its midpoint, of multiplicity g.  No bracket takes more than
-    NEWTON_BUDGET steps.
-
-    In a simple bracket (g = 1) the count is M(lo) or M(hi), and the two
-    differ in parity: every point of a simple bracket that the round counts
-    reads its count from the sign of a determinant (``count.parity``), one
-    LU and no eigensolve; the other points, and those whose sign is not
-    resolved, take the full count (``count.m_many``).  Ends move by equality
+    Refinement runs in rounds; each takes one Newton step in every open
+    bracket, from its guess (or midpoint), and makes at most one stacked
+    call of each kind: the Newton steps (``count.newton_steps``, which may give the
+    count at each iterate as well), the LU of every point of a simple
+    bracket (g = |M(hi) - M(lo)| = 1: the count is M(lo) or M(hi), and the
+    sign of a determinant tells them apart, ``count.parity``) and the
+    eigensolve of the other points (``count.m_many``).  A count equal to an
+    end count moves that end to its point; one strictly between splits the
+    bracket there, and both parts go on from the iterate of the step, or,
+    given the step from the other side of 0 (``_NegativeCount``), a simple
+    part from whichever step lands inside it and a part of several roots
+    from its midpoint.  An iterate that leaves its bracket restarts from
+    the midpoint.  Once a step is below tol/4, or a step s after a step s'
+    leaves the error |s|^3 / s'^2 of quadratic convergence below the float
+    spacing at k, the count is taken at k* -+ tol/2 around the new iterate
+    k*: if the whole jump lies between the two (an end standing in for a
+    point outside, if it lies within tol/2 of k*), it is a g-fold root at
+    k* clamped between them; otherwise each part that they cut goes on, or
+    places its jump at k* clamped into it if it lies within tol/2 of k*.  A
+    bracket no wider than tol is a root at its midpoint.  Parts keep the
+    steps of their bracket, so each bracket of round r has taken r - 1
+    steps, and none takes more than NEWTON_BUDGET.  Ends move by equality
     of counts, so a count may increase (``_CayleyCount``,
     ``_PositiveCount``) or decrease (``_NegativeCount``) across a root.
-    Each round makes at most one batch of stacked calls of each kind: the
-    Newton steps, the LU of all parity points and the eigensolve of the
-    other count points.  Returns (sorted (k, g) list, number of rounds).
+
+    A round holds its open brackets as the columns of one array (ends, end
+    counts and their parities, g, iterate, last step size) and applies each
+    rule to all of them at once, with masks; only splits and certificate
+    points that leave a jump outside tol/2 of k* build new brackets.
+    |s|^3 and s'^2 are numpy products, which may round an ulp away from
+    Python's pow, so a stop within 1e-13 of its bound is decided with
+    Python floats.  Returns (sorted (k, g) list, number of rounds).
     """
+    if not len(brackets):
+        return [], 0
     half = 0.5 * tol
-    roots: list = []
-    iterates: list = []     # _Newton states for the next round
-    points: list = []       # count points of the round
-    pairs: list = []        # (M(lo), M(hi)) of a point whose count parity decides, else None
-    live: list = []         # _Newton states that wait for the counts of the round
+    offsets = np.array([[-half], [half]])
+    found = []      # (k, g) rows of the roots
 
-    def request(x, mlo, mhi):
-        points.append(x)
-        pairs.append((mlo, mhi) if abs(mhi - mlo) == 1 else None)
-        return len(points) - 1
+    def admit(lo, hi, mlo, mhi, guess, other=None):
+        """State columns of the brackets (lo, hi] with a jump, wider than tol
+        (a narrower one is a root at its midpoint), from guess or, given
+        other, from the step inside, as the rules above say."""
+        g, mid = abs(mhi - mlo), 0.5 * (lo + hi)
+        keep = (g > 0) & (hi - lo > tol)
+        if np.count_nonzero(keep) < np.count_nonzero(g):
+            found.append(np.array([mid, g]).compress((g > 0) & ~keep, axis=1))
+        if other is not None:
+            guess = np.where(g > 1, np.nan, np.where((lo < guess) & (guess < hi), guess, other))
+        k = np.where((lo < guess) & (guess < hi), guess, mid)
+        return np.array([lo, hi, mlo, mhi, 1 - 2 * (mlo % 2), 1 - 2 * (mhi % 2), g, k,
+                         np.zeros(len(k))]).compress(keep, axis=1)
 
-    def probe(it, k):
-        """Certificate points k -+ tol/2 inside the bracket, counted this round."""
-        it.k = k
-        it.probes = [(x, request(x, it.mlo, it.mhi)) for x in (k - half, k + half)
-                     if it.lo < x < it.hi]
-
-    def admit(lo, hi, mlo, mhi, guess, steps=0, other=None):
-        """Queue a bracket from guess if it lies inside, else from its
-        midpoint; a guess with steps > 0 is a Newton iterate.  Given other,
-        the step from the other side of 0, a simple part starts from
-        whichever of the two lies inside it, and a part of several roots
-        from its midpoint."""
-        if mhi == mlo:
-            return
-        if hi - lo <= tol:
-            roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
-            return
-        if other is not None and abs(mhi - mlo) > 1:
-            guess = None            # a step would peel off only the root next to an end
-        elif other is not None and not lo < guess < hi:
-            guess = other
-        inside = guess is not None and lo < guess < hi
-        iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi), steps))
-
-    def cut(it, x, m, guess, other=None):
-        """Apply the count m at x inside the bracket of it.  A count strictly
-        between the end counts splits the bracket at x, queues both parts
-        from guess and returns True; any other moves the end whose count is
-        m to x."""
-        if m != it.mlo and m != it.mhi:
-            admit(it.lo, x, it.mlo, m, guess, it.steps, other)
-            admit(x, it.hi, m, it.mhi, guess, it.steps, other)
-            return True
-        if m == it.mlo:
-            it.lo = x
+    def count_at(xs, own, far, sign_own):
+        """The count at points xs of brackets with end counts own and far:
+        in a simple bracket, own where the sign of a determinant is
+        sign_own = (-1)^own, else far; the other points take ``m_many``."""
+        simple = abs(far - own) == 1
+        if np.count_nonzero(simple) == len(xs):
+            sign = count.parity(xs)
         else:
-            it.hi = x
-        return False
+            sign = np.zeros(len(xs), dtype=int)
+            sign[simple] = count.parity(xs[simple]) if np.count_nonzero(simple) else 0
+        m = np.where(sign == sign_own, own, far)
+        rest = sign == 0
+        if np.count_nonzero(rest):
+            m[rest] = count.m_many(xs[rest])[0]
+        return m
 
-    for bracket in brackets:
-        admit(*bracket)
+    def cut(m, counted):
+        """Apply the counts m at the iterates x (where counted): move ends,
+        and split an unconverged bracket.  Returns the rows split, or None."""
+        at = m == state[2:4]
+        if counted is not None:
+            at &= counted
+        np.copyto(state[:2], x, where=at)
+        if np.count_nonzero(at) == n - (0 if counted is None else n_conv):
+            return None
+        split = ~(conv | at[0] | at[1])
+        if not np.count_nonzero(split):
+            return None
+        lo_s, hi_s, mlo_s, mhi_s, x_s, m_s, k_s = np.array(
+            [lo, hi, mlo, mhi, x, m, k]).compress(split, axis=1)
+        parts = [np.concatenate(pair) for pair in
+                 ((lo_s, x_s), (x_s, hi_s), (mlo_s, m_s), (m_s, mhi_s), (k_s, k_s))]
+        if other is not None:
+            parts.append(np.tile((x + other)[split], 2))
+        opened.append(admit(*parts))
+        return split
+
+    def certify(rows, probe, points, counted):
+        """Roots and brackets of the up to three parts that the certificate
+        points of rows, with the counts counted there, cut."""
+        ends = np.where(probe, points, state[:2])
+        part = np.array([lo, ends[0], ends[1], hi, mlo, counted[0], counted[1], mhi,
+                         k]).compress(rows, axis=1)
+        p_lo, p_hi, c_lo, c_hi, at = part[0:3], part[1:4], part[4:7], part[5:8], part[8]
+        jump, near = c_lo != c_hi, (p_lo >= at - half) & (p_hi <= at + half)
+        found.append(np.array([np.minimum(np.maximum(at, p_lo), p_hi),
+                               abs(c_hi - c_lo)])[:, jump & near])
+        go = jump & ~near
+        if np.count_nonzero(go):
+            opened.append(admit(p_lo[go], p_hi[go], c_lo[go], c_hi[go],
+                                np.broadcast_to(at, go.shape)[go]))
+
+    given = np.asarray(brackets, dtype=float).reshape(-1, 5).T
+    state = admit(*given)
+    # unless tol is below two float spacings in the hull of the given brackets,
+    # a bracket wider than tol has its midpoint inside, and k* -+ tol/2 != k*
+    below_spacing = tol < 2.0 * EPS * float(np.max(np.abs(given[:2])))
     rounds = 0
-    while iterates:
+    while state.shape[1]:
         rounds += 1
-        stepping = iterates[:]
-        iterates.clear()
-        points.clear()
-        pairs.clear()
-        live.clear()
-
-        m_k, steps, others = count.newton_steps(np.array([it.k for it in stepping]))
-        m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
-        others = [None] * len(stepping) if others is None else others.tolist()
-        for it, m, step, other in zip(stepping, m_k, steps.tolist(), others):
-            if it.steps >= NEWTON_BUDGET:
-                raise ToleranceTooCoarse("Newton refinement budget exhausted")
-            it.steps += 1
-            # a Newton step converges quadratically: after
-            # steps s' then s the error is about |s|^3 / s'^2, and once
-            # that is below the float spacing at k no step can improve k
-            converged = abs(step) <= 0.25 * tol or (
-                abs(step) < it.last and abs(step) ** 3 <= EPS * abs(it.k) * it.last ** 2)
-            it.last = abs(step)
-            if m is None:
-                # counted with this round's points; a converged step
-                # needs no count at it.k: both certificate points decide
-                if not converged:
-                    it.pending = request(it.k, it.mlo, it.mhi)
-            elif not converged or m == it.mlo or m == it.mhi:
-                # (at a converged it.k a count strictly between the end
-                # counts leaves the bracket whole: its certificate points
-                # take the jump)
-                if cut(it, it.k, m, it.k + step, None if other is None else it.k + other):
-                    continue
-            if not converged:
-                it.k += step
-            else:
-                probe(it, it.k + step if m is None else min(max(it.k + step, it.lo), it.hi))
-            live.append(it)
-        counts = _count_points(count, points, pairs) if points else []
-
-        for it in live:
-            if it.pending is not None:
-                i, it.pending = it.pending, None
-                if cut(it, points[i], counts[i], it.k):
-                    continue
-            if it.probes is not None:
-                ms = [counts[i] for _, i in it.probes]
-                if ms == [it.mlo, it.mhi]:
-                    # the whole jump lies between k* -+ tol/2
-                    roots.append((it.k, abs(it.mhi - it.mlo)))
-                    continue
-                # the parts that the certificate points cut: one around k*
-                # places its levels within tol/2 of k*, the others go on
-                ends = [it.lo, *(x for x, _ in it.probes), it.hi]
-                ms = [it.mlo, *ms, it.mhi]
-                for lo, hi, mlo, mhi in zip(ends, ends[1:], ms, ms[1:]):
-                    if mlo != mhi and lo >= it.k - half and hi <= it.k + half:
-                        roots.append((min(max(it.k, lo), hi), abs(mhi - mlo)))
-                    else:
-                        admit(lo, hi, mlo, mhi, it.k, it.steps)
-                continue
-            mid = 0.5 * (it.lo + it.hi)
-            if it.hi - it.lo <= tol or not it.lo < mid < it.hi:
-                roots.append((mid, abs(it.mhi - it.mlo)))
-                continue
-            if not it.lo < it.k < it.hi:
-                it.k, it.last = mid, 0.0
-            iterates.append(it)
-    return sorted(roots), rounds
+        lo, hi, mlo, mhi, sign_lo, _, g, x, last = state
+        m, step, other = count.newton_steps(x)
+        if rounds > NEWTON_BUDGET:
+            raise ToleranceTooCoarse("Newton refinement budget exhausted")
+        # a Newton step converges quadratically: after steps s' then s the
+        # error is about |s|^3 / s'^2, and once that is below the float
+        # spacing at k no step can improve k
+        size = abs(step)
+        conv = size <= 0.25 * tol
+        if np.count_nonzero(last):          # else only the first rule can stop
+            bound = EPS * abs(x) * (last * last)
+            over = size * size * size - bound
+            conv |= (size < last) & (over <= 0.0)
+            tie = abs(over) <= 1e-13 * bound
+            for i in np.flatnonzero(tie).tolist() if np.count_nonzero(tie) else ():
+                s, s_last = float(size[i]), float(last[i])
+                conv[i] = s <= 0.25 * tol or s < s_last and \
+                    s ** 3 <= EPS * abs(float(x[i])) * s_last ** 2
+        n, n_conv = len(x), np.count_nonzero(conv)
+        k, split, opened = x + step, None, []
+        if m is not None:
+            # (a converged iterate splits nothing: its certificate points do)
+            split = cut(m, None)
+            np.minimum(np.maximum(k, lo), hi, out=k)
+        # the round's count points: certificate points k* -+ tol/2, and the
+        # unconverged iterates of a count that gives none with its step
+        xs = own = far = sign_own = np.zeros(0)
+        if n_conv:
+            points = k + offsets
+            probe = (lo < points) & (points < hi) & conv
+            xs, own, far, sign_own = (points[probe], state[2:4][probe], state[3:1:-1][probe],
+                                      state[4:6][probe])
+        n_probe, pending = len(xs), ~conv if m is None and n_conv < n else None
+        if pending is not None:
+            xs, own, far, sign_own = (np.concatenate([a, b[pending]]) for a, b in
+                                      zip((xs, own, far, sign_own), (x, mlo, mhi, sign_lo)))
+        ms = count_at(xs, own, far, sign_own) if len(xs) else xs
+        if pending is not None:
+            counted = np.zeros(n)
+            counted[pending] = ms[n_probe:]
+            split = cut(counted, pending)
+        if n_conv:
+            # the whole jump lies between the certificate points (an end for
+            # one outside) where they hold the end counts and lie within tol/2
+            # of k*, as they do when k* is clamped in and tol/2 exceeds spacing
+            counted = state[2:4].copy()
+            counted[probe] = ms[:n_probe]
+            hit = counted == state[2:4]
+            whole, at = conv & hit[0] & hit[1], k
+            if m is None or below_spacing:
+                ends = np.where(probe, points, state[:2])
+                whole &= (ends[0] >= points[0]) & (ends[1] <= points[1])
+                at = np.minimum(np.maximum(k, ends[0]), ends[1])
+            found.append(np.array([at, g]).compress(whole, axis=1))
+            if np.count_nonzero(whole) < n_conv:
+                certify(conv & ~whole, probe, points, counted)
+        if n_conv < n:
+            # an unconverged bracket no wider than tol is a root at its
+            # midpoint; an iterate that left its bracket restarts there
+            live = ~conv if split is None else ~(conv | split)
+            mid = 0.5 * (lo + hi)
+            done = live & (hi - lo <= tol)
+            if below_spacing:
+                done |= live & ((mid <= lo) | (mid >= hi))
+            if np.count_nonzero(done):
+                found.append(np.array([mid, g]).compress(done, axis=1))
+                live &= ~done
+            state[7], state[8] = k, size
+            out = ~((lo < k) & (k < hi))
+            if np.count_nonzero(out):
+                np.copyto(state[7:], [mid, np.zeros(n)], where=out)
+            if np.count_nonzero(live) < n:
+                state = state.compress(live, axis=1)
+        else:
+            state = state[:, :0]
+        if opened:
+            state = np.concatenate([state, *opened], axis=1)
+    ks, gs = np.concatenate(found, axis=1) if found else np.zeros((2, 0))
+    return sorted(zip(ks.tolist(), gs.astype(int).tolist())), rounds
 
 
 def _scan_step(rate: float) -> float:
@@ -1384,8 +1385,7 @@ def _scan(sys: SecularSystem, k_lo: float, k_hi: float, tol: float, m_lo=None):
     lo, hi = points[steps], points[steps + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         guesses = lo + (hi - lo) * ahead / (ahead + behind)
-    brackets = list(zip(lo.tolist(), hi.tolist(), m_vals[steps].tolist(),
-                        m_vals[steps + 1].tolist(), guesses.tolist()))
+    brackets = np.stack([lo, hi, m_vals[steps], m_vals[steps + 1], guesses], axis=1)
 
     refined, rounds = _refine_brackets(count, brackets, tol)
     return sorted(roots + refined), {

@@ -1,19 +1,21 @@
 """Shared generators for randomized suites, and the oracles kept for
 them: the raw S''(k) formula, the eigenphase winding count of a constant
 bond matrix, the eigenphase scan of the positive axis and its bisection,
-the eigensolve-only spectrum solve, the switch to the dense squared-operator
-count, the stack-size check of a count's outputs, the per-edge end-pair
-matrices and from them T(k) and J0, the sign-change search of the negative
-axis, the two-probe zero-mode count, the walk-based orbit enumeration, the
-orbit-by-orbit trace sums, a test function tabulated on a grid, the
-scalar critical-line zeta series, the csv.writer form of the CLI's CSV
-artifact writer and the np.block form of the dilation matrices."""
+the list-based bracket refinement rounds, the eigensolve-only spectrum
+solve, the switch to the dense squared-operator count, the stack-size
+check of a count's outputs, the per-edge end-pair matrices and from them
+T(k) and J0, the sign-change search of the negative axis, the two-probe
+zero-mode count, the walk-based orbit enumeration, the orbit-by-orbit
+trace sums, a test function tabulated on a grid, the scalar critical-line
+zeta series, the csv.writer form of the CLI's CSV artifact writer and the
+np.block form of the dilation matrices."""
 
 from __future__ import annotations
 
 import cmath
 import csv
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -170,6 +172,174 @@ def bisect_brackets(scan, brackets, tol: float) -> list:
         open_ = [part for (lo, hi, mlo, mhi), x, m in zip(halving, mids, counts)
                  for part in ((lo, x, mlo, m), (x, hi, m, mhi))]
     return sorted(roots)
+
+
+@dataclass(slots=True)
+class _Newton:
+    """A bracket (lo, hi] with counts mlo at lo and mhi at hi, under Newton steps
+    (``reference_refine_brackets``)."""
+
+    lo: float
+    hi: float
+    mlo: int
+    mhi: int
+    k: float                        # current iterate, inside (lo, hi)
+    steps: int = 0
+    last: float = 0.0               # size of the step that gave k, 0 before the first
+    probes: list | None = None      # (point, index) of the certificate points of the round
+    pending: int | None = None      # round's point of an iterate counted after its step
+
+
+def _count_points(count, points, pairs) -> list:
+    """The count at every point of a round of ``reference_refine_brackets``.
+
+    A point with a pair (m_lo, m_hi) lies in a simple bracket, whose count
+    is monotone and so one of the two; the two differ in parity, which
+    ``count.parity`` reads off one stacked LU.  The other points, and those
+    whose sign is not resolved, take one stacked eigensolve (``m_many``).
+    """
+    counts = [None] * len(points)
+    lu = [i for i, pair in enumerate(pairs) if pair is not None]
+    if lu:
+        for i, sign in zip(lu, count.parity(np.array([points[i] for i in lu])).tolist()):
+            if sign:
+                m_lo, m_hi = pairs[i]
+                counts[i] = m_lo if sign == 1 - 2 * (m_lo % 2) else m_hi
+    rest = [i for i, m in enumerate(counts) if m is None]
+    if rest:
+        for i, m in zip(rest, count.m_many(np.array([points[i] for i in rest]))[0].tolist()):
+            counts[i] = m
+    return counts
+
+
+def reference_refine_brackets(count, brackets, tol: float):
+    """``spectra._refine_brackets`` one bracket at a time: a ``_Newton``
+    state per open bracket, every rule applied to it in Python, and the
+    count points of a round gathered in lists (``_count_points``).  The
+    oracle of the array rounds: it returns the same (sorted (k, g) list,
+    number of rounds) and leaves the same ``evals`` and ``lu_evals``."""
+    half = 0.5 * tol
+    roots: list = []
+    iterates: list = []     # _Newton states for the next round
+    points: list = []       # count points of the round
+    pairs: list = []        # (M(lo), M(hi)) of a point whose count parity decides, else None
+    live: list = []         # _Newton states that wait for the counts of the round
+
+    def request(x, mlo, mhi):
+        points.append(x)
+        pairs.append((mlo, mhi) if abs(mhi - mlo) == 1 else None)
+        return len(points) - 1
+
+    def probe(it, k):
+        """Certificate points k -+ tol/2 inside the bracket, counted this round."""
+        it.k = k
+        it.probes = [(x, request(x, it.mlo, it.mhi)) for x in (k - half, k + half)
+                     if it.lo < x < it.hi]
+
+    def admit(lo, hi, mlo, mhi, guess, steps=0, other=None):
+        """Queue a bracket from guess if it lies inside, else from its
+        midpoint; a guess with steps > 0 is a Newton iterate.  Given other,
+        the step from the other side of 0, a simple part starts from
+        whichever of the two lies inside it, and a part of several roots
+        from its midpoint."""
+        if mhi == mlo:
+            return
+        if hi - lo <= tol:
+            roots.append((0.5 * (lo + hi), abs(mhi - mlo)))
+            return
+        if other is not None and abs(mhi - mlo) > 1:
+            guess = None            # a step would peel off only the root next to an end
+        elif other is not None and not lo < guess < hi:
+            guess = other
+        inside = guess is not None and lo < guess < hi
+        iterates.append(_Newton(lo, hi, mlo, mhi, guess if inside else 0.5 * (lo + hi), steps))
+
+    def cut(it, x, m, guess, other=None):
+        """Apply the count m at x inside the bracket of it.  A count strictly
+        between the end counts splits the bracket at x, queues both parts
+        from guess and returns True; any other moves the end whose count is
+        m to x."""
+        if m != it.mlo and m != it.mhi:
+            admit(it.lo, x, it.mlo, m, guess, it.steps, other)
+            admit(x, it.hi, m, it.mhi, guess, it.steps, other)
+            return True
+        if m == it.mlo:
+            it.lo = x
+        else:
+            it.hi = x
+        return False
+
+    for bracket in brackets:
+        admit(*bracket)
+    rounds = 0
+    while iterates:
+        rounds += 1
+        stepping = iterates[:]
+        iterates.clear()
+        points.clear()
+        pairs.clear()
+        live.clear()
+
+        m_k, steps, others = count.newton_steps(np.array([it.k for it in stepping]))
+        m_k = [None] * len(stepping) if m_k is None else m_k.tolist()
+        others = [None] * len(stepping) if others is None else others.tolist()
+        for it, m, step, other in zip(stepping, m_k, steps.tolist(), others):
+            if it.steps >= spectra.NEWTON_BUDGET:
+                raise xg.ToleranceTooCoarse("Newton refinement budget exhausted")
+            it.steps += 1
+            # a Newton step converges quadratically: after
+            # steps s' then s the error is about |s|^3 / s'^2, and once
+            # that is below the float spacing at k no step can improve k
+            converged = abs(step) <= 0.25 * tol or (
+                abs(step) < it.last and abs(step) ** 3 <= spectra.EPS * abs(it.k) * it.last ** 2)
+            it.last = abs(step)
+            if m is None:
+                # counted with this round's points; a converged step
+                # needs no count at it.k: both certificate points decide
+                if not converged:
+                    it.pending = request(it.k, it.mlo, it.mhi)
+            elif not converged or m == it.mlo or m == it.mhi:
+                # (at a converged it.k a count strictly between the end
+                # counts leaves the bracket whole: its certificate points
+                # take the jump)
+                if cut(it, it.k, m, it.k + step, None if other is None else it.k + other):
+                    continue
+            if not converged:
+                it.k += step
+            else:
+                probe(it, it.k + step if m is None else min(max(it.k + step, it.lo), it.hi))
+            live.append(it)
+        counts = _count_points(count, points, pairs) if points else []
+
+        for it in live:
+            if it.pending is not None:
+                i, it.pending = it.pending, None
+                if cut(it, points[i], counts[i], it.k):
+                    continue
+            if it.probes is not None:
+                ms = [counts[i] for _, i in it.probes]
+                if ms == [it.mlo, it.mhi]:
+                    # the whole jump lies between k* -+ tol/2
+                    roots.append((it.k, abs(it.mhi - it.mlo)))
+                    continue
+                # the parts that the certificate points cut: one around k*
+                # places its levels within tol/2 of k*, the others go on
+                ends = [it.lo, *(x for x, _ in it.probes), it.hi]
+                ms = [it.mlo, *ms, it.mhi]
+                for lo, hi, mlo, mhi in zip(ends, ends[1:], ms, ms[1:]):
+                    if mlo != mhi and lo >= it.k - half and hi <= it.k + half:
+                        roots.append((min(max(it.k, lo), hi), abs(mhi - mlo)))
+                    else:
+                        admit(lo, hi, mlo, mhi, it.k, it.steps)
+                continue
+            mid = 0.5 * (it.lo + it.hi)
+            if it.hi - it.lo <= tol or not it.lo < mid < it.hi:
+                roots.append((mid, abs(it.mhi - it.mlo)))
+                continue
+            if not it.lo < it.k < it.hi:
+                it.k, it.last = mid, 0.0
+            iterates.append(it)
+    return sorted(roots), rounds
 
 
 def eigenphase_roots(sys, k_lo: float, k_hi: float, tol: float) -> list:
